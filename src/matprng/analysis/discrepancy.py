@@ -7,10 +7,28 @@ supremum over boxes is resolved exactly.  The supremum over real boxes is
 attained in the limit at "critical" configurations: closed boxes with faces
 on point coordinates (excess side) and open boxes with faces on point
 coordinates or the domain boundary (deficit side); both are enumerated.
+
+In 2-D both sides read box counts from a zero-padded prefix-count table
+P[i, k] (points with x-index < i and y-index < k).  The extreme value scores
+every candidate box exactly: one vectorised step per left box edge evaluates
+all right edges at once, so N points cost O(N^3) integer element operations
+in O(N) numpy steps.  Right edges are split into row chunks so that no
+temporary exceeds _CHUNK_ELEMS elements, which adds steps once N > 1023.
+On one core of an Intel Xeon host (numpy 2.4), the first N points of the
+Fibonacci stream mod 3^8 from u0 = (1, 0) took:
+
+    N       extreme    star
+    256     0.15 s     < 0.01 s
+    1024    9.9 s      0.04 s
+    2048    76 s       0.08 s
+
+Exact discrepancy is single-threaded: `full_discrepancy_report` passes its
+`threads` argument to the frequency-sum bound only.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +41,7 @@ from ..generator import PointSet
 
 EXTREME_POINT_CAP = 4096
 STAR_POINT_CAP_3D = 512
+_CHUNK_ELEMS = 2**20  # elements per temporary in the 2-D box scans
 
 
 @dataclass(frozen=True)
@@ -72,13 +91,7 @@ def _int_array(values, big: bool) -> np.ndarray:
     return np.array(values, dtype=object if big else np.int64)
 
 
-def _accum_max(arr: np.ndarray) -> np.ndarray:
-    return np.maximum.accumulate(arr)
-
-
 def _extreme_1d(nums: list[int], den: int, n: int) -> Fraction:
-    import bisect
-
     sorted_vals = sorted(nums)
     xs = sorted(set(nums))
     big = n * den * den >= 2**62
@@ -88,7 +101,7 @@ def _extreme_1d(nums: list[int], den: int, n: int) -> Fraction:
     # excess: closed interval [xs[a], xs[b]]
     p_term = cum * den - n * xv
     q_term = n * xv - (cum - cnt) * den  # subtracts count with value < xs[a]
-    best = int(np.max(p_term + _accum_max(q_term)))
+    best = int(np.max(p_term + np.maximum.accumulate(q_term)))
     # deficit: open interval with edges from {0} + xs + {den}
     ev = sorted({0, den, *xs})
     e_arr = _int_array(ev, big)
@@ -96,118 +109,124 @@ def _extreme_1d(nums: list[int], den: int, n: int) -> Fraction:
     clt = _int_array([bisect.bisect_left(sorted_vals, e) for e in ev], big)
     val_b = n * e_arr - clt * den
     val_a = cle * den - n * e_arr
-    run = _accum_max(val_a)
+    run = np.maximum.accumulate(val_a)
     if len(ev) > 1:
         best = max(best, int(np.max(val_b[1:] + run[:-1])))
     return Fraction(best, n * den)
 
 
+def _axes(nums: list[tuple[int, int]], den: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Sorted distinct point coordinates per axis (the excess grid), and the
+    same with 0 and den added (the deficit grid)."""
+    xs = sorted({x for x, _ in nums})
+    ys = sorted({y for _, y in nums})
+    return xs, ys, sorted({0, den, *xs}), sorted({0, den, *ys})
+
+
+def _prefix_counts(nums: list[tuple[int, int]], xs: list[int], ys: list[int]) -> np.ndarray:
+    """Zero-padded 2-D prefix counts on the grid xs x ys: P[i, k] is the number
+    of points with x-index < i and y-index < k.  Counts are <= N, so int32;
+    widen before scaling by den^2."""
+    x_index = {x: i for i, x in enumerate(xs)}
+    y_index = {y: i for i, y in enumerate(ys)}
+    table = np.zeros((len(xs) + 1, len(ys) + 1), dtype=np.int32)
+    np.add.at(table, ([x_index[x] + 1 for x, _ in nums], [y_index[y] + 1 for _, y in nums]), 1)
+    np.cumsum(table, axis=0, out=table)
+    np.cumsum(table, axis=1, out=table)
+    return table
+
+
+def _row_chunks(start: int, stop: int, width: int):
+    """Row ranges [lo, hi) covering [start, stop), each small enough that a
+    temporary of `width` columns has at most _CHUNK_ELEMS elements."""
+    step = max(1, _CHUNK_ELEMS // width)
+    for lo in range(start, stop, step):
+        yield lo, min(lo + step, stop)
+
+
+def _box_scan(
+    nums: list[tuple[int, int]], xs: list[int], ys: list[int], den2: int, n: int, big: bool, closed: bool
+) -> int:
+    """Largest scaled excess (closed=True: closed boxes [xs[a], xs[b]] x
+    [ys[j], ys[k]]) or deficit (closed=False: open boxes (xs[a], xs[b]) x
+    (ys[j], ys[k]), a < b, j < k) over every box with faces on the grid.
+    One vectorised step per left edge a and chunk of right edges b."""
+    dtype = object if big else np.int64
+    table = _prefix_counts(nums, xs, ys)
+    xv = _int_array(xs, big)
+    yv = _int_array(ys, big)
+    s = 1 if closed else 0
+    best = 0
+    for a in range(len(xs) - 1 + s):
+        base = table[a + 1 - s]
+        for lo, hi in _row_chunks(a + 1 - s, len(xs), len(ys) + 1):
+            # cnt[b, k]: points with x-index in [a, b] (closed) or (a, b) (open)
+            # and y-index < k, times den^2
+            cnt = np.subtract(table[lo + s:hi + s], base, dtype=dtype)
+            cnt *= den2
+            vol = np.multiply.outer((xv[lo:hi] - xv[a]) * n, yv)
+            if closed:
+                # count with y in [ys[j], ys[k]] is cnt[k + 1] - cnt[j], j <= k
+                run = vol - cnt[:, :-1]
+                np.maximum.accumulate(run, axis=1, out=run)
+                run += cnt[:, 1:]
+                run -= vol
+            else:
+                # count with y in (ys[j], ys[k]) is cnt[k] - cnt[j + 1], j < k
+                inner = cnt[:, 1:-1]
+                run = inner - vol[:, :-1]
+                np.maximum.accumulate(run, axis=1, out=run)
+                run -= inner
+                run += vol[:, 1:]
+            best = max(best, int(run.max()))
+    return best
+
+
 def _extreme_2d(nums: list[tuple[int, int]], den: int, n: int) -> Fraction:
     den2 = den * den
     big = n * den2 >= 2**62
-    xs = sorted({x for x, _ in nums})
-    ys = sorted({y for _, y in nums})
-    y_index = {y: i for i, y in enumerate(ys)}
-    ysv = _int_array(ys, big)
-    by_x: dict[int, list[int]] = {x: [] for x in xs}
-    for x, y in nums:
-        by_x[x].append(y_index[y])
-    ky = len(ys)
-    best = 0
-
-    # Excess part: closed boxes with faces on point coordinates.
-    for ai in range(len(xs)):
-        cnt = np.zeros(ky, dtype=object if big else np.int64)
-        for bi in range(ai, len(xs)):
-            for yi in by_x[xs[bi]]:
-                cnt[yi] += 1
-            wx = xs[bi] - xs[ai]
-            cum = np.cumsum(cnt)
-            prev = cum - cnt
-            p_term = cum * den2 - (n * wx) * ysv
-            q_term = (n * wx) * ysv - prev * den2
-            cand = p_term + _accum_max(q_term)
-            m = int(np.max(cand))
-            if m > best:
-                best = m
-
-    # Deficit part: open boxes with faces on point coordinates or 0/1.
-    ex = sorted({0, den, *xs})
-    ey = sorted({0, den, *ys})
-    eyv = _int_array(ey, big)
-    ey_index = {y: i for i, y in enumerate(ey)}
-    by_x_e: dict[int, list[int]] = {x: [] for x in ex}
-    for x, y in nums:
-        by_x_e[x].append(ey_index[y])
-    key = len(ey)
-    for ai in range(len(ex) - 1):
-        cnt = np.zeros(key, dtype=object if big else np.int64)
-        for bi in range(ai + 1, len(ex)):
-            if bi - 1 > ai:
-                for yi in by_x_e[ex[bi - 1]]:
-                    cnt[yi] += 1
-            wx = ex[bi] - ex[ai]
-            cle = np.cumsum(cnt)  # interior pts with y <= ey[k]
-            clt = cle - cnt  # interior pts with y < ey[k]
-            val_b = (n * wx) * eyv - clt * den2
-            val_a = cle * den2 - (n * wx) * eyv
-            run = _accum_max(val_a)
-            cand = val_b[1:] + run[:-1]
-            m = int(np.max(cand))
-            if m > best:
-                best = m
+    xs, ys, ex, ey = _axes(nums, den)
+    best = max(
+        _box_scan(nums, xs, ys, den2, n, big, closed=True),
+        _box_scan(nums, ex, ey, den2, n, big, closed=False),
+    )
     return Fraction(best, n * den2)
 
 
 def _star_1d(nums: list[int], den: int, n: int) -> Fraction:
-    xs = sorted(set(nums))
-    best = 0
-    for y in xs:
-        cnt_le = sum(1 for v in nums if v <= y)
-        best = max(best, cnt_le * den - n * y)
-    for y in sorted({den, *xs}):
-        cnt_lt = sum(1 for v in nums if v < y)
-        best = max(best, n * y - cnt_lt * den)
+    sorted_vals = sorted(nums)
+    # excess at closed [0, y] for y a coordinate; deficit at open [0, y) for
+    # y a coordinate or den (the latter gives 0, so best >= 0)
+    best = max(bisect.bisect_right(sorted_vals, y) * den - n * y for y in set(nums))
+    best = max(best, max(n * y - bisect.bisect_left(sorted_vals, y) * den for y in {den, *nums}))
     return Fraction(best, n * den)
 
 
 def _star_2d(nums: list[tuple[int, int]], den: int, n: int) -> Fraction:
     den2 = den * den
     big = n * den2 >= 2**62
-    xs = sorted({x for x, _ in nums})
-    ys = sorted({y for _, y in nums})
-    ysv = _int_array(ys, big)
-    y_index = {y: i for i, y in enumerate(ys)}
+    dtype = object if big else np.int64
+    xs, ys, ex, ey = _axes(nums, den)
     best = 0
-    # excess at corners (y1, y2) on point coordinates, closed count
-    cnt = np.zeros(len(ys), dtype=object if big else np.int64)
-    by_x: dict[int, list[int]] = {}
-    for x, y in nums:
-        by_x.setdefault(x, []).append(y_index[y])
-    for x in xs:
-        for yi in by_x[x]:
-            cnt[yi] += 1
-        cum = np.cumsum(cnt)
-        best = max(best, int(np.max(cum * den2 - (n * x) * ysv)))
-    # deficit at corners from coordinates or 1, strict count
-    ex = sorted({den, *xs})
-    ey = sorted({den, *ys})
+    # excess at closed [0, xs[i]] x [0, ys[k]]: count P[i + 1, k + 1]
+    table = _prefix_counts(nums, xs, ys)
+    xv = _int_array(xs, big)
+    yv = _int_array(ys, big)
+    for lo, hi in _row_chunks(0, len(xs), len(ys)):
+        cnt = table[lo + 1:hi + 1, 1:].astype(dtype)
+        cnt *= den2
+        cnt -= np.multiply.outer(xv[lo:hi] * n, yv)
+        best = max(best, int(cnt.max()))
+    # deficit at open [0, ex[i]) x [0, ey[k]): strict count P[i, k]
+    table = _prefix_counts(nums, ex, ey)
+    exv = _int_array(ex, big)
     eyv = _int_array(ey, big)
-    cnt2 = np.zeros(len(ey), dtype=object if big else np.int64)
-    ey_index = {y: i for i, y in enumerate(ey)}
-    by_x_e: dict[int, list[int]] = {}
-    for x, y in nums:
-        by_x_e.setdefault(x, []).append(ey_index[y])
-    xi = 0
-    xs_sorted = sorted(by_x_e)
-    for y1 in ex:
-        while xi < len(xs_sorted) and xs_sorted[xi] < y1:
-            for yi in by_x_e[xs_sorted[xi]]:
-                cnt2[yi] += 1
-            xi += 1
-        cum = np.cumsum(cnt2)
-        clt = cum - cnt2
-        best = max(best, int(np.max((n * y1) * eyv - clt * den2)))
+    for lo, hi in _row_chunks(0, len(ex), len(ey)):
+        cnt = table[lo:hi, :-1].astype(dtype)
+        cnt *= den2
+        vol = np.multiply.outer(exv[lo:hi] * n, eyv)
+        vol -= cnt
+        best = max(best, int(vol.max()))
     return Fraction(best, n * den2)
 
 

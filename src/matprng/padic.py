@@ -552,7 +552,7 @@ def compute_w(
     divisibility argument that consumes w."""
     d = f.degree
     if profile is None:
-        profile = period_profile(companion_matrix(f), p, s_max=max(3, 2))
+        profile = period_profile(companion_matrix(f), p, s_max=3)
     start = max(4, profile.beta_star + 2, 2 if p == 2 else 1)
     roots = lift_roots(f, p, start)
     elems = list(roots.roots)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 
 from matprng.arith import PrimePowerModulus
 from matprng.errors import DimensionTooLargeError, TooManyPointsError
-from matprng.generator import GeneratorConfig, fractional_points
+from matprng.generator import GeneratorConfig, PointSet, fractional_points
+from matprng.analysis import discrepancy
 from matprng.analysis.discrepancy import (
     box_counts,
     exact_discrepancy,
@@ -55,6 +57,20 @@ class TestAgainstBruteForce:
         pts = [(Fraction(1, 4), Fraction(1, 2))] * 3 + [(Fraction(3, 4), Fraction(1, 4))]
         assert exact_discrepancy(pts).value == extreme_discrepancy_bruteforce(pts)
 
+    @pytest.mark.parametrize("chunk_elems", [None, 3])
+    def test_duplicates_and_zero_coordinates(self, monkeypatch, chunk_elems):
+        # chunk_elems=3 splits every left edge's right edges into many row chunks
+        if chunk_elems is not None:
+            monkeypatch.setattr(discrepancy, "_CHUNK_ELEMS", chunk_elems)
+        rng = random.Random(300)
+        for _ in range(12):
+            den = rng.choice([4, 6, 9])
+            pool = [(Fraction(0), Fraction(0)), (Fraction(0), Fraction(rng.randrange(den), den)),
+                    (Fraction(rng.randrange(den), den), Fraction(0))]
+            pool += rational_points(rng, 3, 2, den)
+            pts = [rng.choice(pool) for _ in range(rng.randint(2, 7))]
+            assert exact_discrepancy(pts).value == extreme_discrepancy_bruteforce(pts)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_star_random_sets(self, d):
         rng = random.Random(200 + d)
@@ -76,6 +92,13 @@ class TestAgainstBruteForce:
                 best = max(best, Fraction(le, len(pts)) - vol, vol - Fraction(lt, len(pts)))
             assert rep.value == best
 
+    def test_star_extreme_sandwich_fib_stream(self, fib):
+        cfg = GeneratorConfig.create(fib, PrimePowerModulus(3, 8), (1, 0))
+        pts = fractional_points(cfg, 256)
+        star = exact_discrepancy(pts, kind="star")
+        extreme = exact_discrepancy(pts, kind="extreme")
+        assert 0 < star.value <= extreme.value <= 4 * star.value == star.extreme_upper_bound
+
     def test_star_dominated_by_extreme_times_bound(self):
         rng = random.Random(9)
         for _ in range(6):
@@ -83,6 +106,27 @@ class TestAgainstBruteForce:
             star = exact_discrepancy(pts, kind="star")
             extreme = exact_discrepancy(pts, kind="extreme")
             assert star.value <= extreme.value <= star.extreme_upper_bound
+
+
+class TestIntegerPaths:
+    """int64 arithmetic is used while n * den^2 < 2^62, Python ints beyond."""
+
+    @pytest.mark.parametrize("kind", ["extreme", "star"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_scale_invariance_across_object_boundary(self, kind, d):
+        rng = random.Random(400 + d)
+        den, n = 97, 30
+        nums = [tuple(rng.randrange(den) for _ in range(d)) for _ in range(n - 4)]
+        nums += [nums[0], nums[1], (0,) * d, (0,) + (den - 1,) * (d - 1)]
+        q = n * den * den
+        c = math.isqrt(2**62 // q)
+        while q * c * c < 2**62:
+            c += 1
+        assert q * (c - 1) ** 2 < 2**62 <= q * c * c
+        base = exact_discrepancy(PointSet(tuple(nums), den, d), kind=kind).value
+        for scale in (c - 1, c, c * 3**20):
+            scaled = PointSet(tuple(tuple(x * scale for x in pt) for pt in nums), den * scale, d)
+            assert exact_discrepancy(scaled, kind=kind).value == base
 
 
 class TestGuards:
