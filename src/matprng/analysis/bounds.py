@@ -15,8 +15,8 @@ from typing import Sequence
 import mpmath as mp
 import numpy as np
 
-from ..arith import valuation
-from ..generator import GeneratorConfig, vector_sequence
+from ..arith import mat_stream, valuation
+from ..generator import GeneratorConfig
 
 _DPS = 40
 
@@ -220,12 +220,11 @@ def koksma_szusz_bound(
         raise ValueError("V must be >= 1")
     d = cfg.a.d
     p, t = cfg.m.p, cfg.m.t
-    vecs = vector_sequence(cfg, 0, n_points)
-    mod = cfg.m.modulus
-    if mod * v_range * d < 2**62:
-        points = np.array(vecs, dtype=np.int64)
+    vecs = mat_stream(cfg.a, cfg.u0, cfg.m, n_points)
+    if cfg.m.modulus * v_range * d < 2**62:
+        points = np.asarray(vecs, dtype=np.int64)
     else:
-        points = vecs
+        points = vecs.tolist()
 
     from itertools import product as iproduct
 

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..arith import IntMatrix, det_exact, mat_pow_mod, mat_vec_mod, vec_dot
+from ..arith import det_exact, mat_stream
 from ..errors import GridTooLargeError, PeriodTooLargeError, PreconditionViolatedError
 from ..generator import GeneratorConfig
 from ..padic import H_coeffs, h_coeffs, order_mod, period_profile, theta_matrix
@@ -42,67 +42,24 @@ class SumReport:
     error_bound: float
 
 
-def _row_times_matrix(v: Sequence[int], a: IntMatrix, modulus: int) -> tuple[int, ...]:
-    return tuple(
-        sum(v[k] * a.entries[k][j] for k in range(a.d)) % modulus for j in range(a.d)
-    )
-
-
 def scalar_residues(cfg: GeneratorConfig, n_terms: int, n0: int = 0):
     """Residues v A^n u mod p^t for n = n0 .. n0+n_terms-1.
 
-    Returns an int64 numpy array when the modulus fits the fast path, else a
-    Python list of exact integers."""
+    Returns an int64 numpy array when the stream kernel runs in int64
+    (d (p^t)^2 < 2^63, see `arith.mat_stream`), else a Python list of exact
+    integers."""
     if cfg.v is None:
         raise ValueError("scalar residues need v in the config")
     if n_terms <= 0:
         return np.zeros(0, dtype=np.int64)
-    mod = cfg.m.modulus
-    if mod <= _HISTOGRAM_LIMIT:
-        return _scalar_residues_fast(cfg, n_terms, n0)
-    out = []
-    u = cfg.u0
-    if n0:
-        power = mat_pow_mod(cfg.a, n0, cfg.m)
-        u = mat_vec_mod(power, u, cfg.m)
-    for _ in range(n_terms):
-        out.append(vec_dot(cfg.v, u) % mod)
-        u = mat_vec_mod(cfg.a, u, cfg.m)
-    return out
-
-
-def _scalar_residues_fast(cfg: GeneratorConfig, n_terms: int, n0: int) -> np.ndarray:
-    """Baby-step giant-step evaluation of v A^n u with int64 arithmetic."""
-    mod = cfg.m.modulus
-    d = cfg.a.d
-    block = max(1, min(math.isqrt(n_terms) + 1, 4096))
-    baby = np.empty((d, block), dtype=np.int64)
-    u = cfg.u0
-    if n0:
-        u = mat_vec_mod(mat_pow_mod(cfg.a, n0, cfg.m), u, cfg.m)
-    for j in range(block):
-        baby[:, j] = u
-        u = mat_vec_mod(cfg.a, u, cfg.m)
-    a_block = mat_pow_mod(cfg.a, block, cfg.m)
-    out = np.empty(n_terms, dtype=np.int64)
-    v_row = cfg.v
-    pos = 0
-    while pos < n_terms:
-        width = min(block, n_terms - pos)
-        vals = (np.asarray(v_row, dtype=np.int64) @ baby[:, :width]) % mod
-        out[pos : pos + width] = vals
-        pos += width
-        if pos < n_terms:
-            v_row = _row_times_matrix(v_row, a_block, mod)
-    return out
+    residues = mat_stream(cfg.a, cfg.u0, cfg.m, n_terms, n0, cfg.v)
+    return residues if residues.dtype == np.int64 else residues.tolist()
 
 
 def _angles(block, mod: int) -> np.ndarray:
-    if isinstance(block, np.ndarray):
-        return block.astype(np.float64) * (_TWO_PI / mod)
-    # exact integers, possibly larger than 2^53: float(x)/float(mod) is a
-    # correctly rounded ratio of correctly rounded operands
-    return np.array([float(x) / float(mod) for x in block], dtype=np.float64) * _TWO_PI
+    # float(x) / float(mod) is a correctly rounded ratio of correctly rounded
+    # operands, also for exact integers above 2^53
+    return np.asarray(block, dtype=np.float64) / float(mod) * _TWO_PI
 
 
 def _partial_sum(block, mod: int) -> tuple[float, float]:
@@ -296,8 +253,5 @@ def korobov_reduction_check(cfg: GeneratorConfig, n_terms: int, m: int, a: int) 
     f(x) = (v A^x u)/p^t; nonnegative by the inequality."""
     mod = cfg.m.modulus
     residues = scalar_residues(cfg, n_terms + a * m * m)
-    if isinstance(residues, np.ndarray):
-        angles = residues.astype(np.float64) / float(mod)
-    else:
-        angles = [float(x) / float(mod) for x in residues]
+    angles = np.asarray(residues, dtype=np.float64) / float(mod)
     return korobov_reduction_residual(angles, n_terms, m, a)

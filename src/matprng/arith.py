@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DimensionMismatchError, ExactDivisionError, NotInvertibleError
 
 # A residue vector is a plain tuple of arbitrary-precision integers.
@@ -197,6 +199,54 @@ def vec_dot(u: ResidueVector, v: ResidueVector) -> int:
 
 def vec_reduce(v: Sequence[int], m: PrimePowerModulus) -> ResidueVector:
     return tuple(int(x) % m.modulus for x in v)
+
+
+def mat_stream(
+    a: IntMatrix,
+    u0: Sequence[int],
+    m: PrimePowerModulus,
+    count: int,
+    n0: int = 0,
+    v: Sequence[int] | None = None,
+) -> np.ndarray:
+    """The stream u_n = A^n u0 mod p^t for n = n0 .. n0 + count - 1 as a
+    (count, d) array, or, given v, the scalars v . u_n mod p^t as a (count,)
+    array.
+
+    Baby-step giant-step: the columns u_{n0} .. u_{n0+B-1} are built by
+    doubling with A, A^2, A^4, ..., where B is the least power of two with
+    B^2 >= count; every block of B terms is then one product
+    (head @ baby) % p^t with head = A^{kB}, or v A^{kB} for scalars.  A
+    product entry is a sum of d terms below (p^t)^2, so the arrays are int64
+    when d (p^t)^2 < 2^63 and numpy object arrays of exact Python ints
+    otherwise."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    mod = m.modulus
+    d = a.d
+    for vec in (u0,) if v is None else (u0, v):
+        if len(vec) != d:
+            raise DimensionMismatchError(f"matrix dim {d} vs vector length {len(vec)}")
+    dtype = np.int64 if d * mod * mod < 2**63 else object
+    u = vec_reduce(u0, m)
+    if n0:
+        u = mat_vec_mod(mat_pow_mod(a, n0, m), u, m)
+    baby = np.array(u, dtype=dtype).reshape(d, 1)
+    giant = np.array(a.reduce(mod).entries, dtype=dtype)
+    while baby.shape[1] ** 2 < count:
+        baby = np.hstack([baby, (giant @ baby) % mod])
+        giant = (giant @ giant) % mod
+    if v is None:
+        head = np.identity(d, dtype=dtype)
+    else:
+        head = np.array(vec_reduce(v, m), dtype=dtype).reshape(1, d)
+    width = baby.shape[1]
+    out = np.empty((head.shape[0], count), dtype=dtype)
+    for pos in range(0, count, width):
+        end = min(pos + width, count)
+        out[:, pos:end] = (head @ baby[:, : end - pos]) % mod
+        head = (head @ giant) % mod
+    return out.T if v is None else out[0]
 
 
 def det_exact(a: IntMatrix) -> int:

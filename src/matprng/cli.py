@@ -15,9 +15,10 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 from .arith import IntMatrix, PrimePowerModulus, char_poly
 from .errors import MatprngError, ResourceGuardError
@@ -57,6 +58,16 @@ def _as_int(value, name: str) -> int:
         return int(value)
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from None
+
+
+def _as_list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list")
+    return value
+
+
+def _as_ints(value, name: str) -> tuple[int, ...]:
+    return tuple(_as_int(x, f"{name} entry") for x in _as_list(value, name))
 
 
 @dataclass
@@ -117,12 +128,12 @@ def load_experiment(doc: dict) -> Experiment:
         if not isinstance(rows, list) or not rows:
             raise ConfigError("matrix must be a nonempty list of rows")
         exp.matrix = IntMatrix.from_rows(
-            [[_as_int(x, "matrix entry") for x in row] for row in rows]
+            [[_as_int(x, "matrix entry") for x in _as_list(row, "matrix row")] for row in rows]
         )
     if "u0" in doc:
-        exp.u0 = tuple(_as_int(x, "u0 entry") for x in doc["u0"])
+        exp.u0 = _as_ints(doc["u0"], "u0")
     if "v" in doc:
-        exp.v = tuple(_as_int(x, "v entry") for x in doc["v"])
+        exp.v = _as_ints(doc["v"], "v")
     if "level" in doc:
         if doc["level"] not in ("thm1", "thm2"):
             raise ConfigError("level must be thm1 or thm2")
@@ -132,7 +143,7 @@ def load_experiment(doc: dict) -> Experiment:
     if "N" in doc:
         exp.n_schedule = [_as_int(doc["N"], "N")]
     if "N_schedule" in doc:
-        exp.n_schedule = [_as_int(x, "N_schedule entry") for x in doc["N_schedule"]]
+        exp.n_schedule = list(_as_ints(doc["N_schedule"], "N_schedule"))
     if "V" in doc:
         exp.v_range = _as_int(doc["V"], "V")
     if "s_max" in doc:
@@ -158,15 +169,18 @@ def load_experiment(doc: dict) -> Experiment:
         if not isinstance(items, list):
             raise ConfigError("vmvt must be a list of [k, r, M] triples")
         exp.vmvt = [
-            tuple(_as_int(x, "vmvt entry") for x in triple) for triple in items
+            tuple(_as_int(x, "vmvt entry") for x in _as_list(triple, "vmvt triple"))
+            for triple in items
         ]
         if any(len(tr) != 3 for tr in exp.vmvt):
             raise ConfigError("vmvt entries must be [k, r, M] triples")
     if "boxes" in doc:
-        exp.boxes = [
-            [[Fraction(str(lo)), Fraction(str(hi))] for lo, hi in box]
-            for box in doc["boxes"]
-        ]
+        exp.boxes = []
+        for box in _as_list(doc["boxes"], "boxes"):
+            sides = [_as_list(side, "box side") for side in _as_list(box, "box")]
+            if any(len(side) != 2 for side in sides):
+                raise ConfigError("box sides must be [lo, hi] pairs")
+            exp.boxes.append([[Fraction(str(lo)), Fraction(str(hi))] for lo, hi in sides])
     if "constants" in doc:
         consts = doc["constants"]
         if not isinstance(consts, dict):
@@ -179,9 +193,14 @@ def load_experiment(doc: dict) -> Experiment:
 
 
 class Rejection(Exception):
-    def __init__(self, verdict):
+    """Hypothesis rejection, exit 2.  `doc`, when given, is still written as
+    the command's output (validate, report); otherwise the verdict goes to
+    stderr."""
+
+    def __init__(self, verdict, doc: dict | None = None):
         super().__init__(verdict.reason)
         self.verdict = verdict
+        self.doc = doc
 
 
 def _validated_generator(exp: Experiment) -> GeneratorConfig:
@@ -191,6 +210,24 @@ def _validated_generator(exp: Experiment) -> GeneratorConfig:
     return cfg
 
 
+@dataclass
+class Table:
+    """A command's rows.  `extras` join the rows in the JSON document and
+    form the JSON sidecar in CSV mode, unless `sidecar` gives another one."""
+
+    header: tuple[str, ...]
+    rows: list[tuple]
+    extras: dict = field(default_factory=dict)
+    sidecar: dict | None = None
+
+    def records(self, columns: Sequence[str] | None = None) -> list[dict]:
+        keep = self.header if columns is None else columns
+        return [{k: x for k, x in zip(self.header, row) if k in keep} for row in self.rows]
+
+    def doc(self) -> dict:
+        return {"rows": self.records(), **self.extras}
+
+
 def _write(out: str | None, text: str, suffix: str = "") -> None:
     if out is None:
         sys.stdout.write(text)
@@ -198,20 +235,40 @@ def _write(out: str | None, text: str, suffix: str = "") -> None:
         Path(out + suffix).write_text(text, encoding="utf-8", newline="")
 
 
+def _emit(result: Table | dict, args) -> None:
+    """The one writer.  A dict is a JSON document; a Table is written as JSON
+    {"rows": [...], **extras}, or as CSV followed by its sidecar, if any, at
+    <out>.json (after the CSV on stdout)."""
+    if isinstance(result, dict):
+        _write(args.out, render_json(result))
+    elif args.format == "json":
+        _write(args.out, render_json(result.doc()))
+    else:
+        _write(args.out, render_csv(result.header, result.rows))
+        sidecar = result.extras if result.sidecar is None else result.sidecar
+        if sidecar:
+            _write(args.out, render_json(sidecar), suffix=".json" if args.out else "")
+
+
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns a Table, or a dict for the JSON-only ones
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(exp: Experiment, args) -> int:
+def _validation(exp: Experiment, command: str):
     if exp.matrix is None or exp.u0 is None:
-        raise ConfigError("validate needs matrix and u0")
+        raise ConfigError(f"{command} needs matrix and u0")
     verdict = validate_theorem_hypotheses(
         exp.matrix, exp.u0, exp.v, exp.modulus, exp.level
     )
-    doc = {"level": exp.level, **verdict.to_dict()}
-    _write(args.out, render_json(doc))
-    return 0 if verdict.accepted else 2
+    return verdict, {"level": exp.level, **verdict.to_dict()}
+
+
+def cmd_validate(exp: Experiment, args) -> dict:
+    verdict, doc = _validation(exp, "validate")
+    if not verdict.accepted:
+        raise Rejection(verdict, doc)
+    return doc
 
 
 def _profile_summary(exp: Experiment, profile) -> dict:
@@ -227,22 +284,19 @@ def _profile_summary(exp: Experiment, profile) -> dict:
     }
 
 
-def cmd_period(exp: Experiment, args) -> int:
-    _validated_generator(exp)
-    s_max = exp.s_max or exp.t or 1
-    profile = period_profile(exp.matrix, exp.p, s_max)
-    rows = [(s, profile.taus[s - 1]) for s in range(1, profile.s_max + 1)]
+def _period_table(exp: Experiment) -> Table:
+    profile = period_profile(exp.matrix, exp.p, exp.s_max or exp.t)
     summary = _profile_summary(exp, profile)
-    if args.format == "json":
-        doc = {"rows": [{"s": s, "tau_s": tau} for s, tau in rows], "summary": summary}
-        _write(args.out, render_json(doc))
-    else:
-        _write(args.out, render_csv(("s", "tau_s"), rows))
-        _write(args.out, render_json(summary), suffix=".json" if args.out else "")
-    return 0
+    rows = list(enumerate(profile.taus, start=1))
+    return Table(("s", "tau_s"), rows, {"summary": summary}, sidecar=summary)
 
 
-def cmd_gen(exp: Experiment, args) -> int:
+def cmd_period(exp: Experiment, args) -> Table:
+    _validated_generator(exp)
+    return _period_table(exp)
+
+
+def cmd_gen(exp: Experiment, args) -> Table:
     cfg = exp.generator()
     count = exp.count or (exp.n_schedule[0] if exp.n_schedule else None)
     if count is None:
@@ -250,7 +304,7 @@ def cmd_gen(exp: Experiment, args) -> int:
     if exp.scalar:
         values = scalar_sequence(cfg, 0, count)
         header = ("n", "x")
-        rows = [(n, x) for n, x in enumerate(values)]
+        rows = list(enumerate(values))
         flat = values
     else:
         vecs = vector_sequence(cfg, 0, count)
@@ -260,15 +314,10 @@ def cmd_gen(exp: Experiment, args) -> int:
     if exp.binary_out:
         with open(exp.binary_out, "wb") as fh:
             dump_records(flat, fh)
-    if args.format == "json":
-        doc = {"rows": [dict(zip(header, row)) for row in rows]}
-        _write(args.out, render_json(doc))
-    else:
-        _write(args.out, render_csv(header, rows))
-    return 0
+    return Table(header, rows)
 
 
-def cmd_expsum(exp: Experiment, args) -> int:
+def cmd_expsum(exp: Experiment, args) -> Table:
     cfg = _validated_generator(exp)
     if not exp.n_schedule:
         raise ConfigError("expsum needs N or N_schedule")
@@ -280,26 +329,17 @@ def cmd_expsum(exp: Experiment, args) -> int:
              rep.value.imag, rep.method, rep.error_bound)
         )
     header = ("N", "rho", "abs_S", "S_over_N", "re_S", "im_S", "method", "error_bound")
-    if args.format == "json":
-        doc = {"rows": [dict(zip(header, row)) for row in rows]}
-        _write(args.out, render_json(doc))
-    else:
-        _write(args.out, render_csv(header, rows))
-    return 0
+    return Table(header, rows)
 
 
-def cmd_discrepancy(exp: Experiment, args) -> int:
-    cfg = _validated_generator(exp)
-    if not exp.n_schedule or exp.v_range is None:
-        raise ConfigError("discrepancy needs N (or N_schedule) and V")
+def _discrepancy_table(exp: Experiment, cfg: GeneratorConfig, threads: int, boxes=None) -> Table:
     d = cfg.a.d
-    ks_base = exp.constant("ks_constant", 1.5)
     rows = []
     diagnostics = []
     for n in exp.n_schedule:
         rep = full_discrepancy_report(
-            cfg, n, exp.v_range, boxes=exp.boxes, threads=args.threads,
-            constant_base=ks_base,
+            cfg, n, exp.v_range, boxes=boxes, threads=threads,
+            constant_base=exp.constant("ks_constant", 1.5),
         )
         rows.append(
             (n, d, rep.kind, rep.value, float(rep.value), rep.ks_bound,
@@ -322,17 +362,17 @@ def cmd_discrepancy(exp: Experiment, args) -> int:
             )
     header = ("N", "d", "kind", "exact", "exact_decimal", "ks_bound",
               "exact_le_bound", "extreme_upper_from_star")
-    if args.format == "json":
-        doc = {"rows": [dict(zip(header, row)) for row in rows]}
-        if diagnostics:
-            doc["box_diagnostics"] = diagnostics
-        _write(args.out, render_json(doc))
-    else:
-        _write(args.out, render_csv(header, rows))
-    return 0
+    return Table(header, rows, {"box_diagnostics": diagnostics} if diagnostics else {})
 
 
-def cmd_vmvt(exp: Experiment, args) -> int:
+def cmd_discrepancy(exp: Experiment, args) -> Table:
+    cfg = _validated_generator(exp)
+    if not exp.n_schedule or exp.v_range is None:
+        raise ConfigError("discrepancy needs N (or N_schedule) and V")
+    return _discrepancy_table(exp, cfg, args.threads, exp.boxes)
+
+
+def cmd_vmvt(exp: Experiment, args) -> Table:
     if not exp.vmvt:
         raise ConfigError("vmvt needs a list of [k, r, M] triples")
     c0 = int(exp.constant("c0", 1000))
@@ -347,18 +387,10 @@ def cmd_vmvt(exp: Experiment, args) -> int:
         )
     header = ("k", "r", "M", "count", "M_pow_k", "ford_bound", "ford_k",
               "ford_exponent", "delta_r", "valid_r_ge_c0d")
-    if args.format == "json":
-        doc = {"rows": [dict(zip(header, row)) for row in rows]}
-        _write(args.out, render_json(doc))
-    else:
-        _write(args.out, render_csv(header, rows))
-    return 0
+    return Table(header, rows)
 
 
-def cmd_bounds(exp: Experiment, args) -> int:
-    cfg = _validated_generator(exp)
-    if not exp.n_schedule:
-        raise ConfigError("bounds needs N or N_schedule")
+def _bounds_table(exp: Experiment, cfg: GeneratorConfig, threads: int) -> Table:
     d = cfg.a.d
     eta = exp.constant("eta", 1.0)
     c = exp.constant("c", 1.0)
@@ -367,12 +399,20 @@ def cmd_bounds(exp: Experiment, args) -> int:
     d_power = int(exp.constant("d_power", 4))
     rows = []
     for n in exp.n_schedule:
-        rep = exp_sum(cfg, n, threads=args.threads)
+        rep = exp_sum(cfg, n, threads=threads)
         env = theorem_envelope(n, exp.p, exp.t, d, eta, c, d_power)
         denv = discrepancy_envelope(n, exp.p, exp.t, d, eta0, c0_env, d_power)
         rows.append((n, rep.rho, rep.abs_value, rep.normalized, env, denv))
     header = ("N", "rho", "abs_S", "S_over_N", "sum_envelope", "discrepancy_envelope")
-    extras: dict = {}
+    return Table(header, rows)
+
+
+def cmd_bounds(exp: Experiment, args) -> Table:
+    cfg = _validated_generator(exp)
+    if not exp.n_schedule:
+        raise ConfigError("bounds needs N or N_schedule")
+    table = _bounds_table(exp, cfg, args.threads)
+    extras = table.extras
     if exp.t_range:
         fp_rows = full_period_exponent(cfg, exp.t_range, threads=args.threads)
         extras["full_period"] = [
@@ -384,7 +424,7 @@ def cmd_bounds(exp: Experiment, args) -> int:
     if summary["w"] is not None:
         try:
             pp = proof_parameters(
-                max(exp.n_schedule), exp.p, exp.t, d, summary["w"],
+                max(exp.n_schedule), exp.p, exp.t, cfg.a.d, summary["w"],
                 summary["s_star"], int(exp.constant("c0", 1000)),
             )
             extras["proof_parameters"] = {
@@ -395,63 +435,26 @@ def cmd_bounds(exp: Experiment, args) -> int:
             }
         except ValueError as exc:
             extras["proof_parameters"] = {"error": str(exc)}
-    if args.format == "json":
-        doc = {"rows": [dict(zip(header, row)) for row in rows], **extras}
-        _write(args.out, render_json(doc))
-    else:
-        _write(args.out, render_csv(header, rows))
-        if extras:
-            _write(args.out, render_json(extras), suffix=".json" if args.out else "")
-    return 0
+    return table
 
 
-def cmd_report(exp: Experiment, args) -> int:
-    if exp.matrix is None or exp.u0 is None:
-        raise ConfigError("report needs matrix and u0")
-    verdict = validate_theorem_hypotheses(exp.matrix, exp.u0, exp.v, exp.modulus, exp.level)
-    doc: dict = {"validate": {"level": exp.level, **verdict.to_dict()}}
+def cmd_report(exp: Experiment, args) -> dict:
+    verdict, validation = _validation(exp, "report")
+    doc: dict = {"validate": validation}
     if not verdict.accepted:
-        _write(args.out, render_json(doc))
-        return 2
+        raise Rejection(verdict, doc)
     cfg = GeneratorConfig(exp.matrix, exp.modulus, exp.u0, exp.v, verdict)
-    s_max = exp.s_max or exp.t
-    profile = period_profile(exp.matrix, exp.p, s_max)
-    doc["period"] = {
-        "rows": [{"s": s, "tau_s": profile.taus[s - 1]} for s in range(1, profile.s_max + 1)],
-        "summary": _profile_summary(exp, profile),
-    }
+    doc["period"] = _period_table(exp).doc()
     if exp.n_schedule:
-        d = cfg.a.d
-        eta = exp.constant("eta", 1.0)
-        c = exp.constant("c", 1.0)
-        d_power = int(exp.constant("d_power", 4))
-        sum_rows = []
-        for n in exp.n_schedule:
-            rep = exp_sum(cfg, n, threads=args.threads)
-            env = theorem_envelope(n, exp.p, exp.t, d, eta, c, d_power)
-            sum_rows.append(
-                {"N": n, "rho": rep.rho, "abs_S": rep.abs_value,
-                 "S_over_N": rep.normalized, "sum_envelope": env}
-            )
-        doc["expsum"] = sum_rows
+        doc["expsum"] = _bounds_table(exp, cfg, args.threads).records(
+            ("N", "rho", "abs_S", "S_over_N", "sum_envelope")
+        )
         if exp.v_range is not None and cfg.a.d <= 3:
-            disc_rows = []
-            for n in exp.n_schedule:
-                rep = full_discrepancy_report(
-                    cfg, n, exp.v_range, threads=args.threads,
-                    constant_base=exp.constant("ks_constant", 1.5),
-                )
-                disc_rows.append(
-                    {"N": n, "kind": rep.kind, "exact": rep.value,
-                     "ks_bound": rep.ks_bound,
-                     "exact_le_bound": float(rep.value) <= rep.ks_bound}
-                )
-            doc["discrepancy"] = disc_rows
+            doc["discrepancy"] = _discrepancy_table(exp, cfg, args.threads).records(
+                ("N", "kind", "exact", "ks_bound", "exact_le_bound")
+            )
     if exp.vmvt:
-        doc["vmvt"] = [
-            {"k": k, "r": r, "M": m, "count": vinogradov_count(k, r, m)}
-            for k, r, m in exp.vmvt
-        ]
+        doc["vmvt"] = cmd_vmvt(exp, args).records(("k", "r", "M", "count"))
     rng = random.Random(args.seed)
     residual_sample = []
     for _ in range(5):
@@ -463,8 +466,7 @@ def cmd_report(exp: Experiment, args) -> int:
             {"N": n, "M": m, "a": a, "residual": residual, "nonnegative": residual >= 0}
         )
     doc["reduction_residuals"] = {"seed": args.seed, "samples": residual_sample}
-    _write(args.out, render_json(doc))
-    return 0
+    return doc
 
 
 _COMMANDS = {
@@ -505,9 +507,13 @@ def main(argv=None) -> int:
         return 1
     try:
         exp = load_experiment(doc)
-        return _COMMANDS[args.command](exp, args)
+        _emit(_COMMANDS[args.command](exp, args), args)
+        return 0
     except Rejection as rej:
-        sys.stderr.write(render_json(rej.verdict.to_dict()))
+        if rej.doc is None:
+            sys.stderr.write(render_json(rej.verdict.to_dict()))
+        else:
+            _emit(rej.doc, args)
         return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

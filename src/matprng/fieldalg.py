@@ -16,8 +16,7 @@ from .arith import (
     ResidueVector,
     char_poly,
     is_squarefree_over_q,
-    mat_vec,
-    vec_dot,
+    mat_stream,
 )
 from .errors import ExactDivisionError
 
@@ -341,12 +340,7 @@ def minimal_recurrence_length(seq: Sequence[int], p: int) -> int:
 
 def scalar_terms_mod_p(a: IntMatrix, u: ResidueVector, v: ResidueVector, p: int, count: int) -> list[int]:
     """First `count` terms of v A^n u reduced mod p."""
-    x = tuple(c % p for c in u)
-    out = []
-    for _ in range(count):
-        out.append(vec_dot(v, x) % p)
-        x = tuple(c % p for c in mat_vec(a, x))
-    return out
+    return mat_stream(a, u, PrimePowerModulus(p, 1), count, v=v).tolist()
 
 
 def is_proper_pair(a: IntMatrix, u: ResidueVector, v: ResidueVector, p: int) -> bool:

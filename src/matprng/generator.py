@@ -18,8 +18,8 @@ from .arith import (
     ResidueVector,
     det_exact,
     mat_pow_mod,
+    mat_stream,
     mat_vec_mod,
-    vec_dot,
     vec_reduce,
 )
 from .errors import NotInvertibleError
@@ -104,20 +104,14 @@ def jump_ahead(state: GeneratorState, k: int) -> GeneratorState:
 
 def vector_sequence(cfg: GeneratorConfig, n0: int, count: int) -> list[ResidueVector]:
     """Vectors u_n for n = n0 .. n0 + count - 1."""
-    state = jump_ahead(GeneratorState(cfg), n0)
-    out = []
-    for _ in range(count):
-        out.append(state.u)
-        step(state)
-    return out
+    return [tuple(u) for u in mat_stream(cfg.a, cfg.u0, cfg.m, count, n0).tolist()]
 
 
 def scalar_sequence(cfg: GeneratorConfig, n0: int, count: int) -> list[int]:
     """Values v A^n u0 mod p^t for n = n0 .. n0 + count - 1."""
     if cfg.v is None:
         raise ValueError("scalar sequences need v in the config")
-    mod = cfg.m.modulus
-    return [vec_dot(cfg.v, u) % mod for u in vector_sequence(cfg, n0, count)]
+    return mat_stream(cfg.a, cfg.u0, cfg.m, count, n0, cfg.v).tolist()
 
 
 @dataclass(frozen=True)

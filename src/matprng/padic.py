@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .arith import (
     IntMatrix,
@@ -69,17 +69,21 @@ def _order_mod_p(a: IntMatrix, p: int, cap: int) -> int:
     return tau
 
 
+def _lift_order(tau: int, p: int, is_one: Callable[[int], bool]) -> int:
+    """The order at the next precision from the order tau at the current
+    one: it is tau or p * tau, whichever exponent `is_one` accepts first."""
+    for candidate in (tau, p * tau):
+        if is_one(candidate):
+            return candidate
+    raise ExactDivisionError("order lift dichotomy violated (arithmetic bug)")
+
+
 def _order_table(a: IntMatrix, p: int, s_max: int, cap: int) -> list[int]:
     """[tau_1, ..., tau_{s_max}] via iteration at s = 1 and lifting above."""
     taus = [_order_mod_p(a, p, cap)]
     for s in range(2, s_max + 1):
         ms = PrimePowerModulus(p, s)
-        tau = taus[-1]
-        if not mat_pow_mod(a, tau, ms).is_identity():
-            tau *= p
-            if not mat_pow_mod(a, tau, ms).is_identity():
-                raise ExactDivisionError("order lift dichotomy violated (arithmetic bug)")
-        taus.append(tau)
+        taus.append(_lift_order(taus[-1], p, lambda e: mat_pow_mod(a, e, ms).is_identity()))
     return taus
 
 
@@ -152,12 +156,8 @@ def period_profile(
             raise DegenerateMatrixError(
                 "order growth never stabilizes; matrix looks degenerate (finite order)"
             )
-        s = len(taus) + 1
-        ms = PrimePowerModulus(p, s)
-        tau = taus[-1]
-        if not mat_pow_mod(a, tau, ms).is_identity():
-            tau *= p
-        taus.append(tau)
+        ms = PrimePowerModulus(p, len(taus) + 1)
+        taus.append(_lift_order(taus[-1], p, lambda e: mat_pow_mod(a, e, ms).is_identity()))
 
     last_flat = 0
     for s in range(1, len(taus)):
@@ -495,10 +495,7 @@ def tau_pair(gamma: UnramifiedElement, lam: UnramifiedElement, s: int) -> int:
     for k in range(2, s + 1):
         ringk = ring.at_precision(k)
         r_k = ringk.element(ratio._view())
-        if not ((r_k ** tau) - ringk.one()).is_zero:
-            tau *= ring.p
-            if not ((r_k ** tau) - ringk.one()).is_zero:
-                raise ExactDivisionError("pair order lift dichotomy violated")
+        tau = _lift_order(tau, ring.p, lambda e: ((r_k**e) - ringk.one()).is_zero)
     return tau
 
 

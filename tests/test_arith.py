@@ -17,10 +17,13 @@ from matprng.arith import (
     mat_mul_mod,
     mat_pow,
     mat_pow_mod,
+    mat_stream,
+    mat_vec_mod,
     poly_eval_matrix,
     poly_gcd_q,
     recurrence_coefficients,
     valuation,
+    vec_dot,
 )
 from matprng.errors import DimensionMismatchError, NotInvertibleError
 
@@ -100,6 +103,32 @@ class TestMatPow:
         lhs = mat_pow_mod(a, n + m, mod)
         rhs = mat_mul_mod(mat_pow_mod(a, n, mod), mat_pow_mod(a, m, mod), mod)
         assert lhs == rhs
+
+
+class TestMatStream:
+    # d (p^t)^2 = 2^(2t+1) for Fibonacci mod 2^t: int64 below 2^63 (t = 30),
+    # exact ints from t = 31 on
+    @pytest.mark.parametrize("t, dtype", [(30, "int64"), (31, "object"), (32, "object")])
+    def test_matches_stepping_across_int64_bound(self, t, dtype):
+        fib = IntMatrix.from_rows([[0, 1], [1, 1]])
+        m = PrimePowerModulus(2, t)
+        u0, v, n0, count = (987654321, -5), (3, 2**t - 1), 13, 70  # block 16, 70 % 16 != 0
+        u = mat_vec_mod(mat_pow_mod(fib, n0, m), tuple(x % m.modulus for x in u0), m)
+        want = []
+        for _ in range(count):
+            want.append(u)
+            u = mat_vec_mod(fib, u, m)
+        vecs = mat_stream(fib, u0, m, count, n0)
+        scalars = mat_stream(fib, u0, m, count, n0, v)
+        assert vecs.dtype == dtype and scalars.dtype == dtype
+        assert [tuple(x) for x in vecs.tolist()] == want
+        assert scalars.tolist() == [vec_dot(v, x) % m.modulus for x in want]
+
+    def test_empty_and_single(self):
+        m = PrimePowerModulus(3, 2)
+        a = IntMatrix.from_rows([[0, 1], [1, 1]])
+        assert mat_stream(a, (1, 0), m, 0).shape == (0, 2)
+        assert mat_stream(a, (1, 0), m, 1, 5, (1, 1)).tolist() == [8]
 
 
 class TestDet:

@@ -1,4 +1,8 @@
 import json
+import math
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +106,19 @@ class TestGen:
         assert [int(r.split(",")[1]) for r in rows] == values
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "key, value",
+        [("matrix", [1, 2]), ("u0", 5), ("v", 5), ("N_schedule", 5), ("boxes", 3), ("vmvt", [5])],
+    )
+    def test_malformed_value_exits_1_with_one_line(self, key, value, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(FIB_DOC, **{key: value}))
+        assert main(["discrepancy", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+
+
 class TestGuards:
     def test_discrepancy_point_cap_exits_3(self, tmp_path):
         doc = dict(FIB_DOC, N="5000")
@@ -132,6 +149,19 @@ class TestRowContents:
         cells = row216.split(",")
         assert cells[3] == "761/6561"
         assert cells[6] == "true"
+
+    def test_discrepancy_box_diagnostics_sidecar(self, tmp_path):
+        doc = dict(FIB_DOC, N_schedule=["24"], boxes=[[["0", "1/2"], ["0", "1/3"]]])
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "disc.csv"
+        assert main(["discrepancy", "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_text().startswith("N,d,kind,exact")
+        sidecar = json.loads((tmp_path / "disc.csv.json").read_text())
+        (diag,) = sidecar["box_diagnostics"]
+        assert diag["N"] == 24
+        (box,) = diag["boxes"]
+        assert box["bounds"] == [["0", "1/2"], ["0", "1/3"]]
+        assert 0 <= box["count"] <= 24
 
     def test_bounds_json(self, fib_config, tmp_path):
         out = tmp_path / "bounds.json"
@@ -175,3 +205,76 @@ class TestDeterminism:
             runs[tag] = self._artifacts(tmp_path, tag)
         assert runs["run_a"] == runs["run_b"]
         assert runs["run_a"] == runs["run_c"]
+
+
+# --- artifact goldens ----------------------------------------------------------
+
+GOLDEN_DIR = Path(__file__).parent / "golden" / "cli"
+# 3x3 mod 3^40: d (p^t)^2 >= 2^63, so the stream runs on exact ints
+CUBIC_3_40_DOC = {
+    "p": 3, "t": 40, "matrix": [[0, 1, 0], [0, 0, 1], [1, 1, 0]],
+    "u0": [31415926535, 27182818284, 16180339887], "v": [2, 7, 1],
+    "level": "thm1", "N_schedule": [5000, 9000], "count": 200,
+}
+# Fibonacci mod 2^30: int64 stream, but p^t > 2^24 so expsum sums directly
+FIB_2_30_DOC = {
+    "p": 2, "t": 30, "matrix": [[0, 1], [1, 1]],
+    "u0": [123456789, 987654321], "v": [1, 3],
+    "level": "thm1", "N_schedule": [5000, 9000], "count": 200,
+}
+GOLDEN_CASES = [
+    ("fib", FIB_DOC, TestDeterminism.COMMANDS),
+    ("cubic_3_40", CUBIC_3_40_DOC, ["gen", "expsum"]),
+    ("fib_2_30", FIB_2_30_DOC, ["gen", "expsum"]),
+]
+GOLDEN_RUNS = [
+    (case, doc, command, fmt)
+    for case, doc, commands in GOLDEN_CASES
+    for command in commands
+    for fmt in ("csv", "json")
+]
+_FLOAT = re.compile(r"-?\d+\.\d*(?:e[-+]?\d+)?")
+
+
+def cli_artifacts(tmp_path: Path, doc: dict, command: str, fmt: str) -> dict[str, str]:
+    """Every file `command` writes for `--out <command>.<fmt>` (the artifact
+    and any .json sidecar), keyed by file name."""
+    cfg = write_config(tmp_path, doc)
+    name = f"{command}.{fmt}"
+    code = main([command, "--config", cfg, "--out", str(tmp_path / name), "--format", fmt])
+    assert code == 0
+    return {f.name: f.read_text() for f in sorted(tmp_path.glob(name + "*"))}
+
+
+def assert_same_artifact(got: str, want: str) -> None:
+    """Every byte outside decimal floats is equal; floats agree to 1e-12
+    relative, since libm cos/sin may differ in the last bits across CPUs.
+    Phase sums of up to 10^4 terms carry absolute errors near 1e-11, so
+    values that cancel to almost 0 are compared absolutely."""
+    assert _FLOAT.split(got) == _FLOAT.split(want)
+    for g, w in zip(_FLOAT.findall(got), _FLOAT.findall(want)):
+        assert math.isclose(float(g), float(w), rel_tol=1e-12, abs_tol=1e-9), (g, w)
+
+
+@pytest.mark.parametrize(
+    "case, doc, command, fmt", GOLDEN_RUNS,
+    ids=[f"{case}-{command}-{fmt}" for case, _, command, fmt in GOLDEN_RUNS],
+)
+def test_cli_artifacts_match_goldens(case, doc, command, fmt, tmp_path):
+    got = cli_artifacts(tmp_path, doc, command, fmt)
+    want_dir = GOLDEN_DIR / case
+    want = {f.name: f.read_text() for f in sorted(want_dir.glob(f"{command}.{fmt}*"))}
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert_same_artifact(got[name], want[name])
+
+
+if __name__ == "__main__":
+    # Rewrites tests/golden/cli from the current code.  Run it only for an
+    # intended output change, and record that change in CHANGES.md.
+    for case, doc, command, fmt in GOLDEN_RUNS:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in cli_artifacts(Path(tmp), doc, command, fmt).items():
+                target = GOLDEN_DIR / case / name
+                target.parent.mkdir(parents=True, exist_ok=True)
+                target.write_text(text, encoding="utf-8", newline="")

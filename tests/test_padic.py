@@ -30,6 +30,7 @@ from matprng.fieldalg import is_proper_pair
 from matprng.padic import (
     H_coeffs,
     UnramifiedRing,
+    _lift_order,
     beta_pair,
     binomial_to_monomial,
     compute_w,
@@ -61,6 +62,12 @@ class TestOrderMod:
     @pytest.mark.parametrize("p,s", [(3, 1), (3, 2), (3, 3), (7, 1), (7, 2), (5, 2)])
     def test_against_brute_force(self, fib, p, s):
         assert order_mod(fib, PrimePowerModulus(p, s)) == brute_force_order(fib, p, s)
+
+    def test_lift_dichotomy(self):
+        assert _lift_order(8, 3, lambda e: e % 8 == 0) == 8
+        assert _lift_order(8, 3, lambda e: e % 24 == 0) == 24
+        with pytest.raises(ExactDivisionError):
+            _lift_order(8, 3, lambda e: e % 72 == 0)
 
     def test_fixture_matrices_against_brute_force(self, m2x2, m3x3):
         for a, p in ((m2x2, 5), (m3x3, 2)):
