@@ -13,7 +13,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ExactDivisionError, NotInvertibleError
+from .errors import (
+    DimensionMismatchError,
+    ExactDivisionError,
+    IterationCapExceededError,
+    NotInvertibleError,
+)
 
 # A residue vector is a plain tuple of arbitrary-precision integers.
 ResidueVector = tuple[int, ...]
@@ -47,6 +52,29 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+TRIAL_DIVISION_LIMIT = 2**20
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending, by trial division.
+
+    A composite cofactor with no prime factor up to TRIAL_DIVISION_LIMIT raises
+    IterationCapExceededError instead of stalling the factorisation."""
+    out = []
+    q = 2
+    while n > 1 and not is_prime(n):
+        while n % q:
+            q += 1
+            if q > TRIAL_DIVISION_LIMIT:
+                raise IterationCapExceededError(f"composite {n} has no prime factor up to {q - 1}")
+        out.append(q)
+        while n % q == 0:
+            n //= q
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def valuation(x: int, p: int) -> int | float:

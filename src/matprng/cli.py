@@ -5,7 +5,7 @@
 
 Commands: validate | period | gen | expsum | discrepancy | vmvt | bounds | report.
 One JSON config in, CSV/JSON artifacts out; all integers in the config may be
-decimal strings (arbitrary precision).  Exit codes: 0 success, 1 input error,
+decimal strings (arbitrary precision).  Exit codes: 0 success, 1 input or output error,
 2 hypothesis rejection, 3 resource guard.
 """
 
@@ -507,21 +507,22 @@ def main(argv=None) -> int:
         return 1
     try:
         exp = load_experiment(doc)
-        _emit(_COMMANDS[args.command](exp, args), args)
-        return 0
-    except Rejection as rej:
-        if rej.doc is None:
-            sys.stderr.write(render_json(rej.verdict.to_dict()))
-        else:
-            _emit(rej.doc, args)
-        return 2
+        try:
+            result, code = _COMMANDS[args.command](exp, args), 0
+        except Rejection as rej:
+            if rej.doc is None:
+                sys.stderr.write(render_json(rej.verdict.to_dict()))
+                return 2
+            result, code = rej.doc, 2
+        _emit(result, args)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except ResourceGuardError as exc:
         sys.stderr.write(render_json({"error": type(exc).__name__, "message": str(exc)}))
         return 3
-    except (MatprngError, ValueError) as exc:
+    except (MatprngError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -38,7 +38,7 @@ class ResourceGuardError(MatprngError, RuntimeError):
 
 
 class IterationCapExceededError(ResourceGuardError):
-    """Order search exceeded the configured iteration cap."""
+    """A multiple of an element order has a factor that trial division cannot split."""
 
 
 class PrecisionCapExceededError(ResourceGuardError):

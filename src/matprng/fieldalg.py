@@ -17,6 +17,7 @@ from .arith import (
     char_poly,
     is_squarefree_over_q,
     mat_stream,
+    prime_factors,
 )
 from .errors import ExactDivisionError
 
@@ -186,16 +187,8 @@ def irreducible_mod_p(f: IntPolynomial, p: int) -> bool:
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     result = n
-    m = n
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            while m % q == 0:
-                m //= q
-            result -= result // q
-        q += 1
-    if m > 1:
-        result -= result // m
+    for q in prime_factors(n):
+        result -= result // q
     return result
 
 

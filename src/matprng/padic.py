@@ -6,9 +6,10 @@ integer expansion coefficients h_{n,j} and H_{n,j}.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .arith import (
     IntMatrix,
@@ -18,27 +19,29 @@ from .arith import (
     char_poly,
     companion_matrix,
     det_exact,
-    mat_mul_mod,
     mat_pow,
     mat_pow_mod,
     mat_vec,
+    prime_factors,
     valuation,
     vec_dot,
 )
 from .errors import (
     DegenerateMatrixError,
     ExactDivisionError,
-    IterationCapExceededError,
     NonSquarefreeError,
     NotInvertibleError,
     NotIrreducibleError,
     PrecisionCapExceededError,
     PreconditionViolatedError,
 )
-from .fieldalg import PolyModP, irreducible_mod_p, squarefree_mod_p
+from .fieldalg import PolyModP, cyclotomic_polynomial, irreducible_mod_p, squarefree_mod_p
 
-DEFAULT_ITERATION_CAP = 10**7
 DEFAULT_PRECISION_CAP = 64
+# s_star is detected once this many consecutive order steps multiply by p; the
+# order table is extended by at most _EXTENSION_CAP levels past s_max for that.
+_STABILIZATION_WINDOW = 3
+_EXTENSION_CAP = 48
 
 
 # ---------------------------------------------------------------------------
@@ -46,27 +49,43 @@ DEFAULT_PRECISION_CAP = 64
 # ---------------------------------------------------------------------------
 
 
-def order_mod(a: IntMatrix, m: PrimePowerModulus, cap: int = DEFAULT_ITERATION_CAP) -> int:
+def _unit_order(p: int, d: int, is_one: Callable[[int], bool]) -> int:
+    """Least tau >= 1 with is_one(tau), where is_one(e) tests u^e = 1 for a
+    unit u of a rank-d algebra over F_p.
+
+    The semisimple part of u lies in some F_{p^k}^*, k <= d, and its unipotent
+    part has order dividing p^e once p^e >= d, so the order divides
+    L = lcm(p^k - 1 : k <= d) * p^e.  The primes of L are p and those of the
+    cyclotomic values Phi_k(p), k <= d; the order is found by descent from L
+    over them (Cohen, GTM 138, Alg. 1.4.3)."""
+    order = 1
+    while order < d:
+        order *= p
+    primes = {p}
+    for k in range(1, d + 1):
+        order = math.lcm(order, p**k - 1)
+        primes.update(prime_factors(cyclotomic_polynomial(k)(p)))
+    if not is_one(order):
+        raise NotInvertibleError("element is not a unit mod p")
+    for q in primes:
+        while order % q == 0 and is_one(order // q):
+            order //= q
+    return order
+
+
+def order_mod(a: IntMatrix, m: PrimePowerModulus) -> int:
     """Smallest tau >= 1 with A^tau = I (mod p^s).
 
-    tau_1 is found by bounded iteration; higher exponents use the lift
-    dichotomy tau_{s} in {tau_{s-1}, p * tau_{s-1}}.
-    """
-    return _order_table(a, m.p, m.t, cap)[-1]
+    tau_1 is found by descent over a known multiple of the order; higher
+    exponents use the lift dichotomy tau_{s} in {tau_{s-1}, p * tau_{s-1}}."""
+    return next(itertools.islice(_orders(a, m.p), m.t - 1, None))
 
 
-def _order_mod_p(a: IntMatrix, p: int, cap: int) -> int:
+def _order_mod_p(a: IntMatrix, p: int) -> int:
     if det_exact(a) % p == 0:
         raise NotInvertibleError("det A is divisible by p; no order exists")
     m1 = PrimePowerModulus(p, 1)
-    power = a.reduce(p)
-    tau = 1
-    while not power.is_identity():
-        power = mat_mul_mod(power, a, m1)
-        tau += 1
-        if tau > cap:
-            raise IterationCapExceededError(f"order search exceeded cap {cap}")
-    return tau
+    return _unit_order(p, a.d, lambda e: mat_pow_mod(a, e, m1).is_identity())
 
 
 def _lift_order(tau: int, p: int, is_one: Callable[[int], bool]) -> int:
@@ -78,13 +97,13 @@ def _lift_order(tau: int, p: int, is_one: Callable[[int], bool]) -> int:
     raise ExactDivisionError("order lift dichotomy violated (arithmetic bug)")
 
 
-def _order_table(a: IntMatrix, p: int, s_max: int, cap: int) -> list[int]:
-    """[tau_1, ..., tau_{s_max}] via iteration at s = 1 and lifting above."""
-    taus = [_order_mod_p(a, p, cap)]
-    for s in range(2, s_max + 1):
+def _orders(a: IntMatrix, p: int) -> Iterator[int]:
+    """tau_1, tau_2, ...: tau_1 by descent, each later order by the lift."""
+    tau = _order_mod_p(a, p)
+    for s in itertools.count(2):
+        yield tau
         ms = PrimePowerModulus(p, s)
-        taus.append(_lift_order(taus[-1], p, lambda e: mat_pow_mod(a, e, ms).is_identity()))
-    return taus
+        tau = _lift_order(tau, p, lambda e: mat_pow_mod(a, e, ms).is_identity())
 
 
 @dataclass(frozen=True)
@@ -122,42 +141,28 @@ class PeriodProfile:
         raise ValueError(f"tau_{s} not in profile")
 
 
-def period_profile(
-    a: IntMatrix,
-    p: int,
-    s_max: int,
-    cap: int = DEFAULT_ITERATION_CAP,
-    stabilization_window: int = 3,
-    extension_cap: int = 48,
-) -> PeriodProfile:
+def period_profile(a: IntMatrix, p: int, s_max: int) -> PeriodProfile:
     """Order table up to s_max plus the extracted growth invariants.
 
     s_star is detected empirically: the table is extended (beyond s_max if
-    needed) until `stabilization_window` consecutive steps multiply by p.
+    needed) until _STABILIZATION_WINDOW consecutive steps multiply by p.
     A matrix of finite order never stabilizes and is reported as degenerate.
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
-    taus = _order_table(a, p, s_max, cap)
+    orders = _orders(a, p)
+    taus = list(itertools.islice(orders, s_max))
 
-    def trailing_growth(ts: list[int]) -> int:
-        run = 0
-        for s in range(len(ts) - 1, 0, -1):
-            if ts[s] == p * ts[s - 1]:
-                run += 1
-            else:
-                break
-        return run
+    def stabilized() -> bool:
+        tail = taus[-_STABILIZATION_WINDOW - 1 :]
+        return len(tail) > _STABILIZATION_WINDOW and all(y == p * x for x, y in zip(tail, tail[1:]))
 
-    extra = 0
-    while trailing_growth(taus) < stabilization_window:
-        extra += 1
-        if extra > extension_cap:
+    while not stabilized():
+        if len(taus) >= s_max + _EXTENSION_CAP:
             raise DegenerateMatrixError(
                 "order growth never stabilizes; matrix looks degenerate (finite order)"
             )
-        ms = PrimePowerModulus(p, len(taus) + 1)
-        taus.append(_lift_order(taus[-1], p, lambda e: mat_pow_mod(a, e, ms).is_identity()))
+        taus.append(next(orders))
 
     last_flat = 0
     for s in range(1, len(taus)):
@@ -442,43 +447,11 @@ def lift_roots(f: IntPolynomial, p: int, s: int) -> RootSet:
 # ---------------------------------------------------------------------------
 
 
-def _residue_order(ratio: UnramifiedElement, cap: int = DEFAULT_ITERATION_CAP) -> int:
-    """Multiplicative order of a unit modulo p.
-
-    For f irreducible mod p the residue ring is the field F_{p^d}, so the
-    order divides p^d - 1 and is found by factoring the group order; for
-    other rings a capped brute-force search is used."""
+def _residue_order(ratio: UnramifiedElement) -> int:
+    """Multiplicative order of a unit modulo p, in the residue ring F_p[X]/(f)."""
     ring1 = ratio.ring.at_precision(1)
     r1 = ring1.element(ratio._view())
-    one = ring1.one()
-    if irreducible_mod_p(ring1.f, ring1.p):
-        order = ring1.p**ring1.d - 1
-        for q in _prime_factors(order):
-            while order % q == 0 and (r1 ** (order // q) - one).is_zero:
-                order //= q
-        return order
-    power = r1
-    order = 1
-    while not (power - one).is_zero:
-        power = power * r1
-        order += 1
-        if order > cap:
-            raise IterationCapExceededError("residue order search exceeded cap")
-    return order
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return _unit_order(ring1.p, ring1.d, lambda e: (r1**e - ring1.one()).is_zero)
 
 
 def tau_pair(gamma: UnramifiedElement, lam: UnramifiedElement, s: int) -> int:
@@ -669,14 +642,13 @@ def expansion_data(
     a: IntMatrix,
     m: PrimePowerModulus,
     s: int,
-    cap: int = DEFAULT_ITERATION_CAP,
     with_w: bool = True,
 ) -> ExpansionData:
     """Build the level-s expansion data for A mod p^t: tau_s, B, r = floor(t/s),
     the binomial-to-monomial triangle, and (for f irreducible mod p) w."""
     if not 1 <= s <= m.t:
         raise PreconditionViolatedError("need 1 <= s <= t")
-    tau_s = order_mod(a, m.at_exponent(s), cap)
+    tau_s = order_mod(a, m.at_exponent(s))
     b = theta_matrix(a, m.p, s, tau_s)
     r = m.t // s
     c = tuple(tuple(binomial_to_monomial(i)) for i in range(r + 1))

@@ -21,11 +21,16 @@ from matprng.arith import (
     mat_vec_mod,
     poly_eval_matrix,
     poly_gcd_q,
+    prime_factors,
     recurrence_coefficients,
     valuation,
     vec_dot,
 )
-from matprng.errors import DimensionMismatchError, NotInvertibleError
+from matprng.errors import (
+    DimensionMismatchError,
+    IterationCapExceededError,
+    NotInvertibleError,
+)
 
 small_entries = st.integers(min_value=-30, max_value=30)
 
@@ -53,6 +58,28 @@ class TestPrimePowerModulus:
     def test_is_prime_larger(self):
         assert is_prime(2**31 - 1)
         assert not is_prime(2**31)
+
+
+class TestPrimeFactors:
+    def test_against_naive_factorisation(self):
+        for n in range(1, 5001):
+            naive, rest, q = [], n, 2
+            while rest > 1:
+                if rest % q == 0:
+                    naive.append(q)
+                    while rest % q == 0:
+                        rest //= q
+                q += 1
+            assert prime_factors(n) == naive, n
+
+    def test_large_prime_cofactor(self):
+        q = 2**61 - 1
+        assert prime_factors(12 * q) == [2, 3, q]
+
+    def test_two_primes_above_the_limit_raise(self):
+        # both factors lie just above 2^20, so trial division cannot split them
+        with pytest.raises(IterationCapExceededError):
+            prime_factors(2 * 1048583 * 1048681)
 
 
 class TestMatMul:

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,27 @@ class TestGen:
         assert [int(r.split(",")[1]) for r in rows] == values
 
 
+class TestUnwritableOutput:
+    @staticmethod
+    def assert_one_error_line(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["gen", "expsum"])
+    def test_out_in_missing_directory_exits_1(self, command, fib_config, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "x.csv"
+        assert main([command, "--config", fib_config, "--out", str(out)]) == 1
+        self.assert_one_error_line(capsys)
+
+    def test_binary_out_in_missing_directory_exits_1(self, tmp_path, capsys):
+        binary = tmp_path / "missing_dir" / "x.bin"
+        cfg = write_config(tmp_path, dict(FIB_DOC, binary_out=str(binary)))
+        assert main(["gen", "--config", cfg]) == 1
+        self.assert_one_error_line(capsys)
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize(
         "key, value",
@@ -125,6 +147,17 @@ class TestGuards:
         doc.pop("N_schedule")
         cfg = write_config(tmp_path, doc)
         assert main(["discrepancy", "--config", cfg]) == 3
+
+    def test_unfactorable_group_order_exits_3_fast(self, tmp_path, capsys):
+        # p - 1 = 2 * 1048583 * 1048681: two primes above the trial-division
+        # limit, so the multiple of tau_1 cannot be factored
+        cfg = write_config(tmp_path, dict(FIB_DOC, p="2199258138047", t=2, s_max=2))
+        start = time.perf_counter()
+        assert main(["period", "--config", cfg]) == 3
+        assert time.perf_counter() - start < 2
+        err = json.loads(capsys.readouterr().err)
+        assert set(err) == {"error", "message"}
+        assert err["error"] == "IterationCapExceededError"
 
 
 class TestRowContents:

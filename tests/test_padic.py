@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from math import comb, factorial
 
 import pytest
@@ -74,6 +76,32 @@ class TestOrderMod:
             for s in (1, 2, 3):
                 assert order_mod(a, PrimePowerModulus(p, s)) == brute_force_order(a, p, s)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_and_jordan_against_brute_force(self, p, d):
+        rng = random.Random(1000 * p + d)
+        mats = []
+        while len(mats) < 6:
+            a = IntMatrix.from_rows([[rng.randrange(p * p) for _ in range(d)] for _ in range(d)])
+            if det_exact(a) % p:
+                mats.append(a)
+        # Jordan blocks lam * I + N: unipotent part of order p, or p^2 once
+        # d > p; their char polys (X - lam)^d are not squarefree mod p
+        for lam in {1, p - 1, rng.randrange(1, p)}:
+            mats.append(
+                IntMatrix.from_rows(
+                    [[lam if i == j else int(j == i + 1) for j in range(d)] for i in range(d)]
+                )
+            )
+        if d == 3:
+            # (X - 1)^2 (X + 1) mod p: a repeated factor beside a simple one
+            mats.append(IntMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, p - 1]]))
+            # companion of (X^2 + 1)(X + 1) = X^3 + X^2 + X + 1 mod p
+            mats.append(companion_matrix(IntPolynomial((1, 1, 1, 1))))
+        for a in mats:
+            for s in (1, 2):
+                assert order_mod(a, PrimePowerModulus(p, s)) == brute_force_order(a, p, s), a
+
 
 class TestPeriodProfile:
     def test_fib_p3(self, fib):
@@ -98,6 +126,18 @@ class TestPeriodProfile:
                 assert prof.taus[s] // prof.taus[s - 1] in (1, p)
             for s in range(prof.s_star, 7):
                 assert prof.tau(s) == prof.tau_star * p ** (s - prof.beta_star)
+
+    def test_large_order_profiles_fast(self):
+        # companion of X^2 - X - 3 at p = 3001: tau_1 = 1 501 000, which
+        # repeated multiplication needs seconds to reach
+        a = companion_matrix(IntPolynomial((-3, -1, 1)))
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            prof = period_profile(a, 3001, 3)
+            best = min(best, time.perf_counter() - start)
+        assert prof.taus == (1_501_000, 1_501_000 * 3001, 1_501_000 * 3001**2)
+        assert best < 0.05
 
     def test_plateau_profile(self):
         # X^2 - 4X - 19 mod 3: both roots have order 8 mod 3 and mod 9
@@ -162,6 +202,32 @@ class TestTauPair:
         rs = lift_roots(fib_poly, 3, 2)
         with pytest.raises(PreconditionViolatedError):
             tau_pair(rs.roots[0], rs.ring.one(), 0)
+
+    @pytest.mark.parametrize(
+        "coeffs, p",
+        [
+            ((-1, 0, 1), 5),  # (X - 1)(X + 1)
+            ((0, 0, 1), 3),  # X^2
+            ((1, 2, 1), 5),  # (X + 1)^2
+            ((0, -1, 0, 1), 3),  # X (X - 1)(X + 1)
+            ((1, 0, 0, 1), 2),  # (X + 1)(X^2 + X + 1)
+            ((1, 1, 1, 1), 3),  # (X + 1)(X^2 + 1)
+        ],
+    )
+    def test_reducible_ring_against_brute_force(self, coeffs, p):
+        ring = UnramifiedRing(IntPolynomial(coeffs), p, 1)
+        one = ring.one()
+        d = ring.d
+        for index in range(1, p**d):
+            x = ring.element([index // p**i % p for i in range(d)])
+            power, order = x, 1
+            while power != one and order < p**d:
+                power, order = power * x, order + 1
+            if power == one:
+                assert tau_pair(x, one, 1) == order
+            else:  # a zero divisor
+                with pytest.raises(NotInvertibleError):
+                    tau_pair(x, one, 1)
 
     def test_pairwise_growth_dichotomy(self, fib_poly):
         # tau_s(gamma, lambda) = tau_* for s <= beta, tau_* p^{s-beta} beyond
