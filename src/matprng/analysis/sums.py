@@ -2,9 +2,10 @@
 polynomial-phase double sums sigma_n on a p^s x p^s grid, and the
 single-to-double reduction residual.
 
-Summation is deterministic: fixed 4096-term blocks, compensated (exactly
-rounded) per-block sums, partials combined in ascending block order.  Thread
-counts never change the result.
+Summation is deterministic: fixed 4096-term blocks, exactly rounded
+per-block sums, partials combined in ascending block order.  Thread counts
+never change the result.  Every exactly rounded sum goes through `_exact_sum`,
+which returns `math.fsum`'s float bit for bit without building a Python list.
 """
 
 from __future__ import annotations
@@ -27,6 +28,13 @@ from ..padic import H_coeffs, h_coeffs, order_mod, period_profile, theta_matrix
 _BLOCK = 4096
 _HISTOGRAM_LIMIT = 1 << 24
 _TWO_PI = 2.0 * math.pi
+# Veltkamp's splitting constant 2^27 + 1: x * _SPLIT must not overflow
+_SPLIT = 134217729.0
+_EXACT_SUM_MAX_ABS = 2.0**996
+_EXACT_SUM_MAX_TERMS = 1 << 24
+# frexp exponents of |x| < 2^996 run from -1073 (subnormals) to 996
+_EXPONENT_BINS = 1074 + 997
+_EXACT_SUM_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -62,9 +70,35 @@ def _angles(block, mod: int) -> np.ndarray:
     return np.asarray(block, dtype=np.float64) / float(mod) * _TWO_PI
 
 
+def _exact_sum(x: np.ndarray) -> float:
+    """math.fsum(x.tolist()), bit for bit, for finite float64 terms with
+    |x| < 2^996 and at most 2^24 terms (histogram bins are capped by
+    _HISTOGRAM_LIMIT, direct blocks hold _BLOCK terms).
+
+    Dekker's split (Veltkamp's constant 2^27 + 1) writes each term x with
+    frexp exponent e as hi + lo, two halves of at most 26 significant bits:
+    hi is a multiple of 2^(e-26) with |hi| <= 2^e, and lo a multiple of
+    2^(e-53) (or of the subnormal spacing) with |lo| <= 2^(e-27).  Added up
+    per exponent by np.bincount, chunk by chunk, either half stays exact
+    while fewer than 2^27 terms share e.  fsum of these exact group sums is
+    the exactly rounded sum of x, which is what fsum returns for x itself."""
+    if x.size == 0:
+        return 0.0
+    assert x.size <= _EXACT_SUM_MAX_TERMS and np.abs(x).max() < _EXACT_SUM_MAX_ABS
+    groups = np.zeros((2, _EXPONENT_BINS))
+    for pos in range(0, x.size, _EXACT_SUM_CHUNK):
+        part = x[pos : pos + _EXACT_SUM_CHUNK]
+        hi = part * _SPLIT
+        hi -= hi - part
+        exponent = np.frexp(part)[1] + 1074
+        groups[0] += np.bincount(exponent, weights=hi, minlength=_EXPONENT_BINS)
+        groups[1] += np.bincount(exponent, weights=part - hi, minlength=_EXPONENT_BINS)
+    return math.fsum(groups[groups != 0].tolist())
+
+
 def _partial_sum(block, mod: int) -> tuple[float, float]:
     ang = _angles(block, mod)
-    return math.fsum(np.cos(ang).tolist()), math.fsum(np.sin(ang).tolist())
+    return _exact_sum(np.cos(ang)), _exact_sum(np.sin(ang))
 
 
 def exp_sum(
@@ -76,9 +110,11 @@ def exp_sum(
     """S = sum_{n=0}^{N-1} e(v A^n u / p^t), with each phase an exact integer
     over p^t.
 
-    method "direct": compensated summation in fixed index order over fixed
-    4096-term blocks.  method "histogram" (available for p^t <= 2^24): count
-    residue multiplicities, then sum c_x e(x / p^t).
+    method "direct": exactly rounded sums of cos and sin over fixed
+    4096-term blocks, the block partials combined by fsum in block order.
+    method "histogram" (available for p^t <= 2^24): count residue
+    multiplicities, then take the exactly rounded sum of c_x e(x / p^t).
+    Both sum with `_exact_sum`, whose floats are those of math.fsum.
     """
     if n_terms < 1:
         raise ValueError("N must be >= 1")
@@ -101,8 +137,8 @@ def exp_sum(
         nz = np.nonzero(counts)[0]
         weights = counts[nz].astype(np.float64)
         ang = nz.astype(np.float64) * (_TWO_PI / mod)
-        re = math.fsum((weights * np.cos(ang)).tolist())
-        im = math.fsum((weights * np.sin(ang)).tolist())
+        re = _exact_sum(weights * np.cos(ang))
+        im = _exact_sum(weights * np.sin(ang))
     elif method == "direct":
         blocks = [
             residues[i : i + _BLOCK] for i in range(0, n_terms, _BLOCK)

@@ -2,18 +2,18 @@
 
     x_1^j + ... + x_k^j = y_1^j + ... + y_k^j   (j = 1..r),  1 <= x_i, y_i <= M.
 
-The production counter groups tuples by their power-sum vector (meet in the
-middle); a genuinely independent nested-loop counter is kept for
+The production counter groups the ordered tuples by their power-sum vector
+in numpy; a genuinely independent nested-loop counter is kept for
 cross-checking.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import product
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from ..errors import EnumerationTooLargeError
 
@@ -21,24 +21,47 @@ if TYPE_CHECKING:
     from .bounds import FordBound
 
 DEFAULT_ENUMERATION_GUARD = 10**8
+# tuples whose higher power sums are built and grouped at once
+_CHUNK_TUPLES = 1 << 12
 
 
 def vinogradov_count(k: int, r: int, m: int, guard: int = DEFAULT_ENUMERATION_GUARD) -> int:
-    """Exact solution count: map each x-tuple to its power-sum vector
-    (sum x_i^j)_{j<=r} and add up squared multiplicities."""
+    """Exact solution count: the sum of squared group sizes when the M^k
+    ordered x-tuples are grouped by their power-sum vector (sum x_i^j)_j.
+
+    By Newton's identities p_1 .. p_k fix the multiset of a k-tuple, so the
+    vector (p_1 .. p_c), c = min(r, k), groups the tuples exactly as
+    (p_1 .. p_r) does, and every entry is at most k M^k: int64 under the
+    guard.  Equal vectors have equal p_1, so the tuples are sorted by p_1
+    and cut between p_1 values into chunks of about _CHUNK_TUPLES; each
+    chunk's columns are built from its tuple indices and grouped by
+    np.lexsort and run lengths."""
     if k < 1 or r < 1 or m < 1:
         raise ValueError("need k, r, M >= 1")
     if m**k > guard:
         raise EnumerationTooLargeError(f"M^k = {m**k} exceeds guard {guard}")
-    table: Counter = Counter()
-    k_fact = math.factorial(k)
-    for combo in combinations_with_replacement(range(1, m + 1), k):
-        mult = k_fact
-        for c in Counter(combo).values():
-            mult //= math.factorial(c)
-        key = tuple(sum(x**j for x in combo) for j in range(1, r + 1))
-        table[key] += mult
-    return sum(c * c for c in table.values())
+    powers = [np.arange(1, m + 1, dtype=np.int64) ** j for j in range(1, min(r, k) + 1)]
+    p1 = powers[0]
+    for _ in range(k - 1):
+        p1 = np.add.outer(p1, powers[0]).ravel()  # C order of the index tuples
+    order = np.argsort(p1, kind="stable")
+    p1.sort()
+    total = 0
+    start = 0
+    while start < p1.size:
+        stop = int(np.searchsorted(p1, p1[min(start + _CHUNK_TUPLES, p1.size) - 1], "right"))
+        digits = np.unravel_index(order[start:stop], (m,) * k)
+        keys = [p1[start:stop]] + [sum(pw[i] for i in digits) for pw in powers[1:]]
+        ranked = np.lexsort(keys[::-1])
+        new_group = np.zeros(stop - start + 1, dtype=bool)
+        new_group[[0, -1]] = True
+        for key in keys:
+            key = key[ranked]
+            new_group[1:-1] |= key[1:] != key[:-1]
+        sizes = np.diff(np.flatnonzero(new_group))
+        total += int((sizes * sizes).sum())
+        start = stop
+    return total
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ Nothing in this module touches floating point; all results are exact.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -18,6 +19,7 @@ from .errors import (
     ExactDivisionError,
     IterationCapExceededError,
     NotInvertibleError,
+    StreamTooLargeError,
 )
 
 # A residue vector is a plain tuple of arbitrary-precision integers.
@@ -229,6 +231,10 @@ def vec_reduce(v: Sequence[int], m: PrimePowerModulus) -> ResidueVector:
     return tuple(int(x) % m.modulus for x in v)
 
 
+# Largest estimated size of one mat_stream output array
+STREAM_MEMORY_BUDGET = 2**30
+
+
 def mat_stream(
     a: IntMatrix,
     u0: Sequence[int],
@@ -247,7 +253,11 @@ def mat_stream(
     (head @ baby) % p^t with head = A^{kB}, or v A^{kB} for scalars.  A
     product entry is a sum of d terms below (p^t)^2, so the arrays are int64
     when d (p^t)^2 < 2^63 and numpy object arrays of exact Python ints
-    otherwise."""
+    otherwise.
+
+    Raises StreamTooLargeError, before anything is allocated, when the
+    output would take more than STREAM_MEMORY_BUDGET bytes: 8 per entry, plus
+    the size of one Python int below p^t per entry of an object array."""
     if count < 0:
         raise ValueError("count must be >= 0")
     mod = m.modulus
@@ -256,6 +266,13 @@ def mat_stream(
         if len(vec) != d:
             raise DimensionMismatchError(f"matrix dim {d} vs vector length {len(vec)}")
     dtype = np.int64 if d * mod * mod < 2**63 else object
+    entry_bytes = 8 if dtype is np.int64 else 8 + sys.getsizeof(mod - 1)
+    out_bytes = count * (d if v is None else 1) * entry_bytes
+    if out_bytes > STREAM_MEMORY_BUDGET:
+        raise StreamTooLargeError(
+            f"stream of {count} terms needs about {out_bytes} bytes, "
+            f"over the budget of {STREAM_MEMORY_BUDGET}"
+        )
     u = vec_reduce(u0, m)
     if n0:
         u = mat_vec_mod(mat_pow_mod(a, n0, m), u, m)

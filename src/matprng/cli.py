@@ -20,6 +20,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .arith import IntMatrix, PrimePowerModulus, char_poly
 from .errors import MatprngError, ResourceGuardError
 from .fieldalg import irreducible_mod_p, validate_theorem_hypotheses
@@ -216,13 +218,14 @@ class Table:
     form the JSON sidecar in CSV mode, unless `sidecar` gives another one."""
 
     header: tuple[str, ...]
-    rows: list[tuple]
+    rows: list[tuple] | np.ndarray  # an array holds integers only
     extras: dict = field(default_factory=dict)
     sidecar: dict | None = None
 
     def records(self, columns: Sequence[str] | None = None) -> list[dict]:
         keep = self.header if columns is None else columns
-        return [{k: x for k, x in zip(self.header, row) if k in keep} for row in self.rows]
+        rows = self.rows.tolist() if isinstance(self.rows, np.ndarray) else self.rows
+        return [{k: x for k, x in zip(self.header, row) if k in keep} for row in rows]
 
     def doc(self) -> dict:
         return {"rows": self.records(), **self.extras}
@@ -302,19 +305,15 @@ def cmd_gen(exp: Experiment, args) -> Table:
     if count is None:
         raise ConfigError("gen needs count (or N)")
     if exp.scalar:
-        values = scalar_sequence(cfg, 0, count)
+        stream = np.array(scalar_sequence(cfg, 0, count), dtype=object).reshape(count, 1)
         header = ("n", "x")
-        rows = list(enumerate(values))
-        flat = values
     else:
-        vecs = vector_sequence(cfg, 0, count)
+        stream = vector_sequence(cfg, 0, count)
         header = ("n",) + tuple(f"u{i}" for i in range(cfg.a.d))
-        rows = [(n, *vec) for n, vec in enumerate(vecs)]
-        flat = [x for vec in vecs for x in vec]
     if exp.binary_out:
         with open(exp.binary_out, "wb") as fh:
-            dump_records(flat, fh)
-    return Table(header, rows)
+            dump_records(stream, fh)
+    return Table(header, np.column_stack((np.arange(count), stream)))
 
 
 def cmd_expsum(exp: Experiment, args) -> Table:

@@ -61,5 +61,9 @@ class DimensionTooLargeError(ResourceGuardError):
     """Exact discrepancy is not implemented for this dimension."""
 
 
+class StreamTooLargeError(ResourceGuardError):
+    """Stream output array would exceed the memory budget."""
+
+
 class TooManyPointsError(ResourceGuardError):
     """Point set exceeds the exact-discrepancy size guard."""

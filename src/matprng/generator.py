@@ -102,9 +102,11 @@ def jump_ahead(state: GeneratorState, k: int) -> GeneratorState:
     return GeneratorState(state.cfg, state.n + k, u)
 
 
-def vector_sequence(cfg: GeneratorConfig, n0: int, count: int) -> list[ResidueVector]:
-    """Vectors u_n for n = n0 .. n0 + count - 1."""
-    return [tuple(u) for u in mat_stream(cfg.a, cfg.u0, cfg.m, count, n0).tolist()]
+def vector_sequence(cfg: GeneratorConfig, n0: int, count: int) -> np.ndarray:
+    """Vectors u_n for n = n0 .. n0 + count - 1 as the rows of the stream
+    kernel's (count, d) array: int64, or object holding exact ints (see
+    `arith.mat_stream`)."""
+    return mat_stream(cfg.a, cfg.u0, cfg.m, count, n0)
 
 
 def scalar_sequence(cfg: GeneratorConfig, n0: int, count: int) -> list[int]:
@@ -139,8 +141,8 @@ def fractional_points(cfg: GeneratorConfig, n_points: int) -> PointSet:
     """The points u_n / p^t in [0,1)^d for n = 0 .. N-1, kept exact."""
     if n_points < 1:
         raise ValueError("need at least one point")
-    vecs = vector_sequence(cfg, 0, n_points)
-    return PointSet(tuple(vecs), cfg.m.modulus, cfg.a.d)
+    vecs = vector_sequence(cfg, 0, n_points).tolist()
+    return PointSet(tuple(map(tuple, vecs)), cfg.m.modulus, cfg.a.d)
 
 
 # ---------------------------------------------------------------------------
@@ -152,18 +154,36 @@ def fractional_points(cfg: GeneratorConfig, n_points: int) -> PointSet:
 # integer's little-endian magnitude; the value 0 has L = 0 and no payload.
 
 
-def dump_records(values: Iterable[int], fh: BinaryIO) -> int:
-    """Write integers as length-prefixed little-endian records; returns the
-    number of records written."""
-    count = 0
-    for value in values:
-        if value < 0:
-            raise ValueError("records are nonnegative residues")
-        payload = value.to_bytes((value.bit_length() + 7) // 8, "little")
-        fh.write(struct.pack("<I", len(payload)))
-        fh.write(payload)
-        count += 1
-    return count
+def dump_records(values: Iterable[int] | np.ndarray, fh: BinaryIO) -> int:
+    """Write integers as length-prefixed little-endian records in one
+    fh.write; returns the number of records written.  `values` is an int64
+    or object array (read in C order) or any iterable of ints."""
+    if isinstance(values, np.ndarray):
+        values = values.reshape(-1)
+    else:
+        values = np.fromiter(values, dtype=object)
+    n = values.size
+    if n == 0:
+        return 0
+    if values.min() < 0:
+        raise ValueError("records are nonnegative residues")
+    top = int(values.max())
+    if top < 2**64:
+        payload = values.astype("<u8").view(np.uint8).reshape(n, 8)
+    else:
+        width = (top.bit_length() + 7) // 8
+        raw = b"".join(x.to_bytes(width, "little") for x in values.tolist())
+        payload = np.frombuffer(raw, dtype=np.uint8).reshape(n, width)
+    # each record keeps its payload up to the last nonzero byte
+    nonzero = payload != 0
+    length = np.where(
+        nonzero.any(axis=1), payload.shape[1] - nonzero[:, ::-1].argmax(axis=1), 0
+    )
+    header = length.astype("<u4").view(np.uint8).reshape(n, 4)
+    records = np.concatenate((header, payload), axis=1)
+    keep = np.arange(records.shape[1]) < 4 + length[:, None]
+    fh.write(records[keep].tobytes())
+    return n
 
 
 def load_records(fh: BinaryIO) -> Iterator[int]:

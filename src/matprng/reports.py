@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
+import numpy as np
 
 DIGITS = 30
 
@@ -45,12 +46,21 @@ def fmt_cell(x) -> str:
     return dec30(x)
 
 
-def render_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+def render_csv(header: Sequence[str], rows: Sequence[Sequence] | np.ndarray) -> str:
+    """CSV text of a table.  `rows` is a sequence of rows, each cell rendered
+    by fmt_cell, or a 2-D array of integers (int64, or object holding Python
+    ints), rendered column by column: a decimal integer never needs quoting,
+    so both give the same bytes."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([fmt_cell(x) for x in row])
+    if isinstance(rows, np.ndarray):
+        cells = zip(*(map(str, column) for column in rows.T.tolist()))
+        body = "\n".join(map(",".join, cells))
+        buf.write(body + "\n" if body else "")
+    else:
+        for row in rows:
+            writer.writerow([fmt_cell(x) for x in row])
     return buf.getvalue()
 
 

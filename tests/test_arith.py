@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matprng.arith import (
+    STREAM_MEMORY_BUDGET,
     IntMatrix,
     IntPolynomial,
     PrimePowerModulus,
@@ -30,6 +31,7 @@ from matprng.errors import (
     DimensionMismatchError,
     IterationCapExceededError,
     NotInvertibleError,
+    StreamTooLargeError,
 )
 
 small_entries = st.integers(min_value=-30, max_value=30)
@@ -156,6 +158,31 @@ class TestMatStream:
         a = IntMatrix.from_rows([[0, 1], [1, 1]])
         assert mat_stream(a, (1, 0), m, 0).shape == (0, 2)
         assert mat_stream(a, (1, 0), m, 1, 5, (1, 1)).tolist() == [8]
+
+    @pytest.mark.parametrize("t", [4, 40])  # int64 and object output
+    def test_memory_guard_fires_before_allocating(self, t):
+        import tracemalloc
+
+        a = IntMatrix.from_rows([[0, 1], [1, 1]])
+        m = PrimePowerModulus(3, t)
+        tracemalloc.start()
+        try:
+            for v in (None, (1, 1)):
+                with pytest.raises(StreamTooLargeError):
+                    mat_stream(a, (1, 0), m, 10**12, v=v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_memory_guard_counts_int_sizes(self):
+        # 1.4 * 10^7 vectors of 3 entries: 336 MB at 8 bytes an entry, but
+        # 1.85 GB at 8 + 36 bytes for each exact int below 3^40
+        a = IntMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 1, 0]])
+        m = PrimePowerModulus(3, 40)
+        assert STREAM_MEMORY_BUDGET == 2**30
+        with pytest.raises(StreamTooLargeError):
+            mat_stream(a, (1, 0, 0), m, 14 * 10**6)
 
 
 class TestDet:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -160,6 +161,18 @@ class TestGuards:
         assert err["error"] == "IterationCapExceededError"
 
 
+    @pytest.mark.parametrize("command, key", [("gen", "count"), ("expsum", "N")])
+    def test_stream_memory_guard_exits_3(self, command, key, tmp_path, capsys):
+        doc = dict(FIB_DOC, **{key: str(10**12)})
+        doc.pop("N_schedule")
+        cfg = write_config(tmp_path, doc)
+        start = time.perf_counter()
+        assert main([command, "--config", cfg]) == 3
+        assert time.perf_counter() - start < 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "StreamTooLargeError", "message": err["message"]}
+
+
 class TestRowContents:
     def test_expsum(self, fib_config, capsys):
         assert main(["expsum", "--config", fib_config]) == 0
@@ -255,10 +268,14 @@ FIB_2_30_DOC = {
     "u0": [123456789, 987654321], "v": [1, 3],
     "level": "thm1", "N_schedule": [5000, 9000], "count": 200,
 }
+# 3x3 mod 3^45 > 2^64: record payloads of up to 9 bytes
+CUBIC_3_45_DOC = dict(CUBIC_3_40_DOC, t=45)
 GOLDEN_CASES = [
     ("fib", FIB_DOC, TestDeterminism.COMMANDS),
     ("cubic_3_40", CUBIC_3_40_DOC, ["gen", "expsum"]),
     ("fib_2_30", FIB_2_30_DOC, ["gen", "expsum"]),
+    ("cubic_3_40_scalar", dict(CUBIC_3_40_DOC, scalar=True), ["gen"]),
+    ("fib_2_30_scalar", dict(FIB_2_30_DOC, scalar=True), ["gen"]),
 ]
 GOLDEN_RUNS = [
     (case, doc, command, fmt)
@@ -302,6 +319,29 @@ def test_cli_artifacts_match_goldens(case, doc, command, fmt, tmp_path):
         assert_same_artifact(got[name], want[name])
 
 
+# `gen` record dumps (binary_out), compared by SHA-256
+DUMP_DIGESTS = GOLDEN_DIR / "gen_dumps.json"
+DUMP_CASES = {
+    "cubic_3_40": CUBIC_3_40_DOC,
+    "cubic_3_45": CUBIC_3_45_DOC,
+    "cubic_3_45_scalar": dict(CUBIC_3_45_DOC, scalar=True),
+    "fib_2_30_scalar": dict(FIB_2_30_DOC, scalar=True),
+}
+
+
+def gen_dump_digest(tmp_path: Path, doc: dict) -> str:
+    binary = tmp_path / "stream.bin"
+    cfg = write_config(tmp_path, dict(doc, binary_out=str(binary)))
+    assert main(["gen", "--config", cfg, "--out", str(tmp_path / "gen.csv")]) == 0
+    return hashlib.sha256(binary.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(DUMP_CASES))
+def test_gen_record_dump_matches_golden_digest(case, tmp_path):
+    want = json.loads(DUMP_DIGESTS.read_text())[case]
+    assert gen_dump_digest(tmp_path, DUMP_CASES[case]) == want
+
+
 if __name__ == "__main__":
     # Rewrites tests/golden/cli from the current code.  Run it only for an
     # intended output change, and record that change in CHANGES.md.
@@ -311,3 +351,8 @@ if __name__ == "__main__":
                 target = GOLDEN_DIR / case / name
                 target.parent.mkdir(parents=True, exist_ok=True)
                 target.write_text(text, encoding="utf-8", newline="")
+    digests = {}
+    for case, doc in sorted(DUMP_CASES.items()):
+        with tempfile.TemporaryDirectory() as tmp:
+            digests[case] = gen_dump_digest(Path(tmp), doc)
+    DUMP_DIGESTS.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")

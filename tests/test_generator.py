@@ -1,5 +1,7 @@
 import io
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -139,7 +141,7 @@ class TestFractionalPoints:
         cfg = GeneratorConfig.create(fib, PrimePowerModulus(3, 3), (2, 7))
         seq = vector_sequence(cfg, 0, 144)
         for n in range(72):
-            assert seq[n + 72] == seq[n]
+            assert seq[n + 72].tolist() == seq[n].tolist()
 
     def test_zero_vector_point(self, fib):
         cfg = GeneratorConfig.create(fib, PrimePowerModulus(3, 2), (0, 0))
@@ -180,3 +182,72 @@ class TestRecords:
         dump_records(values, buf)
         buf.seek(0)
         assert list(load_records(buf)) == values
+
+
+def dump_records_oracle(values, fh) -> int:
+    """The per-record writer dump_records replaced, kept as an oracle."""
+    count = 0
+    for value in values:
+        if value < 0:
+            raise ValueError("records are nonnegative residues")
+        payload = value.to_bytes((value.bit_length() + 7) // 8, "little")
+        fh.write(struct.pack("<I", len(payload)))
+        fh.write(payload)
+        count += 1
+    return count
+
+
+EDGE_VALUES = [0, 1, 255, 256, 2**32 - 1, 2**63 - 1, 2**64 - 1, 2**64, 3**80]
+
+
+def oracle_bytes(values) -> bytes:
+    buf = io.BytesIO()
+    assert dump_records_oracle(values, buf) == len(values)
+    return buf.getvalue()
+
+
+def dumped_bytes(values) -> tuple[int, bytes]:
+    buf = io.BytesIO()
+    return dump_records(values, buf), buf.getvalue()
+
+
+class TestDumpRecordsAgainstOracle:
+    @pytest.mark.parametrize("feed", ["list", "generator", "object_array"])
+    @pytest.mark.parametrize("values", [EDGE_VALUES, EDGE_VALUES[:7], EDGE_VALUES[:1], []])
+    def test_any_iterable(self, values, feed):
+        fed = {
+            "list": list(values),
+            "generator": (x for x in values),
+            "object_array": np.array(values, dtype=object),
+        }[feed]
+        assert dumped_bytes(fed) == (len(values), oracle_bytes(values))
+
+    @pytest.mark.parametrize("values", [EDGE_VALUES[:6], EDGE_VALUES[:1], []])
+    def test_int64_array(self, values):
+        fed = np.array(values, dtype=np.int64)
+        assert dumped_bytes(fed) == (len(values), oracle_bytes(values))
+
+    def test_two_dimensional_array_in_c_order(self):
+        values = np.array([[3**40, 0, 7], [256, 2**64 - 1, 1]], dtype=object)
+        flat = values.ravel().tolist()
+        assert dumped_bytes(values) == (6, oracle_bytes(flat))
+        assert dumped_bytes(values[:, :1]) == (2, oracle_bytes([3**40, 256]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_widths(self, seed):
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 200, 500).tolist()
+        values = [int(rng.integers(0, 2**62)) << b >> 62 for b in bits]
+        assert dumped_bytes(values) == (500, oracle_bytes(values))
+        small = rng.integers(0, 2**63 - 1, 500) >> rng.integers(0, 63, 500)
+        assert dumped_bytes(small) == (500, oracle_bytes(small.tolist()))
+
+    @pytest.mark.parametrize(
+        "fed", [[5, -1, 3], (x for x in [2**70, -(2**70)]), np.array([0, -2], dtype=np.int64),
+                np.array([3**80, -1], dtype=object)],
+    )
+    def test_rejects_negative_and_writes_nothing(self, fed):
+        buf = io.BytesIO()
+        with pytest.raises(ValueError, match="records are nonnegative residues"):
+            dump_records(fed, buf)
+        assert buf.getvalue() == b""

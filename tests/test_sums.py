@@ -3,12 +3,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from matprng.arith import IntMatrix, PrimePowerModulus
 from matprng.errors import GridTooLargeError, PeriodTooLargeError, PreconditionViolatedError
 from matprng.generator import GeneratorConfig
 from matprng.analysis.sums import (
+    _exact_sum,
     double_sum_sigma,
     exp_sum,
     full_period_exponent,
@@ -196,3 +198,59 @@ class TestKorobovReduction:
             mod = rng.choice([16, 27, 81, 125])
             table = [Fraction(rng.randrange(mod), mod) for _ in range(n + a * m * m)]
             assert korobov_reduction_residual(table, n, m, a) >= 0
+
+
+def assert_fsum_bits(x: np.ndarray) -> None:
+    got, want = _exact_sum(x), math.fsum(x.tolist())
+    assert got.hex() == want.hex()
+
+
+class TestExactSum:
+    """_exact_sum against math.fsum: the same float, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_magnitudes(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 5000
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 290, n)
+        assert_fsum_bits(x)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cancelling_pairs(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        a = rng.standard_normal(3000) * 10.0 ** rng.uniform(-30, 30, 3000)
+        x = np.concatenate((a, -a, [1e-40, -3e-41, 2.0**-60]))
+        rng.shuffle(x)
+        assert_fsum_bits(x)
+        assert_fsum_bits(np.concatenate((a, -a)))  # exact sum 0
+
+    def test_subnormals(self):
+        rng = np.random.default_rng(7)
+        x = rng.integers(-(2**52), 2**52, 4000) * 5e-324
+        assert_fsum_bits(x)
+        assert_fsum_bits(np.concatenate((x, [2.0**-1022, -(2.0**-1021), 1e-300])))
+
+    def test_signed_zeros(self):
+        assert_fsum_bits(np.array([0.0, -0.0]))
+        assert_fsum_bits(np.array([-0.0, -0.0, -0.0]))
+        assert_fsum_bits(np.array([1.5, -0.0, -1.5]))
+        assert _exact_sum(np.zeros(0)) == math.fsum([]) == 0.0
+
+    def test_phase_terms(self):
+        # the terms exp_sum adds: weighted cos and sin of histogram bins
+        rng = np.random.default_rng(11)
+        ang = rng.integers(0, 3**13, 20000) * (2 * math.pi / 3**13)
+        weights = rng.integers(1, 50, 20000).astype(np.float64)
+        assert_fsum_bits(weights * np.cos(ang))
+        assert_fsum_bits(np.sin(ang))
+
+    def test_largest_magnitude_allowed(self):
+        x = np.array([2.0**995, -(2.0**995) * 0.75, 3.0, -(2.0**995)])
+        assert_fsum_bits(x)
+
+    def test_worst_case_run_of_equal_terms(self):
+        # 2^24 terms, the documented maximum, of one 53-bit mantissa: the
+        # exponent group holds every term
+        x = np.full(1 << 24, 1.0 + 2.0**-52 + 2.0**-51)
+        x[::3] = -(1.0 - 2.0**-53)
+        assert _exact_sum(x).hex() == math.fsum(x).hex()  # fsum iterates, no list

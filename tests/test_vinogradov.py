@@ -1,5 +1,6 @@
 import pytest
 
+from matprng.analysis import vinogradov
 from matprng.analysis.vinogradov import vinogradov_count, vinogradov_count_naive
 from matprng.errors import EnumerationTooLargeError
 
@@ -36,6 +37,22 @@ class TestAgainstNaive:
     def test_agreement_larger_m(self):
         for m in (6, 7, 8):
             assert vinogradov_count(2, 2, m) == vinogradov_count_naive(2, 2, m)
+
+    # r > k: only p_1 .. p_k enter the grouping key (Newton's identities)
+    @pytest.mark.parametrize(
+        "k, r, m", [(1, 4, 9), (2, 3, 9), (2, 5, 12), (3, 4, 7), (3, 6, 6), (4, 6, 4), (4, 5, 5)]
+    )
+    def test_agreement_r_above_k(self, k, r, m):
+        assert vinogradov_count(k, r, m) == vinogradov_count_naive(k, r, m)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 50])
+    def test_chunking_does_not_change_counts(self, chunk, monkeypatch):
+        # chunks are cut only between p_1 values, so every size gives the
+        # same groups; chunk 1 makes each p_1 value its own chunk
+        want = {(k, r, m): vinogradov_count_naive(k, r, m)
+                for k, r, m in ((2, 2, 9), (3, 1, 5), (3, 4, 5), (4, 2, 4))}
+        monkeypatch.setattr(vinogradov, "_CHUNK_TUPLES", chunk)
+        assert {key: vinogradov_count(*key) for key in want} == want
 
 
 class TestStructure:
