@@ -209,7 +209,6 @@ def koksma_szusz_bound(
     cfg: GeneratorConfig,
     n_points: int,
     v_range: int,
-    threads: int = 1,
     constant_base: float = 1.5,
 ) -> KSBound:
     """Explicit discrepancy bound
@@ -241,14 +240,7 @@ def koksma_szusz_bound(
             rv *= max(abs(x), 1)
         return _frequency_abs_sum(points, v, p, t) / rv
 
-    if threads > 1 and len(reps) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            terms = list(pool.map(term, reps))
-    else:
-        terms = [term(v) for v in reps]
-    sum_term = 2.0 * math.fsum(terms)  # each v pairs with -v (conjugate sum)
+    sum_term = 2.0 * math.fsum(term(v) for v in reps)  # each v pairs with -v (conjugate sum)
     constant = constant_base**d
     with mp.workdps(_DPS):
         value = mp.mpf(constant) * (mp.mpf(2) / (v_range + 1) + mp.mpf(sum_term) / n_points)

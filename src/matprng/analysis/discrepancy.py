@@ -22,8 +22,7 @@ Fibonacci stream mod 3^8 from u0 = (1, 0) took:
     1024    9.9 s      0.04 s
     2048    76 s       0.08 s
 
-Exact discrepancy is single-threaded: `full_discrepancy_report` passes its
-`threads` argument to the frequency-sum bound only.
+Exact discrepancy and the frequency-sum bound run in one thread.
 """
 
 from __future__ import annotations
@@ -348,7 +347,6 @@ def full_discrepancy_report(
     n_points: int,
     v_range: int,
     boxes: Sequence | None = None,
-    threads: int = 1,
     constant_base: float = 1.5,
 ) -> DiscrepancyReport:
     """Exact discrepancy of the first N stream points together with the
@@ -359,7 +357,7 @@ def full_discrepancy_report(
     pts = fractional_points(cfg, n_points)
     kind = "extreme" if cfg.a.d <= 2 else "star"
     rep = exact_discrepancy(pts, kind=kind, boxes=boxes)
-    ks = koksma_szusz_bound(cfg, n_points, v_range, threads=threads, constant_base=constant_base)
+    ks = koksma_szusz_bound(cfg, n_points, v_range, constant_base=constant_base)
     return DiscrepancyReport(
         n=rep.n, d=rep.d, kind=rep.kind, value=rep.value, value_float=rep.value_float,
         extreme_upper_bound=rep.extreme_upper_bound, boxes=rep.boxes,

@@ -3,24 +3,22 @@ polynomial-phase double sums sigma_n on a p^s x p^s grid, and the
 single-to-double reduction residual.
 
 Summation is deterministic: fixed 4096-term blocks, exactly rounded
-per-block sums, partials combined in ascending block order.  Thread counts
-never change the result.  Every exactly rounded sum goes through `_exact_sum`,
-which returns `math.fsum`'s float bit for bit without building a Python list.
+per-block sums, partials combined in ascending block order, all in one
+thread.  Every exactly rounded sum goes through `_exact_sum`, which returns
+`math.fsum`'s float bit for bit without building a Python list.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from ..arith import det_exact, mat_stream
+from ..arith import IntPolynomial, det_exact, mat_stream
 from ..errors import GridTooLargeError, PeriodTooLargeError, PreconditionViolatedError
 from ..generator import GeneratorConfig
 from ..padic import H_coeffs, h_coeffs, order_mod, period_profile, theta_matrix
@@ -35,6 +33,8 @@ _EXACT_SUM_MAX_TERMS = 1 << 24
 # frexp exponents of |x| < 2^996 run from -1073 (subnormals) to 996
 _EXPONENT_BINS = 1074 + 997
 _EXACT_SUM_CHUNK = 1 << 18
+# products x*y formed per np.unique call in _product_multiplicities
+_PRODUCT_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,6 @@ def exp_sum(
     cfg: GeneratorConfig,
     n_terms: int,
     method: str = "auto",
-    threads: int = 1,
 ) -> SumReport:
     """S = sum_{n=0}^{N-1} e(v A^n u / p^t), with each phase an exact integer
     over p^t.
@@ -140,14 +139,7 @@ def exp_sum(
         re = _exact_sum(weights * np.cos(ang))
         im = _exact_sum(weights * np.sin(ang))
     elif method == "direct":
-        blocks = [
-            residues[i : i + _BLOCK] for i in range(0, n_terms, _BLOCK)
-        ]
-        if threads > 1 and len(blocks) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                partials = list(pool.map(lambda b: _partial_sum(b, mod), blocks))
-        else:
-            partials = [_partial_sum(b, mod) for b in blocks]
+        partials = [_partial_sum(residues[i : i + _BLOCK], mod) for i in range(0, n_terms, _BLOCK)]
         re = math.fsum(p[0] for p in partials)
         im = math.fsum(p[1] for p in partials)
     else:
@@ -181,17 +173,18 @@ def full_period_exponent(
     cfg: GeneratorConfig,
     t_range: Sequence[int],
     tau_guard: int = 10**7,
-    threads: int = 1,
 ) -> list[FullPeriodRow]:
-    """Measured exponents theta_t = log|S(tau_t)| / log tau_t for each t."""
+    """Measured exponents theta_t = log|S(tau_t)| / log tau_t for each t,
+    with every tau_t read from one period profile up to max(t_range)."""
+    if not t_range:
+        return []
+    profile = period_profile(cfg.a, cfg.m.p, max(t_range))
     rows = []
-    p = cfg.m.p
     for t in t_range:
-        profile = period_profile(cfg.a, p, t)
         tau = profile.tau(t)
         if tau > tau_guard:
             raise PeriodTooLargeError(f"tau_{t} = {tau} exceeds guard {tau_guard}")
-        rep = exp_sum(cfg.at_exponent(t), tau, threads=threads)
+        rep = exp_sum(cfg.at_exponent(t), tau)
         theta = (
             math.log(rep.abs_value) / math.log(tau)
             if rep.abs_value > 0
@@ -201,20 +194,24 @@ def full_period_exponent(
     return rows
 
 
-def _product_multiplicities(m: int) -> Counter:
-    """Multiplicities of the products x*y for 1 <= x, y <= m."""
-    prods: Counter = Counter()
-    if m <= 1500:
-        for x in range(1, m + 1):
-            for y in range(1, m + 1):
-                prods[x * y] += 1
-        return prods
+def _product_multiplicities(m: int) -> tuple[list[int], list[int]]:
+    """The distinct products x*y for 1 <= x, y <= m, ascending, and how often
+    each occurs.  Rows of the product table are counted by np.unique about
+    _PRODUCT_CHUNK products at a time; the chunk counts are merged by a
+    stable sort and summed per product."""
     ys = np.arange(1, m + 1, dtype=np.int64)
-    for x in range(1, m + 1):
-        vals, cnts = np.unique(x * ys, return_counts=True)
-        for v, c in zip(vals.tolist(), cnts.tolist()):
-            prods[v] += c
-    return prods
+    step = max(1, _PRODUCT_CHUNK // m)
+    vals, cnts = [], []
+    for x0 in range(1, m + 1, step):
+        xs = np.arange(x0, min(x0 + step, m + 1), dtype=np.int64)
+        v, c = np.unique(np.multiply.outer(xs, ys), return_counts=True)
+        vals.append(v)
+        cnts.append(c)
+    vals, cnts = np.concatenate(vals), np.concatenate(cnts)
+    order = np.argsort(vals, kind="stable")
+    vals, cnts = vals[order], cnts[order]
+    starts = np.flatnonzero(np.r_[True, vals[1:] != vals[:-1]])
+    return vals[starts].tolist(), np.add.reduceat(cnts, starts).tolist()
 
 
 def double_sum_sigma(
@@ -246,14 +243,11 @@ def double_sum_sigma(
     denom = p**t * math.factorial(r) * det_exact(cfg.a)
     sign = 1 if denom > 0 else -1
     dabs = abs(denom)
-    coeffs = [big_h[j] * p ** (s * j) for j in range(r + 1)]
+    phase = IntPolynomial(tuple(big_h[j] * p ** (s * j) for j in range(r + 1)))
 
     total = 0.0 + 0.0j
-    for prod, mult in sorted(_product_multiplicities(grid).items()):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * prod + c
-        frac = (acc * sign) % dabs
+    for prod, mult in zip(*_product_multiplicities(grid)):
+        frac = (phase(prod) * sign) % dabs
         total += mult * np.exp(2j * math.pi * (float(frac) / float(dabs)))
     return complex(total)
 
@@ -277,7 +271,7 @@ def korobov_reduction_residual(
     )
     lhs = abs(complex(np.sum(table[:n_terms])))
     inner = np.zeros(n_terms, dtype=np.complex128)
-    for prod, mult in sorted(_product_multiplicities(m).items()):
+    for prod, mult in zip(*_product_multiplicities(m)):
         off = a * prod
         inner += mult * table[off : off + n_terms]
     rhs = float(np.sum(np.abs(inner))) / (m * m) + 2.0 * a * m * m

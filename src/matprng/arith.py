@@ -25,12 +25,14 @@ from .errors import (
 # A residue vector is a plain tuple of arbitrary-precision integers.
 ResidueVector = tuple[int, ...]
 
-# Witnesses making Miller-Rabin deterministic for n < 3.3 * 10^24.
+# Witnesses making Miller-Rabin a proof of primality for n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with a fixed witness set)."""
+    """Miller-Rabin with the fixed witnesses 2 .. 37: a proof of primality
+    for n < 3.3 * 10^24; above that, True means n is a strong probable prime
+    to those twelve bases."""
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -103,7 +105,9 @@ def legendre_factorial_valuation(r: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class PrimePowerModulus:
-    """The pair (p, t) with cached modulus p^t; p verified prime at construction."""
+    """The pair (p, t) with cached modulus p^t.  p is checked by `is_prime` at
+    construction: proven prime below 3.3 * 10^24, a strong probable prime
+    above."""
 
     p: int
     t: int
@@ -181,34 +185,32 @@ def mat_mul_mod(a: IntMatrix, b: IntMatrix, m: PrimePowerModulus) -> IntMatrix:
     return mat_mul(a, b).reduce(m.modulus)
 
 
-def mat_pow(a: IntMatrix, n: int) -> IntMatrix:
-    """Exact matrix power over Z by binary exponentiation; n = 0 gives identity."""
+def _square_and_multiply(base, n: int, mul, one):
+    """base^n under the product `mul` by binary exponentiation; n = 0 gives
+    `one`.  Every power in the package goes through this loop."""
     if n < 0:
         raise ValueError("exponent must be nonnegative")
-    result = IntMatrix.identity(a.d)
-    base = a
+    result = one
     while n:
         if n & 1:
-            result = mat_mul(result, base)
+            result = mul(result, base)
         n >>= 1
         if n:
-            base = mat_mul(base, base)
+            base = mul(base, base)
     return result
+
+
+def mat_pow(a: IntMatrix, n: int) -> IntMatrix:
+    """Exact matrix power over Z by binary exponentiation; n = 0 gives identity."""
+    return _square_and_multiply(a, n, mat_mul, IntMatrix.identity(a.d))
 
 
 def mat_pow_mod(a: IntMatrix, n: int, m: PrimePowerModulus) -> IntMatrix:
     """A^n mod p^t by binary exponentiation; n = 0 gives identity."""
-    if n < 0:
-        raise ValueError("exponent must be nonnegative")
-    result = IntMatrix.identity(a.d).reduce(m.modulus)
-    base = a.reduce(m.modulus)
-    while n:
-        if n & 1:
-            result = mat_mul_mod(result, base, m)
-        n >>= 1
-        if n:
-            base = mat_mul_mod(base, base, m)
-    return result
+    mod = m.modulus
+    return _square_and_multiply(
+        a.reduce(mod), n, lambda x, y: mat_mul_mod(x, y, m), IntMatrix.identity(a.d).reduce(mod)
+    )
 
 
 def mat_vec(a: IntMatrix, v: ResidueVector) -> ResidueVector:
@@ -294,33 +296,49 @@ def mat_stream(
     return out.T if v is None else out[0]
 
 
-def det_exact(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    d = a.d
-    if d == 1:
-        return a.entries[0][0]
-    m = [list(row) for row in a.entries]
+def det_exact(a: IntMatrix | Sequence[Sequence]) -> int | IntPolynomial:
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    The entries are integers (an IntMatrix or rows of ints) or IntPolynomials:
+    every division is by the previous pivot and exact in Z and in Z[X]
+    (Bareiss, Math. Comp. 22, 1968), so one routine gives det A and the
+    resultants built by `sylvester_rows`."""
+    m = [list(row) for row in (a.entries if isinstance(a, IntMatrix) else a)]
+    d = len(m)
     sign = 1
-    prev = 1
+    prev = None
     for k in range(d - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, d):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+        if not m[k][k]:
+            pivot = next((i for i in range(k + 1, d) if m[i][k]), None)
+            if pivot is None:
+                return m[k][k]
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
         for i in range(k + 1, d):
             for j in range(k + 1, d):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise ExactDivisionError("Bareiss division not exact")
-                m[i][j] = q
-            m[i][k] = 0
+                if prev is not None:
+                    num, rem = divmod(num, prev)
+                    if rem:
+                        raise ExactDivisionError("Bareiss division not exact")
+                m[i][j] = num
         prev = m[k][k]
-    return sign * m[d - 1][d - 1]
+    return m[d - 1][d - 1] if sign == 1 else -m[d - 1][d - 1]
+
+
+def sylvester_rows(f: Sequence, g: Sequence) -> list[list]:
+    """Sylvester matrix of f and g, given as ascending coefficient lists with
+    nonzero leads (entries in Z or Z[X]): deg g shifted rows of f, then deg f
+    shifted rows of g.  Its determinant is the resultant Res(f, g)."""
+    m, n = len(f) - 1, len(g) - 1
+    zero = f[-1] * 0
+    rows = []
+    for coeffs, shifts in ((f, n), (g, m)):
+        for i in range(shifts):
+            row = [zero] * (m + n)
+            row[i : i + len(coeffs)] = coeffs[::-1]
+            rows.append(row)
+    return rows
 
 
 def mat_inverse_mod(a: IntMatrix, m: PrimePowerModulus) -> IntMatrix:
@@ -358,10 +376,14 @@ class IntPolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        c = tuple(int(x) for x in self.coeffs)
+        c = self._reduced(self.coeffs)
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
+
+    def _reduced(self, coeffs: Sequence[int]) -> tuple[int, ...]:
+        """The coefficients as stored; a subclass reduces them."""
+        return tuple(int(x) for x in coeffs)
 
     @property
     def degree(self) -> int:
@@ -375,6 +397,13 @@ class IntPolynomial:
     @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def _like(self, coeffs: Sequence[int]) -> "IntPolynomial":
+        """A polynomial of this one's kind (a subclass keeps its modulus)."""
+        return IntPolynomial(coeffs)
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[int]) -> "IntPolynomial":
@@ -394,57 +423,64 @@ class IntPolynomial:
         n = max(len(self.coeffs), len(other.coeffs))
         a = self.coeffs + (0,) * (n - len(self.coeffs))
         b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return IntPolynomial(tuple(x + y for x, y in zip(a, b)))
+        return self._like(x + y for x, y in zip(a, b))
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         n = max(len(self.coeffs), len(other.coeffs))
         a = self.coeffs + (0,) * (n - len(self.coeffs))
         b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return IntPolynomial(tuple(x - y for x, y in zip(a, b)))
+        return self._like(x - y for x, y in zip(a, b))
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-x for x in self.coeffs))
+        return self._like(-x for x in self.coeffs)
 
     def __mul__(self, other) -> "IntPolynomial":
         if isinstance(other, int):
-            return IntPolynomial(tuple(c * other for c in self.coeffs))
+            return self._like(c * other for c in self.coeffs)
         if self.is_zero or other.is_zero:
-            return IntPolynomial(())
+            return self._like(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return IntPolynomial(tuple(out))
+        return self._like(out)
 
     __rmul__ = __mul__
 
     def derivative(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
+        return self._like(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
     def divmod_exact(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
-        """Division over Q with Fraction coefficients; quotient and remainder
-        are asserted to be integral (use when divisor is monic or division is
-        known exact)."""
+        """Long division in exact integer steps: each quotient coefficient is
+        the leading remainder coefficient over the divisor's lead, and a step
+        that is not integral raises ExactDivisionError.  Every step is exact
+        for a monic divisor, and for any divisor that divides exactly in Z[X]."""
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = [Fraction(c) for c in self.coeffs]
-        quo = [Fraction(0)] * max(len(self.coeffs) - len(divisor.coeffs) + 1, 1)
         dcoeffs = divisor.coeffs
-        dlead = Fraction(dcoeffs[-1])
+        dlead = dcoeffs[-1]
+        rem = list(self.coeffs)
+        quo = [0] * max(len(rem) - len(dcoeffs) + 1, 1)
         for k in range(len(rem) - len(dcoeffs), -1, -1):
-            q = rem[k + len(dcoeffs) - 1] / dlead
+            q, r = divmod(rem[k + len(dcoeffs) - 1], dlead)
+            if r:
+                raise ExactDivisionError("polynomial division not integral")
             quo[k] = q
             if q:
                 for i, dc in enumerate(dcoeffs):
                     rem[k + i] -= q * dc
-        for x in quo + rem:
-            if x.denominator != 1:
-                raise ExactDivisionError("polynomial division not integral")
-        return (
-            IntPolynomial(tuple(int(x) for x in quo)),
-            IntPolynomial(tuple(int(x) for x in rem)),
+        return self._like(quo), self._like(rem)
+
+    def __divmod__(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
+        return self.divmod_exact(divisor)
+
+    def pow_mod(self, e: int, mod: "IntPolynomial") -> "IntPolynomial":
+        """self^e reduced modulo `mod` (monic, or with a unit lead for a
+        subclass over Z/p) by square-and-multiply; e = 0 gives 1."""
+        return _square_and_multiply(
+            self.divmod_exact(mod)[1], e, lambda x, y: (x * y).divmod_exact(mod)[1], self._like((1,))
         )
 
     def content(self) -> int:
@@ -458,35 +494,12 @@ class IntPolynomial:
         return IntPolynomial(tuple(x // (c * sign) for x in self.coeffs))
 
 
-def poly_gcd_q(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    """gcd over Q returned as a primitive integer polynomial with positive lead."""
-    a = [Fraction(c) for c in f.coeffs]
-    b = [Fraction(c) for c in g.coeffs]
-
-    def trim(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    a, b = trim(a), trim(b)
-    while b:
-        lead = b[-1]
-        for k in range(len(a) - len(b), -1, -1):
-            q = a[k + len(b) - 1] / lead
-            if q:
-                for i, bc in enumerate(b):
-                    a[k + i] -= q * bc
-        a = trim(a)
-        a, b = b, a
-    if not a:
-        return IntPolynomial(())
-    den = math.lcm(*(x.denominator for x in a))
-    ints = [int(x * den) for x in a]
-    return IntPolynomial(tuple(ints)).primitive_part()
-
-
 def is_squarefree_over_q(f: IntPolynomial) -> bool:
-    return poly_gcd_q(f, f.derivative()).degree <= 0
+    """No repeated root over Q: Res(f, f') != 0 when deg f >= 1 (in
+    characteristic 0, f' has degree deg f - 1); constants count as squarefree."""
+    if f.degree < 1:
+        return True
+    return det_exact(sylvester_rows(f.coeffs, f.derivative().coeffs)) != 0
 
 
 def char_poly(a: IntMatrix) -> IntPolynomial:

@@ -6,7 +6,8 @@
 Commands: validate | period | gen | expsum | discrepancy | vmvt | bounds | report.
 One JSON config in, CSV/JSON artifacts out; all integers in the config may be
 decimal strings (arbitrary precision).  Exit codes: 0 success, 1 input or output error,
-2 hypothesis rejection, 3 resource guard.
+2 hypothesis rejection, 3 resource guard.  `--threads` is accepted and changes
+nothing: every command runs in one thread.
 """
 
 from __future__ import annotations
@@ -322,7 +323,7 @@ def cmd_expsum(exp: Experiment, args) -> Table:
         raise ConfigError("expsum needs N or N_schedule")
     rows = []
     for n in exp.n_schedule:
-        rep = exp_sum(cfg, n, threads=args.threads)
+        rep = exp_sum(cfg, n)
         rows.append(
             (n, rep.rho, rep.abs_value, rep.normalized, rep.value.real,
              rep.value.imag, rep.method, rep.error_bound)
@@ -331,13 +332,13 @@ def cmd_expsum(exp: Experiment, args) -> Table:
     return Table(header, rows)
 
 
-def _discrepancy_table(exp: Experiment, cfg: GeneratorConfig, threads: int, boxes=None) -> Table:
+def _discrepancy_table(exp: Experiment, cfg: GeneratorConfig, boxes=None) -> Table:
     d = cfg.a.d
     rows = []
     diagnostics = []
     for n in exp.n_schedule:
         rep = full_discrepancy_report(
-            cfg, n, exp.v_range, boxes=boxes, threads=threads,
+            cfg, n, exp.v_range, boxes=boxes,
             constant_base=exp.constant("ks_constant", 1.5),
         )
         rows.append(
@@ -368,7 +369,7 @@ def cmd_discrepancy(exp: Experiment, args) -> Table:
     cfg = _validated_generator(exp)
     if not exp.n_schedule or exp.v_range is None:
         raise ConfigError("discrepancy needs N (or N_schedule) and V")
-    return _discrepancy_table(exp, cfg, args.threads, exp.boxes)
+    return _discrepancy_table(exp, cfg, exp.boxes)
 
 
 def cmd_vmvt(exp: Experiment, args) -> Table:
@@ -389,7 +390,7 @@ def cmd_vmvt(exp: Experiment, args) -> Table:
     return Table(header, rows)
 
 
-def _bounds_table(exp: Experiment, cfg: GeneratorConfig, threads: int) -> Table:
+def _bounds_table(exp: Experiment, cfg: GeneratorConfig) -> Table:
     d = cfg.a.d
     eta = exp.constant("eta", 1.0)
     c = exp.constant("c", 1.0)
@@ -398,7 +399,7 @@ def _bounds_table(exp: Experiment, cfg: GeneratorConfig, threads: int) -> Table:
     d_power = int(exp.constant("d_power", 4))
     rows = []
     for n in exp.n_schedule:
-        rep = exp_sum(cfg, n, threads=threads)
+        rep = exp_sum(cfg, n)
         env = theorem_envelope(n, exp.p, exp.t, d, eta, c, d_power)
         denv = discrepancy_envelope(n, exp.p, exp.t, d, eta0, c0_env, d_power)
         rows.append((n, rep.rho, rep.abs_value, rep.normalized, env, denv))
@@ -410,10 +411,10 @@ def cmd_bounds(exp: Experiment, args) -> Table:
     cfg = _validated_generator(exp)
     if not exp.n_schedule:
         raise ConfigError("bounds needs N or N_schedule")
-    table = _bounds_table(exp, cfg, args.threads)
+    table = _bounds_table(exp, cfg)
     extras = table.extras
     if exp.t_range:
-        fp_rows = full_period_exponent(cfg, exp.t_range, threads=args.threads)
+        fp_rows = full_period_exponent(cfg, exp.t_range)
         extras["full_period"] = [
             {"t": r.t, "tau_t": r.tau, "abs_S": r.abs_value, "theta_t": r.theta}
             for r in fp_rows
@@ -445,11 +446,11 @@ def cmd_report(exp: Experiment, args) -> dict:
     cfg = GeneratorConfig(exp.matrix, exp.modulus, exp.u0, exp.v, verdict)
     doc["period"] = _period_table(exp).doc()
     if exp.n_schedule:
-        doc["expsum"] = _bounds_table(exp, cfg, args.threads).records(
+        doc["expsum"] = _bounds_table(exp, cfg).records(
             ("N", "rho", "abs_S", "S_over_N", "sum_envelope")
         )
         if exp.v_range is not None and cfg.a.d <= 3:
-            doc["discrepancy"] = _discrepancy_table(exp, cfg, args.threads).records(
+            doc["discrepancy"] = _discrepancy_table(exp, cfg).records(
                 ("N", "kind", "exact", "ks_bound", "exact_le_bound")
             )
     if exp.vmvt:
@@ -487,7 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="path to the JSON experiment config")
         sp.add_argument("--out", default=None, help="output path (stdout if omitted)")
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument(
+            "--threads", type=int, default=1,
+            help="accepted for compatibility; every command runs in one thread",
+        )
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser

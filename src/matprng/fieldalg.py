@@ -15,105 +15,65 @@ from .arith import (
     PrimePowerModulus,
     ResidueVector,
     char_poly,
+    det_exact,
     is_squarefree_over_q,
     mat_stream,
     prime_factors,
+    sylvester_rows,
 )
 from .errors import ExactDivisionError
 
 
-@dataclass(frozen=True)
-class PolyModP:
-    """Polynomial over F_p, coefficients ascending and reduced into [0, p)."""
+@dataclass(frozen=True, init=False)
+class PolyModP(IntPolynomial):
+    """Polynomial over Z/p, coefficients ascending and reduced into [0, p).
+
+    The arithmetic is IntPolynomial's, on reduced coefficients.  Division
+    goes through the divisor's monic associate, so it needs a lead that is a
+    unit mod p: any nonzero divisor over the field F_p, and a monic one over
+    Z/p^s, where UnramifiedRing uses this type with p^s in place of p."""
 
     p: int
-    coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        c = tuple(x % self.p for x in self.coeffs)
-        while c and c[-1] == 0:
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
+    def __init__(self, p: int, coeffs: Sequence[int]) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "coeffs", coeffs)
+        self.__post_init__()
+
+    def _reduced(self, coeffs: Sequence[int]) -> tuple[int, ...]:
+        return tuple(int(x) % self.p for x in coeffs)
+
+    def _like(self, coeffs: Sequence[int]) -> "PolyModP":
+        return PolyModP(self.p, coeffs)
 
     @classmethod
     def from_int_poly(cls, f: IntPolynomial, p: int) -> "PolyModP":
         return cls(p, f.coeffs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "PolyModP") -> "PolyModP":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return PolyModP(self.p, tuple(x + y for x, y in zip(a, b)))
-
-    def __sub__(self, other: "PolyModP") -> "PolyModP":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return PolyModP(self.p, tuple(x - y for x, y in zip(a, b)))
-
-    def __mul__(self, other) -> "PolyModP":
-        if isinstance(other, int):
-            return PolyModP(self.p, tuple(c * other for c in self.coeffs))
-        if self.is_zero or other.is_zero:
-            return PolyModP(self.p, ())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = (out[i + j] + a * b) % self.p
-        return PolyModP(self.p, tuple(out))
-
-    __rmul__ = __mul__
-
-    def divmod(self, divisor: "PolyModP") -> tuple["PolyModP", "PolyModP"]:
+    def divmod_exact(self, divisor: IntPolynomial) -> tuple["PolyModP", "PolyModP"]:
+        """Division mod p: IntPolynomial's exact steps by the monic associate
+        c^-1 * divisor, then the quotient times c^-1."""
+        if divisor.is_monic:
+            return super().divmod_exact(divisor)
+        divisor = self._like(divisor.coeffs)
         if divisor.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
-        p = self.p
-        rem = list(self.coeffs)
-        dl = len(divisor.coeffs)
-        inv_lead = pow(divisor.coeffs[-1], -1, p)
-        quo = [0] * max(len(rem) - dl + 1, 1)
-        for k in range(len(rem) - dl, -1, -1):
-            q = rem[k + dl - 1] * inv_lead % p
-            quo[k] = q
-            if q:
-                for i, dc in enumerate(divisor.coeffs):
-                    rem[k + i] = (rem[k + i] - q * dc) % p
-        return PolyModP(p, tuple(quo)), PolyModP(p, tuple(rem))
+        inv = pow(divisor.coeffs[-1], -1, self.p)
+        q, r = super().divmod_exact(divisor * inv)
+        return q * inv, r
+
+    divmod = divmod_exact
 
     def monic(self) -> "PolyModP":
         if self.is_zero or self.coeffs[-1] == 1:
             return self
-        inv = pow(self.coeffs[-1], -1, self.p)
-        return self * inv
-
-    def derivative(self) -> "PolyModP":
-        return PolyModP(self.p, tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
+        return self * pow(self.coeffs[-1], -1, self.p)
 
     def gcd(self, other: "PolyModP") -> "PolyModP":
         a, b = self, other
         while not b.is_zero:
             a, b = b, a.divmod(b)[1]
         return a.monic()
-
-    def pow_mod(self, e: int, mod: "PolyModP") -> "PolyModP":
-        result = PolyModP(self.p, (1,))
-        base = self.divmod(mod)[1]
-        while e:
-            if e & 1:
-                result = (result * base).divmod(mod)[1]
-            e >>= 1
-            if e:
-                base = (base * base).divmod(mod)[1]
-        return result
 
 
 @dataclass(frozen=True)
@@ -144,7 +104,7 @@ class Verdict:
 
     def to_dict(self) -> dict:
         w = self.witness
-        if isinstance(w, (PolyModP, IntPolynomial)):
+        if isinstance(w, IntPolynomial):
             w = list(w.coeffs)
         return {"outcome": self.outcome, "reason": self.reason, "witness": w}
 
@@ -207,57 +167,12 @@ def cyclotomic_polynomial(n: int) -> IntPolynomial:
     return num
 
 
-def _sylvester_resultant_y(a_rows: list[list[IntPolynomial]], size: int) -> IntPolynomial:
-    """Determinant of a matrix with IntPolynomial entries by fraction-free
-    (Bareiss) elimination; divisions are exact in Z[X]."""
-    m = [row[:] for row in a_rows]
-    zero = IntPolynomial(())
-    sign = 1
-    prev = IntPolynomial((1,))
-    for k in range(size - 1):
-        if m[k][k].is_zero:
-            for i in range(k + 1, size):
-                if not m[i][k].is_zero:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return zero
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                q, r = num.divmod_exact(prev)
-                if not r.is_zero:
-                    raise ExactDivisionError("polynomial Bareiss division not exact")
-                m[i][j] = q
-            m[i][k] = zero
-        prev = m[k][k]
-    det = m[size - 1][size - 1]
-    return det if sign == 1 else -det
-
-
 def ratio_resultant(f: IntPolynomial) -> IntPolynomial:
     """Res_Y(f(Y), f(X*Y)) as a polynomial in X; its roots are the ratios
     lambda_i / lambda_j of the roots of f (including the trivial i = j)."""
-    d = f.degree
-    # Row polynomials: f(Y) has constant-in-X coefficients c_k; f(X*Y) has
-    # Y^k-coefficient c_k * X^k.
-    a = [IntPolynomial((c,)) for c in f.coeffs]  # index = power of Y
-    b = [IntPolynomial.x_power(k, f.coeffs[k]) for k in range(d + 1)]
-    size = 2 * d
-    zero = IntPolynomial(())
-    rows: list[list[IntPolynomial]] = []
-    for i in range(d):  # d rows of shifted f(Y)
-        row = [zero] * size
-        for k in range(d + 1):
-            row[i + k] = a[d - k]
-        rows.append(row)
-    for i in range(d):  # d rows of shifted f(X*Y)
-        row = [zero] * size
-        for k in range(d + 1):
-            row[i + k] = b[d - k]
-        rows.append(row)
-    return _sylvester_resultant_y(rows, size)
+    a = [IntPolynomial((c,)) for c in f.coeffs]
+    b = [IntPolynomial.x_power(k, c) for k, c in enumerate(f.coeffs)]
+    return det_exact(sylvester_rows(a, b))
 
 
 def nondegeneracy_check(f: IntPolynomial) -> Verdict:

@@ -49,21 +49,30 @@ _EXTENSION_CAP = 48
 # ---------------------------------------------------------------------------
 
 
+def _unit_exponent(p: int, d: int) -> int:
+    """L = lcm(p^k - 1 : k <= d) * p^e with p^e >= d: the order of every unit
+    of a rank-d algebra over F_p divides L.
+
+    The semisimple part of a unit lies in some F_{p^k}^*, k <= d, and its
+    unipotent part has order dividing p^e once p^e >= d."""
+    exponent = 1
+    while exponent < d:
+        exponent *= p
+    for k in range(1, d + 1):
+        exponent = math.lcm(exponent, p**k - 1)
+    return exponent
+
+
 def _unit_order(p: int, d: int, is_one: Callable[[int], bool]) -> int:
     """Least tau >= 1 with is_one(tau), where is_one(e) tests u^e = 1 for a
     unit u of a rank-d algebra over F_p.
 
-    The semisimple part of u lies in some F_{p^k}^*, k <= d, and its unipotent
-    part has order dividing p^e once p^e >= d, so the order divides
-    L = lcm(p^k - 1 : k <= d) * p^e.  The primes of L are p and those of the
-    cyclotomic values Phi_k(p), k <= d; the order is found by descent from L
-    over them (Cohen, GTM 138, Alg. 1.4.3)."""
-    order = 1
-    while order < d:
-        order *= p
+    The order divides L = _unit_exponent(p, d), whose primes are p and those
+    of the cyclotomic values Phi_k(p), k <= d; the order is found by descent
+    from L over them (Cohen, GTM 138, Alg. 1.4.3)."""
+    order = _unit_exponent(p, d)
     primes = {p}
     for k in range(1, d + 1):
-        order = math.lcm(order, p**k - 1)
         primes.update(prime_factors(cyclotomic_polynomial(k)(p)))
     if not is_one(order):
         raise NotInvertibleError("element is not a unit mod p")
@@ -207,13 +216,16 @@ class UnramifiedRing:
         return UnramifiedRing(self.f, self.p, s)
 
     def element(self, coeffs: Sequence[int], exact: bool = False) -> "UnramifiedElement":
-        c = [int(x) for x in coeffs]
-        if len(c) > self.d:
-            c = self._reduce_poly(c)
-        c = c + [0] * (self.d - len(c))
-        if not exact:
-            c = [x % self.modulus for x in c]
-        return UnramifiedElement(self, tuple(c), exact)
+        """The class of the polynomial with these coefficients: reduced mod f,
+        and mod p^s unless `exact` keeps the true integers."""
+        if exact:
+            poly = IntPolynomial.from_coeffs(coeffs)
+        else:
+            poly = PolyModP(self.modulus, coeffs)
+        if poly.degree >= self.d:
+            poly = poly.divmod_exact(self.f)[1]
+        c = poly.coeffs + (0,) * (self.d - len(poly.coeffs))
+        return UnramifiedElement(self, c, exact)
 
     def zero(self) -> "UnramifiedElement":
         return self.element([0], exact=True)
@@ -228,28 +240,6 @@ class UnramifiedRing:
         if self.d == 1:
             return self.element([-self.f.coeffs[0]])
         return self.element([0, 1])
-
-    def _reduce_poly(self, c: list[int]) -> list[int]:
-        # f is monic: subtract c_k * X^{k-d} * f for k from the top down.
-        fc = self.f.coeffs
-        d = self.d
-        c = c[:]
-        for k in range(len(c) - 1, d - 1, -1):
-            top = c[k]
-            if top:
-                for i in range(d + 1):
-                    c[k - d + i] -= top * fc[i]
-        return c[:d]
-
-    def _mul_coeffs(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        out = [0] * (2 * self.d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        red = self._reduce_poly(out)
-        mod = self.modulus
-        return tuple(v % mod for v in red)
 
 
 @dataclass(frozen=True)
@@ -267,6 +257,9 @@ class UnramifiedElement:
         mod = self.ring.modulus
         return tuple(c % mod for c in self.coeffs)
 
+    def _poly(self) -> PolyModP:
+        return PolyModP(self.ring.modulus, self.coeffs)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UnramifiedElement):
             return NotImplemented
@@ -275,36 +268,30 @@ class UnramifiedElement:
     def __hash__(self) -> int:
         return hash((self.ring, self._view()))
 
-    def __add__(self, other: "UnramifiedElement") -> "UnramifiedElement":
-        self._check(other)
-        return self.ring.element([x + y for x, y in zip(self._view(), other._view())])
+    def _operand(self, other: "UnramifiedElement | int") -> "UnramifiedElement":
+        """`other` as an element of this ring; an int is embedded, so that
+        IntPolynomial's Horner evaluation runs on ring elements."""
+        if isinstance(other, int):
+            return self.ring.embed(other)
+        if self.ring != other.ring:
+            raise ValueError("elements live in different rings")
+        return other
 
-    def __sub__(self, other: "UnramifiedElement") -> "UnramifiedElement":
-        self._check(other)
-        return self.ring.element([x - y for x, y in zip(self._view(), other._view())])
+    def __add__(self, other: "UnramifiedElement | int") -> "UnramifiedElement":
+        return self.ring.element((self._poly() + self._operand(other)._poly()).coeffs)
 
-    def __mul__(self, other: "UnramifiedElement") -> "UnramifiedElement":
-        self._check(other)
-        return UnramifiedElement(
-            self.ring, self.ring._mul_coeffs(self._view(), other._view()), False
-        )
+    def __sub__(self, other: "UnramifiedElement | int") -> "UnramifiedElement":
+        return self.ring.element((self._poly() - self._operand(other)._poly()).coeffs)
+
+    def __mul__(self, other: "UnramifiedElement | int") -> "UnramifiedElement":
+        return self.ring.element((self._poly() * self._operand(other)._poly()).coeffs)
+
+    __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "UnramifiedElement":
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.ring.element([1])
-        base = self.ring.element(self._view())
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def _check(self, other: "UnramifiedElement") -> None:
-        if self.ring != other.ring:
-            raise ValueError("elements live in different rings")
+        return self.ring.element(self._poly().pow_mod(e, self.ring.f).coeffs)
 
     @property
     def is_zero(self) -> bool:
@@ -322,26 +309,24 @@ class UnramifiedElement:
         return min((valuation(c, self.ring.p) for c in self._view()), default=math.inf)
 
     def inverse(self) -> "UnramifiedElement":
-        """Inverse of a unit (nonzero mod p), by inversion in the residue
-        field followed by Newton lifting x -> x(2 - a x)."""
+        """Inverse of a unit: x = a^(L - 1) mod p, with L = _unit_exponent
+        a multiple of every unit's order, then Newton lifting x -> x(2 - a x)."""
         ring = self.ring
-        a_mod_p = self.residue_mod_p()
-        if a_mod_p.is_zero:
+        ring1 = ring.at_precision(1)
+        a1 = ring1.element(self._view())
+        if a1.is_zero:
             raise NotInvertibleError("element is divisible by p")
-        f_mod_p = PolyModP.from_int_poly(ring.f, ring.p)
-        inv_p = _poly_modp_inverse(a_mod_p, f_mod_p)
-        x = list(inv_p.coeffs) + [0] * (ring.d - len(inv_p.coeffs))
+        x = a1 ** (_unit_exponent(ring.p, ring.d) - 1)
+        if x * a1 != ring1.one():
+            raise NotInvertibleError("element shares a factor with f mod p")
         prec = 1
         while prec < ring.s:
             prec = min(2 * prec, ring.s)
             sub = ring.at_precision(prec)
-            xv = sub.element(x)
+            xv = sub.element(x.coeffs)
             av = sub.element(self._view())
-            two = sub.element([2])
-            xv = xv * (two - av * xv)
-            x = list(xv.coeffs)
-        out = ring.element(x)
-        return out
+            x = xv * (sub.embed(2) - av * xv)
+        return ring.element(x.coeffs)
 
     def with_precision(self, s: int) -> "UnramifiedElement":
         """Same element viewed at another precision.  Raising the precision is
@@ -352,27 +337,12 @@ class UnramifiedElement:
         return _refine_root(self.ring.f, self, s)
 
 
-def _poly_modp_inverse(a: PolyModP, f: PolyModP) -> PolyModP:
-    """Inverse of a modulo f over F_p by the extended Euclidean algorithm."""
-    p = a.p
-    r0, r1 = f, a.divmod(f)[1]
-    t0, t1 = PolyModP(p, ()), PolyModP(p, (1,))
-    while not r1.is_zero:
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        t0, t1 = t1, t0 - q * t1
-    if r0.degree != 0:
-        raise NotInvertibleError("element shares a factor with f mod p")
-    inv_lead = pow(r0.coeffs[0], -1, p)
-    return t0 * inv_lead
-
-
 def _refine_root(f: IntPolynomial, elem: UnramifiedElement, s_target: int) -> UnramifiedElement:
     """Newton-lift a root of f from the element's precision up to s_target."""
     ring = elem.ring
     fp = ring.p
     cur = elem
-    if not _eval_poly(f, cur).is_zero:
+    if not f(cur).is_zero:
         raise PrecisionCapExceededError(
             "element is not a root of f at its own precision; cannot auto-raise"
         )
@@ -381,21 +351,13 @@ def _refine_root(f: IntPolynomial, elem: UnramifiedElement, s_target: int) -> Un
         prec = min(2 * prec, s_target)
         sub = UnramifiedRing(f, fp, prec)
         g = sub.element(cur._view())
-        fg = _eval_poly(f, g)
-        dfg = _eval_poly(f.derivative(), g)
+        fg = f(g)
+        dfg = f.derivative()(g)
         g = g - fg * dfg.inverse()
         cur = g
-    if not _eval_poly(f, cur).is_zero:
+    if not f(cur).is_zero:
         raise ExactDivisionError("Newton refinement failed to reach a root")
     return cur
-
-
-def _eval_poly(f: IntPolynomial, x: UnramifiedElement) -> UnramifiedElement:
-    ring = x.ring
-    acc = ring.zero()
-    for c in reversed(f.coeffs):
-        acc = acc * x + ring.embed(c)
-    return acc
 
 
 @dataclass(frozen=True)
@@ -434,7 +396,7 @@ def lift_roots(f: IntPolynomial, p: int, s: int) -> RootSet:
             approx = base_ring.element(frob.coeffs)
             roots.append(_refine_root(f, approx, s) if s > 1 else approx)
     for r in roots:
-        if not _eval_poly(f, r).is_zero:
+        if not f(r).is_zero:
             raise ExactDivisionError("lifted root does not satisfy f at precision")
     seen = {r.residue_mod_p().coeffs for r in roots}
     if len(seen) != d:
@@ -589,15 +551,10 @@ def binomial_to_monomial(i: int) -> list[int]:
     (signed Stirling numbers of the first kind)."""
     if i < 0:
         raise ValueError("i must be >= 0")
-    row = [1]
+    row = IntPolynomial((1,))
     for k in range(i):
-        # m(m-1)...(m-k) = (previous) * (m - k)
-        nxt = [0] * (len(row) + 1)
-        for j, c in enumerate(row):
-            nxt[j + 1] += c
-            nxt[j] -= k * c
-        row = nxt
-    return row
+        row = row * IntPolynomial((-k, 1))  # m(m-1)...(m-k)
+    return list(row.coeffs)
 
 
 def H_coeffs(h: Sequence[int], r: int, s: int, p: int) -> list[int]:

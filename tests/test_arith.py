@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from matprng.arith import (
     companion_matrix,
     det_exact,
     is_prime,
+    is_squarefree_over_q,
     legendre_factorial_valuation,
     mat_inverse_mod,
     mat_mul,
@@ -21,14 +23,15 @@ from matprng.arith import (
     mat_stream,
     mat_vec_mod,
     poly_eval_matrix,
-    poly_gcd_q,
     prime_factors,
     recurrence_coefficients,
+    sylvester_rows,
     valuation,
     vec_dot,
 )
 from matprng.errors import (
     DimensionMismatchError,
+    ExactDivisionError,
     IterationCapExceededError,
     NotInvertibleError,
     StreamTooLargeError,
@@ -298,10 +301,44 @@ class TestPolynomials:
         q, r = f.divmod_exact(IntPolynomial((-1, 1)))
         assert q == IntPolynomial((1, 1)) and r.is_zero
 
+    def test_divmod_exact_non_monic(self):
+        f = IntPolynomial((0, 2, 2))  # 2X^2 + 2X
+        q, r = f.divmod_exact(IntPolynomial((0, 2)))
+        assert q == IntPolynomial((1, 1)) and r.is_zero
+        with pytest.raises(ExactDivisionError):
+            IntPolynomial((1, 0, 1)).divmod_exact(IntPolynomial((0, 2)))
+
     def test_gcd_over_q(self):
         f = IntPolynomial((1, 2, 1))  # (X+1)^2
         g = IntPolynomial((1, 1))
         assert poly_gcd_q(f, f.derivative()) == g
+        assert not is_squarefree_over_q(f)
+        assert is_squarefree_over_q(g)
+
+    @given(st.lists(small_entries, min_size=1, max_size=4),
+           st.lists(small_entries, min_size=1, max_size=3),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_squarefree_matches_gcd_oracle(self, a, b, square):
+        # f = a * b or a^2 * b, degree <= 6, with repeated factors half the time
+        fa, fb = IntPolynomial(tuple(a)), IntPolynomial(tuple(b))
+        f = fa * fa * fb if square else fa * fb
+        assert is_squarefree_over_q(f) == (poly_gcd_q(f, f.derivative()).degree <= 0)
+
+    @given(st.lists(small_entries, min_size=1, max_size=5), st.integers(-3, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_pow_mod_matches_repeated_product(self, a, e):
+        mod = IntPolynomial((3, -1, 0, 1))  # monic X^3 - X + 3
+        base = IntPolynomial(tuple(a))
+        if e < 0:
+            with pytest.raises(ValueError):
+                base.pow_mod(e, mod)
+            return
+        expected = IntPolynomial((1,))
+        for _ in range(e):
+            expected = (expected * base).divmod_exact(mod)[1]
+        assert base.pow_mod(e, mod) == expected
+
 
     def test_content_sign(self):
         f = IntPolynomial((-4, -8))
@@ -317,3 +354,86 @@ class TestPolynomials:
             assert prod.is_zero
         else:
             assert prod.degree == fa.degree + fb.degree
+
+
+def poly_gcd_q(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
+    """Oracle: gcd over Q by Euclid on Fraction coefficients, returned as a
+    primitive integer polynomial with positive lead."""
+    a = [Fraction(c) for c in f.coeffs]
+    b = [Fraction(c) for c in g.coeffs]
+
+    def trim(v):
+        while v and v[-1] == 0:
+            v.pop()
+        return v
+
+    a, b = trim(a), trim(b)
+    while b:
+        lead = b[-1]
+        for k in range(len(a) - len(b), -1, -1):
+            q = a[k + len(b) - 1] / lead
+            if q:
+                for i, bc in enumerate(b):
+                    a[k + i] -= q * bc
+        a = trim(a)
+        a, b = b, a
+    if not a:
+        return IntPolynomial(())
+    den = math.lcm(*(x.denominator for x in a))
+    ints = [int(x * den) for x in a]
+    return IntPolynomial(tuple(ints)).primitive_part()
+
+
+def fraction_det(rows) -> Fraction:
+    """Oracle: determinant by Gaussian elimination over Q."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    d = len(m)
+    det = Fraction(1)
+    for k in range(d):
+        pivot = next((i for i in range(k, d) if m[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, d):
+            factor = m[i][k] / m[k][k]
+            for j in range(k, d):
+                m[i][j] -= factor * m[k][j]
+    return det
+
+
+class TestBareissOverZX:
+    @given(st.lists(st.lists(small_entries, min_size=1, max_size=3), min_size=9, max_size=9),
+           st.integers(-4, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_det_commutes_with_substitution(self, entries, x):
+        polys = [IntPolynomial(tuple(c)) for c in entries]
+        rows = [polys[3 * i : 3 * i + 3] for i in range(3)]
+        det = det_exact(rows)
+        assert det(x) == fraction_det([[f(x) for f in row] for row in rows])
+
+    @given(st.lists(small_entries, min_size=2, max_size=5).filter(lambda c: c[-1] != 0),
+           st.integers(-3, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_ratio_resultant_against_sylvester_at_a_point(self, coeffs, x):
+        from matprng.fieldalg import ratio_resultant
+
+        # Res_Y(f(Y), f(xY)) at an integer x, from a Sylvester matrix built here
+        d = len(coeffs) - 1
+        g = [c * x**k for k, c in enumerate(coeffs)]
+        size = 2 * d
+        rows = []
+        for shifted in [coeffs] * d + [g] * d:
+            i = len(rows) % d
+            row = [0] * size
+            for k, c in enumerate(reversed(shifted)):
+                row[i + k] = c
+            rows.append(row)
+        assert ratio_resultant(IntPolynomial(tuple(coeffs)))(x) == fraction_det(rows)
+
+    def test_integer_rows(self):
+        rows = sylvester_rows((-1, 0, 1), (1, 1))  # Res(X^2 - 1, X + 1) = 0
+        assert len(rows) == 3 and det_exact(rows) == 0
+        assert det_exact(sylvester_rows((1, 0, 1), (1, 1))) == 2  # (-i + 1)(i + 1)

@@ -171,9 +171,3 @@ class TestKoksmaSzusz:
         )
         routed = _frequency_abs_sum(pts, (3, 0), 3, 4)
         assert routed == pytest.approx(direct, abs=1e-9)
-
-    def test_threads_identical(self, cfg):
-        one = koksma_szusz_bound(cfg, 216, 4, threads=1)
-        four = koksma_szusz_bound(cfg, 216, 4, threads=4)
-        assert one.sum_term == four.sum_term
-        assert mp.almosteq(one.value, four.value, rel_eps=0, abs_eps=0)

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -356,3 +359,17 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             digests[case] = gen_dump_digest(Path(tmp), doc)
     DUMP_DIGESTS.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")
+
+
+def test_cli_import_loads_no_thread_pool():
+    # every command runs in one thread; a fresh `import matprng.cli` must
+    # not pull in concurrent.futures (it also costs cold-start time)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = "import sys, matprng.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

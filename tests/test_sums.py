@@ -3,14 +3,20 @@ import math
 import random
 from fractions import Fraction
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import matprng.analysis.sums as sums
 from matprng.arith import IntMatrix, PrimePowerModulus
 from matprng.errors import GridTooLargeError, PeriodTooLargeError, PreconditionViolatedError
 from matprng.generator import GeneratorConfig
 from matprng.analysis.sums import (
+    _HISTOGRAM_LIMIT,
     _exact_sum,
+    _product_multiplicities,
     double_sum_sigma,
     exp_sum,
     full_period_exponent,
@@ -18,7 +24,7 @@ from matprng.analysis.sums import (
     korobov_reduction_residual,
     scalar_residues,
 )
-from matprng.padic import order_mod
+from matprng.padic import order_mod, period_profile
 
 
 @pytest.fixture
@@ -79,11 +85,6 @@ class TestExpSum:
         rep = exp_sum(cfg, 123)
         assert rep.value == pytest.approx(reference_sum(cfg, 123), abs=1e-10)
 
-    def test_threads_bit_identical(self, cfg):
-        one = exp_sum(cfg, 9000, method="direct", threads=1)
-        four = exp_sum(cfg, 9000, method="direct", threads=4)
-        assert one.value == four.value  # bit-identical, not just close
-
     def test_abs_at_most_n(self, cfg):
         for n in (1, 7, 50, 216):
             rep = exp_sum(cfg, n)
@@ -102,7 +103,63 @@ class TestExpSum:
         assert rep.abs_value < envelope
 
 
+MATRICES = ([[0, 1], [1, 1]], [[1, 2], [1, 1]], [[0, 1, 0], [0, 0, 1], [1, 1, 0]])
+PRIMES = (2, 3, 5, 7, 11, 13, 4093)
+
+
+@st.composite
+def histogram_configs(draw):
+    """A generator with p^t <= 2^24, so that both summation methods apply."""
+    rows = draw(st.sampled_from(MATRICES))
+    p = draw(st.sampled_from(PRIMES))
+    t_max = 1
+    while p ** (t_max + 1) <= _HISTOGRAM_LIMIT:
+        t_max += 1
+    t = draw(st.integers(1, t_max))
+    d = len(rows)
+    u0 = draw(st.lists(st.integers(0, 10**6), min_size=d, max_size=d))
+    v = draw(st.lists(st.integers(0, 10**6), min_size=d, max_size=d))
+    return GeneratorConfig.create(IntMatrix.from_rows(rows), PrimePowerModulus(p, t), u0, v)
+
+
+class TestHistogramAgainstDirect:
+    @given(
+        histogram_configs(),
+        st.one_of(
+            st.sampled_from([1, 4095, 4096, 4097, 8191, 8192, 8193, 12289]),
+            st.integers(1, 20000),
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_within_error_bound(self, cfg, n):
+        hist = exp_sum(cfg, n, method="histogram")
+        direct = exp_sum(cfg, n, method="direct")
+        assert hist.error_bound == direct.error_bound
+        assert abs(hist.value - direct.value) <= direct.error_bound
+
+
 class TestFullPeriodExponent:
+    def test_one_profile_same_rows(self, cfg, monkeypatch):
+        # the rows of building period_profile(a, p, t) afresh for every t
+        t_range = range(2, 8)
+        expected = []
+        for t in t_range:
+            tau = period_profile(cfg.a, 3, t).tau(t)
+            rep = exp_sum(cfg.at_exponent(t), tau)
+            expected.append((t, tau, rep.abs_value, math.log(rep.abs_value) / math.log(tau)))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return period_profile(*args)
+
+        monkeypatch.setattr(sums, "period_profile", counted)
+        rows = full_period_exponent(cfg, t_range)
+        assert [(r.t, r.tau, r.abs_value, r.theta) for r in rows] == expected
+        assert calls == [(cfg.a, 3, 7)]
+        assert full_period_exponent(cfg, []) == []
+
     def test_reference_slope_d2(self, cfg):
         rows = full_period_exponent(cfg, range(4, 6))
         assert [r.tau for r in rows] == [216, 648]
@@ -173,6 +230,28 @@ class TestDoubleSum:
         lhs = exp_sum(cfg, n_terms).abs_value
         rhs = total / 9 + 2 * tau_s * 9
         assert rhs >= lhs
+
+
+def brute_force_multiplicities(m: int) -> tuple[list[int], list[int]]:
+    counts = Counter(x * y for x in range(1, m + 1) for y in range(1, m + 1))
+    items = sorted(counts.items())
+    return [k for k, _ in items], [c for _, c in items]
+
+
+class TestProductMultiplicities:
+    @pytest.mark.parametrize("m", [1, 2, 12, 1499, 1500, 1501])
+    def test_against_brute_force(self, m):
+        assert _product_multiplicities(m) == brute_force_multiplicities(m)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 50, 37 * 3 + 1])
+    def test_small_chunks(self, chunk, monkeypatch):
+        monkeypatch.setattr(sums, "_PRODUCT_CHUNK", chunk)
+        for m in (1, 5, 37):
+            assert _product_multiplicities(m) == brute_force_multiplicities(m)
+
+    def test_python_ints(self):
+        vals, cnts = _product_multiplicities(4)
+        assert all(type(x) is int for x in vals + cnts)
 
 
 class TestKorobovReduction:
