@@ -10,6 +10,7 @@ thread.  Every exactly rounded sum goes through `_exact_sum`, which returns
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import numpy as np
 from ..arith import IntPolynomial, det_exact, mat_stream
 from ..errors import GridTooLargeError, PeriodTooLargeError, PreconditionViolatedError
 from ..generator import GeneratorConfig
-from ..padic import H_coeffs, h_coeffs, order_mod, period_profile, theta_matrix
+from ..padic import H_coeffs, h_coeffs, order_mod, order_sequence, period_profile, theta_matrix
 
 _BLOCK = 4096
 _HISTOGRAM_LIMIT = 1 << 24
@@ -174,14 +175,22 @@ def full_period_exponent(
     t_range: Sequence[int],
     tau_guard: int = 10**7,
 ) -> list[FullPeriodRow]:
-    """Measured exponents theta_t = log|S(tau_t)| / log tau_t for each t,
-    with every tau_t read from one period profile up to max(t_range)."""
+    """Measured exponents theta_t = log|S(tau_t)| / log tau_t for each t.
+
+    Every tau_t is drawn from one order sequence, only as deep as t, so a
+    tau_t over tau_guard raises PeriodTooLargeError before any deeper order
+    is computed.  A matrix of finite order is rejected first, by
+    period_profile at the least t."""
     if not t_range:
         return []
-    profile = period_profile(cfg.a, cfg.m.p, max(t_range))
+    p = cfg.m.p
+    period_profile(cfg.a, p, min(t_range))
+    orders = order_sequence(cfg.a, p)
+    taus: list[int] = []
     rows = []
     for t in t_range:
-        tau = profile.tau(t)
+        taus.extend(itertools.islice(orders, max(0, t - len(taus))))
+        tau = taus[t - 1]
         if tau > tau_guard:
             raise PeriodTooLargeError(f"tau_{t} = {tau} exceeds guard {tau_guard}")
         rep = exp_sum(cfg.at_exponent(t), tau)

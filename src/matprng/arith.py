@@ -369,6 +369,19 @@ def mat_inverse_mod(a: IntMatrix, m: PrimePowerModulus) -> IntMatrix:
     )
 
 
+def _product_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of the product of two polynomials given as ascending
+    coefficient sequences; empty when either is empty (the zero polynomial)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 @dataclass(frozen=True)
 class IntPolynomial:
     """Integer polynomial, coefficients ascending (c_0, c_1, ..., c_deg)."""
@@ -437,31 +450,27 @@ class IntPolynomial:
     def __mul__(self, other) -> "IntPolynomial":
         if isinstance(other, int):
             return self._like(c * other for c in self.coeffs)
-        if self.is_zero or other.is_zero:
-            return self._like(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return self._like(out)
+        return self._like(_product_coeffs(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def derivative(self) -> "IntPolynomial":
         return self._like(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
-    def divmod_exact(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
-        """Long division in exact integer steps: each quotient coefficient is
-        the leading remainder coefficient over the divisor's lead, and a step
-        that is not integral raises ExactDivisionError.  Every step is exact
-        for a monic divisor, and for any divisor that divides exactly in Z[X]."""
+    def _long_division(
+        self, coeffs: Sequence[int], divisor: "IntPolynomial"
+    ) -> tuple[list[int], list[int]]:
+        """Quotient and remainder coefficients of `coeffs` over `divisor`, in
+        exact integer steps: each quotient coefficient is the leading
+        remainder coefficient over the divisor's lead, and a step that is not
+        integral raises ExactDivisionError.  Every step is exact for a monic
+        divisor, and for any divisor that divides exactly in Z[X].  The
+        remainder has at most deg(divisor) coefficients."""
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         dcoeffs = divisor.coeffs
         dlead = dcoeffs[-1]
-        rem = list(self.coeffs)
+        rem = list(coeffs)
         quo = [0] * max(len(rem) - len(dcoeffs) + 1, 1)
         for k in range(len(rem) - len(dcoeffs), -1, -1):
             q, r = divmod(rem[k + len(dcoeffs) - 1], dlead)
@@ -471,17 +480,29 @@ class IntPolynomial:
             if q:
                 for i, dc in enumerate(dcoeffs):
                     rem[k + i] -= q * dc
+        return quo, rem[: len(dcoeffs) - 1]
+
+    def divmod_exact(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
+        """(quotient, remainder) of `_long_division`."""
+        quo, rem = self._long_division(self.coeffs, divisor)
         return self._like(quo), self._like(rem)
 
     def __divmod__(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         return self.divmod_exact(divisor)
 
+    def __mod__(self, divisor: "IntPolynomial") -> "IntPolynomial":
+        """The remainder of divmod_exact, without building the quotient."""
+        return self._like(self._long_division(self.coeffs, divisor)[1])
+
     def pow_mod(self, e: int, mod: "IntPolynomial") -> "IntPolynomial":
         """self^e reduced modulo `mod` (monic, or with a unit lead for a
-        subclass over Z/p) by square-and-multiply; e = 0 gives 1."""
-        return _square_and_multiply(
-            self.divmod_exact(mod)[1], e, lambda x, y: (x * y).divmod_exact(mod)[1], self._like((1,))
-        )
+        subclass over Z/p) by square-and-multiply on coefficient tuples; e = 0
+        gives 1."""
+
+        def mul_mod(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
+            return self._reduced(self._long_division(_product_coeffs(x, y), mod)[1])
+
+        return self._like(_square_and_multiply((self % mod).coeffs, e, mul_mod, (1,)))
 
     def content(self) -> int:
         return math.gcd(*(abs(c) for c in self.coeffs)) if self.coeffs else 0

@@ -50,19 +50,21 @@ class PolyModP(IntPolynomial):
     def from_int_poly(cls, f: IntPolynomial, p: int) -> "PolyModP":
         return cls(p, f.coeffs)
 
-    def divmod_exact(self, divisor: IntPolynomial) -> tuple["PolyModP", "PolyModP"]:
+    def _long_division(
+        self, coeffs: Sequence[int], divisor: IntPolynomial
+    ) -> tuple[list[int], list[int]]:
         """Division mod p: IntPolynomial's exact steps by the monic associate
         c^-1 * divisor, then the quotient times c^-1."""
         if divisor.is_monic:
-            return super().divmod_exact(divisor)
+            return super()._long_division(coeffs, divisor)
         divisor = self._like(divisor.coeffs)
         if divisor.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
         inv = pow(divisor.coeffs[-1], -1, self.p)
-        q, r = super().divmod_exact(divisor * inv)
-        return q * inv, r
+        quo, rem = super()._long_division(coeffs, divisor * inv)
+        return [q * inv for q in quo], rem
 
-    divmod = divmod_exact
+    divmod = IntPolynomial.divmod_exact
 
     def monic(self) -> "PolyModP":
         if self.is_zero or self.coeffs[-1] == 1:
@@ -72,7 +74,7 @@ class PolyModP(IntPolynomial):
     def gcd(self, other: "PolyModP") -> "PolyModP":
         a, b = self, other
         while not b.is_zero:
-            a, b = b, a.divmod(b)[1]
+            a, b = b, a % b
         return a.monic()
 
 
@@ -141,7 +143,7 @@ def irreducible_mod_p(f: IntPolynomial, p: int) -> bool:
         if (r - x).gcd(fp).degree > 0:
             return False
     full = x.pow_mod(p**n, fp)
-    return full == x.divmod(fp)[1]
+    return full == x % fp
 
 
 @lru_cache(maxsize=None)

@@ -87,7 +87,7 @@ def order_mod(a: IntMatrix, m: PrimePowerModulus) -> int:
 
     tau_1 is found by descent over a known multiple of the order; higher
     exponents use the lift dichotomy tau_{s} in {tau_{s-1}, p * tau_{s-1}}."""
-    return next(itertools.islice(_orders(a, m.p), m.t - 1, None))
+    return next(itertools.islice(order_sequence(a, m.p), m.t - 1, None))
 
 
 def _order_mod_p(a: IntMatrix, p: int) -> int:
@@ -106,8 +106,9 @@ def _lift_order(tau: int, p: int, is_one: Callable[[int], bool]) -> int:
     raise ExactDivisionError("order lift dichotomy violated (arithmetic bug)")
 
 
-def _orders(a: IntMatrix, p: int) -> Iterator[int]:
-    """tau_1, tau_2, ...: tau_1 by descent, each later order by the lift."""
+def order_sequence(a: IntMatrix, p: int) -> Iterator[int]:
+    """tau_1, tau_2, ... with tau_s the order of A mod p^s: tau_1 by descent,
+    each later order by the lift, computed only when it is drawn."""
     tau = _order_mod_p(a, p)
     for s in itertools.count(2):
         yield tau
@@ -159,7 +160,7 @@ def period_profile(a: IntMatrix, p: int, s_max: int) -> PeriodProfile:
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
-    orders = _orders(a, p)
+    orders = order_sequence(a, p)
     taus = list(itertools.islice(orders, s_max))
 
     def stabilized() -> bool:
@@ -218,14 +219,15 @@ class UnramifiedRing:
     def element(self, coeffs: Sequence[int], exact: bool = False) -> "UnramifiedElement":
         """The class of the polynomial with these coefficients: reduced mod f,
         and mod p^s unless `exact` keeps the true integers."""
-        if exact:
-            poly = IntPolynomial.from_coeffs(coeffs)
-        else:
-            poly = PolyModP(self.modulus, coeffs)
+        poly = IntPolynomial.from_coeffs(coeffs) if exact else PolyModP(self.modulus, coeffs)
+        return self._from_poly(poly, exact)
+
+    def _from_poly(self, poly: IntPolynomial, exact: bool = False) -> "UnramifiedElement":
+        """The class of `poly`, whose coefficients are already stored as the
+        element keeps them (reduced mod p^s unless `exact`)."""
         if poly.degree >= self.d:
-            poly = poly.divmod_exact(self.f)[1]
-        c = poly.coeffs + (0,) * (self.d - len(poly.coeffs))
-        return UnramifiedElement(self, c, exact)
+            poly = poly % self.f
+        return UnramifiedElement(self, poly.coeffs + (0,) * (self.d - len(poly.coeffs)), exact)
 
     def zero(self) -> "UnramifiedElement":
         return self.element([0], exact=True)
@@ -278,20 +280,20 @@ class UnramifiedElement:
         return other
 
     def __add__(self, other: "UnramifiedElement | int") -> "UnramifiedElement":
-        return self.ring.element((self._poly() + self._operand(other)._poly()).coeffs)
+        return self.ring._from_poly(self._poly() + self._operand(other)._poly())
 
     def __sub__(self, other: "UnramifiedElement | int") -> "UnramifiedElement":
-        return self.ring.element((self._poly() - self._operand(other)._poly()).coeffs)
+        return self.ring._from_poly(self._poly() - self._operand(other)._poly())
 
     def __mul__(self, other: "UnramifiedElement | int") -> "UnramifiedElement":
-        return self.ring.element((self._poly() * self._operand(other)._poly()).coeffs)
+        return self.ring._from_poly(self._poly() * self._operand(other)._poly())
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "UnramifiedElement":
         if e < 0:
             return self.inverse() ** (-e)
-        return self.ring.element(self._poly().pow_mod(e, self.ring.f).coeffs)
+        return self.ring._from_poly(self._poly().pow_mod(e, self.ring.f))
 
     @property
     def is_zero(self) -> bool:

@@ -325,11 +325,12 @@ class TestPolynomials:
         f = fa * fa * fb if square else fa * fb
         assert is_squarefree_over_q(f) == (poly_gcd_q(f, f.derivative()).degree <= 0)
 
-    @given(st.lists(small_entries, min_size=1, max_size=5), st.integers(-3, 3))
+    @given(st.lists(small_entries, min_size=1, max_size=5), st.integers(-3, 12))
     @settings(max_examples=100, deadline=None)
     def test_pow_mod_matches_repeated_product(self, a, e):
         mod = IntPolynomial((3, -1, 0, 1))  # monic X^3 - X + 3
         base = IntPolynomial(tuple(a))
+        assert base % mod == base.divmod_exact(mod)[1]
         if e < 0:
             with pytest.raises(ValueError):
                 base.pow_mod(e, mod)

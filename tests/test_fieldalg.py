@@ -266,6 +266,22 @@ class TestPolyModP:
         assert q * g + r == f
         assert r.degree < g.degree
 
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=6),
+           st.lists(st.integers(-50, 50), min_size=2, max_size=4),
+           st.integers(0, 20))
+    @settings(max_examples=100, deadline=None)
+    def test_pow_mod_non_monic_divisor(self, a, b, e):
+        # over F_7 a divisor with any nonzero lead works, through its monic associate
+        mod = PolyModP(7, b)
+        if mod.degree < 1:
+            return
+        base = PolyModP(7, a)
+        expected = PolyModP(7, (1,))
+        for _ in range(e):
+            expected = (expected * base).divmod(mod)[1]
+        assert base.pow_mod(e, mod) == expected
+        assert base % mod == base.divmod(mod)[1]
+
     def test_gcd_monic(self):
         f = PolyModP(5, (4, 0, 1))  # X^2 + 4 = (X-1)(X+1) mod 5
         g = PolyModP(5, (4, 1))  # X + 4 = X - 1

@@ -11,7 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 import matprng.analysis.sums as sums
 from matprng.arith import IntMatrix, PrimePowerModulus
-from matprng.errors import GridTooLargeError, PeriodTooLargeError, PreconditionViolatedError
+from matprng.errors import (
+    DegenerateMatrixError,
+    GridTooLargeError,
+    PeriodTooLargeError,
+    PreconditionViolatedError,
+)
 from matprng.generator import GeneratorConfig
 from matprng.analysis.sums import (
     _HISTOGRAM_LIMIT,
@@ -24,7 +29,7 @@ from matprng.analysis.sums import (
     korobov_reduction_residual,
     scalar_residues,
 )
-from matprng.padic import order_mod, period_profile
+from matprng.padic import order_mod, order_sequence, period_profile
 
 
 @pytest.fixture
@@ -140,7 +145,7 @@ class TestHistogramAgainstDirect:
 
 
 class TestFullPeriodExponent:
-    def test_one_profile_same_rows(self, cfg, monkeypatch):
+    def test_one_order_sequence_same_rows(self, cfg, monkeypatch):
         # the rows of building period_profile(a, p, t) afresh for every t
         t_range = range(2, 8)
         expected = []
@@ -157,8 +162,33 @@ class TestFullPeriodExponent:
         monkeypatch.setattr(sums, "period_profile", counted)
         rows = full_period_exponent(cfg, t_range)
         assert [(r.t, r.tau, r.abs_value, r.theta) for r in rows] == expected
-        assert calls == [(cfg.a, 3, 7)]
+        assert calls == [(cfg.a, 3, 2)]
         assert full_period_exponent(cfg, []) == []
+
+    def test_guard_stops_before_deeper_orders(self, cfg, monkeypatch):
+        # tau_8 = 17496 is the first order of Fibonacci mod 3^t over 10^4; no
+        # order past t = 8 may be computed, however far t_range reaches
+        drawn = []
+
+        def counted(a, p):
+            for tau in order_sequence(a, p):
+                drawn.append(tau)
+                yield tau
+
+        def shallow(a, p, s_max):
+            assert s_max <= 8
+            return period_profile(a, p, s_max)
+
+        monkeypatch.setattr(sums, "order_sequence", counted)
+        monkeypatch.setattr(sums, "period_profile", shallow)
+        with pytest.raises(PeriodTooLargeError, match="tau_8 = 17496"):
+            full_period_exponent(cfg, range(2, 10**5), tau_guard=10**4)
+        assert drawn == [8 * 3 ** (s - 1) for s in range(1, 9)]
+
+    def test_finite_order_degenerate(self):
+        identity = GeneratorConfig.create(IntMatrix.identity(2), PrimePowerModulus(3, 4), (1, 0), (1, 0))
+        with pytest.raises(DegenerateMatrixError):
+            full_period_exponent(identity, range(2, 5))
 
     def test_reference_slope_d2(self, cfg):
         rows = full_period_exponent(cfg, range(4, 6))
