@@ -3,89 +3,86 @@
 Exact integer streams u_{n+1} = A u_n (mod p^t), their order growth and
 p-adic expansion coefficients, plus measurement tools: exponential sums,
 power-sum system counts, explicit bound formulas, and exact discrepancy.
+
+The public names are loaded on first access (PEP 562), so that importing
+one submodule, such as the CLI, does not import every layer.
 """
 
-from .arith import (
-    IntMatrix,
-    IntPolynomial,
-    PrimePowerModulus,
-    char_poly,
-    companion_matrix,
-    det_exact,
-    mat_inverse_mod,
-    mat_mul_mod,
-    mat_pow_mod,
-    valuation,
-)
-from .fieldalg import (
-    Verdict,
-    irreducible_mod_p,
-    is_p_primitive,
-    is_proper_pair,
-    minimal_recurrence_length,
-    nondegeneracy_check,
-    squarefree_mod_p,
-    validate_theorem_hypotheses,
-)
-from .generator import GeneratorConfig, GeneratorState, fractional_points, jump_ahead, scalar_sequence, step
-from .padic import (
-    ExpansionData,
-    PeriodProfile,
-    RootSet,
-    UnramifiedRing,
-    beta_pair,
-    binomial_to_monomial,
-    compute_w,
-    expansion_data,
-    h_coeffs,
-    H_coeffs,
-    lift_roots,
-    order_mod,
-    period_profile,
-    tau_pair,
-    theta_matrix,
-)
+import importlib
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "IntMatrix",
-    "IntPolynomial",
-    "PrimePowerModulus",
-    "char_poly",
-    "companion_matrix",
-    "det_exact",
-    "mat_inverse_mod",
-    "mat_mul_mod",
-    "mat_pow_mod",
-    "valuation",
-    "Verdict",
-    "irreducible_mod_p",
-    "is_p_primitive",
-    "is_proper_pair",
-    "minimal_recurrence_length",
-    "nondegeneracy_check",
-    "squarefree_mod_p",
-    "validate_theorem_hypotheses",
-    "GeneratorConfig",
-    "GeneratorState",
-    "fractional_points",
-    "jump_ahead",
-    "scalar_sequence",
-    "step",
-    "ExpansionData",
-    "PeriodProfile",
-    "RootSet",
-    "UnramifiedRing",
-    "beta_pair",
-    "binomial_to_monomial",
-    "compute_w",
-    "expansion_data",
-    "h_coeffs",
-    "H_coeffs",
-    "lift_roots",
-    "order_mod",
-    "period_profile",
-    "tau_pair",
-    "theta_matrix",
-]
+
+def _lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
+    """The `__getattr__`, `__dir__` and `__all__` of a package whose public
+    names are imported from their submodules on first access.
+
+    `exports` maps each submodule to the names it provides.  Any other name
+    raises AttributeError, so `from package import submodule` still imports
+    the submodule."""
+    source = {name: module for module, names in exports.items() for name in names}
+    namespace = vars(sys.modules[package])
+
+    def __getattr__(name: str):
+        if name not in source:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f"{package}.{source[name]}"), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | source.keys())
+
+    return __getattr__, __dir__, list(source)
+
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "arith": (
+        "IntMatrix",
+        "IntPolynomial",
+        "PrimePowerModulus",
+        "char_poly",
+        "companion_matrix",
+        "det_exact",
+        "mat_inverse_mod",
+        "mat_mul_mod",
+        "mat_pow_mod",
+        "valuation",
+    ),
+    "fieldalg": (
+        "Verdict",
+        "irreducible_mod_p",
+        "is_p_primitive",
+        "is_proper_pair",
+        "minimal_recurrence_length",
+        "nondegeneracy_check",
+        "squarefree_mod_p",
+        "validate_theorem_hypotheses",
+    ),
+    "generator": (
+        "GeneratorConfig",
+        "GeneratorState",
+        "fractional_points",
+        "jump_ahead",
+        "scalar_sequence",
+        "step",
+    ),
+    "padic": (
+        "ExpansionData",
+        "PeriodProfile",
+        "RootSet",
+        "UnramifiedRing",
+        "beta_pair",
+        "binomial_to_monomial",
+        "compute_w",
+        "expansion_data",
+        "h_coeffs",
+        "H_coeffs",
+        "lift_roots",
+        "order_mod",
+        "period_profile",
+        "tau_pair",
+        "theta_matrix",
+    ),
+})

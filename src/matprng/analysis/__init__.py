@@ -1,68 +1,41 @@
 """Measurement and bound machinery: exponential sums, power-sum counts,
-explicit bound formulas, exact discrepancy, and proof-parameter bookkeeping."""
+explicit bound formulas, exact discrepancy, and proof-parameter bookkeeping.
 
-from .bounds import (
-    FordBound,
-    KorobovBound,
-    KSBound,
-    discrepancy_envelope,
-    ford_bound,
-    ford_k,
-    koksma_szusz_bound,
-    korobov_bound,
-    theorem_envelope,
-)
-from .discrepancy import (
-    BoxCount,
-    DiscrepancyReport,
-    box_counts,
-    exact_discrepancy,
-    extreme_discrepancy_bruteforce,
-    full_discrepancy_report,
-)
-from .params import ProofParameters, RationalizationRow, integer_root, proof_parameters
-from .sums import (
-    FullPeriodRow,
-    SumReport,
-    double_sum_sigma,
-    exp_sum,
-    full_period_exponent,
-    korobov_reduction_check,
-    korobov_reduction_residual,
-    scalar_residues,
-)
-from .vinogradov import VinogradovInstance, solve_instance, vinogradov_count, vinogradov_count_naive
+Like the top-level package, this one imports a public name's submodule on
+first access only."""
 
-__all__ = [
-    "FordBound",
-    "KorobovBound",
-    "KSBound",
-    "discrepancy_envelope",
-    "ford_bound",
-    "ford_k",
-    "koksma_szusz_bound",
-    "korobov_bound",
-    "theorem_envelope",
-    "BoxCount",
-    "DiscrepancyReport",
-    "box_counts",
-    "exact_discrepancy",
-    "extreme_discrepancy_bruteforce",
-    "full_discrepancy_report",
-    "ProofParameters",
-    "RationalizationRow",
-    "integer_root",
-    "proof_parameters",
-    "FullPeriodRow",
-    "SumReport",
-    "double_sum_sigma",
-    "exp_sum",
-    "full_period_exponent",
-    "korobov_reduction_check",
-    "korobov_reduction_residual",
-    "scalar_residues",
-    "VinogradovInstance",
-    "solve_instance",
-    "vinogradov_count",
-    "vinogradov_count_naive",
-]
+from .. import _lazy_exports
+
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "bounds": (
+        "FordBound",
+        "KorobovBound",
+        "KSBound",
+        "discrepancy_envelope",
+        "ford_bound",
+        "ford_k",
+        "koksma_szusz_bound",
+        "korobov_bound",
+        "theorem_envelope",
+    ),
+    "discrepancy": (
+        "BoxCount",
+        "DiscrepancyReport",
+        "box_counts",
+        "exact_discrepancy",
+        "extreme_discrepancy_bruteforce",
+        "full_discrepancy_report",
+    ),
+    "params": ("ProofParameters", "RationalizationRow", "integer_root", "proof_parameters"),
+    "sums": (
+        "FullPeriodRow",
+        "SumReport",
+        "double_sum_sigma",
+        "exp_sum",
+        "full_period_exponent",
+        "korobov_reduction_check",
+        "korobov_reduction_residual",
+        "scalar_residues",
+    ),
+    "vinogradov": ("VinogradovInstance", "solve_instance", "vinogradov_count", "vinogradov_count_naive"),
+})

@@ -134,6 +134,7 @@ def exp_sum(
 
     if method == "histogram":
         counts = np.bincount(residues, minlength=0)
+        del residues  # free the stream before the per-bin arrays are built
         nz = np.nonzero(counts)[0]
         weights = counts[nz].astype(np.float64)
         ang = nz.astype(np.float64) * (_TWO_PI / mod)

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..arith import STREAM_MEMORY_BUDGET
 from ..errors import EnumerationTooLargeError
 
 if TYPE_CHECKING:
@@ -23,9 +24,11 @@ if TYPE_CHECKING:
 DEFAULT_ENUMERATION_GUARD = 10**8
 # tuples whose higher power sums are built and grouped at once
 _CHUNK_TUPLES = 1 << 12
+# bytes held per ordered tuple: p_1 and its sort order, int64 each
+_TUPLE_BYTES = 16
 
 
-def vinogradov_count(k: int, r: int, m: int, guard: int = DEFAULT_ENUMERATION_GUARD) -> int:
+def vinogradov_count(k: int, r: int, m: int) -> int:
     """Exact solution count: the sum of squared group sizes when the M^k
     ordered x-tuples are grouped by their power-sum vector (sum x_i^j)_j.
 
@@ -35,11 +38,19 @@ def vinogradov_count(k: int, r: int, m: int, guard: int = DEFAULT_ENUMERATION_GU
     guard.  Equal vectors have equal p_1, so the tuples are sorted by p_1
     and cut between p_1 values into chunks of about _CHUNK_TUPLES; each
     chunk's columns are built from its tuple indices and grouped by
-    np.lexsort and run lengths."""
+    np.lexsort and run lengths.
+
+    Raises EnumerationTooLargeError, before anything is allocated, when the
+    M^k tuples would take more than arith.STREAM_MEMORY_BUDGET bytes at
+    _TUPLE_BYTES each."""
     if k < 1 or r < 1 or m < 1:
         raise ValueError("need k, r, M >= 1")
-    if m**k > guard:
-        raise EnumerationTooLargeError(f"M^k = {m**k} exceeds guard {guard}")
+    tuple_bytes = _TUPLE_BYTES * m**k
+    if tuple_bytes > STREAM_MEMORY_BUDGET:
+        raise EnumerationTooLargeError(
+            f"M^k = {m**k} tuples need about {tuple_bytes} bytes, "
+            f"over the budget of {STREAM_MEMORY_BUDGET}"
+        )
     powers = [np.arange(1, m + 1, dtype=np.int64) ** j for j in range(1, min(r, k) + 1)]
     p1 = powers[0]
     for _ in range(k - 1):

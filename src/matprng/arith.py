@@ -233,7 +233,8 @@ def vec_reduce(v: Sequence[int], m: PrimePowerModulus) -> ResidueVector:
     return tuple(int(x) % m.modulus for x in v)
 
 
-# Largest estimated size of one mat_stream output array
+# Largest estimated size of one mat_stream output array, and of the tuple
+# arrays of analysis.vinogradov.vinogradov_count
 STREAM_MEMORY_BUDGET = 2**30
 
 

@@ -19,27 +19,18 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .arith import IntMatrix, PrimePowerModulus, char_poly
 from .errors import MatprngError, ResourceGuardError
-from .fieldalg import irreducible_mod_p, validate_theorem_hypotheses
-from .generator import GeneratorConfig, dump_records, scalar_sequence, vector_sequence
-from .padic import compute_w, period_profile
-from .analysis import (
-    discrepancy_envelope,
-    exp_sum,
-    full_discrepancy_report,
-    ford_bound,
-    full_period_exponent,
-    korobov_reduction_check,
-    proof_parameters,
-    theorem_envelope,
-    vinogradov_count,
-)
-from .reports import render_csv, render_json
+
+# Each command imports the layers it runs when it runs: a command pays the
+# start-up cost of those layers only (gen, period and validate load neither
+# matprng.analysis nor mpmath).
+if TYPE_CHECKING:
+    from .generator import GeneratorConfig
 
 
 class ConfigError(ValueError):
@@ -103,6 +94,8 @@ class Experiment:
         return PrimePowerModulus(self.p, self.t)
 
     def generator(self, validated: bool = False) -> GeneratorConfig:
+        from .generator import GeneratorConfig
+
         if self.matrix is None or self.u0 is None:
             raise ConfigError("config needs matrix and u0")
         level = self.level if validated else None
@@ -216,7 +209,9 @@ def _validated_generator(exp: Experiment) -> GeneratorConfig:
 @dataclass
 class Table:
     """A command's rows.  `extras` join the rows in the JSON document and
-    form the JSON sidecar in CSV mode, unless `sidecar` gives another one."""
+    form the JSON sidecar in CSV mode, unless `sidecar` gives another one.
+    Rows held in an array are rendered column by column by `_emit`, so
+    `records` and `doc` take a list of rows."""
 
     header: tuple[str, ...]
     rows: list[tuple] | np.ndarray  # an array holds integers only
@@ -225,8 +220,7 @@ class Table:
 
     def records(self, columns: Sequence[str] | None = None) -> list[dict]:
         keep = self.header if columns is None else columns
-        rows = self.rows.tolist() if isinstance(self.rows, np.ndarray) else self.rows
-        return [{k: x for k, x in zip(self.header, row) if k in keep} for row in rows]
+        return [{k: x for k, x in zip(self.header, row) if k in keep} for row in self.rows]
 
     def doc(self) -> dict:
         return {"rows": self.records(), **self.extras}
@@ -243,8 +237,12 @@ def _emit(result: Table | dict, args) -> None:
     """The one writer.  A dict is a JSON document; a Table is written as JSON
     {"rows": [...], **extras}, or as CSV followed by its sidecar, if any, at
     <out>.json (after the CSV on stdout)."""
+    from .reports import render_csv, render_json, render_json_rows
+
     if isinstance(result, dict):
         _write(args.out, render_json(result))
+    elif args.format == "json" and isinstance(result.rows, np.ndarray):
+        _write(args.out, render_json_rows(result.header, result.rows, result.extras))
     elif args.format == "json":
         _write(args.out, render_json(result.doc()))
     else:
@@ -260,6 +258,8 @@ def _emit(result: Table | dict, args) -> None:
 
 
 def _validation(exp: Experiment, command: str):
+    from .fieldalg import validate_theorem_hypotheses
+
     if exp.matrix is None or exp.u0 is None:
         raise ConfigError(f"{command} needs matrix and u0")
     verdict = validate_theorem_hypotheses(
@@ -276,6 +276,9 @@ def cmd_validate(exp: Experiment, args) -> dict:
 
 
 def _profile_summary(exp: Experiment, profile) -> dict:
+    from .fieldalg import irreducible_mod_p
+    from .padic import compute_w
+
     f = char_poly(exp.matrix)
     w = None
     if irreducible_mod_p(f, exp.p):
@@ -289,6 +292,8 @@ def _profile_summary(exp: Experiment, profile) -> dict:
 
 
 def _period_table(exp: Experiment) -> Table:
+    from .padic import period_profile
+
     profile = period_profile(exp.matrix, exp.p, exp.s_max or exp.t)
     summary = _profile_summary(exp, profile)
     rows = list(enumerate(profile.taus, start=1))
@@ -301,6 +306,8 @@ def cmd_period(exp: Experiment, args) -> Table:
 
 
 def cmd_gen(exp: Experiment, args) -> Table:
+    from .generator import dump_records, scalar_sequence, vector_sequence
+
     cfg = exp.generator()
     count = exp.count or (exp.n_schedule[0] if exp.n_schedule else None)
     if count is None:
@@ -318,6 +325,8 @@ def cmd_gen(exp: Experiment, args) -> Table:
 
 
 def cmd_expsum(exp: Experiment, args) -> Table:
+    from .analysis.sums import exp_sum
+
     cfg = _validated_generator(exp)
     if not exp.n_schedule:
         raise ConfigError("expsum needs N or N_schedule")
@@ -333,6 +342,8 @@ def cmd_expsum(exp: Experiment, args) -> Table:
 
 
 def _discrepancy_table(exp: Experiment, cfg: GeneratorConfig, boxes=None) -> Table:
+    from .analysis.discrepancy import full_discrepancy_report
+
     d = cfg.a.d
     rows = []
     diagnostics = []
@@ -373,6 +384,9 @@ def cmd_discrepancy(exp: Experiment, args) -> Table:
 
 
 def cmd_vmvt(exp: Experiment, args) -> Table:
+    from .analysis.bounds import ford_bound
+    from .analysis.vinogradov import vinogradov_count
+
     if not exp.vmvt:
         raise ConfigError("vmvt needs a list of [k, r, M] triples")
     c0 = int(exp.constant("c0", 1000))
@@ -391,6 +405,9 @@ def cmd_vmvt(exp: Experiment, args) -> Table:
 
 
 def _bounds_table(exp: Experiment, cfg: GeneratorConfig) -> Table:
+    from .analysis.bounds import discrepancy_envelope, theorem_envelope
+    from .analysis.sums import exp_sum
+
     d = cfg.a.d
     eta = exp.constant("eta", 1.0)
     c = exp.constant("c", 1.0)
@@ -408,6 +425,10 @@ def _bounds_table(exp: Experiment, cfg: GeneratorConfig) -> Table:
 
 
 def cmd_bounds(exp: Experiment, args) -> Table:
+    from .analysis.params import proof_parameters
+    from .analysis.sums import full_period_exponent
+    from .padic import period_profile
+
     cfg = _validated_generator(exp)
     if not exp.n_schedule:
         raise ConfigError("bounds needs N or N_schedule")
@@ -439,6 +460,9 @@ def cmd_bounds(exp: Experiment, args) -> Table:
 
 
 def cmd_report(exp: Experiment, args) -> dict:
+    from .analysis.sums import korobov_reduction_check
+    from .generator import GeneratorConfig
+
     verdict, validation = _validation(exp, "report")
     doc: dict = {"validate": validation}
     if not verdict.accepted:
@@ -498,6 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from .reports import render_json
+
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

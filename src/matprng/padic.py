@@ -108,12 +108,27 @@ def _lift_order(tau: int, p: int, is_one: Callable[[int], bool]) -> int:
 
 def order_sequence(a: IntMatrix, p: int) -> Iterator[int]:
     """tau_1, tau_2, ... with tau_s the order of A mod p^s: tau_1 by descent,
-    each later order by the lift, computed only when it is drawn."""
+    each later order by the lift, computed only when it is drawn.
+
+    X = A^tau is kept mod p^prec, prec >= s.  A lift tests X = I (mod p^s)
+    and, when that fails, raises X to the p-th power, so an order costs
+    O(log p) products; X is recomputed from A once, at twice the precision,
+    each time s passes prec."""
     tau = _order_mod_p(a, p)
+    yield tau
+    prec = 0
     for s in itertools.count(2):
+        if s > prec:
+            prec = 2 * s
+            m = PrimePowerModulus(p, prec)
+            x = mat_pow_mod(a, tau, m)
+        ps = p**s
+        if not x.reduce(ps).is_identity():
+            tau *= p
+            x = mat_pow_mod(x, p, m)
+            if not x.reduce(ps).is_identity():
+                raise ExactDivisionError("order lift dichotomy violated (arithmetic bug)")
         yield tau
-        ms = PrimePowerModulus(p, s)
-        tau = _lift_order(tau, p, lambda e: mat_pow_mod(a, e, ms).is_identity())
 
 
 @dataclass(frozen=True)

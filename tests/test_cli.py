@@ -175,6 +175,15 @@ class TestGuards:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "StreamTooLargeError", "message": err["message"]}
 
+    def test_vmvt_byte_guard_exits_3(self, tmp_path, capsys):
+        # 8193^2 ordered pairs at 16 bytes each exceed the 2^30-byte budget
+        cfg = write_config(tmp_path, dict(FIB_DOC, vmvt=[[2, 2, 8193]]))
+        start = time.perf_counter()
+        assert main(["vmvt", "--config", cfg]) == 3
+        assert time.perf_counter() - start < 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "EnumerationTooLargeError", "message": err["message"]}
+
 
 class TestRowContents:
     def test_expsum(self, fib_config, capsys):

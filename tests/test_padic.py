@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -15,6 +16,7 @@ from matprng.arith import (
     det_exact,
     legendre_factorial_valuation,
     mat_pow,
+    mat_pow_mod,
     mat_vec,
     valuation,
     vec_dot,
@@ -33,6 +35,7 @@ from matprng.padic import (
     H_coeffs,
     UnramifiedRing,
     _lift_order,
+    _order_mod_p,
     beta_pair,
     binomial_to_monomial,
     compute_w,
@@ -40,6 +43,7 @@ from matprng.padic import (
     h_coeffs,
     lift_roots,
     order_mod,
+    order_sequence,
     period_profile,
     tau_pair,
     theta_matrix,
@@ -147,6 +151,53 @@ class TestPeriodProfile:
         assert prof.taus == (8, 8, 24, 72, 216)
         assert (prof.tau_star, prof.beta_star, prof.s_star) == (8, 2, 2)
         assert prof.taus == tuple(brute_force_order(a, 3, s) for s in range(1, 6))
+
+
+
+def order_sequence_oracle(a, p):
+    """The order table as first written: every lift tests its candidates
+    with a fresh A^e mod p^s (O(s^2) products to depth s)."""
+    tau = _order_mod_p(a, p)
+    for s in itertools.count(2):
+        yield tau
+        ms = PrimePowerModulus(p, s)
+        tau = _lift_order(tau, p, lambda e: mat_pow_mod(a, e, ms).is_identity())
+
+
+class TestOrderSequence:
+    @pytest.mark.parametrize(
+        "rows, p, depth",
+        [
+            ([[0, 1], [1, 1]], 3, 120),
+            ([[0, 1], [1, 1]], 7, 120),
+            ([[1, 2], [1, 1]], 5, 120),
+            ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], 2, 120),
+            ([[0, 1], [19, 4]], 3, 120),  # plateau: tau_1 = tau_2 = 8
+            ([[1, 3**7], [0, 1]], 3, 120),  # tau_s = 1 up to s = 7
+            ([[1, 0], [0, 1]], 5, 120),  # finite order: tau_s = 1 throughout
+            ([[3, 0], [0, 3]], 2, 120),  # a lift (tau_2 = 2), then a plateau (tau_3 = 2)
+            ([[0, 1], [-1, 0]], 2, 120),  # order 4: tau_s = 4 from s = 2 on
+            ([[0, 1], [3, 1]], 3001, 12),
+        ],
+    )
+    def test_matches_fresh_powers(self, rows, p, depth):
+        a = IntMatrix.from_rows(rows)
+        got = list(itertools.islice(order_sequence(a, p), depth))
+        assert got == list(itertools.islice(order_sequence_oracle(a, p), depth))
+
+    def test_lazy_and_not_invertible(self):
+        orders = order_sequence(IntMatrix.from_rows([[3, 1], [0, 1]]), 3)  # nothing runs yet
+        with pytest.raises(NotInvertibleError):
+            next(orders)
+
+    def test_depth_120_linear_cost(self, fib):
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            prof = period_profile(fib, 3, 120)
+            best = min(best, time.perf_counter() - start)
+        assert prof.taus[-1] == 8 * 3**119
+        assert best < 0.1
 
 
 class TestLiftRoots:

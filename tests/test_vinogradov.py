@@ -1,7 +1,10 @@
+import tracemalloc
+
 import pytest
 
 from matprng.analysis import vinogradov
 from matprng.analysis.vinogradov import vinogradov_count, vinogradov_count_naive
+from matprng.arith import STREAM_MEMORY_BUDGET
 from matprng.errors import EnumerationTooLargeError
 
 
@@ -25,6 +28,19 @@ class TestKnownCounts:
             vinogradov_count(30, 1, 10)
         with pytest.raises(EnumerationTooLargeError):
             vinogradov_count_naive(15, 1, 10)
+
+    def test_byte_guard_fires_before_allocation(self):
+        # 16 bytes a tuple: 8192^2 tuples fill the 2^30-byte budget exactly,
+        # 8193^2 go over it
+        assert 16 * 8192**2 == STREAM_MEMORY_BUDGET
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationTooLargeError):
+                vinogradov_count(2, 2, 8193)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestAgainstNaive:
