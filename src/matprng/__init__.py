@@ -4,8 +4,9 @@ Exact integer streams u_{n+1} = A u_n (mod p^t), their order growth and
 p-adic expansion coefficients, plus measurement tools: exponential sums,
 power-sum system counts, explicit bound formulas, and exact discrepancy.
 
-The public names are loaded on first access (PEP 562), so that importing
-one submodule, such as the CLI, does not import every layer.
+The public names and the submodules are loaded on first access (PEP 562),
+so that importing one submodule, such as the CLI, does not import every
+layer.
 """
 
 import importlib
@@ -14,17 +15,21 @@ import sys
 __version__ = "0.1.0"
 
 
-def _lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
+def _lazy_exports(package: str, exports: dict[str, tuple[str, ...]], others: tuple[str, ...] = ()):
     """The `__getattr__`, `__dir__` and `__all__` of a package whose public
     names are imported from their submodules on first access.
 
-    `exports` maps each submodule to the names it provides.  Any other name
-    raises AttributeError, so `from package import submodule` still imports
-    the submodule."""
+    `exports` maps each submodule to the names it provides, and `others`
+    names the package's remaining submodules.  A submodule's name imports
+    it, so `package.submodule.name` works after a bare `import package`;
+    any other name raises AttributeError."""
     source = {name: module for module, names in exports.items() for name in names}
+    submodules = set(exports) | set(others)
     namespace = vars(sys.modules[package])
 
     def __getattr__(name: str):
+        if name in submodules:
+            return importlib.import_module(f"{package}.{name}")
         if name not in source:
             raise AttributeError(f"module {package!r} has no attribute {name!r}")
         value = getattr(importlib.import_module(f"{package}.{source[name]}"), name)
@@ -85,4 +90,4 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "tau_pair",
         "theta_matrix",
     ),
-})
+}, others=("analysis", "cli", "errors", "reports"))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import comb
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -28,6 +29,26 @@ _CHUNK_TUPLES = 1 << 12
 _TUPLE_BYTES = 16
 
 
+def _enumeration_bytes(k: int, r: int, m: int) -> int:
+    """Estimated peak allocation of vinogradov_count(k, r, m): _TUPLE_BYTES
+    per ordered tuple, plus 8 (2k + c + 4) bytes, c = min(r, k), per tuple
+    of the largest chunk (np.unravel_index's k digit arrays and its working
+    copy, the c key columns, the sum, sort and comparison temporaries; it
+    bounds the tracemalloc peak measured up to k = 20).  A chunk holds at
+    most _CHUNK_TUPLES tuples and one more p_1 group; the largest group is
+    the central coefficient of (1 + x + ... + x^(M-1))^k, counted by
+    inclusion-exclusion only once the tuples fit the budget, so k <= 26
+    there unless M = 1."""
+    tuples = m**k
+    held = _TUPLE_BYTES * tuples
+    if held > STREAM_MEMORY_BUDGET:
+        return held
+    n = (m - 1) * k // 2
+    largest_group = sum((-1) ** j * comb(k, j) * comb(n - j * m + k - 1, k - 1) for j in range(n // m + 1))
+    chunk = min(tuples, _CHUNK_TUPLES + largest_group)
+    return held + 8 * (2 * k + min(r, k) + 4) * chunk
+
+
 def vinogradov_count(k: int, r: int, m: int) -> int:
     """Exact solution count: the sum of squared group sizes when the M^k
     ordered x-tuples are grouped by their power-sum vector (sum x_i^j)_j.
@@ -41,15 +62,13 @@ def vinogradov_count(k: int, r: int, m: int) -> int:
     np.lexsort and run lengths.
 
     Raises EnumerationTooLargeError, before anything is allocated, when the
-    M^k tuples would take more than arith.STREAM_MEMORY_BUDGET bytes at
-    _TUPLE_BYTES each."""
+    estimated peak (_enumeration_bytes) is over arith.STREAM_MEMORY_BUDGET."""
     if k < 1 or r < 1 or m < 1:
         raise ValueError("need k, r, M >= 1")
-    tuple_bytes = _TUPLE_BYTES * m**k
-    if tuple_bytes > STREAM_MEMORY_BUDGET:
+    need = _enumeration_bytes(k, r, m)
+    if need > STREAM_MEMORY_BUDGET:
         raise EnumerationTooLargeError(
-            f"M^k = {m**k} tuples need about {tuple_bytes} bytes, "
-            f"over the budget of {STREAM_MEMORY_BUDGET}"
+            f"M^k = {m**k} tuples need about {need} bytes, over the budget of {STREAM_MEMORY_BUDGET}"
         )
     powers = [np.arange(1, m + 1, dtype=np.int64) ** j for j in range(1, min(r, k) + 1)]
     p1 = powers[0]

@@ -209,9 +209,7 @@ def _validated_generator(exp: Experiment) -> GeneratorConfig:
 @dataclass
 class Table:
     """A command's rows.  `extras` join the rows in the JSON document and
-    form the JSON sidecar in CSV mode, unless `sidecar` gives another one.
-    Rows held in an array are rendered column by column by `_emit`, so
-    `records` and `doc` take a list of rows."""
+    form the JSON sidecar in CSV mode, unless `sidecar` gives another one."""
 
     header: tuple[str, ...]
     rows: list[tuple] | np.ndarray  # an array holds integers only
@@ -220,7 +218,8 @@ class Table:
 
     def records(self, columns: Sequence[str] | None = None) -> list[dict]:
         keep = self.header if columns is None else columns
-        return [{k: x for k, x in zip(self.header, row) if k in keep} for row in self.rows]
+        rows = self.rows.tolist() if isinstance(self.rows, np.ndarray) else self.rows
+        return [{k: x for k, x in zip(self.header, row) if k in keep} for row in rows]
 
     def doc(self) -> dict:
         return {"rows": self.records(), **self.extras}
@@ -237,12 +236,10 @@ def _emit(result: Table | dict, args) -> None:
     """The one writer.  A dict is a JSON document; a Table is written as JSON
     {"rows": [...], **extras}, or as CSV followed by its sidecar, if any, at
     <out>.json (after the CSV on stdout)."""
-    from .reports import render_csv, render_json, render_json_rows
+    from .reports import render_csv, render_json
 
     if isinstance(result, dict):
         _write(args.out, render_json(result))
-    elif args.format == "json" and isinstance(result.rows, np.ndarray):
-        _write(args.out, render_json_rows(result.header, result.rows, result.extras))
     elif args.format == "json":
         _write(args.out, render_json(result.doc()))
     else:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .arith import (
     IntMatrix,
@@ -42,6 +42,8 @@ DEFAULT_PRECISION_CAP = 64
 # order table is extended by at most _EXTENSION_CAP levels past s_max for that.
 _STABILIZATION_WINDOW = 3
 _EXTENSION_CAP = 48
+
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +99,18 @@ def _order_mod_p(a: IntMatrix, p: int) -> int:
     return _unit_order(p, a.d, lambda e: mat_pow_mod(a, e, m1).is_identity())
 
 
-def _lift_order(tau: int, p: int, is_one: Callable[[int], bool]) -> int:
-    """The order at the next precision from the order tau at the current
-    one: it is tau or p * tau, whichever exponent `is_one` accepts first."""
-    for candidate in (tau, p * tau):
-        if is_one(candidate):
-            return candidate
+def _lift_order(
+    x: T, tau: int, p: int, is_one: Callable[[T], bool], pth_power: Callable[[T], T]
+) -> tuple[T, int]:
+    """One step of the order lift with the power carried: x = g^tau with
+    tau the order of g at the current precision, and `is_one` tests at the
+    next one.  The order there is tau or p * tau, so the result is
+    (g^tau', tau') after at most one p-th power of x."""
+    if is_one(x):
+        return x, tau
+    x = pth_power(x)
+    if is_one(x):
+        return x, p * tau
     raise ExactDivisionError("order lift dichotomy violated (arithmetic bug)")
 
 
@@ -110,10 +118,9 @@ def order_sequence(a: IntMatrix, p: int) -> Iterator[int]:
     """tau_1, tau_2, ... with tau_s the order of A mod p^s: tau_1 by descent,
     each later order by the lift, computed only when it is drawn.
 
-    X = A^tau is kept mod p^prec, prec >= s.  A lift tests X = I (mod p^s)
-    and, when that fails, raises X to the p-th power, so an order costs
-    O(log p) products; X is recomputed from A once, at twice the precision,
-    each time s passes prec."""
+    X = A^tau is kept mod p^prec, prec >= s, and carried through
+    _lift_order, so an order costs O(log p) products; X is recomputed from A
+    once, at twice the precision, each time s passes prec."""
     tau = _order_mod_p(a, p)
     yield tau
     prec = 0
@@ -123,11 +130,9 @@ def order_sequence(a: IntMatrix, p: int) -> Iterator[int]:
             m = PrimePowerModulus(p, prec)
             x = mat_pow_mod(a, tau, m)
         ps = p**s
-        if not x.reduce(ps).is_identity():
-            tau *= p
-            x = mat_pow_mod(x, p, m)
-            if not x.reduce(ps).is_identity():
-                raise ExactDivisionError("order lift dichotomy violated (arithmetic bug)")
+        x, tau = _lift_order(
+            x, tau, p, lambda y: y.reduce(ps).is_identity(), lambda y: mat_pow_mod(y, p, m)
+        )
         yield tau
 
 
@@ -444,10 +449,14 @@ def tau_pair(gamma: UnramifiedElement, lam: UnramifiedElement, s: int) -> int:
         raise NotInvertibleError("tau_pair needs units")
     ratio = gamma * lam.inverse()
     tau = _residue_order(ratio)
+    if s == 1:
+        return tau
+    x = ring.at_precision(s).element(ratio._view()) ** tau
     for k in range(2, s + 1):
         ringk = ring.at_precision(k)
-        r_k = ringk.element(ratio._view())
-        tau = _lift_order(tau, ring.p, lambda e: ((r_k**e) - ringk.one()).is_zero)
+        x, tau = _lift_order(
+            x, tau, ring.p, lambda y: (ringk.element(y._view()) - ringk.one()).is_zero, lambda y: y**ring.p
+        )
     return tau
 
 

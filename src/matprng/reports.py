@@ -81,23 +81,3 @@ def _jsonable(x):
 
 def render_json(obj) -> str:
     return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
-
-
-def render_json_rows(header: Sequence[str], rows: np.ndarray, extras: dict) -> str:
-    """render_json({"rows": [dict(zip(header, row)) for row in rows], **extras})
-    for a 2-D integer array `rows` (int64, or object holding Python ints),
-    with no dict per row and no walk over the cells: one record template,
-    its keys in sorted order, is filled from the columns, and the records
-    are spliced into the document in place of its top-level "rows" line
-    (the only line that is two spaces and that key: nested keys are
-    indented deeper, and JSON strings hold no raw newline)."""
-    text = render_json({**extras, "rows": []})
-    if not len(rows):
-        return text
-    order = sorted(range(len(header)), key=header.__getitem__)
-    keys = (json.dumps(header[j]).replace("%", "%%") for j in order)
-    fields = (f"      {key}: %s" for key in keys)
-    template = "    {\n" + ",\n".join(fields) + "\n    }"
-    columns = rows.T.tolist()
-    body = ",\n".join(map(template.__mod__, zip(*(columns[j] for j in order))))
-    return text.replace('\n  "rows": []', '\n  "rows": [\n' + body + "\n  ]", 1)

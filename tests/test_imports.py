@@ -85,3 +85,15 @@ def test_submodule_import_through_package():
         "from matprng import padic\nassert padic.__name__ == 'matprng.padic'\n"
     )
     assert f"{ANALYSIS}.bounds" not in loaded
+
+
+@pytest.mark.parametrize("package", ["matprng", ANALYSIS])
+def test_every_submodule_is_an_attribute(package):
+    # after a bare `import matprng`, `matprng.padic.period_profile` resolves
+    code = (
+        f"import importlib, pkgutil\nimport {package} as pkg\n"
+        "for info in pkgutil.iter_modules(pkg.__path__):\n"
+        "    module = getattr(pkg, info.name)\n"
+        f"    assert module is importlib.import_module('{package}.' + info.name), info.name\n"
+    )
+    fresh_modules(code)

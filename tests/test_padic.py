@@ -70,10 +70,14 @@ class TestOrderMod:
         assert order_mod(fib, PrimePowerModulus(p, s)) == brute_force_order(fib, p, s)
 
     def test_lift_dichotomy(self):
-        assert _lift_order(8, 3, lambda e: e % 8 == 0) == 8
-        assert _lift_order(8, 3, lambda e: e % 24 == 0) == 24
+        # the carried power is the exponent itself; its p-th power is 3 e
+        def lift(order):
+            return _lift_order(8, 8, 3, lambda e: e % order == 0, lambda e: 3 * e)
+
+        assert lift(8) == (8, 8)
+        assert lift(24) == (24, 24)
         with pytest.raises(ExactDivisionError):
-            _lift_order(8, 3, lambda e: e % 72 == 0)
+            lift(72)
 
     def test_fixture_matrices_against_brute_force(self, m2x2, m3x3):
         for a, p in ((m2x2, 5), (m3x3, 2)):
@@ -161,7 +165,7 @@ def order_sequence_oracle(a, p):
     for s in itertools.count(2):
         yield tau
         ms = PrimePowerModulus(p, s)
-        tau = _lift_order(tau, p, lambda e: mat_pow_mod(a, e, ms).is_identity())
+        tau = next(e for e in (tau, p * tau) if mat_pow_mod(a, e, ms).is_identity())
 
 
 class TestOrderSequence:
@@ -279,6 +283,29 @@ class TestTauPair:
             else:  # a zero divisor
                 with pytest.raises(NotInvertibleError):
                     tau_pair(x, one, 1)
+
+    @pytest.mark.parametrize(
+        "coeffs, p, pair",
+        [
+            ((-1, -1, 1), 3, (0, 1)),
+            ((-1, -1, 1), 7, (1, 0)),
+            ((-19, -4, 1), 3, (0, None)),  # plateau: beta(gamma, 1) = 2
+            ((-1, -1, 0, 1), 2, (0, 2)),
+            ((1, 1, 1), 5, (1, None)),
+        ],
+    )
+    def test_matches_fresh_powers(self, coeffs, p, pair):
+        # the lift as first written: a fresh ratio^e at every precision
+        depth = 30
+        rs = lift_roots(IntPolynomial(coeffs), p, depth)
+        g, l = (rs.ring.one() if i is None else rs.roots[i] for i in pair)
+        ratio = g * l.inverse()
+        tau = tau_pair(g, l, 1)
+        for s in range(2, depth + 1):
+            ring = rs.ring.at_precision(s)
+            r = ring.element(ratio._view())
+            tau = next(e for e in (tau, p * tau) if (r**e - ring.one()).is_zero)
+            assert tau_pair(g, l, s) == tau
 
     def test_pairwise_growth_dichotomy(self, fib_poly):
         # tau_s(gamma, lambda) = tau_* for s <= beta, tau_* p^{s-beta} beyond

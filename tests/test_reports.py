@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from matprng.reports import fmt_cell, render_csv, render_json, render_json_rows
+from matprng.reports import fmt_cell, render_csv
 
 
 def csv_writer_reference(header, rows) -> str:
@@ -47,40 +47,3 @@ class TestRowTables:
     def test_int_rows_as_tuples(self):
         rows = [(1, 8), (2, 24), (3, 72)]
         assert render_csv(("s", "tau_s"), rows) == "s,tau_s\n1,8\n2,24\n3,72\n"
-
-
-def records_reference(header, rows, extras) -> str:
-    """The per-cell document: one dict per row, walked by render_json."""
-    return render_json({"rows": [dict(zip(header, row)) for row in rows], **extras})
-
-
-class TestJsonRows:
-    @pytest.mark.parametrize("count", [0, 1, 5])
-    @pytest.mark.parametrize("d", [1, 3, 11, 12])
-    def test_int64_matches_records(self, count, d):
-        # d >= 11 puts u10 before u2 in the sorted keys
-        header = ("n",) + tuple(f"u{i}" for i in range(d))
-        table = np.arange(count * (d + 1), dtype=np.int64).reshape(count, d + 1) * 7**20 - 3
-        want = records_reference(header, table.tolist(), {})
-        assert render_json_rows(header, table, {}) == want
-
-    def test_exact_ints(self):
-        cells = [[0, 3**80, 2**64, -(10**30)], [1, 2**63 - 1, 0, 5]]
-        header = ("n", "u0", "u1", "x")
-        table = np.array(cells, dtype=object)
-        assert render_json_rows(header, table, {}) == records_reference(header, cells, {})
-
-    @pytest.mark.parametrize("count", [0, 2])
-    def test_extras_and_awkward_keys(self, count):
-        # extras sort before and after "rows"; a nested "rows": [] and key
-        # characters that JSON escapes or % formatting reads must not confuse
-        # the splice
-        extras = {
-            "a": {"rows": [], "x": [1, 2]},
-            "summary": {"rows": [], "note": 'say "%s"\n'},
-            "zz": 0.5,
-        }
-        header = ("n", 'q"uote', "p%s", "é", "b\\c")
-        table = np.arange(count * 5, dtype=np.int64).reshape(count, 5)
-        want = records_reference(header, table.tolist(), extras)
-        assert render_json_rows(header, table, extras) == want

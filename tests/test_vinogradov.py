@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 
 from matprng.analysis import vinogradov
-from matprng.analysis.vinogradov import vinogradov_count, vinogradov_count_naive
+from matprng.analysis.vinogradov import _enumeration_bytes, vinogradov_count, vinogradov_count_naive
 from matprng.arith import STREAM_MEMORY_BUDGET
 from matprng.errors import EnumerationTooLargeError
 
@@ -29,18 +29,35 @@ class TestKnownCounts:
         with pytest.raises(EnumerationTooLargeError):
             vinogradov_count_naive(15, 1, 10)
 
-    def test_byte_guard_fires_before_allocation(self):
-        # 16 bytes a tuple: 8192^2 tuples fill the 2^30-byte budget exactly,
-        # 8193^2 go over it
-        assert 16 * 8192**2 == STREAM_MEMORY_BUDGET
+    @pytest.mark.parametrize("k, r", [(2, 2), (16, 16)])
+    def test_byte_guard_fires_before_allocation(self, k, r):
+        # the least M whose estimate is over the 2^30-byte budget; at k = 16,
+        # M = 3 is rejected by its chunk (a p_1 group of 5.2 million tuples)
+        # although its 3^16 tuples alone take 689 MB
+        m = 1
+        while _enumeration_bytes(k, r, m + 1) <= STREAM_MEMORY_BUDGET:
+            m += 1
+        assert 16 * (m + 1) ** k <= STREAM_MEMORY_BUDGET < _enumeration_bytes(k, r, m + 1)
         tracemalloc.start()
         try:
             with pytest.raises(EnumerationTooLargeError):
-                vinogradov_count(2, 2, 8193)
+                vinogradov_count(k, r, m + 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "k, r, m", [(1, 1, 5000), (2, 2, 1000), (3, 1, 100), (4, 4, 20), (8, 8, 4), (12, 12, 3), (16, 16, 2)]
+    )
+    def test_estimate_bounds_peak(self, k, r, m):
+        tracemalloc.start()
+        try:
+            vinogradov_count(k, r, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _enumeration_bytes(k, r, m) + 2**16  # interpreter overhead
 
 
 class TestAgainstNaive:
