@@ -1,8 +1,9 @@
 """Exact discrepancy of the stream's fractional points u_n / p^t in [0,1)^2,
 next to the frequency-sum bound that controls it.
 
-The exact value is a rational number: the supremum over boxes is resolved by
-enumerating critical boxes with faces on point coordinates.
+The exact value is a rational number: the supremum over boxes with faces on
+point coordinates is found by bound-and-prune over blocks of x-ranges, with
+exact leaves (one x-range, scored over every y-interval).
 """
 
 from matprng import GeneratorConfig, IntMatrix, PrimePowerModulus

@@ -6,21 +6,26 @@ grid k/den the objective count/N - volume is scaled by N * den^d, so the
 supremum over boxes is resolved exactly.  The supremum over real boxes is
 attained in the limit at "critical" configurations: closed boxes with faces
 on point coordinates (excess side) and open boxes with faces on point
-coordinates or the domain boundary (deficit side); both are enumerated.
+coordinates or the domain boundary (deficit side); both sides are searched.
 
 In 2-D both sides read box counts from a zero-padded prefix-count table
-P[i, k] (points with x-index < i and y-index < k).  The extreme value scores
-every candidate box exactly: one vectorised step per left box edge evaluates
-all right edges at once, so N points cost O(N^3) integer element operations
-in O(N) numpy steps.  Right edges are split into row chunks so that no
-temporary exceeds _CHUNK_ELEMS elements, which adds steps once N > 1023.
-On one core of an Intel Xeon host (numpy 2.4), the first N points of the
-Fibonacci stream mod 3^8 from u0 = (1, 0) took:
+P[i, k] (points with x-index < i and y-index < k).  A strip is an x-range
+(a pair of left and right box edges); one vectorised kernel scores a batch
+of strips exactly over every y-interval, O(N) integer element operations a
+strip, in row chunks of at most _CHUNK_ELEMS elements.  The extreme value
+prunes the O(N^2) strips by branch and bound with exact integer bounds
+(see _box_scan): blocks of strips that cannot beat the best value found are
+dropped, and the rest are refined down to single strips.  The worst case
+scores about 5/3 as many strips as there are x-ranges; the stream point
+sets below score 1-11 % of them.  On one core of an Intel Xeon host
+(numpy 2.4), the first N points of the Fibonacci stream mod 3^8 from
+u0 = (1, 0) took:
 
     N       extreme    star
-    256     0.15 s     < 0.01 s
-    1024    9.9 s      0.04 s
-    2048    76 s       0.08 s
+    256     0.02 s     < 0.01 s
+    1024    0.42 s     0.04 s
+    2048    1.7 s      0.08 s
+    4096    6.0 s      0.34 s
 
 Exact discrepancy and the frequency-sum bound run in one thread.
 """
@@ -29,12 +34,15 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
 
+from ..arith import STREAM_MEMORY_BUDGET
 from ..errors import DimensionTooLargeError, TooManyPointsError
 from ..generator import PointSet
 
@@ -143,42 +151,88 @@ def _row_chunks(start: int, stop: int, width: int):
         yield lo, min(lo + step, stop)
 
 
+def _strip_values(
+    table: np.ndarray, xv: np.ndarray, yv: np.ndarray, strips: tuple, den2: int, n: int, dtype, closed: bool
+) -> np.ndarray:
+    """Best scaled y-interval value of each strip, given as index arrays
+    (lo, hi, wa, wb).  Strip i counts the points of table[hi[i]] -
+    table[lo[i]] (a row of y-prefix counts; empty when hi <= lo) against the
+    x-width xv[wb[i]] - xv[wa[i]].  closed=True scores count - volume over
+    closed y-intervals [ys[j], ys[k]], closed=False volume - count over open
+    ones (ys[j], ys[k]), j < k."""
+    lo, hi, wa, wb = strips
+    hi = np.maximum(hi, lo)
+    out = np.empty(len(lo), dtype=dtype)
+    for c0, c1 in _row_chunks(0, len(lo), table.shape[1]):
+        # cnt[i, k]: points of strip i with y-index < k, times den^2
+        cnt = np.subtract(table[hi[c0:c1]], table[lo[c0:c1]], dtype=dtype)
+        cnt *= den2
+        vol = np.multiply.outer((xv[wb[c0:c1]] - xv[wa[c0:c1]]) * n, yv)
+        if closed:
+            # count with y in [ys[j], ys[k]] is cnt[k + 1] - cnt[j], j <= k
+            run = vol - cnt[:, :-1]
+            np.maximum.accumulate(run, axis=1, out=run)
+            run += cnt[:, 1:]
+            run -= vol
+        else:
+            # count with y in (ys[j], ys[k]) is cnt[k] - cnt[j + 1], j < k
+            inner = cnt[:, 1:-1]
+            run = inner - vol[:, :-1]
+            np.maximum.accumulate(run, axis=1, out=run)
+            run -= inner
+            run += vol[:, 1:]
+        out[c0:c1] = run.max(axis=1)
+    return out
+
+
 def _box_scan(
     nums: list[tuple[int, int]], xs: list[int], ys: list[int], den2: int, n: int, big: bool, closed: bool
 ) -> int:
     """Largest scaled excess (closed=True: closed boxes [xs[a], xs[b]] x
-    [ys[j], ys[k]]) or deficit (closed=False: open boxes (xs[a], xs[b]) x
-    (ys[j], ys[k]), a < b, j < k) over every box with faces on the grid.
-    One vectorised step per left edge a and chunk of right edges b."""
+    [ys[j], ys[k]], a <= b) or deficit (closed=False: open boxes
+    (xs[a], xs[b]) x (ys[j], ys[k]), a < b, j < k) over every box with faces
+    on the grid.
+
+    Branch and bound over blocks A x B = [a0, a1] x [b0, b1] of x-edge
+    pairs.  The strip of one pair (a, b) is scored exactly over every
+    y-interval by _strip_values.  For a block, the strip (a0, b1) gives a
+    lower bound.  Its upper bound scores the widest count (x-range
+    [xs[a0], xs[b1]]) against the least width (closed), or the narrowest
+    count (x-range (xs[a1], xs[b0])) against the greatest width (open): no
+    pair of the block does better, since counts grow and volumes shrink in
+    the objective's favour.  Blocks whose upper bound is at most the best
+    value found are dropped, and the rest are split in four, down to single
+    pairs, where both bounds are the exact value.  The starting blocks are
+    the least power of two s with 8 s >= len(xs) on a side."""
     dtype = object if big else np.int64
     table = _prefix_counts(nums, xs, ys)
     xv = _int_array(xs, big)
     yv = _int_array(ys, big)
-    s = 1 if closed else 0
+    k = len(xs)
+    gap = 0 if closed else 1  # least b - a of a pair
+    s = 1
+    while 8 * s < k:
+        s *= 2
+    i, j = np.divmod(np.arange(((k - 1) // s + 1) ** 2), (k - 1) // s + 1)
     best = 0
-    for a in range(len(xs) - 1 + s):
-        base = table[a + 1 - s]
-        for lo, hi in _row_chunks(a + 1 - s, len(xs), len(ys) + 1):
-            # cnt[b, k]: points with x-index in [a, b] (closed) or (a, b) (open)
-            # and y-index < k, times den^2
-            cnt = np.subtract(table[lo + s:hi + s], base, dtype=dtype)
-            cnt *= den2
-            vol = np.multiply.outer((xv[lo:hi] - xv[a]) * n, yv)
-            if closed:
-                # count with y in [ys[j], ys[k]] is cnt[k + 1] - cnt[j], j <= k
-                run = vol - cnt[:, :-1]
-                np.maximum.accumulate(run, axis=1, out=run)
-                run += cnt[:, 1:]
-                run -= vol
-            else:
-                # count with y in (ys[j], ys[k]) is cnt[k] - cnt[j + 1], j < k
-                inner = cnt[:, 1:-1]
-                run = inner - vol[:, :-1]
-                np.maximum.accumulate(run, axis=1, out=run)
-                run -= inner
-                run += vol[:, 1:]
-            best = max(best, int(run.max()))
-    return best
+    while True:
+        a0, b0 = i * s, j * s
+        a1, b1 = np.minimum(a0 + s, k) - 1, np.minimum(b0 + s, k) - 1
+        keep = (b0 < k) & (b1 - a0 >= gap)  # B is not empty and the block holds a pair
+        a0, a1, b0, b1, i, j = (v[keep] for v in (a0, a1, b0, b1, i, j))
+        if not len(a0):
+            return best
+        if closed:
+            lower, upper = (a0, b1 + 1, a0, b1), (a0, b1 + 1, a1, np.maximum(a1, b0))
+        else:
+            lower, upper = (a0 + 1, b1, a0, b1), (a1 + 1, b0, a0, b1)
+        best = max(best, int(_strip_values(table, xv, yv, lower, den2, n, dtype, closed).max()))
+        if s == 1:
+            return best
+        keep = _strip_values(table, xv, yv, upper, den2, n, dtype, closed) > best
+        s //= 2
+        i = (2 * i[keep, None] + [0, 0, 1, 1]).ravel()
+        j = (2 * j[keep, None] + [0, 1, 0, 1]).ravel()
 
 
 def _extreme_2d(nums: list[tuple[int, int]], den: int, n: int) -> Fraction:
@@ -199,6 +253,26 @@ def _star_1d(nums: list[int], den: int, n: int) -> Fraction:
     best = max(bisect.bisect_right(sorted_vals, y) * den - n * y for y in set(nums))
     best = max(best, max(n * y - bisect.bisect_left(sorted_vals, y) * den for y in {den, *nums}))
     return Fraction(best, n * den)
+
+
+def _star_2d_bytes(nums: list[tuple[int, int]], n: int, den2: int, big: bool) -> int:
+    """Estimated peak of _star_2d: its two int32 prefix-count tables, held at
+    once, three temporaries of its largest row chunk (a chunk's two arrays
+    live on while the next chunk's are built), 8 bytes an entry plus one
+    Python int per entry when big, and 256 bytes a point for the coordinate
+    lists, dicts and index lists (about 200 measured).  Distinct coordinates
+    are counted in one sorted list at a time (a set of N ints would take
+    several times its size), so the estimate itself allocates little."""
+    sizes = []
+    for axis in (0, 1):
+        vals = sorted(pt[axis] for pt in nums)
+        distinct = sum(1 for _ in groupby(vals))
+        sizes.append((distinct, distinct + 1 + (vals[0] != 0)))  # excess, deficit grid
+    (kx, ex), (ky, ey) = sizes
+    tables = 4 * ((kx + 1) * (ky + 1) + (ex + 1) * (ey + 1))
+    chunk = max(min(rows, max(1, _CHUNK_ELEMS // cols)) * cols for rows, cols in ((kx, ky), (ex, ey)))
+    entry = 8 + sys.getsizeof(n * den2) if big else 8
+    return tables + 3 * chunk * entry + 256 * len(nums)
 
 
 def _star_2d(nums: list[tuple[int, int]], den: int, n: int) -> Fraction:
@@ -304,8 +378,9 @@ def exact_discrepancy(
     """Exact discrepancy of a rational point set.
 
     kind="extreme": free boxes, d <= 2, N <= 4096.
-    kind="star": anchored boxes [0, y), d <= 3 (N <= 512 for d = 3); the
-    report carries 2^d * star as an upper bound for the extreme value.
+    kind="star": anchored boxes [0, y), d <= 3 (N <= 512 for d = 3, and for
+    d = 2 count tables within arith.STREAM_MEMORY_BUDGET); the report
+    carries 2^d * star as an upper bound for the extreme value.
     """
     nums, den, d = _normalize(points)
     n = len(nums)
@@ -324,11 +399,15 @@ def exact_discrepancy(
             raise DimensionTooLargeError("exact star discrepancy is limited to d <= 3")
         if d == 3 and n > STAR_POINT_CAP_3D:
             raise TooManyPointsError(f"N = {n} exceeds cap {STAR_POINT_CAP_3D} for d = 3")
-        if n > EXTREME_POINT_CAP:
-            raise TooManyPointsError(f"N = {n} exceeds cap {EXTREME_POINT_CAP}")
         if d == 1:
             value = _star_1d([pt[0] for pt in nums], den, n)
         elif d == 2:
+            need = _star_2d_bytes(nums, n, den * den, n * den * den >= 2**62)
+            if need > STREAM_MEMORY_BUDGET:
+                raise TooManyPointsError(
+                    f"N = {n} points need about {need} bytes of count tables, "
+                    f"over the budget of {STREAM_MEMORY_BUDGET}"
+                )
             value = _star_2d(nums, den, n)
         else:
             value = _star_3d(nums, den, n)

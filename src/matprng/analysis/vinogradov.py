@@ -65,6 +65,8 @@ def vinogradov_count(k: int, r: int, m: int) -> int:
     estimated peak (_enumeration_bytes) is over arith.STREAM_MEMORY_BUDGET."""
     if k < 1 or r < 1 or m < 1:
         raise ValueError("need k, r, M >= 1")
+    if m == 1:
+        return 1  # the only pair of tuples is all ones
     need = _enumeration_bytes(k, r, m)
     if need > STREAM_MEMORY_BUDGET:
         raise EnumerationTooLargeError(

@@ -233,8 +233,9 @@ def vec_reduce(v: Sequence[int], m: PrimePowerModulus) -> ResidueVector:
     return tuple(int(x) % m.modulus for x in v)
 
 
-# Largest estimated size of one mat_stream output array, and of the tuple
-# arrays of analysis.vinogradov.vinogradov_count
+# Largest estimated size of one mat_stream output array, of the tuple arrays
+# of analysis.vinogradov.vinogradov_count, and of the count tables of the
+# 2-D star discrepancy
 STREAM_MEMORY_BUDGET = 2**30
 
 

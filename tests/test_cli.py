@@ -200,6 +200,13 @@ class TestRowContents:
         assert counts[("2", "1", "2")] == 6
         assert counts[("2", "2", "2")] == 6
 
+    def test_vmvt_m_one(self, tmp_path, capsys):
+        # k = 70 is above numpy's 64 dimensions; M = 1 needs no enumeration
+        cfg = write_config(tmp_path, dict(FIB_DOC, vmvt=[[70, 3, 1]]))
+        assert main(["vmvt", "--config", cfg]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert row.split(",")[:4] == ["70", "3", "1", "1"]
+
     def test_discrepancy_row(self, fib_config, capsys):
         assert main(["discrepancy", "--config", fib_config]) == 0
         lines = capsys.readouterr().out.splitlines()

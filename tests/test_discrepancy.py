@@ -1,10 +1,13 @@
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from matprng.arith import PrimePowerModulus
+from matprng.arith import STREAM_MEMORY_BUDGET, PrimePowerModulus
 from matprng.errors import DimensionTooLargeError, TooManyPointsError
 from matprng.generator import GeneratorConfig, PointSet, fractional_points
 from matprng.analysis import discrepancy
@@ -17,6 +20,64 @@ from matprng.analysis.discrepancy import (
 
 def rational_points(rng, n, d, den):
     return [tuple(Fraction(rng.randrange(den), den) for _ in range(d)) for _ in range(n)]
+
+
+def box_scan_oracle(nums, xs, ys, den2, n, big, closed):
+    """The exhaustive scan the pruned discrepancy._box_scan replaced: one
+    vectorised step per left edge a and chunk of right edges b, scoring every
+    box with faces on the grid."""
+    dtype = object if big else np.int64
+    table = discrepancy._prefix_counts(nums, xs, ys)
+    xv = discrepancy._int_array(xs, big)
+    yv = discrepancy._int_array(ys, big)
+    s = 1 if closed else 0
+    best = 0
+    for a in range(len(xs) - 1 + s):
+        base = table[a + 1 - s]
+        for lo, hi in discrepancy._row_chunks(a + 1 - s, len(xs), len(ys) + 1):
+            cnt = np.subtract(table[lo + s:hi + s], base, dtype=dtype)
+            cnt *= den2
+            vol = np.multiply.outer((xv[lo:hi] - xv[a]) * n, yv)
+            if closed:
+                run = vol - cnt[:, :-1]
+                np.maximum.accumulate(run, axis=1, out=run)
+                run += cnt[:, 1:]
+                run -= vol
+            else:
+                inner = cnt[:, 1:-1]
+                run = inner - vol[:, :-1]
+                np.maximum.accumulate(run, axis=1, out=run)
+                run -= inner
+                run += vol[:, 1:]
+            best = max(best, int(run.max()))
+    return best
+
+
+def scan_pairs(nums, den):
+    """(pruned, oracle) values of the closed (excess) and the open (deficit)
+    scan of one 2-D point set on the integer grid 0..den-1."""
+    n, den2 = len(nums), den * den
+    big = n * den2 >= 2**62
+    xs, ys, ex, ey = discrepancy._axes(nums, den)
+    return [
+        (discrepancy._box_scan(nums, gx, gy, den2, n, big, closed),
+         box_scan_oracle(nums, gx, gy, den2, n, big, closed))
+        for gx, gy, closed in ((xs, ys, True), (ex, ey, False))
+    ]
+
+
+def structured_sets(n):
+    """Point sets at the extremes of the scan's pruning, on the grid 0..4n-1."""
+    den = 4 * n
+    side = math.isqrt(n)
+    return {
+        "diagonal": [(4 * i, 4 * i) for i in range(n)],
+        "antidiagonal": [(4 * i, den - 4 - 4 * i) for i in range(n)],
+        # every point in [0, 1/4)^2, on distinct coordinates
+        "corner_cluster": [(i, (37 * i) % n) for i in range(n)],
+        "two_lines": [(4 * i, 0 if i % 2 else den // 2) for i in range(n)],
+        "grid": [(den * (i % side) // side, den * (i // side) // side) for i in range(n)],
+    }, den
 
 
 class TestKnownValues:
@@ -59,7 +120,7 @@ class TestAgainstBruteForce:
 
     @pytest.mark.parametrize("chunk_elems", [None, 3])
     def test_duplicates_and_zero_coordinates(self, monkeypatch, chunk_elems):
-        # chunk_elems=3 splits every left edge's right edges into many row chunks
+        # chunk_elems=3 splits every batch of strips into many row chunks
         if chunk_elems is not None:
             monkeypatch.setattr(discrepancy, "_CHUNK_ELEMS", chunk_elems)
         rng = random.Random(300)
@@ -108,6 +169,41 @@ class TestAgainstBruteForce:
             assert star.value <= extreme.value <= star.extreme_upper_bound
 
 
+class TestPrunedScan:
+    """The bound-and-prune box scan against the exhaustive one, value for
+    value on both grids."""
+
+    @pytest.mark.parametrize("chunk_elems", [None, 3])
+    def test_random_sets(self, monkeypatch, chunk_elems):
+        # chunk_elems=3 puts every strip in a row chunk of its own
+        if chunk_elems is not None:
+            monkeypatch.setattr(discrepancy, "_CHUNK_ELEMS", chunk_elems)
+        rng = random.Random(500)
+        for _ in range(200):
+            den = rng.choice([3, 7, 16, 81, 1000])
+            pool = [(0, 0), (0, rng.randrange(den)), (rng.randrange(den), 0)]
+            pool += [(rng.randrange(den), rng.randrange(den)) for _ in range(rng.randint(1, 40))]
+            nums = [rng.choice(pool) for _ in range(rng.randint(1, 40))]
+            for pruned, oracle in scan_pairs(nums, den):
+                assert pruned == oracle
+
+    @pytest.mark.parametrize("name", ["diagonal", "antidiagonal", "corner_cluster", "two_lines", "grid"])
+    def test_structured_sets(self, name):
+        sets, den = structured_sets(256)
+        for pruned, oracle in scan_pairs(sets[name], den):
+            assert pruned == oracle
+
+    def test_extreme_fib_1024_under_two_seconds(self, fib):
+        # the exhaustive scan takes 5-10 s here; the pruned one about 0.4 s
+        cfg = GeneratorConfig.create(fib, PrimePowerModulus(3, 8), (1, 0))
+        pts = fractional_points(cfg, 1024)
+        start = time.perf_counter()
+        extreme = exact_discrepancy(pts)
+        assert time.perf_counter() - start < 2
+        star = exact_discrepancy(pts, kind="star")
+        assert star.value <= extreme.value <= star.extreme_upper_bound
+
+
 class TestIntegerPaths:
     """int64 arithmetic is used while n * den^2 < 2^62, Python ints beyond."""
 
@@ -144,6 +240,43 @@ class TestGuards:
         pts = [(Fraction(i, 8192),) for i in range(5000)]
         with pytest.raises(TooManyPointsError):
             exact_discrepancy(pts)
+
+    def test_star_2d_beyond_extreme_cap(self, fib):
+        cfg = GeneratorConfig.create(fib, PrimePowerModulus(3, 8), (1, 0))
+        rep = exact_discrepancy(fractional_points(cfg, 5000), kind="star")
+        assert rep.n == 5000 > discrepancy.EXTREME_POINT_CAP
+        assert 0 < rep.value <= 1 and rep.extreme_upper_bound == 4 * rep.value
+
+    def test_star_2d_table_guard_fires_before_allocating(self):
+        # 12000 distinct coordinates per axis: two int32 tables of about
+        # 12000^2 entries each, over the 2^30-byte budget
+        n = 12000
+        pts = PointSet(tuple((i, (7 * i) % n) for i in range(n)), n, 2)
+        assert discrepancy._star_2d_bytes(list(pts.nums), n, n * n, False) > STREAM_MEMORY_BUDGET
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManyPointsError):
+                exact_discrepancy(pts, kind="star")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("chunk_elems", [None, 5000])
+    @pytest.mark.parametrize("n, den", [(400, 400), (2000, 2000), (200, 2**40)])
+    def test_star_2d_estimate_bounds_peak(self, monkeypatch, chunk_elems, n, den):
+        if chunk_elems is not None:
+            monkeypatch.setattr(discrepancy, "_CHUNK_ELEMS", chunk_elems)
+        rng = random.Random(n)
+        pts = PointSet(tuple((rng.randrange(den), rng.randrange(den)) for _ in range(n)), den, 2)
+        need = discrepancy._star_2d_bytes(list(pts.nums), n, den * den, n * den * den >= 2**62)
+        tracemalloc.start()
+        try:
+            exact_discrepancy(pts, kind="star")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need
 
     def test_star_3d_cap(self):
         rng = random.Random(1)

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import pytest
@@ -66,6 +67,17 @@ class TestAgainstNaive:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_agreement(self, k, r, m):
         assert vinogradov_count(k, r, m) == vinogradov_count_naive(k, r, m)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_m_one(self, k):
+        for r in (1, 2, k + 1):
+            assert vinogradov_count(k, r, 1) == vinogradov_count_naive(k, r, 1) == 1
+
+    def test_m_one_is_immediate(self):
+        # the only tuple pair is all ones, whatever k: no enumeration
+        start = time.perf_counter()
+        assert vinogradov_count(10**8, 3, 1) == 1
+        assert time.perf_counter() - start < 0.1
 
     def test_agreement_larger_m(self):
         for m in (6, 7, 8):
