@@ -217,6 +217,7 @@ def koksma_szusz_bound(
     product of max(|v_j|, 1).  constant_base overrides the 3/2."""
     if v_range < 1:
         raise ValueError("V must be >= 1")
+    cfg.m.check_float_range()
     d = cfg.a.d
     p, t = cfg.m.p, cfg.m.t
     vecs = mat_stream(cfg.a, cfg.u0, cfg.m, n_points)

@@ -8,33 +8,38 @@ attained in the limit at "critical" configurations: closed boxes with faces
 on point coordinates (excess side) and open boxes with faces on point
 coordinates or the domain boundary (deficit side); both sides are searched.
 
-In 2-D both sides read box counts from a zero-padded prefix-count table
+The extreme value reads box counts from a zero-padded prefix-count table
 P[i, k] (points with x-index < i and y-index < k).  A strip is an x-range
 (a pair of left and right box edges); one vectorised kernel scores a batch
 of strips exactly over every y-interval, O(N) integer element operations a
-strip, in row chunks of at most _CHUNK_ELEMS elements.  The extreme value
-prunes the O(N^2) strips by branch and bound with exact integer bounds
-(see _box_scan): blocks of strips that cannot beat the best value found are
-dropped, and the rest are refined down to single strips.  The worst case
-scores about 5/3 as many strips as there are x-ranges; the stream point
-sets below score 1-11 % of them.  On one core of an Intel Xeon host
-(numpy 2.4), the first N points of the Fibonacci stream mod 3^8 from
+strip, in row chunks of at most _CHUNK_ELEMS elements.  In 1-D the kernel
+scores a single strip of width 1.  In 2-D the O(N^2) strips are pruned by
+branch and bound with exact integer bounds (see _box_scan): blocks of
+strips that cannot beat the best value found are dropped, and the rest are
+refined down to single strips.  The worst case scores about 5/3 as many
+strips as there are x-ranges; the stream point sets below score 1-11 % of
+them.
+
+The star value, in every d, comes from one sweep along one axis over a
+count grid on the other axes (see _star): O(K^d) integer element
+operations and O(K^(d-1)) memory for K distinct coordinates a side.  The
+sweep is refused above STAR_WORK_CAP = 2^27 grid cells (512 distinct
+coordinates a side in 3-D, 11 585 in 2-D).  On one core of an Intel Xeon
+host (numpy 2.4), the first N points of the Fibonacci stream mod 3^8 from
 u0 = (1, 0) took:
 
     N       extreme    star
     256     0.02 s     < 0.01 s
-    1024    0.42 s     0.04 s
-    2048    1.7 s      0.08 s
-    4096    6.0 s      0.34 s
+    1024    0.42 s     0.02 s
+    2048    1.7 s      0.04 s
+    4096    6.0 s      0.10 s
 
 Exact discrepancy and the frequency-sum bound run in one thread.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -42,12 +47,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..arith import STREAM_MEMORY_BUDGET
 from ..errors import DimensionTooLargeError, TooManyPointsError
 from ..generator import PointSet
 
 EXTREME_POINT_CAP = 4096
-STAR_POINT_CAP_3D = 512
+STAR_WORK_CAP = 2**27  # grid cells of the star sweep: product of distinct coordinates per axis
 _CHUNK_ELEMS = 2**20  # elements per temporary in the 2-D box scans
 
 
@@ -96,30 +100,6 @@ def _normalize(points) -> tuple[list[tuple[int, ...]], int, int]:
 
 def _int_array(values, big: bool) -> np.ndarray:
     return np.array(values, dtype=object if big else np.int64)
-
-
-def _extreme_1d(nums: list[int], den: int, n: int) -> Fraction:
-    sorted_vals = sorted(nums)
-    xs = sorted(set(nums))
-    big = n * den * den >= 2**62
-    xv = _int_array(xs, big)
-    cnt = _int_array([bisect.bisect_right(sorted_vals, x) - bisect.bisect_left(sorted_vals, x) for x in xs], big)
-    cum = np.cumsum(cnt)  # points with value <= xs[k]
-    # excess: closed interval [xs[a], xs[b]]
-    p_term = cum * den - n * xv
-    q_term = n * xv - (cum - cnt) * den  # subtracts count with value < xs[a]
-    best = int(np.max(p_term + np.maximum.accumulate(q_term)))
-    # deficit: open interval with edges from {0} + xs + {den}
-    ev = sorted({0, den, *xs})
-    e_arr = _int_array(ev, big)
-    cle = _int_array([bisect.bisect_right(sorted_vals, e) for e in ev], big)
-    clt = _int_array([bisect.bisect_left(sorted_vals, e) for e in ev], big)
-    val_b = n * e_arr - clt * den
-    val_a = cle * den - n * e_arr
-    run = np.maximum.accumulate(val_a)
-    if len(ev) > 1:
-        best = max(best, int(np.max(val_b[1:] + run[:-1])))
-    return Fraction(best, n * den)
 
 
 def _axes(nums: list[tuple[int, int]], den: int) -> tuple[list[int], list[int], list[int], list[int]]:
@@ -235,6 +215,22 @@ def _box_scan(
         j = (2 * j[keep, None] + [0, 1, 0, 1]).ravel()
 
 
+def _extreme_1d(nums: list[int], den: int, n: int) -> Fraction:
+    """One strip of x-width 1 over the 1-D prefix counts, scored by
+    _strip_values at scale n * den: closed intervals with ends on point
+    coordinates, then open ones with ends on coordinates, 0 or den."""
+    big = n * den >= 2**62
+    dtype = object if big else np.int64
+    strip = tuple(np.array([i]) for i in (0, 1, 0, 1))  # lo, hi, wa, wb
+    xv = _int_array([0, 1], big)
+    best = 0
+    for grid, closed in ((sorted(set(nums)), True), (sorted({0, den, *nums}), False)):
+        table = _prefix_counts([(0, y) for y in nums], [0], grid)
+        yv = _int_array(grid, big)
+        best = max(best, int(_strip_values(table, xv, yv, strip, den, n, dtype, closed)[0]))
+    return Fraction(best, n * den)
+
+
 def _extreme_2d(nums: list[tuple[int, int]], den: int, n: int) -> Fraction:
     den2 = den * den
     big = n * den2 >= 2**62
@@ -246,110 +242,61 @@ def _extreme_2d(nums: list[tuple[int, int]], den: int, n: int) -> Fraction:
     return Fraction(best, n * den2)
 
 
-def _star_1d(nums: list[int], den: int, n: int) -> Fraction:
-    sorted_vals = sorted(nums)
-    # excess at closed [0, y] for y a coordinate; deficit at open [0, y) for
-    # y a coordinate or den (the latter gives 0, so best >= 0)
-    best = max(bisect.bisect_right(sorted_vals, y) * den - n * y for y in set(nums))
-    best = max(best, max(n * y - bisect.bisect_left(sorted_vals, y) * den for y in {den, *nums}))
-    return Fraction(best, n * den)
+def _star(nums: list[tuple[int, ...]], den: int, n: int, d: int) -> Fraction:
+    """Exact star discrepancy by one sweep along one axis, called x below
+    (Bundschuh & Zhu 1993).
 
+    Every anchored box is scored at its corners: the excess on closed
+    corners [0, c] with c on point coordinates, the deficit on open corners
+    [0, c) with c on point coordinates or den.  The sweep walks the distinct
+    x-values in ascending order and adds each point to a zero-padded grid
+    over the other d - 1 axes, whose edges are the distinct coordinates and
+    den (a 0-dimensional grid for d = 1).  The cumsum C of the grid counts
+    points with x <= the current value: C[i + 1, ...] counts those with
+    y <= edge i (closed), C[i, ...] those with y < edge i (open).  The open
+    corners at x are scored against C before the points at x are added, and
+    those at x = den after the last x-value.
 
-def _star_2d_bytes(nums: list[tuple[int, int]], n: int, den2: int, big: bool) -> int:
-    """Estimated peak of _star_2d: its two int32 prefix-count tables, held at
-    once, three temporaries of its largest row chunk (a chunk's two arrays
-    live on while the next chunk's are built), 8 bytes an entry plus one
-    Python int per entry when big, and 256 bytes a point for the coordinate
-    lists, dicts and index lists (about 200 measured).  Distinct coordinates
-    are counted in one sorted list at a time (a set of N ints would take
-    several times its size), so the estimate itself allocates little."""
-    sizes = []
-    for axis in (0, 1):
-        vals = sorted(pt[axis] for pt in nums)
-        distinct = sum(1 for _ in groupby(vals))
-        sizes.append((distinct, distinct + 1 + (vals[0] != 0)))  # excess, deficit grid
-    (kx, ex), (ky, ey) = sizes
-    tables = 4 * ((kx + 1) * (ky + 1) + (ex + 1) * (ey + 1))
-    chunk = max(min(rows, max(1, _CHUNK_ELEMS // cols)) * cols for rows, cols in ((kx, ky), (ex, ey)))
-    entry = 8 + sys.getsizeof(n * den2) if big else 8
-    return tables + 3 * chunk * entry + 256 * len(nums)
-
-
-def _star_2d(nums: list[tuple[int, int]], den: int, n: int) -> Fraction:
-    den2 = den * den
-    big = n * den2 >= 2**62
+    The work is about the product of the number of distinct coordinates
+    on each axis; above STAR_WORK_CAP it raises TooManyPointsError before
+    the grid is allocated.  Distinct coordinates are counted in one sorted
+    list at a time."""
+    edges = [[c for c, _ in groupby(sorted(pt[j] for pt in nums))] for j in range(d)]
+    work = math.prod(len(e) for e in edges)
+    if work > STAR_WORK_CAP:
+        raise TooManyPointsError(
+            f"{' x '.join(str(len(e)) for e in edges)} distinct coordinates give "
+            f"{work} grid cells to sweep, over the cap of {STAR_WORK_CAP}"
+        )
+    # sweep the axis with the most distinct values, so that the grid holds
+    # about work^((d-1)/d) cells at most (the value is symmetric in the axes)
+    order = sorted(range(d), key=lambda j: -len(edges[j]))
+    nums = [tuple(pt[j] for j in order) for pt in nums]
+    edges = [edges[j] for j in order]
+    scale = den**d
+    big = n * scale >= 2**62
     dtype = object if big else np.int64
-    xs, ys, ex, ey = _axes(nums, den)
+    cell = [{c: i + 1 for i, c in enumerate(e)} for e in edges[1:]]  # padded grid index
+    vol = np.array(n, dtype=dtype)  # n times the corner volume at x = 1
+    for e in edges[1:]:
+        vol = np.multiply.outer(vol, _int_array(e + [den], big))
+    grid = np.zeros(tuple(len(e) + 2 for e in edges[1:]), dtype=np.int64)
+    scaled = np.zeros(grid.shape, dtype=dtype)  # den^d times C
+    closed = (slice(1, None),) * (d - 1)
+    opened = (slice(None, -1),) * (d - 1)
     best = 0
-    # excess at closed [0, xs[i]] x [0, ys[k]]: count P[i + 1, k + 1]
-    table = _prefix_counts(nums, xs, ys)
-    xv = _int_array(xs, big)
-    yv = _int_array(ys, big)
-    for lo, hi in _row_chunks(0, len(xs), len(ys)):
-        cnt = table[lo + 1:hi + 1, 1:].astype(dtype)
-        cnt *= den2
-        cnt -= np.multiply.outer(xv[lo:hi] * n, yv)
-        best = max(best, int(cnt.max()))
-    # deficit at open [0, ex[i]) x [0, ey[k]): strict count P[i, k]
-    table = _prefix_counts(nums, ex, ey)
-    exv = _int_array(ex, big)
-    eyv = _int_array(ey, big)
-    for lo, hi in _row_chunks(0, len(ex), len(ey)):
-        cnt = table[lo:hi, :-1].astype(dtype)
-        cnt *= den2
-        vol = np.multiply.outer(exv[lo:hi] * n, eyv)
-        vol -= cnt
-        best = max(best, int(vol.max()))
-    return Fraction(best, n * den2)
-
-
-def _star_3d(nums: list[tuple[int, int, int]], den: int, n: int) -> Fraction:
-    den3 = den * den * den
-    big = n * den3 >= 2**62
-    dtype = object if big else np.int64
-    xs = sorted({p[0] for p in nums})
-    ys = sorted({p[1] for p in nums})
-    zs = sorted({p[2] for p in nums})
-    y_index = {y: i for i, y in enumerate(ys)}
-    z_index = {z: i for i, z in enumerate(zs)}
-    ysv = _int_array(ys, big)
-    zsv = _int_array(zs, big)
-    best = 0
-    # excess: closed counts, corner coordinates on points
-    grid = np.zeros((len(ys), len(zs)), dtype=dtype)
-    by_x: dict[int, list[tuple[int, int]]] = {}
-    for x, y, z in nums:
-        by_x.setdefault(x, []).append((y_index[y], z_index[z]))
-    for x in xs:
-        for yi, zi in by_x[x]:
-            grid[yi, zi] += 1
-        cum = np.cumsum(np.cumsum(grid, axis=0), axis=1)
-        vol = (n * x) * np.multiply.outer(ysv, zsv)
-        best = max(best, int(np.max(cum * den3 - vol)))
-    # deficit: strict counts, corners on coordinates or 1
-    ey = sorted({den, *ys})
-    ez = sorted({den, *zs})
-    ey_index = {y: i for i, y in enumerate(ey)}
-    ez_index = {z: i for i, z in enumerate(ez)}
-    eyv = _int_array(ey, big)
-    ezv = _int_array(ez, big)
-    grid2 = np.zeros((len(ey), len(ez)), dtype=dtype)
-    by_x_e: dict[int, list[tuple[int, int]]] = {}
-    for x, y, z in nums:
-        by_x_e.setdefault(x, []).append((ey_index[y], ez_index[z]))
-    xs_sorted = sorted(by_x_e)
-    xi = 0
-    for y1 in sorted({den, *xs}):
-        while xi < len(xs_sorted) and xs_sorted[xi] < y1:
-            for yi, zi in by_x_e[xs_sorted[xi]]:
-                grid2[yi, zi] += 1
-            xi += 1
-        cum = np.cumsum(np.cumsum(grid2, axis=0), axis=1)
-        clt = np.zeros_like(cum)
-        clt[1:, 1:] = cum[:-1, :-1]  # strict in both y and z
-        vol = (n * y1) * np.multiply.outer(eyv, ezv)
-        best = max(best, int(np.max(vol - clt * den3)))
-    return Fraction(best, n * den3)
+    for x, group in groupby(sorted(nums), key=lambda pt: pt[0]):
+        corner = x * vol
+        best = max(best, int(np.max(corner - scaled[opened])))
+        for pt in group:
+            grid[tuple(ix[c] for ix, c in zip(cell, pt[1:]))] += 1
+        counts = grid
+        for axis in range(d - 1):
+            counts = np.cumsum(counts, axis=axis)
+        np.multiply(counts, scale, out=scaled, dtype=dtype)
+        best = max(best, int(np.max(scaled[closed] - corner)))
+    best = max(best, int(np.max(den * vol - scaled[opened])))
+    return Fraction(best, n * scale)
 
 
 def box_counts(points, boxes: Sequence[Sequence[Sequence]]) -> tuple[BoxCount, ...]:
@@ -378,9 +325,10 @@ def exact_discrepancy(
     """Exact discrepancy of a rational point set.
 
     kind="extreme": free boxes, d <= 2, N <= 4096.
-    kind="star": anchored boxes [0, y), d <= 3 (N <= 512 for d = 3, and for
-    d = 2 count tables within arith.STREAM_MEMORY_BUDGET); the report
-    carries 2^d * star as an upper bound for the extreme value.
+    kind="star": anchored boxes [0, y), d <= 3, at most STAR_WORK_CAP cells
+    to sweep (the product of the numbers of distinct coordinates on the
+    axes); the report carries 2^d * star as an upper bound for the extreme
+    value.
     """
     nums, den, d = _normalize(points)
     n = len(nums)
@@ -397,20 +345,7 @@ def exact_discrepancy(
     elif kind == "star":
         if d > 3:
             raise DimensionTooLargeError("exact star discrepancy is limited to d <= 3")
-        if d == 3 and n > STAR_POINT_CAP_3D:
-            raise TooManyPointsError(f"N = {n} exceeds cap {STAR_POINT_CAP_3D} for d = 3")
-        if d == 1:
-            value = _star_1d([pt[0] for pt in nums], den, n)
-        elif d == 2:
-            need = _star_2d_bytes(nums, n, den * den, n * den * den >= 2**62)
-            if need > STREAM_MEMORY_BUDGET:
-                raise TooManyPointsError(
-                    f"N = {n} points need about {need} bytes of count tables, "
-                    f"over the budget of {STREAM_MEMORY_BUDGET}"
-                )
-            value = _star_2d(nums, den, n)
-        else:
-            value = _star_3d(nums, den, n)
+        value = _star(nums, den, n, d)
         upper = Fraction(2**d) * value
     else:
         raise ValueError(f"unknown kind {kind!r}")

@@ -125,6 +125,7 @@ def exp_sum(
             RuntimeWarning,
             stacklevel=2,
         )
+    cfg.m.check_float_range()
     mod = cfg.m.modulus
     if method == "auto":
         method = "histogram" if mod <= _HISTOGRAM_LIMIT else "direct"
@@ -291,6 +292,7 @@ def korobov_reduction_residual(
 def korobov_reduction_check(cfg: GeneratorConfig, n_terms: int, m: int, a: int) -> float:
     """The reduction residual on the generator's own phase function
     f(x) = (v A^x u)/p^t; nonnegative by the inequality."""
+    cfg.m.check_float_range()
     mod = cfg.m.modulus
     residues = scalar_residues(cfg, n_terms + a * m * m)
     angles = np.asarray(residues, dtype=np.float64) / float(mod)

@@ -19,11 +19,16 @@ from .errors import (
     ExactDivisionError,
     IterationCapExceededError,
     NotInvertibleError,
+    PreconditionViolatedError,
     StreamTooLargeError,
 )
 
 # A residue vector is a plain tuple of arbitrary-precision integers.
 ResidueVector = tuple[int, ...]
+
+# float() rounds every integer from here up to infinity (half-way past the
+# largest double, 2^1024 - 2^971, rounding to even)
+_FLOAT_OVERFLOW = 2**1024 - 2**970
 
 # Witnesses making Miller-Rabin a proof of primality for n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -122,6 +127,15 @@ class PrimePowerModulus:
 
     def at_exponent(self, s: int) -> "PrimePowerModulus":
         return PrimePowerModulus(self.p, s)
+
+    def check_float_range(self) -> None:
+        """Raise PreconditionViolatedError unless float(p^t) is finite: the
+        phases e(x / p^t) of exponential sums are computed in float64."""
+        if self.modulus >= _FLOAT_OVERFLOW:
+            raise PreconditionViolatedError(
+                f"p^t = {self.p}^{self.t} is beyond float range; "
+                "exponential sums need p^t < 2^1024 - 2^970"
+            )
 
 
 @dataclass(frozen=True)
@@ -233,9 +247,8 @@ def vec_reduce(v: Sequence[int], m: PrimePowerModulus) -> ResidueVector:
     return tuple(int(x) % m.modulus for x in v)
 
 
-# Largest estimated size of one mat_stream output array, of the tuple arrays
-# of analysis.vinogradov.vinogradov_count, and of the count tables of the
-# 2-D star discrepancy
+# Largest estimated size of one mat_stream output array and of the tuple
+# arrays of analysis.vinogradov.vinogradov_count
 STREAM_MEMORY_BUDGET = 2**30
 
 

@@ -144,6 +144,17 @@ class TestConfigErrors:
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["expsum", "bounds", "discrepancy", "report"])
+    def test_modulus_beyond_float_range_exits_1_with_one_line(self, command, tmp_path, capsys):
+        # 3^700 > 2^1109: float(p^t) overflows
+        doc = {"p": 3, "t": 700, "matrix": [[0, 1], [1, 1]], "u0": [1, 0], "v": [1, 2],
+               "N": 64, "V": 1, "level": "thm1"}
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "2^1024" in err and "Traceback" not in err
+
 
 class TestGuards:
     def test_discrepancy_point_cap_exits_3(self, tmp_path):
@@ -183,6 +194,20 @@ class TestGuards:
         assert time.perf_counter() - start < 2
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "EnumerationTooLargeError", "message": err["message"]}
+
+    def test_star_sweep_guard_exits_3_fast(self, tmp_path, capsys):
+        # 600 points of the 3x3 stream have 568 distinct coordinates a side,
+        # and 568^3 grid cells are over the 2^27 cap of the star sweep
+        doc = {"p": 3, "t": 8, "matrix": [[0, 1, 0], [0, 0, 1], [1, 1, 0]], "u0": [1, 2, 3],
+               "v": [1, 0, 0], "N": 600, "V": 2, "level": "thm1"}
+        cfg = write_config(tmp_path, doc)
+        start = time.perf_counter()
+        assert main(["discrepancy", "--config", cfg]) == 3
+        assert time.perf_counter() - start < 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        payload = json.loads(err)
+        assert payload == {"error": "TooManyPointsError", "message": payload["message"]}
 
 
 class TestRowContents:

@@ -3,11 +3,12 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
-from matprng.arith import STREAM_MEMORY_BUDGET, PrimePowerModulus
+from matprng.arith import IntMatrix, PrimePowerModulus
 from matprng.errors import DimensionTooLargeError, TooManyPointsError
 from matprng.generator import GeneratorConfig, PointSet, fractional_points
 from matprng.analysis import discrepancy
@@ -98,6 +99,16 @@ class TestKnownValues:
         rep = exact_discrepancy([(Fraction(i, 8),) for i in range(8)], kind="star")
         assert rep.value == Fraction(1, 8)
 
+    @pytest.mark.parametrize("rows, u0, n, value", [
+        ([[0, 1], [1, 1]], (1, 0), 1024, Fraction(439963871, 11019960576)),
+        ([[0, 1], [1, 1]], (1, 0), 5000, Fraction(67409467, 4782969000)),
+        ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], (1, 2, 3), 512, Fraction(9126336135437, 144603922678272)),
+    ], ids=["fib-1024", "fib-5000", "3x3-512"])
+    def test_star_stream_mod_3_8(self, rows, u0, n, value):
+        # frozen from the separate 1-, 2- and 3-D star routines this sweep replaced
+        cfg = GeneratorConfig.create(IntMatrix.from_rows(rows), PrimePowerModulus(3, 8), u0)
+        assert exact_discrepancy(fractional_points(cfg, n), kind="star").value == value
+
     def test_full_period_fib(self, fib):
         cfg = GeneratorConfig.create(fib, PrimePowerModulus(3, 4), (1, 0))
         rep = exact_discrepancy(fractional_points(cfg, 216))
@@ -132,26 +143,34 @@ class TestAgainstBruteForce:
             pts = [rng.choice(pool) for _ in range(rng.randint(2, 7))]
             assert exact_discrepancy(pts).value == extreme_discrepancy_bruteforce(pts)
 
+    def test_extreme_1d_random_sets(self):
+        # den = 3^40 takes the object path of the strip kernel
+        rng = random.Random(150)
+        for den in (6, 12, 2**40, 3**40):
+            for n in (1, 2, 3, 5, 9, 25) * 2:
+                pool = [0, den - 1] + [rng.randrange(den) for _ in range(rng.randint(1, n))]
+                pts = PointSet(tuple((rng.choice(pool),) for _ in range(n)), den, 1)
+                assert exact_discrepancy(pts).value == extreme_discrepancy_bruteforce(pts)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_star_random_sets(self, d):
+        # den = 2^40 takes the object path for d >= 2, den = 3^40 for every d
         rng = random.Random(200 + d)
-        for _ in range(8):
-            pts = rational_points(rng, rng.randint(1, 7), d, rng.choice([6, 12]))
-            rep = exact_discrepancy(pts, kind="star")
-            # brute force over the corner grid
-            nums = [tuple(int(c * 12) for c in pt) for pt in pts] if False else None
-            best = Fraction(0)
-            from itertools import product
-
-            axes = [sorted({Fraction(1), *(pt[j] for pt in pts)}) for j in range(d)]
-            for corner in product(*axes):
-                le = sum(1 for pt in pts if all(pt[j] <= corner[j] for j in range(d)))
-                lt = sum(1 for pt in pts if all(pt[j] < corner[j] for j in range(d)))
-                vol = Fraction(1)
-                for c in corner:
-                    vol *= c
-                best = max(best, Fraction(le, len(pts)) - vol, vol - Fraction(lt, len(pts)))
-            assert rep.value == best
+        for den in (6, 12, 2**40, 3**40):
+            for n in (1, 2, 3, 5, 9, 25):
+                pool = [(0,) * d, tuple(0 if j else rng.randrange(den) for j in range(d))]
+                pool += [tuple(rng.randrange(den) for _ in range(d)) for _ in range(rng.randint(1, n))]
+                nums = [rng.choice(pool) for _ in range(n)]
+                # brute force over the corner grid, scaled by n * den^d
+                best = 0
+                axes = [sorted({den, *(pt[j] for pt in nums)}) for j in range(d)]
+                for corner in product(*axes):
+                    le = sum(1 for pt in nums if all(x <= c for x, c in zip(pt, corner)))
+                    lt = sum(1 for pt in nums if all(x < c for x, c in zip(pt, corner)))
+                    vol = n * math.prod(corner)
+                    best = max(best, le * den**d - vol, vol - lt * den**d)
+                rep = exact_discrepancy(PointSet(tuple(nums), den, d), kind="star")
+                assert rep.value == Fraction(best, n * den**d)
 
     def test_star_extreme_sandwich_fib_stream(self, fib):
         cfg = GeneratorConfig.create(fib, PrimePowerModulus(3, 8), (1, 0))
@@ -205,20 +224,24 @@ class TestPrunedScan:
 
 
 class TestIntegerPaths:
-    """int64 arithmetic is used while n * den^2 < 2^62, Python ints beyond."""
+    """int64 arithmetic is used while n * den^d < 2^62, Python ints beyond."""
 
-    @pytest.mark.parametrize("kind", ["extreme", "star"])
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize(
+        "d, kind", [(1, "extreme"), (1, "star"), (2, "extreme"), (2, "star"), (3, "star")]
+    )
     def test_scale_invariance_across_object_boundary(self, kind, d):
         rng = random.Random(400 + d)
         den, n = 97, 30
         nums = [tuple(rng.randrange(den) for _ in range(d)) for _ in range(n - 4)]
         nums += [nums[0], nums[1], (0,) * d, (0,) + (den - 1,) * (d - 1)]
-        q = n * den * den
-        c = math.isqrt(2**62 // q)
-        while q * c * c < 2**62:
+        # the objective is scaled by n * den^d; scales c - 1 and c straddle 2^62
+        q = n * den**d
+        c = round((2**62 / q) ** (1 / d))
+        while q * c**d >= 2**62:
+            c -= 1
+        while q * c**d < 2**62:
             c += 1
-        assert q * (c - 1) ** 2 < 2**62 <= q * c * c
+        assert q * (c - 1) ** d < 2**62 <= q * c**d
         base = exact_discrepancy(PointSet(tuple(nums), den, d), kind=kind).value
         for scale in (c - 1, c, c * 3**20):
             scaled = PointSet(tuple(tuple(x * scale for x in pt) for pt in nums), den * scale, d)
@@ -248,11 +271,10 @@ class TestGuards:
         assert 0 < rep.value <= 1 and rep.extreme_upper_bound == 4 * rep.value
 
     def test_star_2d_table_guard_fires_before_allocating(self):
-        # 12000 distinct coordinates per axis: two int32 tables of about
-        # 12000^2 entries each, over the 2^30-byte budget
+        # 12000 distinct coordinates per axis: 12000^2 grid cells to sweep,
+        # over the 2^27 cap
         n = 12000
         pts = PointSet(tuple((i, (7 * i) % n) for i in range(n)), n, 2)
-        assert discrepancy._star_2d_bytes(list(pts.nums), n, n * n, False) > STREAM_MEMORY_BUDGET
         tracemalloc.start()
         try:
             with pytest.raises(TooManyPointsError):
@@ -262,36 +284,36 @@ class TestGuards:
             tracemalloc.stop()
         assert peak < 2**20
 
-    @pytest.mark.parametrize("chunk_elems", [None, 5000])
-    @pytest.mark.parametrize("n, den", [(400, 400), (2000, 2000), (200, 2**40)])
-    def test_star_2d_estimate_bounds_peak(self, monkeypatch, chunk_elems, n, den):
-        if chunk_elems is not None:
-            monkeypatch.setattr(discrepancy, "_CHUNK_ELEMS", chunk_elems)
-        rng = random.Random(n)
-        pts = PointSet(tuple((rng.randrange(den), rng.randrange(den)) for _ in range(n)), den, 2)
-        need = discrepancy._star_2d_bytes(list(pts.nums), n, den * den, n * den * den >= 2**62)
+    def test_star_2d_peak_is_small(self, fib):
+        # the sweep holds a few arrays over one axis, not an N x N table
+        cfg = GeneratorConfig.create(fib, PrimePowerModulus(3, 8), (1, 0))
+        pts = fractional_points(cfg, 5000)
         tracemalloc.start()
         try:
             exact_discrepancy(pts, kind="star")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= need
+        assert peak < 2 * 2**20
 
     def test_star_3d_cap(self):
-        rng = random.Random(1)
-        pts = rational_points(rng, 513, 3, 1024)
+        # 513 distinct coordinates on every axis: 513^3 > 2^27 cells
+        pts = PointSet(tuple((i, 5 * i % 513, 7 * i % 513) for i in range(513)), 513, 3)
         with pytest.raises(TooManyPointsError):
             exact_discrepancy(pts, kind="star")
+
+    def test_star_3d_cap_counts_distinct_coordinates(self):
+        # 513 points, but at most 450 distinct coordinates a side
+        pts = PointSet(tuple((i % 450, 5 * i % 449, 7 * i % 450) for i in range(513)), 513, 3)
+        rep = exact_discrepancy(pts, kind="star")
+        assert rep.n == 513 and 0 < rep.value <= 1
 
 
 class TestBoxCounts:
     def test_quadrant(self, fib):
         cfg = GeneratorConfig.create(fib, PrimePowerModulus(3, 2), (1, 0))
         pts = fractional_points(cfg, 8)
-        (bc,) = box_counts(pts, [[["0", "1/2"], ["0", "1/2"]]] if False else [
-            [[Fraction(0), Fraction(1, 2)], [Fraction(0), Fraction(1, 2)]]
-        ])
+        (bc,) = box_counts(pts, [[[Fraction(0), Fraction(1, 2)], [Fraction(0), Fraction(1, 2)]]])
         manual = sum(
             1 for pt in pts.fractions() if pt[0] <= Fraction(1, 2) and pt[1] <= Fraction(1, 2)
         )
