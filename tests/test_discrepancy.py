@@ -296,6 +296,24 @@ class TestGuards:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
+    @pytest.mark.parametrize("chunk_elems", [None, 5000])
+    @pytest.mark.parametrize("n, den", [(400, 400), (2000, 2000), (200, 2**40)])
+    def test_star_2d_estimate_bounds_peak(self, monkeypatch, chunk_elems, n, den):
+        # the 2-D sweep's peak is linear in N, on the int64 and the object
+        # path alike, and independent of the box scans' chunk size; an N x N
+        # count table would need 4 * N^2 bytes
+        if chunk_elems is not None:
+            monkeypatch.setattr(discrepancy, "_CHUNK_ELEMS", chunk_elems)
+        rng = random.Random(n)
+        pts = PointSet(tuple((rng.randrange(den), rng.randrange(den)) for _ in range(n)), den, 2)
+        tracemalloc.start()
+        try:
+            exact_discrepancy(pts, kind="star")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 512 * n + 2**16
+
     def test_star_3d_cap(self):
         # 513 distinct coordinates on every axis: 513^3 > 2^27 cells
         pts = PointSet(tuple((i, 5 * i % 513, 7 * i % 513) for i in range(513)), 513, 3)
