@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 import mpmath as mp
@@ -17,6 +18,7 @@ import numpy as np
 
 from ..arith import mat_stream, valuation
 from ..generator import GeneratorConfig
+from .sums import phase_sum
 
 _DPS = 40
 
@@ -183,26 +185,19 @@ class KSBound:
     n_vectors: int
 
 
-def _frequency_abs_sum(points: np.ndarray | list, v: tuple[int, ...], p: int, t: int) -> float:
-    """|sum_n e(v . u_n / p^t)| with the common-p-power reduction: when
-    p^nu | v the sum is routed through the modulus p^{t-nu}."""
-    nu = min((int(valuation(x, p)) for x in v if x != 0), default=t)
-    nu = min(nu, t)
-    reduced = tuple(x // p**nu for x in v)
+def _frequency_abs_sum(points: np.ndarray, v: tuple[int, ...], p: int, t: int) -> float:
+    """|sum_n e(v . u_n / p^t)| over the stream points u_n, an (N, d) array
+    as mat_stream returns it, with the common-p-power reduction: when
+    p^nu | v the sum is routed through the modulus p^{t-nu}.  The phases
+    are formed in the array's own dtype (int64 only when d (p^t)^2 < 2^63,
+    which also bounds this product) and summed by `sums.phase_sum`."""
+    nu = min([t] + [int(valuation(x, p)) for x in v if x != 0])
     t_red = t - nu
     if t_red == 0:
-        n = len(points)
-        return float(n)
+        return float(len(points))
     mod = p**t_red
-    if isinstance(points, np.ndarray):
-        phases = (points @ np.asarray(reduced, dtype=np.int64)) % mod
-        ang = phases.astype(np.float64) * (2.0 * math.pi / mod)
-        return float(abs(complex(np.sum(np.cos(ang)), np.sum(np.sin(ang)))))
-    total = 0.0 + 0.0j
-    for u in points:
-        x = sum(a * b for a, b in zip(reduced, u)) % mod
-        total += complex(math.cos(2 * math.pi * x / mod), math.sin(2 * math.pi * x / mod))
-    return abs(total)
+    reduced = np.array([x // p**nu % mod for x in v], dtype=points.dtype)
+    return abs(phase_sum((points @ reduced) % mod, mod))
 
 
 def koksma_szusz_bound(
@@ -220,26 +215,14 @@ def koksma_szusz_bound(
     cfg.m.check_float_range()
     d = cfg.a.d
     p, t = cfg.m.p, cfg.m.t
-    vecs = mat_stream(cfg.a, cfg.u0, cfg.m, n_points)
-    if cfg.m.modulus * v_range * d < 2**62:
-        points = np.asarray(vecs, dtype=np.int64)
-    else:
-        points = vecs.tolist()
-
-    from itertools import product as iproduct
-
-    reps = []
-    for v in iproduct(range(-v_range, v_range + 1), repeat=d):
-        first = next((x for x in v if x != 0), 0)
-        if first > 0:
-            reps.append(v)
+    points = mat_stream(cfg.a, cfg.u0, cfg.m, n_points)
+    # one of each pair v, -v: the one whose first nonzero entry is positive
+    vs = product(range(-v_range, v_range + 1), repeat=d)
+    reps = [v for v in vs if next((x for x in v if x != 0), 0) > 0]
     n_vectors = 2 * len(reps)
 
     def term(v: tuple[int, ...]) -> float:
-        rv = 1
-        for x in v:
-            rv *= max(abs(x), 1)
-        return _frequency_abs_sum(points, v, p, t) / rv
+        return _frequency_abs_sum(points, v, p, t) / math.prod(max(abs(x), 1) for x in v)
 
     sum_term = 2.0 * math.fsum(term(v) for v in reps)  # each v pairs with -v (conjugate sum)
     constant = constant_base**d

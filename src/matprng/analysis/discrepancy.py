@@ -23,8 +23,8 @@ them.
 The star value, in every d, comes from one sweep along one axis over a
 count grid on the other axes (see _star): O(K^d) integer element
 operations and O(K^(d-1)) memory for K distinct coordinates a side.  The
-sweep is refused above STAR_WORK_CAP = 2^27 grid cells (512 distinct
-coordinates a side in 3-D, 11 585 in 2-D).  On one core of an Intel Xeon
+sweep is refused above STAR_WORK_CAP = 2^27 grid cells (510 distinct
+coordinates a side in 3-D, 11 584 in 2-D).  On one core of an Intel Xeon
 host (numpy 2.4), the first N points of the Fibonacci stream mod 3^8 from
 u0 = (1, 0) took:
 
@@ -51,7 +51,7 @@ from ..errors import DimensionTooLargeError, TooManyPointsError
 from ..generator import PointSet
 
 EXTREME_POINT_CAP = 4096
-STAR_WORK_CAP = 2**27  # grid cells of the star sweep: product of distinct coordinates per axis
+STAR_WORK_CAP = 2**27  # grid cells the star sweep touches (see _star)
 _CHUNK_ELEMS = 2**20  # elements per temporary in the 2-D box scans
 
 
@@ -257,22 +257,22 @@ def _star(nums: list[tuple[int, ...]], den: int, n: int, d: int) -> Fraction:
     corners at x are scored against C before the points at x are added, and
     those at x = den after the last x-value.
 
-    The work is about the product of the number of distinct coordinates
-    on each axis; above STAR_WORK_CAP it raises TooManyPointsError before
-    the grid is allocated.  Distinct coordinates are counted in one sorted
-    list at a time."""
+    With K_j distinct coordinates on axis j and axis 1 swept, the sweep
+    touches K_1 (K_2 + 2) ... (K_d + 2) cells of the padded grid; above
+    STAR_WORK_CAP it raises TooManyPointsError before allocating the grid.
+    Distinct coordinates are counted in one sorted list at a time."""
     edges = [[c for c, _ in groupby(sorted(pt[j] for pt in nums))] for j in range(d)]
-    work = math.prod(len(e) for e in edges)
+    # sweep the axis with the most distinct values, so that the grid holds
+    # the fewest cells (the value is symmetric in the axes)
+    order = sorted(range(d), key=lambda j: -len(edges[j]))
+    edges = [edges[j] for j in order]
+    work = len(edges[0]) * math.prod(len(e) + 2 for e in edges[1:])
     if work > STAR_WORK_CAP:
         raise TooManyPointsError(
             f"{' x '.join(str(len(e)) for e in edges)} distinct coordinates give "
             f"{work} grid cells to sweep, over the cap of {STAR_WORK_CAP}"
         )
-    # sweep the axis with the most distinct values, so that the grid holds
-    # about work^((d-1)/d) cells at most (the value is symmetric in the axes)
-    order = sorted(range(d), key=lambda j: -len(edges[j]))
     nums = [tuple(pt[j] for j in order) for pt in nums]
-    edges = [edges[j] for j in order]
     scale = den**d
     big = n * scale >= 2**62
     dtype = object if big else np.int64
@@ -326,9 +326,9 @@ def exact_discrepancy(
 
     kind="extreme": free boxes, d <= 2, N <= 4096.
     kind="star": anchored boxes [0, y), d <= 3, at most STAR_WORK_CAP cells
-    to sweep (the product of the numbers of distinct coordinates on the
-    axes); the report carries 2^d * star as an upper bound for the extreme
-    value.
+    to sweep (about the product of the numbers of distinct coordinates on
+    the axes, see _star); the report carries 2^d * star as an upper bound
+    for the extreme value.
     """
     nums, den, d = _normalize(points)
     n = len(nums)

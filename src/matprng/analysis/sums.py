@@ -2,10 +2,11 @@
 polynomial-phase double sums sigma_n on a p^s x p^s grid, and the
 single-to-double reduction residual.
 
-Summation is deterministic: fixed 4096-term blocks, exactly rounded
-per-block sums, partials combined in ascending block order, all in one
-thread.  Every exactly rounded sum goes through `_exact_sum`, which returns
-`math.fsum`'s float bit for bit without building a Python list.
+Every sum of phases sum_n w_n e(x_n / m) goes through one kernel,
+`phase_sum`: the angle of each term comes from `_angles`, and the real and
+the imaginary part are each the float `math.fsum` returns over all the
+terms, bit for bit, whatever the number of terms.  Summation is therefore
+deterministic and runs in one thread.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,16 +25,18 @@ from ..errors import GridTooLargeError, PeriodTooLargeError, PreconditionViolate
 from ..generator import GeneratorConfig
 from ..padic import H_coeffs, h_coeffs, order_mod, order_sequence, period_profile, theta_matrix
 
-_BLOCK = 4096
 _HISTOGRAM_LIMIT = 1 << 24
-_TWO_PI = 2.0 * math.pi
 # Veltkamp's splitting constant 2^27 + 1: x * _SPLIT must not overflow
 _SPLIT = 134217729.0
 _EXACT_SUM_MAX_ABS = 2.0**996
-_EXACT_SUM_MAX_TERMS = 1 << 24
+# the stream budget (2^30 bytes, 8 a term) and sigma_n's grid guard keep sums within this
+_EXACT_SUM_MAX_TERMS = 1 << 27
 # frexp exponents of |x| < 2^996 run from -1073 (subnormals) to 996
 _EXPONENT_BINS = 1074 + 997
-_EXACT_SUM_CHUNK = 1 << 18
+_EXACT_SUM_CHUNK = 1 << 14
+# phase_sum adds up to this many terms with math.fsum over a list, which
+# costs less than the fixed cost of the bincount accumulation
+_SHORT_ROW = 4096
 # products x*y formed per np.unique call in _product_multiplicities
 _PRODUCT_CHUNK = 1 << 20
 
@@ -65,41 +68,63 @@ def scalar_residues(cfg: GeneratorConfig, n_terms: int, n0: int = 0):
     return residues if residues.dtype == np.int64 else residues.tolist()
 
 
-def _angles(block, mod: int) -> np.ndarray:
+def _angles(x, mod: int) -> np.ndarray:
     # float(x) / float(mod) is a correctly rounded ratio of correctly rounded
-    # operands, also for exact integers above 2^53
-    return np.asarray(block, dtype=np.float64) / float(mod) * _TWO_PI
+    # operands, also for exact integers above 2^53; it is below 1, so the
+    # angle is finite for every mod that converts to float
+    return np.asarray(x, dtype=np.float64) / float(mod) * (2 * math.pi)
 
 
-def _exact_sum(x: np.ndarray) -> float:
-    """math.fsum(x.tolist()), bit for bit, for finite float64 terms with
-    |x| < 2^996 and at most 2^24 terms (histogram bins are capped by
-    _HISTOGRAM_LIMIT, direct blocks hold _BLOCK terms).
+def _exact_sums(chunks: Iterable[np.ndarray], width: int) -> list[float]:
+    """math.fsum over each of `width` float series, bit for bit; `chunks`
+    yields (width, m) float64 arrays, the next m terms of every series.  The
+    terms must be finite with |x| < 2^996, at most 2^27 a series.
 
     Dekker's split (Veltkamp's constant 2^27 + 1) writes each term x with
     frexp exponent e as hi + lo, two halves of at most 26 significant bits:
     hi is a multiple of 2^(e-26) with |hi| <= 2^e, and lo a multiple of
     2^(e-53) (or of the subnormal spacing) with |lo| <= 2^(e-27).  Added up
-    per exponent by np.bincount, chunk by chunk, either half stays exact
-    while fewer than 2^27 terms share e.  fsum of these exact group sums is
-    the exactly rounded sum of x, which is what fsum returns for x itself."""
-    if x.size == 0:
-        return 0.0
-    assert x.size <= _EXACT_SUM_MAX_TERMS and np.abs(x).max() < _EXACT_SUM_MAX_ABS
-    groups = np.zeros((2, _EXPONENT_BINS))
-    for pos in range(0, x.size, _EXACT_SUM_CHUNK):
-        part = x[pos : pos + _EXACT_SUM_CHUNK]
+    per exponent by np.bincount, chunk by chunk, either half stays within
+    2^53 of its units, so exact, while at most 2^27 terms share e.  fsum of
+    these exact group sums is the exactly rounded sum of the series, which
+    is what fsum returns for the series itself."""
+    groups = np.zeros((width, 2, _EXPONENT_BINS))
+    for part in chunks:
+        assert np.abs(part).max() < _EXACT_SUM_MAX_ABS
         hi = part * _SPLIT
         hi -= hi - part
-        exponent = np.frexp(part)[1] + 1074
-        groups[0] += np.bincount(exponent, weights=hi, minlength=_EXPONENT_BINS)
-        groups[1] += np.bincount(exponent, weights=part - hi, minlength=_EXPONENT_BINS)
-    return math.fsum(groups[groups != 0].tolist())
+        for group, x, h, e in zip(groups, part, hi, np.frexp(part)[1] + 1074):
+            group[0] += np.bincount(e, weights=h, minlength=_EXPONENT_BINS)
+            group[1] += np.bincount(e, weights=x - h, minlength=_EXPONENT_BINS)
+    return [math.fsum(group[group != 0].tolist()) for group in groups]
 
 
-def _partial_sum(block, mod: int) -> tuple[float, float]:
-    ang = _angles(block, mod)
-    return _exact_sum(np.cos(ang)), _exact_sum(np.sin(ang))
+def _exact_sum(x: np.ndarray) -> float:
+    """math.fsum(x.tolist()), bit for bit, without building a Python list."""
+    step = _EXACT_SUM_CHUNK
+    return _exact_sums((x[None, i : i + step] for i in range(0, x.size, step)), 1)[0]
+
+
+def phase_sum(x, mod: int, weights=None) -> complex:
+    """sum_n w_n e(x_n / mod) for residues x_n held in an int64 array, or as
+    exact ints in a list or object array, with weights w_n (default 1).
+
+    Term n is w_n cos(a_n) + i w_n sin(a_n) with a_n from _angles; the real
+    and the imaginary part are each the float math.fsum returns over all the
+    terms.  The terms are formed _EXACT_SUM_CHUNK at a time, so the work
+    memory does not grow with their number."""
+
+    def terms(lo: int) -> np.ndarray:
+        ang = _angles(x[lo : lo + _EXACT_SUM_CHUNK], mod)
+        rows = np.array([np.cos(ang), np.sin(ang)])
+        if weights is not None:
+            rows *= np.asarray(weights[lo : lo + _EXACT_SUM_CHUNK], dtype=np.float64)
+        return rows
+
+    if len(x) <= _SHORT_ROW:
+        return complex(*map(math.fsum, terms(0).tolist()))
+    assert len(x) <= _EXACT_SUM_MAX_TERMS
+    return complex(*_exact_sums(map(terms, range(0, len(x), _EXACT_SUM_CHUNK)), 2))
 
 
 def exp_sum(
@@ -108,13 +133,13 @@ def exp_sum(
     method: str = "auto",
 ) -> SumReport:
     """S = sum_{n=0}^{N-1} e(v A^n u / p^t), with each phase an exact integer
-    over p^t.
+    over p^t, summed by `phase_sum`.
 
-    method "direct": exactly rounded sums of cos and sin over fixed
-    4096-term blocks, the block partials combined by fsum in block order.
+    method "direct": one phase_sum over the N residues.
     method "histogram" (available for p^t <= 2^24): count residue
-    multiplicities, then take the exactly rounded sum of c_x e(x / p^t).
-    Both sum with `_exact_sum`, whose floats are those of math.fsum.
+    multiplicities c_x, then one phase_sum over the residues that occur,
+    weighted by c_x.  Either way the real and the imaginary part are
+    exactly rounded over all the terms summed.
     """
     if n_terms < 1:
         raise ValueError("N must be >= 1")
@@ -134,23 +159,17 @@ def exp_sum(
     residues = scalar_residues(cfg, n_terms)
 
     if method == "histogram":
-        counts = np.bincount(residues, minlength=0)
-        del residues  # free the stream before the per-bin arrays are built
-        nz = np.nonzero(counts)[0]
-        weights = counts[nz].astype(np.float64)
-        ang = nz.astype(np.float64) * (_TWO_PI / mod)
-        re = _exact_sum(weights * np.cos(ang))
-        im = _exact_sum(weights * np.sin(ang))
+        counts = np.bincount(residues)
+        del residues  # free the stream before the bins are summed
+        bins = np.flatnonzero(counts)
+        value = phase_sum(bins, mod, counts[bins])
     elif method == "direct":
-        partials = [_partial_sum(residues[i : i + _BLOCK], mod) for i in range(0, n_terms, _BLOCK)]
-        re = math.fsum(p[0] for p in partials)
-        im = math.fsum(p[1] for p in partials)
+        value = phase_sum(residues, mod)
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    value = complex(re, im)
     # Per-term phase error < 3 ulp of pi-scale plus sin/cos rounding; the
-    # exactly rounded block sums contribute one rounding per combine.
+    # exactly rounded sum adds one rounding over all N terms.
     error_bound = 4.0e-15 * n_terms + 1.0e-12
     rho = math.log(n_terms) / (cfg.m.t * math.log(cfg.m.p)) if n_terms > 1 else 0.0
     return SumReport(
@@ -256,11 +275,8 @@ def double_sum_sigma(
     dabs = abs(denom)
     phase = IntPolynomial(tuple(big_h[j] * p ** (s * j) for j in range(r + 1)))
 
-    total = 0.0 + 0.0j
-    for prod, mult in zip(*_product_multiplicities(grid)):
-        frac = (phase(prod) * sign) % dabs
-        total += mult * np.exp(2j * math.pi * (float(frac) / float(dabs)))
-    return complex(total)
+    prods, mults = _product_multiplicities(grid)
+    return phase_sum([(phase(prod) * sign) % dabs for prod in prods], dabs, mults)
 
 
 def korobov_reduction_residual(

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import mpmath as mp
+import numpy as np
 import pytest
 
-from matprng.arith import PrimePowerModulus
+from matprng.arith import PrimePowerModulus, mat_vec_mod
 from matprng.generator import GeneratorConfig
 from matprng.analysis.bounds import (
     discrepancy_envelope,
@@ -14,6 +16,7 @@ from matprng.analysis.bounds import (
     korobov_bound,
     theorem_envelope,
 )
+from matprng.analysis.sums import _angles
 from matprng.analysis.vinogradov import vinogradov_count
 
 
@@ -154,6 +157,32 @@ class TestKoksmaSzusz:
                     ks = koksma_szusz_bound(cfg_t, n, v_range)
                     exact = exact_discrepancy(fractional_points(cfg_t, n))
                     assert float(exact.value) <= float(ks.value)
+
+    @pytest.mark.parametrize("t, n", [(4, 50), (4, 5000), (40, 50), (40, 5000)])
+    def test_matches_fsum_reference(self, fib, t, n):
+        # t = 4 runs the stream in int64, t = 40 on exact ints; n = 5000 is
+        # past the kernel's short rows
+        cfg = GeneratorConfig.create(fib, PrimePowerModulus(3, t), (1, 2), (1, 0))
+        v_range = 3
+        points, u = [], cfg.u0
+        for _ in range(n):
+            points.append(u)
+            u = mat_vec_mod(cfg.a, u, cfg.m)
+        terms = []
+        for v in product(range(-v_range, v_range + 1), repeat=2):
+            if next((x for x in v if x != 0), 0) <= 0:
+                continue
+            nu = 0
+            while nu < t and all(x % 3 ** (nu + 1) == 0 for x in v):
+                nu += 1
+            mod = 3 ** (t - nu)
+            phases = [sum(a // 3**nu * b for a, b in zip(v, pt)) % mod for pt in points]
+            ang = _angles(phases, mod)
+            s = complex(math.fsum(np.cos(ang).tolist()), math.fsum(np.sin(ang).tolist()))
+            terms.append(abs(s) / math.prod(max(abs(x), 1) for x in v))
+        ks = koksma_szusz_bound(cfg, n, v_range)
+        assert ks.n_vectors == 2 * len(terms) == 48
+        assert ks.sum_term == 2.0 * math.fsum(terms)
 
     def test_gcd_reduction_matches_direct(self, cfg):
         # v = (p, 0) with t >= 2 is the same sum at modulus p^{t-1}

@@ -156,6 +156,18 @@ class TestConfigErrors:
         assert "2^1024" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["expsum", "bounds", "discrepancy", "report"])
+def test_modulus_near_float_limit_exits_0(command, tmp_path):
+    # 2^1023 converts to float, but 2 pi x overflows for residues x above
+    # about 2^1021.35, which the frequency sums meet (v = (1, -1) wraps)
+    doc = {"p": 2, "t": 1023, "matrix": [[0, 1], [1, 1]], "u0": [1, 0], "v": [1, 0],
+           "N": 64, "V": 1, "level": "thm1"}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out.json"
+    assert main([command, "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    assert not re.search(r"\b(inf|nan)\b", out.read_text(), re.IGNORECASE)
+
+
 class TestGuards:
     def test_discrepancy_point_cap_exits_3(self, tmp_path):
         doc = dict(FIB_DOC, N="5000")

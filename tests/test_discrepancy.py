@@ -320,6 +320,31 @@ class TestGuards:
         with pytest.raises(TooManyPointsError):
             exact_discrepancy(pts, kind="star")
 
+    def test_star_guard_counts_padded_grid_cells(self):
+        # one distinct value on an axis: 11000 x 11000 x 1 distinct
+        # coordinates, but the sweep over the first axis touches
+        # 11000 * 11002 * 3 cells of the zero- and den-padded grid
+        n = 11000
+        pts = PointSet(tuple((0, i, 7 * i % n) for i in range(n)), n, 3)
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManyPointsError, match="363066000 grid cells"):
+                exact_discrepancy(pts, kind="star")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert time.perf_counter() - start < 2
+
+    @pytest.mark.parametrize("d, side", [(2, 11585), (3, 511)])
+    def test_star_cap_side_limits(self, d, side):
+        # K (K + 2)^(d - 1) > 2^27 from K = 11 585 in 2-D and K = 511 in 3-D
+        pts = PointSet(tuple((i, 3 * i % side, 11 * i % side)[:d] for i in range(side)), side, d)
+        with pytest.raises(TooManyPointsError):
+            exact_discrepancy(pts, kind="star")
+        assert (side - 1) * (side + 1) ** (d - 1) <= discrepancy.STAR_WORK_CAP
+
     def test_star_3d_cap_counts_distinct_coordinates(self):
         # 513 points, but at most 450 distinct coordinates a side
         pts = PointSet(tuple((i % 450, 5 * i % 449, 7 * i % 450) for i in range(513)), 513, 3)

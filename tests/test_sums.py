@@ -19,7 +19,10 @@ from matprng.errors import (
 )
 from matprng.generator import GeneratorConfig
 from matprng.analysis.sums import (
+    _EXACT_SUM_CHUNK,
     _HISTOGRAM_LIMIT,
+    _SHORT_ROW,
+    _angles,
     _exact_sum,
     _product_multiplicities,
     double_sum_sigma,
@@ -27,6 +30,7 @@ from matprng.analysis.sums import (
     full_period_exponent,
     korobov_reduction_check,
     korobov_reduction_residual,
+    phase_sum,
     scalar_residues,
 )
 from matprng.padic import order_mod, order_sequence, period_profile
@@ -363,3 +367,75 @@ class TestExactSum:
         x = np.full(1 << 24, 1.0 + 2.0**-52 + 2.0**-51)
         x[::3] = -(1.0 - 2.0**-53)
         assert _exact_sum(x).hex() == math.fsum(x).hex()  # fsum iterates, no list
+
+
+def fsum_phase_sum(x, mod: int, weights=None) -> complex:
+    """The kernel's contract: math.fsum over the cos and sin terms of _angles."""
+    ang = _angles(list(x), mod)
+    w = np.ones(len(ang)) if weights is None else np.asarray(weights, dtype=np.float64)
+    return complex(math.fsum((w * np.cos(ang)).tolist()), math.fsum((w * np.sin(ang)).tolist()))
+
+
+def assert_same_complex(got: complex, want: complex) -> None:
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+class TestPhaseSum:
+    """phase_sum against fsum over the cos and sin of _angles, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n",
+        [1, 2, _SHORT_ROW - 1, _SHORT_ROW, _SHORT_ROW + 1,
+         _EXACT_SUM_CHUNK - 1, _EXACT_SUM_CHUNK, _EXACT_SUM_CHUNK + 1],
+    )
+    def test_int64_residues_at_boundaries(self, n):
+        mod = 3**13
+        x = np.random.default_rng(n).integers(0, mod, n)
+        assert_same_complex(phase_sum(x, mod), fsum_phase_sum(x, mod))
+
+    @pytest.mark.parametrize("n", [7, _SHORT_ROW + 1, 3 * _EXACT_SUM_CHUNK // 2])
+    @pytest.mark.parametrize("mod", [3**40, 2**1023], ids=["3^40", "2^1023"])
+    def test_exact_ints_above_2_53(self, mod, n):
+        # near 2^1023, 2 pi x would overflow; x / mod never does
+        rng = random.Random(n)
+        x = [rng.randrange(mod) for _ in range(n)]
+        want = fsum_phase_sum(x, mod)
+        assert_same_complex(phase_sum(x, mod), want)
+        assert_same_complex(phase_sum(np.array(x, dtype=object), mod), want)
+
+    def test_angles_divide_before_scaling(self):
+        # 2 pi (x / m): the ratio of two correctly rounded floats, then scaled
+        for mod, xs in ((3**13, [0, 1, 5, 3**13 - 1]), (3**40, [2**53 + 1, 3**40 - 1]),
+                        (2**1023, [1, 2**1022 + 1, 2**1023 - 1])):
+            want = [(float(x) / float(mod) * (2 * math.pi)).hex() for x in xs]
+            assert [a.hex() for a in _angles(xs, mod).tolist()] == want
+
+    @pytest.mark.parametrize("n", [5, _SHORT_ROW + 1, _EXACT_SUM_CHUNK + 1])
+    def test_weighted_bins(self, n):
+        mod = 3**13
+        rng = np.random.default_rng(100 + n)
+        bins = np.sort(rng.choice(mod, n, replace=False))
+        counts = rng.integers(1, 1000, n)
+        assert_same_complex(phase_sum(bins, mod, counts), fsum_phase_sum(bins, mod, counts))
+        # weights as a list of ints, as double_sum_sigma passes them
+        assert_same_complex(
+            phase_sum(bins, mod, counts.tolist()), fsum_phase_sum(bins, mod, counts)
+        )
+
+    def test_empty(self):
+        for x in (np.zeros(0, dtype=np.int64), []):
+            assert_same_complex(phase_sum(x, 81), 0j)
+            assert_same_complex(phase_sum(x, 81, []), 0j)
+
+    def test_exp_sum_is_one_kernel_call(self, fib):
+        # the direct method sums every residue, the histogram method the
+        # occupied bins weighted by their counts
+        cfg = GeneratorConfig.create(fib, PrimePowerModulus(3, 8), (1, 0), (1, 2), level="thm1")
+        n = 3 * _SHORT_ROW
+        residues = scalar_residues(cfg, n)
+        direct = exp_sum(cfg, n, method="direct").value
+        assert_same_complex(direct, fsum_phase_sum(residues, 3**8))
+        counts = np.bincount(residues)
+        bins = np.flatnonzero(counts)
+        hist = exp_sum(cfg, n, method="histogram").value
+        assert_same_complex(hist, fsum_phase_sum(bins, 3**8, counts[bins]))
