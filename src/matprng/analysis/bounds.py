@@ -187,17 +187,18 @@ class KSBound:
 
 def _frequency_abs_sum(points: np.ndarray, v: tuple[int, ...], p: int, t: int) -> float:
     """|sum_n e(v . u_n / p^t)| over the stream points u_n, an (N, d) array
-    as mat_stream returns it, with the common-p-power reduction: when
-    p^nu | v the sum is routed through the modulus p^{t-nu}.  The phases
-    are formed in the array's own dtype (int64 only when d (p^t)^2 < 2^63,
-    which also bounds this product) and summed by `sums.phase_sum`."""
+    of residues mod p^t, with the common-p-power reduction: when p^nu | v
+    the sum is routed through the modulus p^{t-nu}.  The frequency v / p^nu
+    stays signed, so d V p^t bounds every partial dot product with it; the
+    phases are formed in the array's own dtype and summed by
+    `sums.phase_sum`."""
     nu = min([t] + [int(valuation(x, p)) for x in v if x != 0])
     t_red = t - nu
     if t_red == 0:
         return float(len(points))
     mod = p**t_red
-    reduced = np.array([x // p**nu % mod for x in v], dtype=points.dtype)
-    return abs(phase_sum((points @ reduced) % mod, mod))
+    freq = np.array([x // p**nu for x in v], dtype=points.dtype)
+    return abs(phase_sum((points @ freq) % mod, mod))
 
 
 def koksma_szusz_bound(
@@ -215,7 +216,9 @@ def koksma_szusz_bound(
     cfg.m.check_float_range()
     d = cfg.a.d
     p, t = cfg.m.p, cfg.m.t
-    points = mat_stream(cfg.a, cfg.u0, cfg.m, n_points)
+    # every phase dot product is below d V p^t in absolute value
+    dtype = np.int64 if d * v_range * cfg.m.modulus < 2**63 else object
+    points = mat_stream(cfg.a, cfg.u0, cfg.m, n_points).astype(dtype, copy=False)
     # one of each pair v, -v: the one whose first nonzero entry is positive
     vs = product(range(-v_range, v_range + 1), repeat=d)
     reps = [v for v in vs if next((x for x in v if x != 0), 0) > 0]

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -539,31 +538,11 @@ def is_squarefree_over_q(f: IntPolynomial) -> bool:
 
 
 def char_poly(a: IntMatrix) -> IntPolynomial:
-    """Characteristic polynomial det(XI - A) via the Faddeev-LeVerrier
-    recurrence; exact rational intermediates, integrality asserted."""
-    d = a.d
-    frac_a = [[Fraction(x) for x in row] for row in a.entries]
-    coeffs = [Fraction(0)] * (d + 1)
-    coeffs[d] = Fraction(1)
-    m = [[Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)]
-    for k in range(1, d + 1):
-        n = [
-            [sum(frac_a[i][r] * m[r][j] for r in range(d)) for j in range(d)]
-            for i in range(d)
-        ]
-        trace = sum(n[i][i] for i in range(d))
-        c = -trace / k
-        coeffs[d - k] = c
-        m = [
-            [n[i][j] + (c if i == j else 0) for j in range(d)]
-            for i in range(d)
-        ]
-    out = []
-    for x in coeffs:
-        if x.denominator != 1:
-            raise ExactDivisionError("characteristic polynomial not integral")
-        out.append(int(x))
-    return IntPolynomial(tuple(out))
+    """Characteristic polynomial det(XI - A), by `det_exact` over Z[X]."""
+    return det_exact([
+        [IntPolynomial((-x, 1) if i == j else (-x,)) for j, x in enumerate(row)]
+        for i, row in enumerate(a.entries)
+    ])
 
 
 def recurrence_coefficients(f: IntPolynomial) -> tuple[int, ...]:

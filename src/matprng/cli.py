@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .arith import IntMatrix, PrimePowerModulus, char_poly
-from .errors import MatprngError, ResourceGuardError
+from .errors import DimensionMismatchError, MatprngError, ResourceGuardError
 
 # Each command imports the layers it runs when it runs: a command pays the
 # start-up cost of those layers only (gen, period and validate load neither
@@ -37,26 +37,37 @@ class ConfigError(ValueError):
     pass
 
 
-_KNOWN_KEYS = {
-    "p", "t", "matrix", "u0", "v", "level", "N", "N_schedule", "V", "s_max",
-    "s", "t_range", "count", "scalar", "binary_out", "vmvt", "boxes",
-    "constants", "comment",
-}
-_KNOWN_CONSTANTS = {"eta", "c", "eta0", "c0_envelope", "c0", "d_power", "ks_constant"}
+# Config schema.  A parser takes (value, key) and returns the parsed value
+# or raises ConfigError.
 
 
-def _as_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ConfigError(f"{name} must be an integer or decimal string")
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
+def _typed(kinds: tuple[type, ...], what: str, convert=None):
+    """A parser for JSON values of exactly the types `kinds` (so an integer
+    kind refuses bools), converted by `convert` when given."""
+
+    def parse(value, name: str):
+        if type(value) not in kinds:
+            raise ConfigError(f"{name} must be {what}")
+        try:
+            return value if convert is None else convert(value)
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise ConfigError(f"{name}: {exc}") from None
+
+    return parse
 
 
-def _as_list(value, name: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a list")
+_as_int = _typed((int, str), "an integer or decimal string", int)
+_as_fraction = _typed((int, float, str), "a rational number", lambda x: Fraction(str(x)))
+# a real is finite: the float nearest its exact rational value
+_as_real = _typed((int, float, str), "a real number", lambda x: float(Fraction(str(x))))
+_as_bool = _typed((bool,), "a boolean")
+_as_str = _typed((str,), "a string")
+_as_object = _typed((dict,), "an object")
+
+
+def _as_list(value, name: str, length: int | None = None) -> list:
+    if not isinstance(value, list) or length not in (None, len(value)):
+        raise ConfigError(f"{name} must be a list" + (f" of {length}" if length else ""))
     return value
 
 
@@ -64,11 +75,96 @@ def _as_ints(value, name: str) -> tuple[int, ...]:
     return tuple(_as_int(x, f"{name} entry") for x in _as_list(value, name))
 
 
+def _as_matrix(value, name: str) -> IntMatrix:
+    rows = [_as_ints(row, f"{name} row") for row in _as_list(value, name)]
+    try:
+        return IntMatrix.from_rows(rows)
+    except DimensionMismatchError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
+def _as_schedule(value, name: str) -> list[int]:
+    schedule = list(_as_ints(value, name))
+    if not schedule:
+        raise ConfigError(f"{name} must not be empty")
+    return schedule
+
+
+def _as_t_range(value, name: str) -> range:
+    lo, hi = (_as_int(x, f"{name} entry") for x in _as_list(value, name, 2))
+    return range(lo, hi + 1)
+
+
+def _as_triples(value, name: str) -> list[tuple[int, int, int]]:
+    return [_as_ints(_as_list(x, f"{name} entry", 3), f"{name} entry") for x in _as_list(value, name)]
+
+
+def _as_boxes(value, name: str) -> list[list[list[Fraction]]]:
+    return [
+        [[_as_fraction(x, f"{name} bound") for x in _as_list(side, f"{name} side", 2)]
+         for side in _as_list(box, f"{name} box")]
+        for box in _as_list(value, name)
+    ]
+
+
+def _as_level(value, name: str) -> str:
+    if value not in ("thm1", "thm2"):
+        raise ConfigError(f"{name} must be thm1 or thm2")
+    return value
+
+
+def _known(doc: dict, table: dict, what: str) -> None:
+    unknown = set(doc) - set(table)
+    if unknown:
+        raise ConfigError(f"unknown {what}: {sorted(unknown)}")
+
+
+def _as_constants(value, name: str) -> dict:
+    """Every constant: its parsed value where the config gives it, its
+    default otherwise."""
+    _known(_as_object(value, name), CONSTANTS, name)
+    return {c: parse(value[c], c) if c in value else default
+            for c, (parse, default) in CONSTANTS.items()}
+
+
+# config key -> (Experiment field, parser); `comment` is read by nobody
+SCHEMA = {
+    "p": ("p", _as_int),
+    "t": ("t", _as_int),
+    "matrix": ("matrix", _as_matrix),
+    "u0": ("u0", _as_ints),
+    "v": ("v", _as_ints),
+    "level": ("level", _as_level),
+    "N": ("n_schedule", lambda value, name: [_as_int(value, name)]),
+    "N_schedule": ("n_schedule", _as_schedule),
+    "V": ("v_range", _as_int),
+    "s_max": ("s_max", _as_int),
+    "t_range": ("t_range", _as_t_range),
+    "count": ("count", _as_int),
+    "scalar": ("scalar", _as_bool),
+    "binary_out": ("binary_out", _as_str),
+    "vmvt": ("vmvt", _as_triples),
+    "boxes": ("boxes", _as_boxes),
+    "constants": ("constants", _as_constants),
+    "comment": (None, None),
+}
+# constant name -> (parser, default)
+CONSTANTS = {
+    "eta": (_as_real, 1.0),
+    "c": (_as_real, 1.0),
+    "eta0": (_as_real, 1.0),
+    "c0_envelope": (_as_real, 1.0),
+    "c0": (_as_int, 1000),
+    "d_power": (_as_int, 4),
+    "ks_constant": (_as_real, 1.5),
+}
+
+
 @dataclass
 class Experiment:
-    """Parsed experiment configuration."""
+    """Parsed experiment configuration, in the fields SCHEMA names; a key the
+    config leaves out keeps its field's default."""
 
-    raw: dict
     p: int | None = None
     t: int | None = None
     matrix: IntMatrix | None = None
@@ -78,114 +174,40 @@ class Experiment:
     n_schedule: list[int] | None = None
     v_range: int | None = None
     s_max: int | None = None
-    s: int | None = None
-    t_range: list[int] | None = None
+    t_range: range | None = None
     count: int | None = None
     scalar: bool = False
     binary_out: str | None = None
     vmvt: list[tuple[int, int, int]] | None = None
     boxes: list | None = None
-    constants: dict | None = None
-
-    @property
-    def modulus(self) -> PrimePowerModulus:
-        if self.p is None or self.t is None:
-            raise ConfigError("config needs p and t")
-        return PrimePowerModulus(self.p, self.t)
-
-    def generator(self, validated: bool = False) -> GeneratorConfig:
-        from .generator import GeneratorConfig
-
-        if self.matrix is None or self.u0 is None:
-            raise ConfigError("config needs matrix and u0")
-        level = self.level if validated else None
-        return GeneratorConfig.create(self.matrix, self.modulus, self.u0, self.v, level)
-
-    def constant(self, name: str, default):
-        if self.constants and name in self.constants:
-            value = self.constants[name]
-            return value if name == "d_power" else float(value)
-        return default
+    constants: dict = field(default_factory=lambda: _as_constants({}, "constants"))
 
 
 def load_experiment(doc: dict) -> Experiment:
+    """Parse every value of `doc` by SCHEMA; a malformed value, an unknown key
+    or two keys for one field raise ConfigError."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(doc) - _KNOWN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    exp = Experiment(raw=doc)
-    if "p" in doc:
-        exp.p = _as_int(doc["p"], "p")
-    if "t" in doc:
-        exp.t = _as_int(doc["t"], "t")
-    if "matrix" in doc:
-        rows = doc["matrix"]
-        if not isinstance(rows, list) or not rows:
-            raise ConfigError("matrix must be a nonempty list of rows")
-        exp.matrix = IntMatrix.from_rows(
-            [[_as_int(x, "matrix entry") for x in _as_list(row, "matrix row")] for row in rows]
-        )
-    if "u0" in doc:
-        exp.u0 = _as_ints(doc["u0"], "u0")
-    if "v" in doc:
-        exp.v = _as_ints(doc["v"], "v")
-    if "level" in doc:
-        if doc["level"] not in ("thm1", "thm2"):
-            raise ConfigError("level must be thm1 or thm2")
-        exp.level = doc["level"]
-    if "N" in doc and "N_schedule" in doc:
-        raise ConfigError("give either N or N_schedule, not both")
-    if "N" in doc:
-        exp.n_schedule = [_as_int(doc["N"], "N")]
-    if "N_schedule" in doc:
-        exp.n_schedule = list(_as_ints(doc["N_schedule"], "N_schedule"))
-    if "V" in doc:
-        exp.v_range = _as_int(doc["V"], "V")
-    if "s_max" in doc:
-        exp.s_max = _as_int(doc["s_max"], "s_max")
-    if "s" in doc:
-        exp.s = _as_int(doc["s"], "s")
-    if "t_range" in doc:
-        rng = doc["t_range"]
-        if not (isinstance(rng, list) and len(rng) == 2):
-            raise ConfigError("t_range must be [t_lo, t_hi]")
-        lo, hi = (_as_int(x, "t_range entry") for x in rng)
-        exp.t_range = list(range(lo, hi + 1))
-    if "count" in doc:
-        exp.count = _as_int(doc["count"], "count")
-    if "scalar" in doc:
-        if not isinstance(doc["scalar"], bool):
-            raise ConfigError("scalar must be a boolean")
-        exp.scalar = doc["scalar"]
-    if "binary_out" in doc:
-        exp.binary_out = str(doc["binary_out"])
-    if "vmvt" in doc:
-        items = doc["vmvt"]
-        if not isinstance(items, list):
-            raise ConfigError("vmvt must be a list of [k, r, M] triples")
-        exp.vmvt = [
-            tuple(_as_int(x, "vmvt entry") for x in _as_list(triple, "vmvt triple"))
-            for triple in items
-        ]
-        if any(len(tr) != 3 for tr in exp.vmvt):
-            raise ConfigError("vmvt entries must be [k, r, M] triples")
-    if "boxes" in doc:
-        exp.boxes = []
-        for box in _as_list(doc["boxes"], "boxes"):
-            sides = [_as_list(side, "box side") for side in _as_list(box, "box")]
-            if any(len(side) != 2 for side in sides):
-                raise ConfigError("box sides must be [lo, hi] pairs")
-            exp.boxes.append([[Fraction(str(lo)), Fraction(str(hi))] for lo, hi in sides])
-    if "constants" in doc:
-        consts = doc["constants"]
-        if not isinstance(consts, dict):
-            raise ConfigError("constants must be an object")
-        unknown = set(consts) - _KNOWN_CONSTANTS
-        if unknown:
-            raise ConfigError(f"unknown constants: {sorted(unknown)}")
-        exp.constants = consts
-    return exp
+    _known(doc, SCHEMA, "config keys")
+    values, given = {}, {}
+    for key, (name, parse) in SCHEMA.items():
+        if key in doc and name is not None:
+            if name in given:
+                raise ConfigError(f"give either {given[name]} or {key}, not both")
+            values[name], given[name] = parse(doc[key], key), key
+    return Experiment(**values)
+
+
+def _require(exp: Experiment, command: str, *names: str) -> None:
+    """ConfigError naming the config keys of every field in `names` that the
+    config leaves out."""
+    missing = [
+        " or ".join(key for key, (name, _) in SCHEMA.items() if name == wanted)
+        for wanted in names
+        if getattr(exp, wanted) is None
+    ]
+    if missing:
+        raise ConfigError(f"{command} needs {' and '.join(missing)} in the config")
 
 
 class Rejection(Exception):
@@ -199,11 +221,26 @@ class Rejection(Exception):
         self.doc = doc
 
 
-def _validated_generator(exp: Experiment) -> GeneratorConfig:
-    cfg = exp.generator(validated=True)
-    if not cfg.validated.accepted:
-        raise Rejection(cfg.validated)
-    return cfg
+def _validation(exp: Experiment, verdict) -> dict:
+    return {"level": exp.level, **verdict.to_dict()}
+
+
+def _generator(exp: Experiment, command: str, validated: bool = True, keep=None) -> GeneratorConfig:
+    """The one route from a config to a generator.  A validated generator
+    carries the verdict on the config's level; a rejected verdict raises
+    Rejection, which writes `keep(validation document)` when `keep` is
+    given."""
+    from .fieldalg import validate_theorem_hypotheses
+    from .generator import GeneratorConfig
+
+    _require(exp, command, "p", "t", "matrix", "u0")
+    modulus = PrimePowerModulus(exp.p, exp.t)
+    verdict = None
+    if validated:
+        verdict = validate_theorem_hypotheses(exp.matrix, exp.u0, exp.v, modulus, exp.level)
+        if not verdict.accepted:
+            raise Rejection(verdict, keep and keep(_validation(exp, verdict)))
+    return GeneratorConfig(exp.matrix, modulus, exp.u0, exp.v, verdict)
 
 
 @dataclass
@@ -254,22 +291,9 @@ def _emit(result: Table | dict, args) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _validation(exp: Experiment, command: str):
-    from .fieldalg import validate_theorem_hypotheses
-
-    if exp.matrix is None or exp.u0 is None:
-        raise ConfigError(f"{command} needs matrix and u0")
-    verdict = validate_theorem_hypotheses(
-        exp.matrix, exp.u0, exp.v, exp.modulus, exp.level
-    )
-    return verdict, {"level": exp.level, **verdict.to_dict()}
-
-
 def cmd_validate(exp: Experiment, args) -> dict:
-    verdict, doc = _validation(exp, "validate")
-    if not verdict.accepted:
-        raise Rejection(verdict, doc)
-    return doc
+    cfg = _generator(exp, "validate", keep=lambda doc: doc)
+    return _validation(exp, cfg.validated)
 
 
 def _profile_summary(exp: Experiment, profile) -> dict:
@@ -277,45 +301,40 @@ def _profile_summary(exp: Experiment, profile) -> dict:
     from .padic import compute_w
 
     f = char_poly(exp.matrix)
-    w = None
-    if irreducible_mod_p(f, exp.p):
-        w = compute_w(f, exp.p, profile=profile)
-    return {
-        "tau_star": profile.tau_star,
-        "beta_star": profile.beta_star,
-        "s_star": profile.s_star,
-        "w": w,
-    }
+    w = compute_w(f, exp.p, profile=profile) if irreducible_mod_p(f, exp.p) else None
+    return {"tau_star": profile.tau_star, "beta_star": profile.beta_star,
+            "s_star": profile.s_star, "w": w}
 
 
 def _period_table(exp: Experiment) -> Table:
     from .padic import period_profile
 
-    profile = period_profile(exp.matrix, exp.p, exp.s_max or exp.t)
+    profile = period_profile(exp.matrix, exp.p, exp.t if exp.s_max is None else exp.s_max)
     summary = _profile_summary(exp, profile)
     rows = list(enumerate(profile.taus, start=1))
     return Table(("s", "tau_s"), rows, {"summary": summary}, sidecar=summary)
 
 
 def cmd_period(exp: Experiment, args) -> Table:
-    _validated_generator(exp)
+    _generator(exp, "period")
     return _period_table(exp)
 
 
 def cmd_gen(exp: Experiment, args) -> Table:
     from .generator import dump_records, scalar_sequence, vector_sequence
 
-    cfg = exp.generator()
-    count = exp.count or (exp.n_schedule[0] if exp.n_schedule else None)
+    cfg = _generator(exp, "gen", validated=False)
+    count = exp.count
     if count is None:
-        raise ConfigError("gen needs count (or N)")
+        _require(exp, "gen without count", "n_schedule")
+        count = exp.n_schedule[0]
     if exp.scalar:
         stream = np.array(scalar_sequence(cfg, 0, count), dtype=object).reshape(count, 1)
         header = ("n", "x")
     else:
         stream = vector_sequence(cfg, 0, count)
         header = ("n",) + tuple(f"u{i}" for i in range(cfg.a.d))
-    if exp.binary_out:
+    if exp.binary_out is not None:
         with open(exp.binary_out, "wb") as fh:
             dump_records(stream, fh)
     return Table(header, np.column_stack((np.arange(count), stream)))
@@ -324,9 +343,8 @@ def cmd_gen(exp: Experiment, args) -> Table:
 def cmd_expsum(exp: Experiment, args) -> Table:
     from .analysis.sums import exp_sum
 
-    cfg = _validated_generator(exp)
-    if not exp.n_schedule:
-        raise ConfigError("expsum needs N or N_schedule")
+    _require(exp, "expsum", "n_schedule")
+    cfg = _generator(exp, "expsum")
     rows = []
     for n in exp.n_schedule:
         rep = exp_sum(cfg, n)
@@ -347,7 +365,7 @@ def _discrepancy_table(exp: Experiment, cfg: GeneratorConfig, boxes=None) -> Tab
     for n in exp.n_schedule:
         rep = full_discrepancy_report(
             cfg, n, exp.v_range, boxes=boxes,
-            constant_base=exp.constant("ks_constant", 1.5),
+            constant_base=exp.constants["ks_constant"],
         )
         rows.append(
             (n, d, rep.kind, rep.value, float(rep.value), rep.ks_bound,
@@ -355,28 +373,20 @@ def _discrepancy_table(exp: Experiment, cfg: GeneratorConfig, boxes=None) -> Tab
              rep.extreme_upper_bound if rep.kind == "star" else "")
         )
         if rep.boxes:
-            diagnostics.append(
-                {
-                    "N": n,
-                    "boxes": [
-                        {
-                            "bounds": [[str(lo), str(hi)] for lo, hi in bc.bounds],
-                            "count": bc.count,
-                            "volume": bc.volume,
-                        }
-                        for bc in rep.boxes
-                    ],
-                }
-            )
+            counts = [
+                {"bounds": [[str(lo), str(hi)] for lo, hi in bc.bounds],
+                 "count": bc.count, "volume": bc.volume}
+                for bc in rep.boxes
+            ]
+            diagnostics.append({"N": n, "boxes": counts})
     header = ("N", "d", "kind", "exact", "exact_decimal", "ks_bound",
               "exact_le_bound", "extreme_upper_from_star")
     return Table(header, rows, {"box_diagnostics": diagnostics} if diagnostics else {})
 
 
 def cmd_discrepancy(exp: Experiment, args) -> Table:
-    cfg = _validated_generator(exp)
-    if not exp.n_schedule or exp.v_range is None:
-        raise ConfigError("discrepancy needs N (or N_schedule) and V")
+    _require(exp, "discrepancy", "n_schedule", "v_range")
+    cfg = _generator(exp, "discrepancy")
     return _discrepancy_table(exp, cfg, exp.boxes)
 
 
@@ -384,9 +394,8 @@ def cmd_vmvt(exp: Experiment, args) -> Table:
     from .analysis.bounds import ford_bound
     from .analysis.vinogradov import vinogradov_count
 
-    if not exp.vmvt:
-        raise ConfigError("vmvt needs a list of [k, r, M] triples")
-    c0 = int(exp.constant("c0", 1000))
+    _require(exp, "vmvt", "vmvt")
+    c0 = exp.constants["c0"]
     d_for_bound = exp.matrix.d if exp.matrix is not None else 2
     rows = []
     for k, r, m in exp.vmvt:
@@ -406,16 +415,12 @@ def _bounds_table(exp: Experiment, cfg: GeneratorConfig) -> Table:
     from .analysis.sums import exp_sum
 
     d = cfg.a.d
-    eta = exp.constant("eta", 1.0)
-    c = exp.constant("c", 1.0)
-    eta0 = exp.constant("eta0", 1.0)
-    c0_env = exp.constant("c0_envelope", 1.0)
-    d_power = int(exp.constant("d_power", 4))
+    k = exp.constants
     rows = []
     for n in exp.n_schedule:
         rep = exp_sum(cfg, n)
-        env = theorem_envelope(n, exp.p, exp.t, d, eta, c, d_power)
-        denv = discrepancy_envelope(n, exp.p, exp.t, d, eta0, c0_env, d_power)
+        env = theorem_envelope(n, exp.p, exp.t, d, k["eta"], k["c"], k["d_power"])
+        denv = discrepancy_envelope(n, exp.p, exp.t, d, k["eta0"], k["c0_envelope"], k["d_power"])
         rows.append((n, rep.rho, rep.abs_value, rep.normalized, env, denv))
     header = ("N", "rho", "abs_S", "S_over_N", "sum_envelope", "discrepancy_envelope")
     return Table(header, rows)
@@ -426,24 +431,23 @@ def cmd_bounds(exp: Experiment, args) -> Table:
     from .analysis.sums import full_period_exponent
     from .padic import period_profile
 
-    cfg = _validated_generator(exp)
-    if not exp.n_schedule:
-        raise ConfigError("bounds needs N or N_schedule")
+    _require(exp, "bounds", "n_schedule")
+    cfg = _generator(exp, "bounds")
     table = _bounds_table(exp, cfg)
     extras = table.extras
-    if exp.t_range:
+    if exp.t_range is not None:
         fp_rows = full_period_exponent(cfg, exp.t_range)
         extras["full_period"] = [
             {"t": r.t, "tau_t": r.tau, "abs_S": r.abs_value, "theta_t": r.theta}
             for r in fp_rows
         ]
-    profile = period_profile(exp.matrix, exp.p, max(2, exp.s_max or 2))
+    profile = period_profile(exp.matrix, exp.p, 2 if exp.s_max is None else max(2, exp.s_max))
     summary = _profile_summary(exp, profile)
     if summary["w"] is not None:
         try:
             pp = proof_parameters(
                 max(exp.n_schedule), exp.p, exp.t, cfg.a.d, summary["w"],
-                summary["s_star"], int(exp.constant("c0", 1000)),
+                summary["s_star"], exp.constants["c0"],
             )
             extras["proof_parameters"] = {
                 "s": pp.s, "r": pp.r, "k": pp.k, "lambda": pp.lam,
@@ -458,15 +462,10 @@ def cmd_bounds(exp: Experiment, args) -> Table:
 
 def cmd_report(exp: Experiment, args) -> dict:
     from .analysis.sums import korobov_reduction_check
-    from .generator import GeneratorConfig
 
-    verdict, validation = _validation(exp, "report")
-    doc: dict = {"validate": validation}
-    if not verdict.accepted:
-        raise Rejection(verdict, doc)
-    cfg = GeneratorConfig(exp.matrix, exp.modulus, exp.u0, exp.v, verdict)
-    doc["period"] = _period_table(exp).doc()
-    if exp.n_schedule:
+    cfg = _generator(exp, "report", keep=lambda doc: {"validate": doc})
+    doc = {"validate": _validation(exp, cfg.validated), "period": _period_table(exp).doc()}
+    if exp.n_schedule is not None:
         doc["expsum"] = _bounds_table(exp, cfg).records(
             ("N", "rho", "abs_S", "S_over_N", "sum_envelope")
         )
@@ -474,14 +473,12 @@ def cmd_report(exp: Experiment, args) -> dict:
             doc["discrepancy"] = _discrepancy_table(exp, cfg).records(
                 ("N", "kind", "exact", "ks_bound", "exact_le_bound")
             )
-    if exp.vmvt:
+    if exp.vmvt is not None:
         doc["vmvt"] = cmd_vmvt(exp, args).records(("k", "r", "M", "count"))
     rng = random.Random(args.seed)
     residual_sample = []
     for _ in range(5):
-        n = rng.randrange(20, 60)
-        m = rng.randrange(1, 4)
-        a = rng.randrange(0, 3)
+        n, m, a = rng.randrange(20, 60), rng.randrange(1, 4), rng.randrange(0, 3)
         residual = korobov_reduction_check(cfg, n, m, a)
         residual_sample.append(
             {"N": n, "M": m, "a": a, "residual": residual, "nonnegative": residual >= 0}

@@ -234,11 +234,12 @@ class TestCharPoly:
         f = IntPolynomial((5, -2, 0, 1))  # X^3 - 2X + 5
         assert char_poly(companion_matrix(f)) == f
 
-    @given(square_matrices(3))
-    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 4).flatmap(square_matrices))
+    @settings(max_examples=60, deadline=None)
     def test_cayley_hamilton(self, a):
         f = char_poly(a)
-        assert poly_eval_matrix(f, a) == IntMatrix.zeros(3)
+        assert f.degree == a.d and f.is_monic
+        assert poly_eval_matrix(f, a) == IntMatrix.zeros(a.d)
 
     def test_recurrence_coefficients(self, fib):
         assert recurrence_coefficients(char_poly(fib)) == (1, 1)

@@ -158,9 +158,10 @@ class TestKoksmaSzusz:
                     exact = exact_discrepancy(fractional_points(cfg_t, n))
                     assert float(exact.value) <= float(ks.value)
 
-    @pytest.mark.parametrize("t, n", [(4, 50), (4, 5000), (40, 50), (40, 5000)])
+    @pytest.mark.parametrize("t, n", [(4, 50), (4, 5000), (20, 5000), (40, 50), (40, 5000)])
     def test_matches_fsum_reference(self, fib, t, n):
-        # t = 4 runs the stream in int64, t = 40 on exact ints; n = 5000 is
+        # t = 4 runs the stream in int64, t = 20 narrows an exact-int stream
+        # to int64 for the phases, t = 40 stays on exact ints; n = 5000 is
         # past the kernel's short rows
         cfg = GeneratorConfig.create(fib, PrimePowerModulus(3, t), (1, 2), (1, 0))
         v_range = 3
