@@ -1,6 +1,13 @@
 """Exponential sum measurement: single sums over the scalar stream, the
-polynomial-phase double sums sigma_n on a p^s x p^s grid, and the
-single-to-double reduction residual.
+full-period sums S(tau_t) and their exponents, the polynomial-phase double
+sums sigma_n on a p^s x p^s grid, and the single-to-double reduction
+residual.
+
+A full-period sum S(tau_t) is summed over tau_s terms, not tau_t, where the
+orders allow it: with A^{tau_s} = I + p^s B and 2s >= t, the stream over a
+full period is u_{n + tau_s m} = u_n + m p^s B u_n (mod p^t) (Shparlinski's
+polynomial representation of u_{n + tau_s m} in m), and the sum over m is a
+complete geometric sum.
 
 Every sum of phases sum_n w_n e(x_n / m) goes through one kernel,
 `phase_sum`: the angle of each term comes from `_angles`, and the real and
@@ -20,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..arith import IntPolynomial, det_exact, mat_stream
+from ..arith import IntPolynomial, det_exact, mat_stream, vec_dot
 from ..errors import GridTooLargeError, PeriodTooLargeError, PreconditionViolatedError
 from ..generator import GeneratorConfig
 from ..padic import H_coeffs, h_coeffs, order_mod, order_sequence, period_profile, theta_matrix
@@ -191,6 +198,34 @@ class FullPeriodRow:
     theta: float
 
 
+def _lift_level(taus: Sequence[int], p: int, t: int) -> int | None:
+    """The least s with ceil(t/2) <= s < t and tau_t = tau_s p^(t-s), from
+    the orders taus[0] = tau_1 .. taus[t-1] = tau_t; None if there is none."""
+    for s in range((t + 1) // 2, t):
+        if taus[t - 1] == taus[s - 1] * p ** (t - s):
+            return s
+    return None
+
+
+def _lifted_period_sum(cfg: GeneratorConfig, s: int, tau_s: int) -> complex:
+    """S(tau_t) mod p^t from tau_s terms, for 2s >= t and tau_t = tau_s p^(t-s).
+
+    With A^{tau_s} = I + p^s B, every binomial term of degree >= 2 in
+    (I + p^s B)^m vanishes mod p^t, so u_{n + tau_s m} = u_n + m p^s B u_n
+    (mod p^t).  Writing n' = n + tau_s m, n < tau_s, m < p^(t-s), the inner
+    sum over m is a complete geometric sum: p^(t-s) where p^(t-s) divides
+    c_n = (v B) . u_n, else 0.  So S(tau_t) = p^(t-s) sum e(x_n / p^t) over
+    the n < tau_s with p^(t-s) | c_n, where x_n = v . u_n."""
+    m, t = cfg.m, cfg.m.t
+    m.check_float_range()
+    q = m.p ** (t - s)
+    b = theta_matrix(cfg.a, m.p, s, tau_s, t)
+    vb = [vec_dot(cfg.v, column) for column in zip(*b.entries)]
+    keep = mat_stream(cfg.a, cfg.u0, m, tau_s, 0, vb) % q == 0
+    x = mat_stream(cfg.a, cfg.u0, m, tau_s, 0, cfg.v)[keep]
+    return q * phase_sum(x, m.modulus)
+
+
 def full_period_exponent(
     cfg: GeneratorConfig,
     t_range: Sequence[int],
@@ -198,12 +233,23 @@ def full_period_exponent(
 ) -> list[FullPeriodRow]:
     """Measured exponents theta_t = log|S(tau_t)| / log tau_t for each t.
 
-    Every tau_t is drawn from one order sequence, only as deep as t, so a
-    tau_t over tau_guard raises PeriodTooLargeError before any deeper order
-    is computed.  A matrix of finite order is rejected first, by
-    period_profile at the least t."""
+    S(tau_t) comes from tau_s terms (`_lifted_period_sum`), with s the least
+    level that satisfies ceil(t/2) <= s < t and tau_t = tau_s p^(t-s) on the
+    drawn orders.  Where no such s exists, it is `exp_sum` over all tau_t
+    terms.  Either way the value is p^(t-s) (or 1) times a sum that is
+    exactly rounded over the terms it adds.
+
+    Every tau_t is drawn from one order sequence, only as deep as t, and the
+    number of terms a row sums (tau_s, or tau_t) over tau_guard raises
+    PeriodTooLargeError before that row streams anything and before any
+    deeper order is computed.  A matrix of finite order is rejected first,
+    by period_profile at the least t; a t below 1 is a ValueError."""
     if not t_range:
         return []
+    if min(t_range) < 1:
+        raise ValueError(f"every t in t_range must be >= 1, not {min(t_range)}")
+    if cfg.v is None:
+        raise ValueError("full-period sums need v in the config")
     p = cfg.m.p
     period_profile(cfg.a, p, min(t_range))
     orders = order_sequence(cfg.a, p)
@@ -212,15 +258,20 @@ def full_period_exponent(
     for t in t_range:
         taus.extend(itertools.islice(orders, max(0, t - len(taus))))
         tau = taus[t - 1]
-        if tau > tau_guard:
-            raise PeriodTooLargeError(f"tau_{t} = {tau} exceeds guard {tau_guard}")
-        rep = exp_sum(cfg.at_exponent(t), tau)
-        theta = (
-            math.log(rep.abs_value) / math.log(tau)
-            if rep.abs_value > 0
-            else float("-inf")
-        )
-        rows.append(FullPeriodRow(t, tau, rep.abs_value, theta))
+        s = _lift_level(taus, p, t)
+        level, terms = (t, tau) if s is None else (s, taus[s - 1])
+        if terms > tau_guard:
+            raise PeriodTooLargeError(
+                f"tau_{level} = {terms}, the terms summed for t = {t}, exceeds guard {tau_guard}"
+            )
+        cfg_t = cfg.at_exponent(t)
+        value = exp_sum(cfg_t, tau).value if s is None else _lifted_period_sum(cfg_t, s, terms)
+        abs_value = abs(value)
+        if tau == 1:  # log|S| / log tau is 0 / 0
+            theta = math.nan
+        else:
+            theta = math.log(abs_value) / math.log(tau) if abs_value > 0 else -math.inf
+        rows.append(FullPeriodRow(t, tau, abs_value, theta))
     return rows
 
 

@@ -14,12 +14,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
+
+# No command calls BLAS (every matrix product is on int64 or object arrays),
+# and OpenBLAS starts a worker pool at import, which costs start-up time.  A
+# value the user set is kept.  This is the first numpy import of the CLI.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -90,8 +96,17 @@ def _as_schedule(value, name: str) -> list[int]:
     return schedule
 
 
+def _as_positive(value, name: str) -> int:
+    number = _as_int(value, name)
+    if number < 1:
+        raise ConfigError(f"{name} must be >= 1")
+    return number
+
+
 def _as_t_range(value, name: str) -> range:
     lo, hi = (_as_int(x, f"{name} entry") for x in _as_list(value, name, 2))
+    if not 1 <= lo <= hi:
+        raise ConfigError(f"{name} must be [lo, hi] with 1 <= lo <= hi")
     return range(lo, hi + 1)
 
 
@@ -138,7 +153,7 @@ SCHEMA = {
     "N": ("n_schedule", lambda value, name: [_as_int(value, name)]),
     "N_schedule": ("n_schedule", _as_schedule),
     "V": ("v_range", _as_int),
-    "s_max": ("s_max", _as_int),
+    "s_max": ("s_max", _as_positive),
     "t_range": ("t_range", _as_t_range),
     "count": ("count", _as_int),
     "scalar": ("scalar", _as_bool),

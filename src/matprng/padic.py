@@ -528,9 +528,11 @@ def compute_w(
 # ---------------------------------------------------------------------------
 
 
-def theta_matrix(a: IntMatrix, p: int, s: int, tau_s: int) -> IntMatrix:
-    """Integer matrix B with A^{tau_s} = I + p^s B, exactly over Z."""
-    power = mat_pow(a, tau_s)
+def theta_matrix(a: IntMatrix, p: int, s: int, tau_s: int, t: int | None = None) -> IntMatrix:
+    """Integer matrix B with A^{tau_s} = I + p^s B, exactly over Z; given
+    t >= s, B mod p^(t-s), from A^{tau_s} mod p^t, with entries in
+    [0, p^(t-s))."""
+    power = mat_pow(a, tau_s) if t is None else mat_pow_mod(a, tau_s, PrimePowerModulus(p, t))
     ps = p**s
     rows = []
     for i, row in enumerate(power.entries):

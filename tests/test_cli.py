@@ -198,6 +198,14 @@ class TestGuards:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "StreamTooLargeError", "message": err["message"]}
 
+    def test_full_period_guard_bounds_the_terms_summed(self, tmp_path):
+        # tau_20 = 8 * 3^19 is over the 10^7 guard, but t = 20 sums tau_10 terms
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, dict(FIB_DOC, t_range=[14, 20]))
+        assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
+        rows = json.loads((tmp_path / "out.json").read_text())["full_period"]
+        assert [(r["t"], r["tau_t"]) for r in rows] == [(t, 8 * 3 ** (t - 1)) for t in range(14, 21)]
+
     def test_vmvt_byte_guard_exits_3(self, tmp_path, capsys):
         # 8193^2 ordered pairs at 16 bytes each exceed the 2^30-byte budget
         cfg = write_config(tmp_path, dict(FIB_DOC, vmvt=[[2, 2, 8193]]))

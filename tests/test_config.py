@@ -80,11 +80,28 @@ class TestExplicitValues:
         assert (tmp_path / "out").read_text().splitlines() == ["n,u0,u1"]
         assert binary.exists()
 
-    @pytest.mark.parametrize("command", ["period", "report"])
+    @pytest.mark.parametrize("command", ["period", "report", "bounds"])
     def test_s_max_zero_exits_1(self, command, tmp_path, capsys):
         code, err = run(tmp_path, capsys, command, dict(FIB_DOC, s_max=0))
         assert code == 1
-        assert err.count("\n") == 1 and "Traceback" not in err
+        assert_one_config_error(err)
+        assert "s_max" in err
+
+    @pytest.mark.parametrize("command", ["period", "report", "bounds"])
+    def test_negative_s_max_exits_1(self, command, tmp_path, capsys):
+        code, err = run(tmp_path, capsys, command, dict(FIB_DOC, s_max=-5))
+        assert code == 1
+        assert err == "config error: s_max must be >= 1\n"
+
+    @pytest.mark.parametrize("t_range", [[0, 2], [-3, 4], [5, 2]])
+    def test_t_range_outside_1_le_lo_le_hi_exits_1(self, t_range, tmp_path, capsys):
+        code, err = run(tmp_path, capsys, "bounds", dict(FIB_DOC, t_range=t_range))
+        assert code == 1
+        assert err == "config error: t_range must be [lo, hi] with 1 <= lo <= hi\n"
+        assert not list(tmp_path.glob("out*"))
+
+    def test_one_term_t_range(self):
+        assert load_experiment({"t_range": [3, "3"]}).t_range == range(3, 4)
 
     def test_empty_vmvt_gives_header_only_table(self, tmp_path, capsys):
         code, _ = run(tmp_path, capsys, "vmvt", dict(FIB_DOC, vmvt=[]))

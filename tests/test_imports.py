@@ -16,9 +16,15 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 ANALYSIS = "matprng.analysis"
 
 
-def fresh_modules(code: str, *args: str) -> list[str]:
-    """sys.modules after running `code` in a new interpreter."""
+def fresh_modules(code: str, *args: str, environ: dict | None = None) -> list[str]:
+    """sys.modules after running `code` in a new interpreter, with `environ`
+    laid over this process's environment (a None value unsets the name)."""
     env = dict(os.environ)
+    for name, value in (environ or {}).items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     proc = subprocess.run(
@@ -28,13 +34,13 @@ def fresh_modules(code: str, *args: str) -> list[str]:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def command_modules(tmp_path, command: str) -> list[str]:
+def command_modules(tmp_path, command: str, environ: dict | None = None) -> list[str]:
     cfg = write_config(tmp_path, FIB_DOC)
     code = (
         "import sys\nfrom matprng.cli import main\n"
         "assert main(sys.argv[1:]) == 0"
     )
-    return fresh_modules(code, command, "--config", cfg, "--out", str(tmp_path / "out"))
+    return fresh_modules(code, command, "--config", cfg, "--out", str(tmp_path / "out"), environ=environ)
 
 
 def test_cli_import_loads_only_arith_and_errors():
@@ -97,3 +103,36 @@ def test_every_submodule_is_an_attribute(package):
         f"    assert module is importlib.import_module('{package}.' + info.name), info.name\n"
     )
     fresh_modules(code)
+
+
+# --- one thread: the CLI starts no BLAS worker pool ---------------------------
+
+BLAS = "OPENBLAS_NUM_THREADS"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+def test_cli_import_leaves_one_thread():
+    code = "import os\nimport matprng.cli\nassert len(os.listdir('/proc/self/task')) == 1, os.listdir('/proc/self/task')"
+    fresh_modules(code, environ={BLAS: None})
+
+
+def test_cli_import_keeps_the_users_blas_setting():
+    code = f"import os\nimport matprng.cli\nassert os.environ['{BLAS}'] == '2', os.environ['{BLAS}']"
+    fresh_modules(code, environ={BLAS: "2"})
+
+
+def test_library_import_leaves_the_environment_alone():
+    code = f"import os\nimport matprng.analysis.sums\nassert '{BLAS}' not in os.environ"
+    fresh_modules(code, environ={BLAS: None})
+
+
+@pytest.mark.parametrize("command", ["gen", "expsum", "bounds"])
+def test_artifacts_do_not_depend_on_the_blas_setting(command, tmp_path):
+    outputs = []
+    for value in (None, "2"):
+        run_dir = tmp_path / str(value)
+        run_dir.mkdir()
+        command_modules(run_dir, command, environ={BLAS: value})
+        outputs.append({f.name: f.read_bytes() for f in run_dir.glob("out*")})
+    assert outputs[0] == outputs[1]
+    assert "out" in outputs[0]

@@ -385,6 +385,16 @@ class TestThetaMatrix:
         with pytest.raises(ExactDivisionError):
             theta_matrix(fib, 3, 2, 8)  # A^8 != I mod 9
 
+    @pytest.mark.parametrize("p, s, t", [(3, 1, 1), (3, 2, 3), (3, 3, 6), (2, 4, 7), (5, 2, 4)])
+    def test_mod_p_t_is_the_exact_b_reduced(self, fib, p, s, t):
+        tau_s = order_mod(fib, PrimePowerModulus(p, s))
+        exact = theta_matrix(fib, p, s, tau_s)
+        assert theta_matrix(fib, p, s, tau_s, t) == exact.reduce(p ** (t - s))
+
+    def test_mod_p_t_wrong_tau_rejected(self, fib):
+        with pytest.raises(ExactDivisionError):
+            theta_matrix(fib, 3, 2, 8, 4)
+
 
 class TestHCoeffs:
     def test_fib_first_values(self, fib):

@@ -151,12 +151,13 @@ class TestHistogramAgainstDirect:
 class TestFullPeriodExponent:
     def test_one_order_sequence_same_rows(self, cfg, monkeypatch):
         # the rows of building period_profile(a, p, t) afresh for every t
+        # (t and tau exactly, |S| and theta within exp_sum's error bound)
         t_range = range(2, 8)
         expected = []
         for t in t_range:
             tau = period_profile(cfg.a, 3, t).tau(t)
             rep = exp_sum(cfg.at_exponent(t), tau)
-            expected.append((t, tau, rep.abs_value, math.log(rep.abs_value) / math.log(tau)))
+            expected.append((t, tau, rep))
         calls = []
 
         def counted(*args):
@@ -165,13 +166,18 @@ class TestFullPeriodExponent:
 
         monkeypatch.setattr(sums, "period_profile", counted)
         rows = full_period_exponent(cfg, t_range)
-        assert [(r.t, r.tau, r.abs_value, r.theta) for r in rows] == expected
+        assert [(r.t, r.tau) for r in rows] == [(t, tau) for t, tau, _ in expected]
+        for row, (_, tau, rep) in zip(rows, expected):
+            assert abs(row.abs_value - rep.abs_value) <= rep.error_bound
+            theta = math.log(rep.abs_value) / math.log(tau)
+            assert abs(row.theta - theta) <= rep.error_bound / rep.abs_value / math.log(tau)
         assert calls == [(cfg.a, 3, 2)]
         assert full_period_exponent(cfg, []) == []
 
     def test_guard_stops_before_deeper_orders(self, cfg, monkeypatch):
-        # tau_8 = 17496 is the first order of Fibonacci mod 3^t over 10^4; no
-        # order past t = 8 may be computed, however far t_range reaches
+        # tau_8 = 17496 is the first order of Fibonacci mod 3^t over 10^4, and
+        # t = 15 the first row that sums tau_s = tau_8 terms (s = ceil(t/2));
+        # no order past t = 15 may be computed, however far t_range reaches
         drawn = []
 
         def counted(a, p):
@@ -185,9 +191,9 @@ class TestFullPeriodExponent:
 
         monkeypatch.setattr(sums, "order_sequence", counted)
         monkeypatch.setattr(sums, "period_profile", shallow)
-        with pytest.raises(PeriodTooLargeError, match="tau_8 = 17496"):
+        with pytest.raises(PeriodTooLargeError, match="tau_8 = 17496, the terms summed for t = 15,"):
             full_period_exponent(cfg, range(2, 10**5), tau_guard=10**4)
-        assert drawn == [8 * 3 ** (s - 1) for s in range(1, 9)]
+        assert drawn == [8 * 3 ** (s - 1) for s in range(1, 16)]
 
     def test_finite_order_degenerate(self):
         identity = GeneratorConfig.create(IntMatrix.identity(2), PrimePowerModulus(3, 4), (1, 0), (1, 0))
@@ -203,6 +209,120 @@ class TestFullPeriodExponent:
     def test_guard(self, cfg):
         with pytest.raises(PeriodTooLargeError):
             full_period_exponent(cfg, [30], tau_guard=10**6)
+
+    def test_guard_raises_before_anything_is_streamed(self, cfg, monkeypatch):
+        # t = 9 sums tau_5 = 648 terms
+        streamed = []
+        monkeypatch.setattr(sums, "mat_stream", lambda *args: streamed.append(args))
+        with pytest.raises(PeriodTooLargeError, match="tau_5 = 648, the terms summed for t = 9,"):
+            full_period_exponent(cfg, [9], tau_guard=647)
+        assert streamed == []
+
+    @pytest.mark.parametrize("t_range", [range(0, 3), [2, -1]])
+    def test_t_below_1_names_t_range(self, cfg, t_range):
+        with pytest.raises(ValueError, match="t_range"):
+            full_period_exponent(cfg, t_range)
+
+
+# (rows of A, p): d = 2 and 3 for p = 2, 3, 5, and three matrices with s* > 1
+LIFT_CASES = [
+    ([[0, 1], [1, 1]], 2),
+    ([[0, 1], [1, 1]], 3),
+    ([[0, 1], [1, 1]], 5),
+    ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], 2),
+    ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], 3),
+    ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], 5),
+    ([[0, 1], [-1, -3]], 2),  # orders 3, 6, 6, 12, ...: s* = 3
+    ([[0, 1], [1, 5]], 3),  # orders 8, 8, 8, 24, ...: s* = 3
+    ([[1, 2048], [2048, 2049]], 2),  # I + 2^11 F: s* = 11, and p^25 > 2^24
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestLiftedPeriodSum:
+    """S(tau_t) from tau_s terms against exp_sum over all tau_t terms."""
+
+    @staticmethod
+    def _case(rows, p):
+        """s*, the orders tau_1 .. tau_{2s*+3}, and the generator mod p^t as a
+        function of t."""
+        a = IntMatrix.from_rows(rows)
+        s_star = period_profile(a, p, 1).s_star
+        taus = period_profile(a, p, 2 * s_star + 3).taus
+        u0, v = tuple(range(1, a.d + 1)), tuple(range(2, a.d + 2))
+        return s_star, taus, lambda t: GeneratorConfig(a, PrimePowerModulus(p, t), u0, v)
+
+    @pytest.mark.parametrize("rows, p", LIFT_CASES)
+    def test_matches_exp_sum_for_t_from_s_star_to_2_s_star_plus_3(self, rows, p):
+        s_star, taus, at = self._case(rows, p)
+        t_range = range(s_star, 2 * s_star + 4)
+        fp_rows = full_period_exponent(at(t_range[-1]), t_range)
+        assert [(row.t, row.tau) for row in fp_rows] == [(t, taus[t - 1]) for t in t_range]
+        for t, row in zip(t_range, fp_rows):
+            cfg, tau = at(t), taus[t - 1]
+            s = sums._lift_level(taus, p, t)
+            # the precondition, on the orders: the least admissible level
+            admissible = [
+                k for k in range((t + 1) // 2, t) if tau == taus[k - 1] * p ** (t - k)
+            ]
+            assert s == (admissible[0] if admissible else None)
+            if s is not None:
+                assert 2 * s in (t, t + 1) or s == s_star
+            methods = ["direct"] + (["histogram"] if cfg.m.modulus <= _HISTOGRAM_LIMIT else [])
+            for method in methods:
+                ref = exp_sum(cfg, tau, method=method)
+                if s is not None:
+                    lifted = sums._lifted_period_sum(cfg, s, taus[s - 1])
+                    assert abs(lifted - ref.value) <= ref.error_bound, (t, s, method)
+                assert abs(row.abs_value - ref.abs_value) <= ref.error_bound, (t, method)
+
+    def test_cases_cover_both_sides_of_2s_t_the_fallback_and_both_methods(self):
+        levels, direct = set(), set()
+        for rows, p in LIFT_CASES:
+            s_star, taus, at = self._case(rows, p)
+            for t in range(s_star, 2 * s_star + 4):
+                s = sums._lift_level(taus, p, t)
+                levels.add("fallback" if s is None else "2s = t" if 2 * s == t else "2s > t")
+                direct.add(at(t).m.modulus > _HISTOGRAM_LIMIT)
+        assert levels == {"fallback", "2s = t", "2s > t"}
+        assert direct == {False, True}
+
+    @pytest.mark.parametrize("rows, p, t", [
+        ([[0, 1], [1, 1]], 3, 1),  # no level below t = 1
+        ([[0, 1], [-1, -3]], 2, 3),  # tau_3 = tau_2
+        ([[0, 1], [1, 5]], 3, 3),  # tau_3 = tau_2 = tau_1
+        ([[1, 2048], [2048, 2049]], 2, 11),  # tau_11 = 1
+    ])
+    def test_falls_back_to_exp_sum_when_the_orders_do_not_grow(self, rows, p, t, monkeypatch):
+        _, taus, at = self._case(rows, p)
+        assert sums._lift_level(taus, p, t) is None
+        calls = []
+
+        def counted(cfg, n, *args):
+            calls.append((cfg.m.t, n))
+            return exp_sum(cfg, n, *args)
+
+        monkeypatch.setattr(sums, "exp_sum", counted)
+        monkeypatch.setattr(sums, "_lifted_period_sum", None)
+        (row,) = full_period_exponent(at(t), [t])
+        assert calls == [(t, taus[t - 1])]
+        assert row.abs_value == exp_sum(at(t), taus[t - 1]).abs_value
+        assert math.isnan(row.theta) if row.tau == 1 else row.theta < 1
+
+    @pytest.mark.parametrize("t", [3, 4, 5])
+    def test_identity_needs_2s_at_least_t(self, t):
+        # one level below ceil(t/2) the orders still grow by p, but the
+        # quadratic term of (I + p^s B)^m no longer vanishes mod p^t
+        _, taus, at = self._case([[0, 1], [1, 1]], 3)
+        s = (t + 1) // 2 - 1
+        assert taus[t - 1] == taus[s - 1] * 3 ** (t - s)
+        wrong = sums._lifted_period_sum(at(t), s, taus[s - 1])
+        assert abs(wrong - exp_sum(at(t), taus[t - 1]).value) > 1
+
+    def test_lift_level_checks_the_orders(self):
+        taus = (8, 8, 8, 24, 72, 216)
+        assert [sums._lift_level(taus, 3, t) for t in range(1, 7)] == [None, None, None, 3, 3, 3]
+        assert sums._lift_level((3, 6, 12, 24, 48, 96), 2, 6) == 3
 
 
 class TestDoubleSum:
