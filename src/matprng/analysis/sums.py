@@ -3,11 +3,11 @@ full-period sums S(tau_t) and their exponents, the polynomial-phase double
 sums sigma_n on a p^s x p^s grid, and the single-to-double reduction
 residual.
 
-A full-period sum S(tau_t) is summed over tau_s terms, not tau_t, where the
-orders allow it: with A^{tau_s} = I + p^s B and 2s >= t, the stream over a
-full period is u_{n + tau_s m} = u_n + m p^s B u_n (mod p^t) (Shparlinski's
-polynomial representation of u_{n + tau_s m} in m), and the sum over m is a
-complete geometric sum.
+A full-period sum S(tau_t) is summed over tau_s terms with s = ceil(t/2),
+not over tau_t: with A^{tau_s} = I + p^s B and 2s >= t,
+u_{n + tau_s m} = u_n + m p^s B u_n (mod p^t) (Shparlinski's polynomial
+representation of u_{n + tau_s m} in m), and the sum over m is a complete
+geometric sum.
 
 Every sum of phases sum_n w_n e(x_n / m) goes through one kernel,
 `phase_sum`: the angle of each term comes from `_angles`, and the real and
@@ -198,24 +198,18 @@ class FullPeriodRow:
     theta: float
 
 
-def _lift_level(taus: Sequence[int], p: int, t: int) -> int | None:
-    """The least s with ceil(t/2) <= s < t and tau_t = tau_s p^(t-s), from
-    the orders taus[0] = tau_1 .. taus[t-1] = tau_t; None if there is none."""
-    for s in range((t + 1) // 2, t):
-        if taus[t - 1] == taus[s - 1] * p ** (t - s):
-            return s
-    return None
+def _lifted_period_sum(cfg: GeneratorConfig, s: int, tau_s: int, tau_t: int) -> complex:
+    """S(tau_t) mod p^t from tau_s terms, for 1 <= s <= t <= 2s.
 
-
-def _lifted_period_sum(cfg: GeneratorConfig, s: int, tau_s: int) -> complex:
-    """S(tau_t) mod p^t from tau_s terms, for 2s >= t and tau_t = tau_s p^(t-s).
-
-    With A^{tau_s} = I + p^s B, every binomial term of degree >= 2 in
+    Write A^{tau_s} = I + p^s B.  Every binomial term of degree >= 2 in
     (I + p^s B)^m vanishes mod p^t, so u_{n + tau_s m} = u_n + m p^s B u_n
-    (mod p^t).  Writing n' = n + tau_s m, n < tau_s, m < p^(t-s), the inner
-    sum over m is a complete geometric sum: p^(t-s) where p^(t-s) divides
-    c_n = (v B) . u_n, else 0.  So S(tau_t) = p^(t-s) sum e(x_n / p^t) over
-    the n < tau_s with p^(t-s) | c_n, where x_n = v . u_n."""
+    (mod p^t).  At m = p^(t-s) that is u_n, so tau_t divides tau_s p^(t-s),
+    and tau_s divides tau_t.  Write n' = n + tau_s m with n < tau_s and
+    m < p^(t-s).  Over m the sum is a complete geometric sum, p^(t-s) where
+    p^(t-s) divides c_n = (v B) . u_n, else 0, and the n' cover
+    tau_s p^(t-s) / tau_t whole periods.  So
+    S(tau_t) = (tau_t / tau_s) sum e(x_n / p^t) over the n < tau_s with
+    p^(t-s) | c_n, where x_n = v . u_n."""
     m, t = cfg.m, cfg.m.t
     m.check_float_range()
     q = m.p ** (t - s)
@@ -223,7 +217,7 @@ def _lifted_period_sum(cfg: GeneratorConfig, s: int, tau_s: int) -> complex:
     vb = [vec_dot(cfg.v, column) for column in zip(*b.entries)]
     keep = mat_stream(cfg.a, cfg.u0, m, tau_s, 0, vb) % q == 0
     x = mat_stream(cfg.a, cfg.u0, m, tau_s, 0, cfg.v)[keep]
-    return q * phase_sum(x, m.modulus)
+    return tau_t // tau_s * phase_sum(x, m.modulus)
 
 
 def full_period_exponent(
@@ -233,17 +227,15 @@ def full_period_exponent(
 ) -> list[FullPeriodRow]:
     """Measured exponents theta_t = log|S(tau_t)| / log tau_t for each t.
 
-    S(tau_t) comes from tau_s terms (`_lifted_period_sum`), with s the least
-    level that satisfies ceil(t/2) <= s < t and tau_t = tau_s p^(t-s) on the
-    drawn orders.  Where no such s exists, it is `exp_sum` over all tau_t
-    terms.  Either way the value is p^(t-s) (or 1) times a sum that is
-    exactly rounded over the terms it adds.
+    S(tau_t) comes from tau_s terms with s = ceil(t/2)
+    (`_lifted_period_sum`): it is tau_t / tau_s times a sum that is exactly
+    rounded over the terms it adds.
 
-    Every tau_t is drawn from one order sequence, only as deep as t, and the
-    number of terms a row sums (tau_s, or tau_t) over tau_guard raises
-    PeriodTooLargeError before that row streams anything and before any
-    deeper order is computed.  A matrix of finite order is rejected first,
-    by period_profile at the least t; a t below 1 is a ValueError."""
+    Every tau_t is drawn from one order sequence, only as deep as t, and a
+    tau_s over tau_guard raises PeriodTooLargeError before that row streams
+    anything and before any deeper order is computed.  A matrix of finite
+    order is rejected first, by period_profile at the least t; a t below 1
+    is a ValueError that names t_range."""
     if not t_range:
         return []
     if min(t_range) < 1:
@@ -257,16 +249,13 @@ def full_period_exponent(
     rows = []
     for t in t_range:
         taus.extend(itertools.islice(orders, max(0, t - len(taus))))
-        tau = taus[t - 1]
-        s = _lift_level(taus, p, t)
-        level, terms = (t, tau) if s is None else (s, taus[s - 1])
-        if terms > tau_guard:
+        s = (t + 1) // 2
+        tau, tau_s = taus[t - 1], taus[s - 1]
+        if tau_s > tau_guard:
             raise PeriodTooLargeError(
-                f"tau_{level} = {terms}, the terms summed for t = {t}, exceeds guard {tau_guard}"
+                f"tau_{s} = {tau_s}, the terms summed for t = {t}, exceeds guard {tau_guard}"
             )
-        cfg_t = cfg.at_exponent(t)
-        value = exp_sum(cfg_t, tau).value if s is None else _lifted_period_sum(cfg_t, s, terms)
-        abs_value = abs(value)
+        abs_value = abs(_lifted_period_sum(cfg.at_exponent(t), s, tau_s, tau))
         if tau == 1:  # log|S| / log tau is 0 / 0
             theta = math.nan
         else:

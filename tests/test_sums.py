@@ -224,105 +224,102 @@ class TestFullPeriodExponent:
             full_period_exponent(cfg, t_range)
 
 
-# (rows of A, p): d = 2 and 3 for p = 2, 3, 5, and three matrices with s* > 1
+# (rows of A, p, t range): d = 2 and 3 for p = 2, 3, 5, and three matrices
+# with s* > 1, each at t = s*..2s*+3 (range None); then I + 2^16 F at
+# t = 32..35, where d p^(2t) >= 2^63 puts the stream on exact ints (with
+# F = [[1, 1], [-2, 0]] every tau_s term is kept and |S(tau_t)| = tau_t)
 LIFT_CASES = [
-    ([[0, 1], [1, 1]], 2),
-    ([[0, 1], [1, 1]], 3),
-    ([[0, 1], [1, 1]], 5),
-    ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], 2),
-    ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], 3),
-    ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], 5),
-    ([[0, 1], [-1, -3]], 2),  # orders 3, 6, 6, 12, ...: s* = 3
-    ([[0, 1], [1, 5]], 3),  # orders 8, 8, 8, 24, ...: s* = 3
-    ([[1, 2048], [2048, 2049]], 2),  # I + 2^11 F: s* = 11, and p^25 > 2^24
+    ([[0, 1], [1, 1]], 2, None),
+    ([[0, 1], [1, 1]], 3, None),
+    ([[0, 1], [1, 1]], 5, None),
+    ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], 2, None),
+    ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], 3, None),
+    ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], 5, None),
+    ([[0, 1], [-1, -3]], 2, None),  # orders 3, 6, 6, 12, ...: s* = 3
+    ([[0, 1], [1, 5]], 3, None),  # orders 8, 8, 8, 24, ...: s* = 3
+    ([[1, 2048], [2048, 2049]], 2, None),  # I + 2^11 F: s* = 11, and p^25 > 2^24
+    ([[1 + 2**16, 2**16], [-(2**17), 1]], 2, range(32, 36)),  # F = [[1, 1], [-2, 0]]
 ]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestLiftedPeriodSum:
-    """S(tau_t) from tau_s terms against exp_sum over all tau_t terms."""
+    """S(tau_t) from tau_s terms, s = ceil(t/2), against exp_sum over all
+    tau_t terms."""
 
     @staticmethod
-    def _case(rows, p):
-        """s*, the orders tau_1 .. tau_{2s*+3}, and the generator mod p^t as a
-        function of t."""
+    def _case(rows, p, t_range):
+        """The t range (s*..2s*+3 when None), the orders tau_1 .. tau_t up to
+        its last t, and the generator mod p^t as a function of t."""
         a = IntMatrix.from_rows(rows)
-        s_star = period_profile(a, p, 1).s_star
-        taus = period_profile(a, p, 2 * s_star + 3).taus
+        if t_range is None:
+            s_star = period_profile(a, p, 1).s_star
+            t_range = range(s_star, 2 * s_star + 4)
+        taus = period_profile(a, p, t_range[-1]).taus
         u0, v = tuple(range(1, a.d + 1)), tuple(range(2, a.d + 2))
-        return s_star, taus, lambda t: GeneratorConfig(a, PrimePowerModulus(p, t), u0, v)
+        return t_range, taus, lambda t: GeneratorConfig(a, PrimePowerModulus(p, t), u0, v)
 
-    @pytest.mark.parametrize("rows, p", LIFT_CASES)
-    def test_matches_exp_sum_for_t_from_s_star_to_2_s_star_plus_3(self, rows, p):
-        s_star, taus, at = self._case(rows, p)
-        t_range = range(s_star, 2 * s_star + 4)
+    @pytest.mark.parametrize("rows, p, t_range", LIFT_CASES)
+    def test_matches_exp_sum(self, rows, p, t_range):
+        t_range, taus, at = self._case(rows, p, t_range)
         fp_rows = full_period_exponent(at(t_range[-1]), t_range)
         assert [(row.t, row.tau) for row in fp_rows] == [(t, taus[t - 1]) for t in t_range]
         for t, row in zip(t_range, fp_rows):
-            cfg, tau = at(t), taus[t - 1]
-            s = sums._lift_level(taus, p, t)
-            # the precondition, on the orders: the least admissible level
-            admissible = [
-                k for k in range((t + 1) // 2, t) if tau == taus[k - 1] * p ** (t - k)
-            ]
-            assert s == (admissible[0] if admissible else None)
-            if s is not None:
-                assert 2 * s in (t, t + 1) or s == s_star
+            cfg, tau, s = at(t), taus[t - 1], (t + 1) // 2
+            lifted = sums._lifted_period_sum(cfg, s, taus[s - 1], tau)
             methods = ["direct"] + (["histogram"] if cfg.m.modulus <= _HISTOGRAM_LIMIT else [])
             for method in methods:
                 ref = exp_sum(cfg, tau, method=method)
-                if s is not None:
-                    lifted = sums._lifted_period_sum(cfg, s, taus[s - 1])
-                    assert abs(lifted - ref.value) <= ref.error_bound, (t, s, method)
+                assert abs(lifted - ref.value) <= ref.error_bound, (t, method)
                 assert abs(row.abs_value - ref.abs_value) <= ref.error_bound, (t, method)
 
-    def test_cases_cover_both_sides_of_2s_t_the_fallback_and_both_methods(self):
-        levels, direct = set(), set()
-        for rows, p in LIFT_CASES:
-            s_star, taus, at = self._case(rows, p)
-            for t in range(s_star, 2 * s_star + 4):
-                s = sums._lift_level(taus, p, t)
-                levels.add("fallback" if s is None else "2s = t" if 2 * s == t else "2s > t")
-                direct.add(at(t).m.modulus > _HISTOGRAM_LIMIT)
-        assert levels == {"fallback", "2s = t", "2s > t"}
-        assert direct == {False, True}
+    def test_cases_cover_both_sides_of_2s_t_several_periods_and_every_path(self):
+        seen = set()
+        for rows, p, t_range in LIFT_CASES:
+            t_range, taus, at = self._case(rows, p, t_range)
+            for t in t_range:
+                s, cfg = (t + 1) // 2, at(t)
+                seen.add("2s = t" if 2 * s == t else "2s > t")
+                one = taus[t - 1] == taus[s - 1] * p ** (t - s)
+                seen.add("one period" if one else "several periods")
+                seen.add("direct" if cfg.m.modulus > _HISTOGRAM_LIMIT else "histogram")
+                exact = isinstance(scalar_residues(cfg, 1), list)
+                seen.add("exact ints" if exact else "int64")
+        assert seen == {
+            "2s = t", "2s > t", "one period", "several periods",
+            "direct", "histogram", "exact ints", "int64",
+        }
 
     @pytest.mark.parametrize("rows, p, t", [
-        ([[0, 1], [1, 1]], 3, 1),  # no level below t = 1
-        ([[0, 1], [-1, -3]], 2, 3),  # tau_3 = tau_2
-        ([[0, 1], [1, 5]], 3, 3),  # tau_3 = tau_2 = tau_1
-        ([[1, 2048], [2048, 2049]], 2, 11),  # tau_11 = 1
+        ([[0, 1], [1, 5]], 3, 3),  # tau_3 = tau_2 = 8
+        ([[0, 1], [1, 5]], 3, 4),  # tau_4 = 24 = tau_2 * 3
+        ([[0, 1], [-1, -3]], 2, 3),  # tau_3 = tau_2 = 6
+        ([[1, 2048], [2048, 2049]], 2, 11),  # tau_11 = tau_6 = 1
     ])
-    def test_falls_back_to_exp_sum_when_the_orders_do_not_grow(self, rows, p, t, monkeypatch):
-        _, taus, at = self._case(rows, p)
-        assert sums._lift_level(taus, p, t) is None
-        calls = []
-
-        def counted(cfg, n, *args):
-            calls.append((cfg.m.t, n))
-            return exp_sum(cfg, n, *args)
-
-        monkeypatch.setattr(sums, "exp_sum", counted)
-        monkeypatch.setattr(sums, "_lifted_period_sum", None)
+    def test_several_periods_when_tau_t_is_below_tau_s_p_t_minus_s(
+        self, rows, p, t, monkeypatch
+    ):
+        # the tau_s p^(t-s) indices n + tau_s m cover tau_s p^(t-s) / tau_t
+        # periods, and the row is one route, with no call to exp_sum
+        _, taus, at = self._case(rows, p, range(t, t + 1))
+        s = (t + 1) // 2
+        assert taus[t - 1] < taus[s - 1] * p ** (t - s)
+        ref = exp_sum(at(t), taus[t - 1])
+        monkeypatch.setattr(sums, "exp_sum", None)
         (row,) = full_period_exponent(at(t), [t])
-        assert calls == [(t, taus[t - 1])]
-        assert row.abs_value == exp_sum(at(t), taus[t - 1]).abs_value
+        assert row.tau == taus[t - 1]
+        assert abs(row.abs_value - ref.abs_value) <= ref.error_bound
         assert math.isnan(row.theta) if row.tau == 1 else row.theta < 1
 
     @pytest.mark.parametrize("t", [3, 4, 5])
     def test_identity_needs_2s_at_least_t(self, t):
         # one level below ceil(t/2) the orders still grow by p, but the
         # quadratic term of (I + p^s B)^m no longer vanishes mod p^t
-        _, taus, at = self._case([[0, 1], [1, 1]], 3)
+        _, taus, at = self._case([[0, 1], [1, 1]], 3, range(t, t + 1))
         s = (t + 1) // 2 - 1
         assert taus[t - 1] == taus[s - 1] * 3 ** (t - s)
-        wrong = sums._lifted_period_sum(at(t), s, taus[s - 1])
+        wrong = sums._lifted_period_sum(at(t), s, taus[s - 1], taus[t - 1])
         assert abs(wrong - exp_sum(at(t), taus[t - 1]).value) > 1
-
-    def test_lift_level_checks_the_orders(self):
-        taus = (8, 8, 8, 24, 72, 216)
-        assert [sums._lift_level(taus, 3, t) for t in range(1, 7)] == [None, None, None, 3, 3, 3]
-        assert sums._lift_level((3, 6, 12, 24, 48, 96), 2, 6) == 3
 
 
 class TestDoubleSum:
