@@ -9,10 +9,12 @@ u_{n + tau_s m} = u_n + m p^s B u_n (mod p^t) (Shparlinski's polynomial
 representation of u_{n + tau_s m} in m), and the sum over m is a complete
 geometric sum.
 
-Every sum of phases sum_n w_n e(x_n / m) goes through one kernel,
-`phase_sum`: the angle of each term comes from `_angles`, and the real and
+Every sum of phases sum_n w_n e(x_n / m) goes through one kernel: the
+terms come from `_phase_terms` (angles from `_angles`), and the real and
 the imaginary part are each the float `math.fsum` returns over all the
-terms, bit for bit, whatever the number of terms.  Summation is therefore
+terms, bit for bit, whatever the number of terms.  `phase_sum` sums a
+sequence it is given; `exp_sum` feeds the same exact summation its stream
+blocks or histogram windows as they are made.  Summation is therefore
 deterministic and runs in one thread.
 """
 
@@ -23,11 +25,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ..arith import IntPolynomial, det_exact, mat_stream, vec_dot
+from ..arith import IntPolynomial, det_exact, mat_stream, stream_blocks, vec_dot
 from ..errors import GridTooLargeError, PeriodTooLargeError, PreconditionViolatedError
 from ..generator import GeneratorConfig
 from ..padic import H_coeffs, h_coeffs, order_mod, order_sequence, period_profile, theta_matrix
@@ -112,26 +114,53 @@ def _exact_sum(x: np.ndarray) -> float:
     return _exact_sums((x[None, i : i + step] for i in range(0, x.size, step)), 1)[0]
 
 
+def _phase_terms(x, mod: int, weights=None) -> np.ndarray:
+    """The (2, n) real and imaginary parts of w_j e(x_j / mod) for the n
+    residues x_j (an int64 array, or exact ints in a list or object array),
+    with weights w_j (default 1) and angles from _angles."""
+    ang = _angles(x, mod)
+    rows = np.array([np.cos(ang), np.sin(ang)])
+    if weights is not None:
+        rows *= np.asarray(weights, dtype=np.float64)
+    return rows
+
+
 def phase_sum(x, mod: int, weights=None) -> complex:
     """sum_n w_n e(x_n / mod) for residues x_n held in an int64 array, or as
     exact ints in a list or object array, with weights w_n (default 1).
 
-    Term n is w_n cos(a_n) + i w_n sin(a_n) with a_n from _angles; the real
-    and the imaginary part are each the float math.fsum returns over all the
-    terms.  The terms are formed _EXACT_SUM_CHUNK at a time, so the work
-    memory does not grow with their number."""
-
-    def terms(lo: int) -> np.ndarray:
-        ang = _angles(x[lo : lo + _EXACT_SUM_CHUNK], mod)
-        rows = np.array([np.cos(ang), np.sin(ang)])
-        if weights is not None:
-            rows *= np.asarray(weights[lo : lo + _EXACT_SUM_CHUNK], dtype=np.float64)
-        return rows
-
+    The real and the imaginary part are each the float math.fsum returns
+    over all the terms of `_phase_terms`.  The terms are formed
+    _EXACT_SUM_CHUNK at a time, so the work memory does not grow with their
+    number."""
     if len(x) <= _SHORT_ROW:
-        return complex(*map(math.fsum, terms(0).tolist()))
+        return complex(*map(math.fsum, _phase_terms(x, mod, weights).tolist()))
     assert len(x) <= _EXACT_SUM_MAX_TERMS
-    return complex(*_exact_sums(map(terms, range(0, len(x), _EXACT_SUM_CHUNK)), 2))
+    step = _EXACT_SUM_CHUNK
+    return complex(*_exact_sums(
+        (_phase_terms(x[lo : lo + step], mod, None if weights is None else weights[lo : lo + step])
+         for lo in range(0, len(x), step)),
+        2,
+    ))
+
+
+def _stream_terms(blocks: Iterable[np.ndarray], mod: int) -> Iterator[np.ndarray]:
+    """_phase_terms of the residues of `blocks`, _EXACT_SUM_CHUNK at a time."""
+    step = _EXACT_SUM_CHUNK
+    for block in blocks:
+        for lo in range(0, len(block), step):
+            yield _phase_terms(block[lo : lo + step], mod)
+
+
+def _histogram_terms(counts: np.ndarray, mod: int) -> Iterator[np.ndarray]:
+    """_phase_terms of the residues x mod `mod` that occur, weighted by
+    their counts c_x, over windows of _EXACT_SUM_CHUNK bins."""
+    step = _EXACT_SUM_CHUNK
+    for lo in range(0, len(counts), step):
+        window = counts[lo : lo + step]
+        bins = np.flatnonzero(window)
+        if bins.size:
+            yield _phase_terms(bins + lo, mod, window[bins])
 
 
 def exp_sum(
@@ -140,13 +169,17 @@ def exp_sum(
     method: str = "auto",
 ) -> SumReport:
     """S = sum_{n=0}^{N-1} e(v A^n u / p^t), with each phase an exact integer
-    over p^t, summed by `phase_sum`.
+    over p^t.
 
-    method "direct": one phase_sum over the N residues.
-    method "histogram" (available for p^t <= 2^24): count residue
-    multiplicities c_x, then one phase_sum over the residues that occur,
-    weighted by c_x.  Either way the real and the imaginary part are
-    exactly rounded over all the terms summed.
+    The N residues are never held at once: the sum folds the blocks of
+    `arith.stream_blocks`, one at a time.
+    method "direct": the phase terms of each block, 2^14 at a time.
+    method "histogram" (available for p^t <= 2^24): each block adds its
+    residues to one count array of p^t bins (np.add.at); then the residues
+    x that occur, up to the largest, weighted by their counts c_x, windows
+    of 2^14 bins at a time.  Either way the real and the imaginary part are
+    exactly rounded over all the terms summed (`_exact_sums`, as in
+    `phase_sum`), so the value does not depend on where the blocks end.
     """
     if n_terms < 1:
         raise ValueError("N must be >= 1")
@@ -163,17 +196,23 @@ def exp_sum(
         method = "histogram" if mod <= _HISTOGRAM_LIMIT else "direct"
     if method == "histogram" and mod > _HISTOGRAM_LIMIT:
         raise PreconditionViolatedError("histogram method needs p^t <= 2^24")
-    residues = scalar_residues(cfg, n_terms)
-
-    if method == "histogram":
-        counts = np.bincount(residues)
-        del residues  # free the stream before the bins are summed
-        bins = np.flatnonzero(counts)
-        value = phase_sum(bins, mod, counts[bins])
-    elif method == "direct":
-        value = phase_sum(residues, mod)
-    else:
+    if method not in ("histogram", "direct"):
         raise ValueError(f"unknown method {method!r}")
+    if cfg.v is None:
+        raise ValueError("scalar residues need v in the config")
+    blocks = stream_blocks(cfg.a, cfg.u0, cfg.m, n_terms, 0, cfg.v)
+    if method == "histogram":
+        # np.zeros maps its pages lazily, so bins above the largest residue
+        # cost neither memory nor, in the scan below, time
+        counts = np.zeros(mod, dtype=np.int64)
+        top = 0
+        for block in blocks:
+            np.add.at(counts, block, 1)
+            top = max(top, int(block.max()) + 1)
+        terms = _histogram_terms(counts[:top], mod)
+    else:
+        terms = _stream_terms(blocks, mod)
+    value = complex(*_exact_sums(terms, 2))
 
     # Per-term phase error < 3 ulp of pi-scale plus sin/cos rounding; the
     # exactly rounded sum adds one rounding over all N terms.

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -246,9 +246,206 @@ def vec_reduce(v: Sequence[int], m: PrimePowerModulus) -> ResidueVector:
     return tuple(int(x) % m.modulus for x in v)
 
 
+# Entries per block of `stream_blocks`: a block holds max(1, STREAM_BLOCK // w)
+# terms of w entries (w = d for vectors, 1 for scalars)
+STREAM_BLOCK = 1 << 15
 # Largest estimated size of one mat_stream output array and of the tuple
 # arrays of analysis.vinogradov.vinogradov_count
 STREAM_MEMORY_BUDGET = 2**30
+
+
+class _Limbs(NamedTuple):
+    """How the stream kernel holds residues mod p^t: `count` limbs of base
+    b = p^k, least significant first, the top one below `top` =
+    p^(t - (count - 1) k).  One limb (b = p^t) is the residue itself, of
+    `dtype` int64 or object (exact ints)."""
+
+    base: int
+    count: int
+    top: int
+    dtype: type
+
+
+def stream_dtype(m: PrimePowerModulus, d: int) -> type:
+    """The dtype of the stream kernel's output: int64 when d (p^t)^2 < 2^63,
+    so that no dot product of residues can overflow, and object (exact
+    Python ints) otherwise."""
+    return np.int64 if d * m.modulus**2 < 2**63 else object
+
+
+def _limbs(m: PrimePowerModulus, d: int) -> _Limbs:
+    """The fewest int64 limbs whose products cannot overflow: a product
+    limb sums at most d L products of two limbs below b, and
+    d L b^2 < 2^63 leaves room for the carry of the limb below.  One limb
+    for int64 output; exact ints when p^t >= 2^64 or no base fits."""
+    p, t, mod = m.p, m.t, m.modulus
+    if stream_dtype(m, d) is np.int64:
+        return _Limbs(mod, 1, mod, np.int64)
+    if mod < 2**64:
+        for n in range(2, t + 1):
+            k = -(-t // n)
+            count, base = -(-t // k), p**k
+            if d * count * base * base < 2**63:
+                return _Limbs(base, count, p ** (t - (count - 1) * k), np.int64)
+    return _Limbs(mod, 1, mod, object)
+
+
+def _split(rows: Sequence[Sequence[int]], lm: _Limbs) -> np.ndarray:
+    """The (L, r, c) limbs of an r x c matrix of residues."""
+    b = lm.base
+    return np.array(
+        [[[x // b**j % b for x in row] for row in rows] for j in range(lm.count)], dtype=lm.dtype
+    )
+
+
+def _mul(x: np.ndarray, y: np.ndarray, lm: _Limbs) -> np.ndarray:
+    """The limbs of x @ y mod p^t for limb arrays x (L, r, d) and y (L, d, c).
+
+    Limb j of the product mod b^L = p^(kL) is the sum over i + l = j of
+    x_i @ y_l plus the carry from limb j - 1; the top limb is reduced mod
+    p^(t - (L-1)k), which is exact because p^t divides p^(kL)."""
+    out = np.empty((lm.count, x.shape[1], y.shape[2]), dtype=lm.dtype)
+    carry = None
+    for j in range(lm.count):
+        acc = x[0] @ y[j]
+        for i in range(1, j + 1):
+            acc += x[i] @ y[j - i]
+        if carry is not None:
+            acc += carry
+        if j < lm.count - 1:
+            carry, out[j] = np.divmod(acc, lm.base)
+        else:
+            out[j] = acc % lm.top
+    return out
+
+
+def _compose(z: np.ndarray, lm: _Limbs) -> np.ndarray:
+    """The residues of limb array z: the limb itself for one limb, else
+    sum z_j b^j in uint64, exact below p^t < 2^64."""
+    if lm.count == 1:
+        return z[0]
+    acc = z[-1].astype(np.uint64)
+    for limb in z[-2::-1]:
+        acc *= np.uint64(lm.base)
+        acc += limb.view(np.uint64)
+    return acc
+
+
+def _doubling(mul, first: np.ndarray, step: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """([first, step first, ..., step^(w-1) first] side by side, step^w), with
+    w the least power of two >= n."""
+    cols = first
+    while cols.shape[2] < n * first.shape[2]:
+        cols = np.concatenate((cols, mul(step, cols)), axis=2)
+        step = mul(step, step)
+    return cols, step
+
+
+def _check_stream(a: IntMatrix, u0, m: PrimePowerModulus, count: int, v) -> None:
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    d = a.d
+    for vec in (u0,) if v is None else (u0, v):
+        if len(vec) != d:
+            raise DimensionMismatchError(f"matrix dim {d} vs vector length {len(vec)}")
+    mod = m.modulus
+    entry_bytes = 8 if stream_dtype(m, d) is np.int64 else 8 + sys.getsizeof(mod - 1)
+    out_bytes = count * (d if v is None else 1) * entry_bytes
+    if out_bytes > STREAM_MEMORY_BUDGET:
+        raise StreamTooLargeError(
+            f"stream of {count} terms needs about {out_bytes} bytes, "
+            f"over the budget of {STREAM_MEMORY_BUDGET}"
+        )
+
+
+def stream_blocks(
+    a: IntMatrix,
+    u0: Sequence[int],
+    m: PrimePowerModulus,
+    count: int,
+    n0: int = 0,
+    v: Sequence[int] | None = None,
+) -> Iterator[np.ndarray]:
+    """The stream of `mat_stream` as consecutive blocks of
+    max(1, STREAM_BLOCK // w) terms, the last one shorter: (n, d) arrays of
+    vectors (w = d), or, given v, (n,) arrays of scalars (w = 1), of dtype
+    `stream_dtype(m, d)`.
+
+    Baby-step giant-step: the baby columns u_{n0} .. u_{n0+B-1} are built by
+    doubling with A, A^2, A^4, ..., where B is the least power of two with
+    B^2 >= count, and giant step k is the product head_k @ baby with
+    head_k = A^{kB} (or v A^{kB} for scalars).  The heads of K giant steps
+    come from one product of the carried head with [I, G, ..., G^(K-1)],
+    G = A^B, and the head then moves on by G^K.  Every product is taken in
+    the limbs of `_limbs`: int64 for every p^t < 2^64 with a base that
+    fits, and there the object dtype appears only when a block of several
+    limbs is put together for output, by one astype from uint64.
+
+    Raises StreamTooLargeError when it is called, before anything is
+    allocated, when `mat_stream` would return more than
+    STREAM_MEMORY_BUDGET bytes: 8 per entry, plus the size of one Python int
+    below p^t per entry of an object array."""
+    _check_stream(a, u0, m, count, v)
+    d = a.d
+    u = vec_reduce(u0, m)
+    if n0:
+        u = mat_vec_mod(mat_pow_mod(a, n0, m), u, m)
+    size = max(1, STREAM_BLOCK // (d if v is None else 1))
+    blocks = _cut(_giant_steps(a, u, m, count, v, size), size)
+    if stream_dtype(m, d) is np.int64:
+        return blocks
+    return (block.astype(object) for block in blocks)
+
+
+def _giant_steps(a, u, m, count, v, size) -> Iterator[np.ndarray]:
+    """The stream in batches of K whole giant steps, K B <= size terms
+    unless K = 1, composed by `_compose`."""
+    lm = _limbs(m, a.d)
+    d = a.d
+
+    def mul(x, y):
+        return _mul(x, y, lm)
+
+    width = 1
+    while width * width < count:
+        width *= 2
+    baby, giant = _doubling(mul, _split([[x] for x in u], lm), _split(a.reduce(m.modulus).entries, lm), width)
+    ident = _split(IntMatrix.identity(d).entries, lm)
+    # giant steps per batch: a power of two, no more than a block or the stream needs
+    steps = 1 << (max(1, min(size // width, -(-count // width))).bit_length() - 1)
+    powers, jump = _doubling(mul, ident, giant, steps)
+    head = ident if v is None else _split([vec_reduce(v, m)], lm)
+    rows = head.shape[1]
+    for pos in range(0, count, steps * width):
+        k = min(steps, -(-(count - pos) // width))
+        # head G^j for j < k sits in columns j d .. j d + d - 1; stack them as rows
+        heads = mul(head, powers[:, :, : k * d])
+        heads = heads.reshape(lm.count, rows, k, d).transpose(0, 2, 1, 3).reshape(lm.count, k * rows, d)
+        out = _compose(mul(heads, baby), lm)  # row j rows + i: entry i of giant step j
+        if v is None:
+            out = out.reshape(k, d, width).transpose(0, 2, 1).reshape(k * width, d)
+        else:
+            out = out.reshape(k * width)
+        yield out[: count - pos]
+        head = mul(head, jump)
+
+
+def _cut(batches: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """The concatenation of `batches` as arrays of `size` rows, the last one
+    shorter."""
+    held: list[np.ndarray] = []
+    n = 0
+    for batch in batches:
+        while len(batch):
+            take = min(size - n, len(batch))
+            held.append(batch[:take])
+            batch = batch[take:]
+            n += take
+            if n == size:
+                yield held[0] if len(held) == 1 else np.concatenate(held)
+                held, n = [], 0
+    if held:
+        yield held[0] if len(held) == 1 else np.concatenate(held)
 
 
 def mat_stream(
@@ -261,53 +458,15 @@ def mat_stream(
 ) -> np.ndarray:
     """The stream u_n = A^n u0 mod p^t for n = n0 .. n0 + count - 1 as a
     (count, d) array, or, given v, the scalars v . u_n mod p^t as a (count,)
-    array.
-
-    Baby-step giant-step: the columns u_{n0} .. u_{n0+B-1} are built by
-    doubling with A, A^2, A^4, ..., where B is the least power of two with
-    B^2 >= count; every block of B terms is then one product
-    (head @ baby) % p^t with head = A^{kB}, or v A^{kB} for scalars.  A
-    product entry is a sum of d terms below (p^t)^2, so the arrays are int64
-    when d (p^t)^2 < 2^63 and numpy object arrays of exact Python ints
-    otherwise.
-
-    Raises StreamTooLargeError, before anything is allocated, when the
-    output would take more than STREAM_MEMORY_BUDGET bytes: 8 per entry, plus
-    the size of one Python int below p^t per entry of an object array."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    mod = m.modulus
-    d = a.d
-    for vec in (u0,) if v is None else (u0, v):
-        if len(vec) != d:
-            raise DimensionMismatchError(f"matrix dim {d} vs vector length {len(vec)}")
-    dtype = np.int64 if d * mod * mod < 2**63 else object
-    entry_bytes = 8 if dtype is np.int64 else 8 + sys.getsizeof(mod - 1)
-    out_bytes = count * (d if v is None else 1) * entry_bytes
-    if out_bytes > STREAM_MEMORY_BUDGET:
-        raise StreamTooLargeError(
-            f"stream of {count} terms needs about {out_bytes} bytes, "
-            f"over the budget of {STREAM_MEMORY_BUDGET}"
-        )
-    u = vec_reduce(u0, m)
-    if n0:
-        u = mat_vec_mod(mat_pow_mod(a, n0, m), u, m)
-    baby = np.array(u, dtype=dtype).reshape(d, 1)
-    giant = np.array(a.reduce(mod).entries, dtype=dtype)
-    while baby.shape[1] ** 2 < count:
-        baby = np.hstack([baby, (giant @ baby) % mod])
-        giant = (giant @ giant) % mod
-    if v is None:
-        head = np.identity(d, dtype=dtype)
-    else:
-        head = np.array(vec_reduce(v, m), dtype=dtype).reshape(1, d)
-    width = baby.shape[1]
-    out = np.empty((head.shape[0], count), dtype=dtype)
-    for pos in range(0, count, width):
-        end = min(pos + width, count)
-        out[:, pos:end] = (head @ baby[:, : end - pos]) % mod
-        head = (head @ giant) % mod
-    return out.T if v is None else out[0]
+    array: the blocks of `stream_blocks` put together, in its dtype and
+    under its memory budget."""
+    blocks = stream_blocks(a, u0, m, count, n0, v)
+    out = np.empty((count, a.d) if v is None else count, dtype=stream_dtype(m, a.d))
+    pos = 0
+    for block in blocks:
+        out[pos : pos + len(block)] = block
+        pos += len(block)
+    return out
 
 
 def det_exact(a: IntMatrix | Sequence[Sequence]) -> int | IntPolynomial:

@@ -17,10 +17,11 @@ import json
 import os
 import random
 import sys
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Iterator, Sequence
 
 # No command calls BLAS (every matrix product is on int64 or object arrays),
 # and OpenBLAS starts a worker pool at import, which costs start-up time.  A
@@ -264,13 +265,38 @@ class Table:
     form the JSON sidecar in CSV mode, unless `sidecar` gives another one."""
 
     header: tuple[str, ...]
-    rows: list[tuple] | np.ndarray  # an array holds integers only
+    rows: list[tuple] | Iterator[np.ndarray]  # a list of rows, or blocks of integer rows
     extras: dict = field(default_factory=dict)
     sidecar: dict | None = None
+    dump: str | None = None  # a path: the record dump of every cell but a row's first
+
+    def each_block(self, use, dump_fh: BinaryIO | None = None) -> None:
+        """One pass over the rows: use(block) for each block in turn (a list
+        of rows is one block).  Given the open `dump` file, one dump_records
+        call writes the cells after the first of each block to it as the
+        block passes."""
+        blocks = iter([self.rows]) if isinstance(self.rows, list) else self.rows
+        if dump_fh is None:
+            for block in blocks:
+                use(block)
+            return
+        from .generator import dump_records
+
+        def values():
+            for block in blocks:
+                use(block)
+                yield block[:, 1:]
+
+        dump_records(values(), dump_fh)
 
     def records(self, columns: Sequence[str] | None = None) -> list[dict]:
         keep = self.header if columns is None else columns
-        rows = self.rows.tolist() if isinstance(self.rows, np.ndarray) else self.rows
+        rows = []
+        with nullcontext() if self.dump is None else open(self.dump, "wb") as dump_fh:
+            self.each_block(
+                lambda block: rows.extend(block.tolist() if isinstance(block, np.ndarray) else block),
+                dump_fh,
+            )
         return [{k: x for k, x in zip(self.header, row) if k in keep} for row in rows]
 
     def doc(self) -> dict:
@@ -286,8 +312,9 @@ def _write(out: str | None, text: str, suffix: str = "") -> None:
 
 def _emit(result: Table | dict, args) -> None:
     """The one writer.  A dict is a JSON document; a Table is written as JSON
-    {"rows": [...], **extras}, or as CSV followed by its sidecar, if any, at
-    <out>.json (after the CSV on stdout)."""
+    {"rows": [...], **extras}, or as CSV, a block of rows at a time,
+    followed by its sidecar, if any, at <out>.json (after the CSV on
+    stdout)."""
     from .reports import render_csv, render_json
 
     if isinstance(result, dict):
@@ -295,7 +322,14 @@ def _emit(result: Table | dict, args) -> None:
     elif args.format == "json":
         _write(args.out, render_json(result.doc()))
     else:
-        _write(args.out, render_csv(result.header, result.rows))
+        # the dump is opened first, so that an unwritable path writes nothing
+        with ExitStack() as files:
+            dump_fh = None if result.dump is None else files.enter_context(open(result.dump, "wb"))
+            fh = sys.stdout if args.out is None else files.enter_context(
+                open(args.out, "w", encoding="utf-8", newline="")
+            )
+            fh.write(render_csv(result.header, []))
+            result.each_block(lambda block: fh.write(render_csv((), block)), dump_fh)
         sidecar = result.extras if result.sidecar is None else result.sidecar
         if sidecar:
             _write(args.out, render_json(sidecar), suffix=".json" if args.out else "")
@@ -336,7 +370,7 @@ def cmd_period(exp: Experiment, args) -> Table:
 
 
 def cmd_gen(exp: Experiment, args) -> Table:
-    from .generator import dump_records, scalar_sequence, vector_sequence
+    from .generator import sequence_blocks
 
     cfg = _generator(exp, "gen", validated=False)
     count = exp.count
@@ -344,15 +378,19 @@ def cmd_gen(exp: Experiment, args) -> Table:
         _require(exp, "gen without count", "n_schedule")
         count = exp.n_schedule[0]
     if exp.scalar:
-        stream = np.array(scalar_sequence(cfg, 0, count), dtype=object).reshape(count, 1)
         header = ("n", "x")
     else:
-        stream = vector_sequence(cfg, 0, count)
         header = ("n",) + tuple(f"u{i}" for i in range(cfg.a.d))
-    if exp.binary_out is not None:
-        with open(exp.binary_out, "wb") as fh:
-            dump_records(stream, fh)
-    return Table(header, np.column_stack((np.arange(count), stream)))
+    blocks = sequence_blocks(cfg, count, exp.scalar)
+    return Table(header, _numbered(blocks), dump=exp.binary_out)
+
+
+def _numbered(blocks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+    """Each block of stream terms as rows (n, terms...), n counting from 0."""
+    n = 0
+    for block in blocks:
+        yield np.column_stack((np.arange(n, n + len(block)), block))
+        n += len(block)
 
 
 def cmd_expsum(exp: Experiment, args) -> Table:

@@ -5,8 +5,9 @@ binary-stable record format for cross-checking streams between programs.
 
 from __future__ import annotations
 
+import itertools
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -20,6 +21,7 @@ from .arith import (
     mat_pow_mod,
     mat_stream,
     mat_vec_mod,
+    stream_blocks,
     vec_reduce,
 )
 from .errors import NotInvertibleError
@@ -29,13 +31,16 @@ from .fieldalg import Verdict, validate_theorem_hypotheses
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Immutable generator description: matrix, modulus, start vector, and an
-    optional second vector for scalar sequences."""
+    optional second vector for scalar sequences.  u0 and v are held reduced
+    mod p^t; `given` keeps them as given, so that `at_exponent` can reduce
+    them mod a higher power of p."""
 
     a: IntMatrix
     m: PrimePowerModulus
     u0: ResidueVector
     v: ResidueVector | None = None
     validated: Verdict | None = None
+    given: tuple[ResidueVector, ResidueVector | None] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.u0) != self.a.d:
@@ -44,6 +49,9 @@ class GeneratorConfig:
             raise ValueError("v length must match the matrix dimension")
         if det_exact(self.a) % self.m.p == 0:
             raise NotInvertibleError("det A must be coprime to p")
+        if self.given is None:
+            given = (tuple(map(int, self.u0)), None if self.v is None else tuple(map(int, self.v)))
+            object.__setattr__(self, "given", given)
         object.__setattr__(self, "u0", vec_reduce(self.u0, self.m))
         if self.v is not None:
             object.__setattr__(self, "v", vec_reduce(self.v, self.m))
@@ -65,9 +73,9 @@ class GeneratorConfig:
         return cls(a, m, tuple(int(x) for x in u0), tuple(int(x) for x in v) if v is not None else None, verdict)
 
     def at_exponent(self, t: int) -> "GeneratorConfig":
-        """Same generator data reduced modulo p^t."""
+        """Same generator data, the vectors as given reduced modulo p^t."""
         m2 = PrimePowerModulus(self.m.p, t)
-        return GeneratorConfig(self.a, m2, self.u0, self.v, self.validated)
+        return GeneratorConfig(self.a, m2, *self.given, self.validated, self.given)
 
 
 @dataclass
@@ -111,9 +119,20 @@ def vector_sequence(cfg: GeneratorConfig, n0: int, count: int) -> np.ndarray:
 
 def scalar_sequence(cfg: GeneratorConfig, n0: int, count: int) -> list[int]:
     """Values v A^n u0 mod p^t for n = n0 .. n0 + count - 1."""
+    return mat_stream(cfg.a, cfg.u0, cfg.m, count, n0, _scalar_vector(cfg)).tolist()
+
+
+def sequence_blocks(cfg: GeneratorConfig, count: int, scalar: bool = False) -> Iterator[np.ndarray]:
+    """vector_sequence(cfg, 0, count), or with `scalar` the values of
+    scalar_sequence as an array, in the blocks of `arith.stream_blocks`:
+    one pass over the stream that holds one block at a time."""
+    return stream_blocks(cfg.a, cfg.u0, cfg.m, count, 0, _scalar_vector(cfg) if scalar else None)
+
+
+def _scalar_vector(cfg: GeneratorConfig) -> ResidueVector:
     if cfg.v is None:
         raise ValueError("scalar sequences need v in the config")
-    return mat_stream(cfg.a, cfg.u0, cfg.m, count, n0, cfg.v).tolist()
+    return cfg.v
 
 
 @dataclass(frozen=True)
@@ -154,14 +173,26 @@ def fractional_points(cfg: GeneratorConfig, n_points: int) -> PointSet:
 # integer's little-endian magnitude; the value 0 has L = 0 and no payload.
 
 
-def dump_records(values: Iterable[int] | np.ndarray, fh: BinaryIO) -> int:
-    """Write integers as length-prefixed little-endian records in one
-    fh.write; returns the number of records written.  `values` is an int64
-    or object array (read in C order) or any iterable of ints."""
+def dump_records(values: Iterable[int] | Iterable[np.ndarray] | np.ndarray, fh: BinaryIO) -> int:
+    """Write integers as length-prefixed little-endian records; returns the
+    number of records written.  `values` is an int64 or object array (read
+    in C order), an iterable of such arrays (blocks, written one fh.write
+    each, as they come), or any iterable of ints (one fh.write)."""
     if isinstance(values, np.ndarray):
-        values = values.reshape(-1)
+        blocks: Iterable[np.ndarray] = (values,)
     else:
-        values = np.fromiter(values, dtype=object)
+        values = iter(values)
+        first = next(values, None)
+        if first is None:
+            return 0
+        blocks = itertools.chain((first,), values)
+        if not isinstance(first, np.ndarray):
+            blocks = (np.fromiter(blocks, dtype=object),)
+    return sum(_dump_block(block.reshape(-1), fh) for block in blocks)
+
+
+def _dump_block(values: np.ndarray, fh: BinaryIO) -> int:
+    """dump_records of one flat array, built in numpy before one write."""
     n = values.size
     if n == 0:
         return 0

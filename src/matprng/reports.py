@@ -51,18 +51,17 @@ def render_csv(header: Sequence[str], rows: Sequence[Sequence] | np.ndarray) -> 
     """CSV text of a table.  `rows` is a sequence of rows, each cell rendered
     by fmt_cell, or a 2-D array of integers (int64, or object holding Python
     ints), rendered column by column: a decimal integer never needs quoting,
-    so both give the same bytes."""
+    so both give the same bytes.  An empty header writes no header row, so
+    a table can be rendered a block of rows at a time."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    if isinstance(rows, np.ndarray):
-        cells = zip(*(map(str, column) for column in rows.T.tolist()))
-        body = "\n".join(map(",".join, cells))
-        buf.write(body + "\n" if body else "")
-    else:
-        for row in rows:
-            writer.writerow([fmt_cell(x) for x in row])
-    return buf.getvalue()
+    if header:
+        writer.writerow(header)
+    if not isinstance(rows, np.ndarray):
+        writer.writerows([fmt_cell(x) for x in row] for row in rows)
+        return buf.getvalue()
+    lines = map(",".join, zip(*(map(str, column) for column in rows.T.tolist())))
+    return buf.getvalue() + "".join(line + "\n" for line in lines)
 
 
 def _jsonable(x):

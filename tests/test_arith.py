@@ -1,9 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matprng import arith
 from matprng.arith import (
     STREAM_MEMORY_BUDGET,
     IntMatrix,
@@ -25,6 +28,7 @@ from matprng.arith import (
     poly_eval_matrix,
     prime_factors,
     recurrence_coefficients,
+    stream_blocks,
     sylvester_rows,
     valuation,
     vec_dot,
@@ -186,6 +190,95 @@ class TestMatStream:
         assert STREAM_MEMORY_BUDGET == 2**30
         with pytest.raises(StreamTooLargeError):
             mat_stream(a, (1, 0, 0), m, 14 * 10**6)
+
+
+def stepped_stream(a: IntMatrix, u0, m: PrimePowerModulus, count: int, n0: int, v=None) -> list:
+    """The oracle: u <- A u mod p^t on plain Python ints, one step at a time."""
+    mod = m.modulus
+    u = [x % mod for x in u0]
+    out = []
+    for n in range(n0 + count):
+        if n >= n0:
+            out.append(tuple(u) if v is None else sum(x * y for x, y in zip(v, u)) % mod)
+        u = [sum(x * y for x, y in zip(row, u)) % mod for row in a.entries]
+    return out
+
+
+# p^t on both sides of every limb-count and dtype edge: int64 up to
+# 2 (2^t)^2 < 2^63 (t = 30), int64 limbs up to 2^64, exact ints from 2^64 on
+LIMB_MODULI = [(2, t) for t in (30, 31, 32, 33, 61, 62, 63, 64, 65)] + [(3, 40), (5, 30)]
+# B^2 - 1 and B^2 + 1 for the baby width B = 16, and 1000, which no block
+# size below divides
+LIMB_COUNTS = [0, 1, 255, 257, 1000]
+
+
+class TestLimbKernel:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("p, t", LIMB_MODULI, ids=[f"{p}^{t}" for p, t in LIMB_MODULI])
+    @pytest.mark.parametrize("block", [96, None], ids=["block96", "default"])
+    def test_matches_python_int_loop(self, p, t, d, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(arith, "STREAM_BLOCK", block)
+        m = PrimePowerModulus(p, t)
+        mod = m.modulus
+        rng = random.Random(f"{p}^{t}/{d}")
+        a = IntMatrix.from_rows([[rng.randrange(mod) for _ in range(d)] for _ in range(d)])
+        u0 = [rng.randrange(mod) for _ in range(d)]
+        v = [rng.randrange(mod) for _ in range(d)]
+        dtype = "int64" if d * mod * mod < 2**63 else "object"
+        for n0 in (0, 13):
+            want = stepped_stream(a, u0, m, max(LIMB_COUNTS), n0)
+            want_scalars = [sum(x * y for x, y in zip(v, u)) % mod for u in want]
+            for count in LIMB_COUNTS:
+                vecs = mat_stream(a, u0, m, count, n0)
+                scalars = mat_stream(a, u0, m, count, n0, v)
+                assert (vecs.shape, vecs.dtype, scalars.dtype) == ((count, d), dtype, dtype)
+                assert [tuple(x) for x in vecs.tolist()] == want[:count]
+                assert scalars.tolist() == want_scalars[:count]
+
+    @pytest.mark.parametrize("p, t, d, limbs", [
+        (2, 30, 2, 1), (2, 31, 2, 2), (2, 33, 2, 2), (2, 61, 2, 3), (2, 63, 2, 3), (2, 63, 3, 3), (3, 40, 3, 3), (3, 13, 3, 1),
+    ])
+    def test_int64_limbs_below_2_64(self, p, t, d, limbs):
+        lm = arith._limbs(PrimePowerModulus(p, t), d)
+        assert (lm.count, lm.dtype) == (limbs, np.int64)
+        k = math.ceil(t / lm.count)
+        assert lm.base == p**k and lm.top == p ** (t - (lm.count - 1) * k)
+        assert d * lm.count * lm.base**2 < 2**63
+
+    @pytest.mark.parametrize("p, t, d", [(2, 64, 2), (5, 30, 3), (2**31 - 1, 2, 2)])
+    def test_exact_ints_from_2_64_or_without_a_base(self, p, t, d):
+        # 2^31 - 1 squared is below 2^64, but no power of it leaves room for
+        # d L b^2 < 2^63
+        assert arith._limbs(PrimePowerModulus(p, t), d).dtype is object
+
+    def test_no_object_arithmetic_below_2_64(self, monkeypatch):
+        # every limb product is on int64 arrays; only the output is object
+        seen = []
+        mul = arith._mul
+        monkeypatch.setattr(arith, "_mul", lambda x, y, lm: seen.append((x.dtype, y.dtype)) or mul(x, y, lm))
+        a = IntMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 1, 0]])
+        out = mat_stream(a, (1, 2, 3), PrimePowerModulus(3, 40), 5000, 7, (2, 7, 1))
+        assert out.dtype == object and seen
+        assert set(seen) == {(np.dtype(np.int64), np.dtype(np.int64))}
+
+    @pytest.mark.parametrize("block", [1, 7, 4096, None])
+    def test_blocks_concatenate_to_the_stream(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(arith, "STREAM_BLOCK", block)
+        a = IntMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 1, 0]])
+        m = PrimePowerModulus(3, 40)
+        for v in (None, (2, 7, 1)):
+            blocks = list(stream_blocks(a, (1, 2, 3), m, 9000, 5, v))
+            size = max(1, arith.STREAM_BLOCK // (3 if v is None else 1))
+            assert [len(b) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+            assert 1 <= len(blocks[-1]) <= size
+            assert np.concatenate(blocks).tolist() == mat_stream(a, (1, 2, 3), m, 9000, 5, v).tolist()
+
+    def test_budget_raises_when_called(self):
+        a = IntMatrix.from_rows([[0, 1], [1, 1]])
+        with pytest.raises(StreamTooLargeError):
+            stream_blocks(a, (1, 0), PrimePowerModulus(3, 4), 10**12, v=(1, 1))
 
 
 class TestDet:

@@ -131,6 +131,14 @@ class TestUnwritableOutput:
         assert main(["gen", "--config", cfg]) == 1
         self.assert_one_error_line(capsys)
 
+    def test_binary_out_in_missing_directory_writes_no_rows(self, tmp_path, capsys):
+        # gen writes its CSV as the dump goes; the dump is opened first
+        cfg = write_config(tmp_path, dict(FIB_DOC, binary_out=str(tmp_path / "missing_dir" / "x.bin")))
+        assert main(["gen", "--config", cfg]) == 1
+        assert capsys.readouterr().out == ""
+        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "gen.csv")]) == 1
+        assert not (tmp_path / "gen.csv").exists()
+
 
 class TestConfigErrors:
     @pytest.mark.parametrize(
@@ -205,6 +213,18 @@ class TestGuards:
         assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
         rows = json.loads((tmp_path / "out.json").read_text())["full_period"]
         assert [(r["t"], r["tau_t"]) for r in rows] == [(t, 8 * 3 ** (t - 1)) for t in range(14, 21)]
+
+    def test_full_period_rows_above_t_lift_u0_as_given(self, tmp_path):
+        # u0 = (100, 0) is (19, 0) mod 3^4; the t = 6 row must not depend on
+        # the config's own t
+        rows = {}
+        for t in (4, 6):
+            out = tmp_path / f"t{t}"
+            cfg = write_config(tmp_path, dict(FIB_DOC, t=t, u0=["100", "0"], t_range=[6, 6]), f"cfg{t}.json")
+            assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
+            rows[t] = json.loads((tmp_path / f"t{t}.json").read_text())["full_period"]
+        assert rows[4] == rows[6]
+        assert float(rows[4][0]["abs_S"]) == pytest.approx(52.1449, abs=1e-4)
 
     def test_vmvt_byte_guard_exits_3(self, tmp_path, capsys):
         # 8193^2 ordered pairs at 16 bytes each exceed the 2^30-byte budget
@@ -404,6 +424,50 @@ def gen_dump_digest(tmp_path: Path, doc: dict) -> str:
 def test_gen_record_dump_matches_golden_digest(case, tmp_path):
     want = json.loads(DUMP_DIGESTS.read_text())[case]
     assert gen_dump_digest(tmp_path, DUMP_CASES[case]) == want
+
+
+# --- block boundaries and memory ---------------------------------------------
+
+BLOCK_SIZES = [1, 7, 4096, None]
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES, ids=["1", "7", "4096", "default"])
+def test_gen_artifacts_do_not_depend_on_the_block_size(block, tmp_path, monkeypatch):
+    from matprng import arith
+
+    if block is not None:
+        monkeypatch.setattr(arith, "STREAM_BLOCK", block)
+    for case, doc, command, fmt in GOLDEN_RUNS:
+        if command == "gen":
+            out = tmp_path / f"{case}-{fmt}"
+            out.mkdir()
+            assert cli_artifacts(out, doc, command, fmt) == {
+                f.name: f.read_text() for f in (GOLDEN_DIR / case).glob(f"gen.{fmt}*")
+            }
+    digests = json.loads(DUMP_DIGESTS.read_text())
+    for case, doc in DUMP_CASES.items():
+        out = tmp_path / f"dump-{case}"
+        out.mkdir()
+        assert gen_dump_digest(out, doc) == digests[case], case
+
+
+def test_gen_memory_is_bounded_by_a_block(tmp_path):
+    import tracemalloc
+
+    # 10^5 vectors of 3 exact ints below 3^40: the parent held the whole
+    # stream, its rows and their CSV text at once (38 MB traced)
+    cfg = write_config(tmp_path, dict(CUBIC_3_40_DOC, count=100000, binary_out=str(tmp_path / "s.bin")))
+    argv = ["gen", "--config", cfg, "--out", str(tmp_path / "gen.csv")]
+    small = write_config(tmp_path, dict(CUBIC_3_40_DOC, binary_out=str(tmp_path / "w.bin")), "small.json")
+    assert main(["gen", "--config", small, "--out", str(tmp_path / "w.csv")]) == 0  # imports
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert (tmp_path / "gen.csv").read_text().count("\n") == 100001
 
 
 if __name__ == "__main__":

@@ -54,6 +54,20 @@ class TestStep:
             )
 
 
+class TestAtExponent:
+    def test_reduces_the_vectors_as_given(self, fib):
+        low = GeneratorConfig.create(fib, PrimePowerModulus(3, 4), (100, -1), (1, 0))
+        assert (low.u0, low.v) == ((19, 80), (1, 0))
+        high = low.at_exponent(6)
+        assert (high.m.modulus, high.u0, high.v) == (729, (100, 728), (1, 0))
+        assert high.at_exponent(4) == low
+        assert low.at_exponent(2).at_exponent(6) == high
+
+    def test_without_v(self, fib):
+        cfg = GeneratorConfig(fib, PrimePowerModulus(3, 2), (100, 0))
+        assert cfg.at_exponent(5).u0 == (100, 0) and cfg.at_exponent(5).v is None
+
+
 class TestJumpAhead:
     def test_jump_zero(self, cfg):
         state = GeneratorState(cfg)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 from collections import Counter
@@ -112,6 +113,64 @@ class TestExpSum:
         assert rep.abs_value < envelope
 
 
+class TestBlockedExpSum:
+    """exp_sum folds the stream a block at a time: its values cannot depend
+    on where the blocks end, and it holds one block, not N residues."""
+
+    CONFIGS = {
+        "fib_3_13": ([[0, 1], [1, 1]], 3, 13, (314, 2718), (2, 7), 20000),
+        "cubic_3_40": ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], 3, 40, (31415926535, 27182818284, 16180339887),
+                       (2, 7, 1), 9000),
+    }
+
+    @staticmethod
+    def config(name):
+        rows, p, t, u0, v, n = TestBlockedExpSum.CONFIGS[name]
+        return GeneratorConfig(IntMatrix.from_rows(rows), PrimePowerModulus(p, t), u0, v), n
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_values_do_not_depend_on_the_block_size(self, name, monkeypatch):
+        from matprng import arith
+
+        cfg, n = self.config(name)
+        methods = ["direct"] + (["histogram"] if cfg.m.modulus <= _HISTOGRAM_LIMIT else [])
+        want = {method: repr(exp_sum(cfg, n, method).value) for method in methods}
+        for block in (1, 7, 4096):
+            monkeypatch.setattr(arith, "STREAM_BLOCK", block)
+            assert {method: repr(exp_sum(cfg, n, method).value) for method in methods} == want, block
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("p, t, n, method, limit", [
+        # the count array of 3^13 bins is 12.7 MB; the parent also held the
+        # stream and the occupied bins (42.7 MB traced)
+        (3, 13, 4 * 10**6, "histogram", 8 * 3**13 + 8 * 2**20),
+        # 10^5 exact ints below 3^40
+        (3, 40, 10**5, "direct", 8 * 2**20),
+    ])
+    def test_memory_is_bounded_by_a_block(self, p, t, n, method, limit):
+        cfg = GeneratorConfig(IntMatrix.from_rows([[0, 1], [1, 1]]), PrimePowerModulus(p, t), (314, 2718), (2, 7))
+        exp_sum(cfg, 5000, method)
+        tracemalloc.start()
+        try:
+            exp_sum(cfg, n, method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_histogram_scans_bins_up_to_the_largest_residue(self, monkeypatch):
+        # ten residues below 1000 mod 2^24: the scan stops there, not at 2^24
+        cfg = GeneratorConfig(IntMatrix.from_rows([[0, 1], [1, 1]]), PrimePowerModulus(2, 24), (1, 2), (3, 5))
+        scanned = []
+        terms = sums._histogram_terms
+        monkeypatch.setattr(sums, "_histogram_terms", lambda counts, mod: scanned.append(len(counts)) or terms(counts, mod))
+        got = exp_sum(cfg, 10, "histogram").value
+        assert 1 <= scanned[0] <= 1000
+        assert got == pytest.approx(exp_sum(cfg, 10, "direct").value, abs=1e-12)
+
+
 MATRICES = ([[0, 1], [1, 1]], [[1, 2], [1, 1]], [[0, 1, 0], [0, 0, 1], [1, 1, 0]])
 PRIMES = (2, 3, 5, 7, 11, 13, 4093)
 
@@ -149,6 +208,16 @@ class TestHistogramAgainstDirect:
 
 
 class TestFullPeriodExponent:
+    def test_rows_above_the_config_t_lift_the_given_start_vector(self, fib):
+        # u0 = (100, 0) is (19, 0) mod 3^4: a t = 6 row from the t = 4 config
+        # must lift u0 as given, not 19, and read as the t = 6 config's row
+        low = GeneratorConfig.create(fib, PrimePowerModulus(3, 4), (100, 0), (1, 0))
+        high = GeneratorConfig.create(fib, PrimePowerModulus(3, 6), (100, 0), (1, 0))
+        (row,) = full_period_exponent(low, [6])
+        assert [row] == full_period_exponent(high, [6])
+        assert row.abs_value == pytest.approx(52.1449, abs=1e-4)
+        assert full_period_exponent(low, [4]) == full_period_exponent(high, [4])
+
     def test_one_order_sequence_same_rows(self, cfg, monkeypatch):
         # the rows of building period_profile(a, p, t) afresh for every t
         # (t and tau exactly, |S| and theta within exp_sum's error bound)
