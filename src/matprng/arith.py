@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -246,8 +246,8 @@ def vec_reduce(v: Sequence[int], m: PrimePowerModulus) -> ResidueVector:
     return tuple(int(x) % m.modulus for x in v)
 
 
-# Entries per block of `stream_blocks`: a block holds max(1, STREAM_BLOCK // w)
-# terms of w entries (w = d for vectors, 1 for scalars)
+# Entries per block of `stream_blocks`: a block holds at most STREAM_BLOCK // w
+# terms of w entries (w = d for vectors, 1 for scalars), or one giant step
 STREAM_BLOCK = 1 << 15
 # Largest estimated size of one mat_stream output array and of the tuple
 # arrays of analysis.vinogradov.vinogradov_count
@@ -366,10 +366,10 @@ def stream_blocks(
     n0: int = 0,
     v: Sequence[int] | None = None,
 ) -> Iterator[np.ndarray]:
-    """The stream of `mat_stream` as consecutive blocks of
-    max(1, STREAM_BLOCK // w) terms, the last one shorter: (n, d) arrays of
-    vectors (w = d), or, given v, (n,) arrays of scalars (w = 1), of dtype
-    `stream_dtype(m, d)`.
+    """The stream of `mat_stream` as consecutive blocks of K whole giant
+    steps of B terms each: (n, d) arrays of vectors (w = d), or, given v,
+    (n,) arrays of scalars (w = 1), of dtype `stream_dtype(m, d)`.  A block
+    holds at most max(STREAM_BLOCK // w, B) terms, the last one fewer.
 
     Baby-step giant-step: the baby columns u_{n0} .. u_{n0+B-1} are built by
     doubling with A, A^2, A^4, ..., where B is the least power of two with
@@ -391,10 +391,10 @@ def stream_blocks(
     if n0:
         u = mat_vec_mod(mat_pow_mod(a, n0, m), u, m)
     size = max(1, STREAM_BLOCK // (d if v is None else 1))
-    blocks = _cut(_giant_steps(a, u, m, count, v, size), size)
+    blocks = _giant_steps(a, u, m, count, v, size)
     if stream_dtype(m, d) is np.int64:
         return blocks
-    return (block.astype(object) for block in blocks)
+    return (block.astype(object, copy=False) for block in blocks)
 
 
 def _giant_steps(a, u, m, count, v, size) -> Iterator[np.ndarray]:
@@ -428,24 +428,6 @@ def _giant_steps(a, u, m, count, v, size) -> Iterator[np.ndarray]:
             out = out.reshape(k * width)
         yield out[: count - pos]
         head = mul(head, jump)
-
-
-def _cut(batches: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
-    """The concatenation of `batches` as arrays of `size` rows, the last one
-    shorter."""
-    held: list[np.ndarray] = []
-    n = 0
-    for batch in batches:
-        while len(batch):
-            take = min(size - n, len(batch))
-            held.append(batch[:take])
-            batch = batch[take:]
-            n += take
-            if n == size:
-                yield held[0] if len(held) == 1 else np.concatenate(held)
-                held, n = [], 0
-    if held:
-        yield held[0] if len(held) == 1 else np.concatenate(held)
 
 
 def mat_stream(

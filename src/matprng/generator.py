@@ -40,7 +40,7 @@ class GeneratorConfig:
     u0: ResidueVector
     v: ResidueVector | None = None
     validated: Verdict | None = None
-    given: tuple[ResidueVector, ResidueVector | None] | None = field(default=None, repr=False)
+    given: tuple[ResidueVector, ResidueVector | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.u0) != self.a.d:
@@ -49,9 +49,8 @@ class GeneratorConfig:
             raise ValueError("v length must match the matrix dimension")
         if det_exact(self.a) % self.m.p == 0:
             raise NotInvertibleError("det A must be coprime to p")
-        if self.given is None:
-            given = (tuple(map(int, self.u0)), None if self.v is None else tuple(map(int, self.v)))
-            object.__setattr__(self, "given", given)
+        given = (tuple(map(int, self.u0)), None if self.v is None else tuple(map(int, self.v)))
+        object.__setattr__(self, "given", given)
         object.__setattr__(self, "u0", vec_reduce(self.u0, self.m))
         if self.v is not None:
             object.__setattr__(self, "v", vec_reduce(self.v, self.m))
@@ -75,7 +74,7 @@ class GeneratorConfig:
     def at_exponent(self, t: int) -> "GeneratorConfig":
         """Same generator data, the vectors as given reduced modulo p^t."""
         m2 = PrimePowerModulus(self.m.p, t)
-        return GeneratorConfig(self.a, m2, *self.given, self.validated, self.given)
+        return GeneratorConfig(self.a, m2, *self.given, self.validated)
 
 
 @dataclass
