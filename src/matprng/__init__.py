@@ -90,4 +90,5 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "tau_pair",
         "theta_matrix",
     ),
+    "stream": ("mat_stream",),
 }, others=("analysis", "cli", "errors", "reports"))

@@ -16,8 +16,9 @@ from typing import Sequence
 import mpmath as mp
 import numpy as np
 
-from ..arith import mat_stream, valuation
+from ..arith import valuation
 from ..generator import GeneratorConfig
+from ..stream import mat_stream
 from .sums import phase_sum
 
 _DPS = 40

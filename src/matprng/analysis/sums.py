@@ -29,10 +29,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ..arith import IntPolynomial, det_exact, mat_stream, stream_blocks, vec_dot
+from ..arith import IntPolynomial, det_exact, vec_dot
 from ..errors import GridTooLargeError, PeriodTooLargeError, PreconditionViolatedError
 from ..generator import GeneratorConfig
 from ..padic import H_coeffs, h_coeffs, order_mod, order_sequence, period_profile, theta_matrix
+from ..stream import mat_stream, stream_blocks
 
 _HISTOGRAM_LIMIT = 1 << 24
 # Veltkamp's splitting constant 2^27 + 1: x * _SPLIT must not overflow
@@ -67,7 +68,7 @@ def scalar_residues(cfg: GeneratorConfig, n_terms: int, n0: int = 0):
     """Residues v A^n u mod p^t for n = n0 .. n0+n_terms-1.
 
     Returns an int64 numpy array when the stream kernel runs in int64
-    (d (p^t)^2 < 2^63, see `arith.mat_stream`), else a Python list of exact
+    (d (p^t)^2 < 2^63, see `stream.mat_stream`), else a Python list of exact
     integers."""
     if cfg.v is None:
         raise ValueError("scalar residues need v in the config")
@@ -172,7 +173,7 @@ def exp_sum(
     over p^t.
 
     The N residues are never held at once: the sum folds the blocks of
-    `arith.stream_blocks`, one at a time.
+    `stream.stream_blocks`, one at a time.
     method "direct": the phase terms of each block, 2^14 at a time.
     method "histogram" (available for p^t <= 2^24): each block adds its
     residues to one count array of p^t bins (np.add.at); then the residues
@@ -254,9 +255,14 @@ def _lifted_period_sum(cfg: GeneratorConfig, s: int, tau_s: int, tau_t: int) -> 
     q = m.p ** (t - s)
     b = theta_matrix(cfg.a, m.p, s, tau_s, t)
     vb = [vec_dot(cfg.v, column) for column in zip(*b.entries)]
-    keep = mat_stream(cfg.a, cfg.u0, m, tau_s, 0, vb) % q == 0
-    x = mat_stream(cfg.a, cfg.u0, m, tau_s, 0, cfg.v)[keep]
-    return tau_t // tau_s * phase_sum(x, m.modulus)
+    # whether p^(t-s) divides c_n depends on c_n mod p^(t-s) only, so the
+    # selection streams mod p^(t-s); blocks end where the count puts them,
+    # whatever the modulus, so the two streams go block by block together
+    # and only the few kept residues outlive their block
+    selection = stream_blocks(cfg.a, cfg.u0, m.at_exponent(max(t - s, 1)), tau_s, 0, vb)
+    phases = stream_blocks(cfg.a, cfg.u0, m, tau_s, 0, cfg.v)
+    kept = [x[c % q == 0] for c, x in zip(selection, phases)]
+    return tau_t // tau_s * phase_sum(np.concatenate(kept), m.modulus)
 
 
 def full_period_exponent(

@@ -24,19 +24,21 @@ from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Iterator, Sequence
 
 # No command calls BLAS (every matrix product is on int64 or object arrays),
-# and OpenBLAS starts a worker pool at import, which costs start-up time.  A
-# value the user set is kept.  This is the first numpy import of the CLI.
+# and OpenBLAS starts a worker pool when numpy is imported, which costs
+# start-up time.  The CLI imports numpy only in the commands that stream, but
+# the variable is set here, before any of them can run.  A value the user set
+# is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np
 
 from .arith import IntMatrix, PrimePowerModulus, char_poly
 from .errors import DimensionMismatchError, MatprngError, ResourceGuardError
 
 # Each command imports the layers it runs when it runs: a command pays the
-# start-up cost of those layers only (gen, period and validate load neither
-# matprng.analysis nor mpmath).
+# start-up cost of those layers only.  validate and period load neither numpy
+# nor mpmath; gen loads numpy but not matprng.analysis or mpmath.
 if TYPE_CHECKING:
+    import numpy as np
+
     from .generator import GeneratorConfig
 
 
@@ -294,7 +296,7 @@ class Table:
         rows = []
         with nullcontext() if self.dump is None else open(self.dump, "wb") as dump_fh:
             self.each_block(
-                lambda block: rows.extend(block.tolist() if isinstance(block, np.ndarray) else block),
+                lambda block: rows.extend(block if isinstance(block, list) else block.tolist()),
                 dump_fh,
             )
         return [{k: x for k, x in zip(self.header, row) if k in keep} for row in rows]
@@ -387,6 +389,8 @@ def cmd_gen(exp: Experiment, args) -> Table:
 
 def _numbered(blocks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
     """Each block of stream terms as rows (n, terms...), n counting from 0."""
+    import numpy as np
+
     n = 0
     for block in blocks:
         yield np.column_stack((np.arange(n, n + len(block)), block))

@@ -57,6 +57,10 @@ class PeriodTooLargeError(ResourceGuardError):
     """Full period exceeds the enumerable guard."""
 
 
+class OrderTableTooDeepError(ResourceGuardError):
+    """The order table's lifts would exceed their work budget."""
+
+
 class DimensionTooLargeError(ResourceGuardError):
     """Exact discrepancy is not implemented for this dimension."""
 

@@ -17,11 +17,13 @@ from .arith import (
     char_poly,
     det_exact,
     is_squarefree_over_q,
-    mat_stream,
+    mat_vec_mod,
     prime_factors,
     sylvester_rows,
+    vec_dot,
+    vec_reduce,
 )
-from .errors import ExactDivisionError
+from .errors import DimensionMismatchError, ExactDivisionError
 
 
 @dataclass(frozen=True, init=False)
@@ -249,8 +251,18 @@ def minimal_recurrence_length(seq: Sequence[int], p: int) -> int:
 
 
 def scalar_terms_mod_p(a: IntMatrix, u: ResidueVector, v: ResidueVector, p: int, count: int) -> list[int]:
-    """First `count` terms of v A^n u reduced mod p."""
-    return mat_stream(a, u, PrimePowerModulus(p, 1), count, v=v).tolist()
+    """First `count` terms of v A^n u reduced mod p, by one matrix-vector
+    product mod p per term on Python ints (the validator needs 4d terms)."""
+    for vec in (u, v):
+        if len(vec) != a.d:
+            raise DimensionMismatchError(f"matrix dim {a.d} vs vector length {len(vec)}")
+    m = PrimePowerModulus(p, 1)
+    a, u, v = a.reduce(p), vec_reduce(u, m), vec_reduce(v, m)
+    terms = []
+    for _ in range(count):
+        terms.append(vec_dot(v, u) % p)
+        u = mat_vec_mod(a, u, m)
+    return terms
 
 
 def is_proper_pair(a: IntMatrix, u: ResidueVector, v: ResidueVector, p: int) -> bool:

@@ -9,9 +9,7 @@ import itertools
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import BinaryIO, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence
 
 from .arith import (
     IntMatrix,
@@ -19,13 +17,16 @@ from .arith import (
     ResidueVector,
     det_exact,
     mat_pow_mod,
-    mat_stream,
     mat_vec_mod,
-    stream_blocks,
     vec_reduce,
 )
 from .errors import NotInvertibleError
 from .fieldalg import Verdict, validate_theorem_hypotheses
+
+# numpy and the stream kernel are imported by the functions that stream or
+# build arrays, so that a generator config (validate, period) needs neither
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -112,19 +113,25 @@ def jump_ahead(state: GeneratorState, k: int) -> GeneratorState:
 def vector_sequence(cfg: GeneratorConfig, n0: int, count: int) -> np.ndarray:
     """Vectors u_n for n = n0 .. n0 + count - 1 as the rows of the stream
     kernel's (count, d) array: int64, or object holding exact ints (see
-    `arith.mat_stream`)."""
+    `stream.mat_stream`)."""
+    from .stream import mat_stream
+
     return mat_stream(cfg.a, cfg.u0, cfg.m, count, n0)
 
 
 def scalar_sequence(cfg: GeneratorConfig, n0: int, count: int) -> list[int]:
     """Values v A^n u0 mod p^t for n = n0 .. n0 + count - 1."""
+    from .stream import mat_stream
+
     return mat_stream(cfg.a, cfg.u0, cfg.m, count, n0, _scalar_vector(cfg)).tolist()
 
 
 def sequence_blocks(cfg: GeneratorConfig, count: int, scalar: bool = False) -> Iterator[np.ndarray]:
     """vector_sequence(cfg, 0, count), or with `scalar` the values of
-    scalar_sequence as an array, in the blocks of `arith.stream_blocks`:
+    scalar_sequence as an array, in the blocks of `stream.stream_blocks`:
     one pass over the stream that holds one block at a time."""
+    from .stream import stream_blocks
+
     return stream_blocks(cfg.a, cfg.u0, cfg.m, count, 0, _scalar_vector(cfg) if scalar else None)
 
 
@@ -149,6 +156,8 @@ class PointSet:
     def floats(self) -> np.ndarray:
         """(N, d) float64 rendering; each coordinate is correctly rounded, so
         the error is below 2^-52 per coordinate."""
+        import numpy as np
+
         return np.array([[x / self.den for x in pt] for pt in self.nums], dtype=np.float64)
 
     def fractions(self) -> list[tuple[Fraction, ...]]:
@@ -177,6 +186,8 @@ def dump_records(values: Iterable[int] | Iterable[np.ndarray] | np.ndarray, fh: 
     number of records written.  `values` is an int64 or object array (read
     in C order), an iterable of such arrays (blocks, written one fh.write
     each, as they come), or any iterable of ints (one fh.write)."""
+    import numpy as np
+
     if isinstance(values, np.ndarray):
         blocks: Iterable[np.ndarray] = (values,)
     else:
@@ -192,6 +203,8 @@ def dump_records(values: Iterable[int] | Iterable[np.ndarray] | np.ndarray, fh: 
 
 def _dump_block(values: np.ndarray, fh: BinaryIO) -> int:
     """dump_records of one flat array, built in numpy before one write."""
+    import numpy as np
+
     n = values.size
     if n == 0:
         return 0

@@ -32,6 +32,7 @@ from .errors import (
     NonSquarefreeError,
     NotInvertibleError,
     NotIrreducibleError,
+    OrderTableTooDeepError,
     PrecisionCapExceededError,
     PreconditionViolatedError,
 )
@@ -42,6 +43,9 @@ DEFAULT_PRECISION_CAP = 64
 # order table is extended by at most _EXTENSION_CAP levels past s_max for that.
 _STABILIZATION_WINDOW = 3
 _EXTENSION_CAP = 48
+# Largest `order_table_work` that period_profile starts: at p = 317, d = 2
+# the budget admits s_max = 718 (about 9 s on a 2-vCPU host) and refuses 719
+ORDER_WORK_BUDGET = 10**13
 
 T = TypeVar("T")
 
@@ -114,6 +118,27 @@ def _lift_order(
     raise ExactDivisionError("order lift dichotomy violated (arithmetic bug)")
 
 
+def _lift_precision(depth: int) -> int:
+    """The exponent of the largest modulus p^prec that order_sequence works
+    at when it has drawn `depth` orders: 1 for tau_1 alone, then prec = 2s
+    at each s = 2, 5, 11, ... past the previous prec."""
+    prec, s = 1, 2
+    while s <= depth:
+        prec = 2 * s
+        s = prec + 1
+    return prec
+
+
+def order_table_work(d: int, p: int, depth: int) -> int:
+    """An estimate of the work of drawing `depth` orders of a d x d matrix
+    from order_sequence: depth levels, each of O(log p) products of d x d
+    matrices whose entries have up to `bits` bits, the bits of the largest
+    modulus the lift works at, and a product costs about d^3 bits^2 (CPython
+    divides in quadratic time)."""
+    bits = _lift_precision(depth) * p.bit_length()
+    return depth * d**3 * p.bit_length() * bits * bits
+
+
 def order_sequence(a: IntMatrix, p: int) -> Iterator[int]:
     """tau_1, tau_2, ... with tau_s the order of A mod p^s: tau_1 by descent,
     each later order by the lift, computed only when it is drawn.
@@ -177,9 +202,20 @@ def period_profile(a: IntMatrix, p: int, s_max: int) -> PeriodProfile:
     s_star is detected empirically: the table is extended (beyond s_max if
     needed) until _STABILIZATION_WINDOW consecutive steps multiply by p.
     A matrix of finite order never stabilizes and is reported as degenerate.
+
+    The work of the deepest table this may draw, s_max + _EXTENSION_CAP
+    orders (`order_table_work`), is checked before the first lift:
+    OrderTableTooDeepError when it is over ORDER_WORK_BUDGET.
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
+    depth = s_max + _EXTENSION_CAP
+    work = order_table_work(a.d, p, depth)
+    if work > ORDER_WORK_BUDGET:
+        raise OrderTableTooDeepError(
+            f"an order table of depth up to {depth} (s_max = {s_max}) mod powers of p = {p} "
+            f"is estimated at {work:.3g} bit operations, over the budget of {ORDER_WORK_BUDGET:.3g}"
+        )
     orders = order_sequence(a, p)
     taus = list(itertools.islice(orders, s_max))
 

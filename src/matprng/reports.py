@@ -9,9 +9,10 @@ import csv
 import io
 import json
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DIGITS = 30
 
@@ -49,15 +50,16 @@ def fmt_cell(x) -> str:
 
 def render_csv(header: Sequence[str], rows: Sequence[Sequence] | np.ndarray) -> str:
     """CSV text of a table.  `rows` is a sequence of rows, each cell rendered
-    by fmt_cell, or a 2-D array of integers (int64, or object holding Python
-    ints), rendered column by column: a decimal integer never needs quoting,
-    so both give the same bytes.  An empty header writes no header row, so
-    a table can be rendered a block of rows at a time."""
+    by fmt_cell (a list or a tuple), or a 2-D numpy array of integers (int64,
+    or object holding Python ints), rendered column by column: a decimal
+    integer never needs quoting, so both give the same bytes.  An empty
+    header writes no header row, so a table can be rendered a block of rows
+    at a time."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if header:
         writer.writerow(header)
-    if not isinstance(rows, np.ndarray):
+    if isinstance(rows, (list, tuple)):
         writer.writerows([fmt_cell(x) for x in row] for row in rows)
         return buf.getvalue()
     lines = map(",".join, zip(*(map(str, column) for column in rows.T.tolist())))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matprng import arith
+from matprng import stream
 from matprng.arith import (
     STREAM_MEMORY_BUDGET,
     IntMatrix,
@@ -23,12 +23,10 @@ from matprng.arith import (
     mat_mul_mod,
     mat_pow,
     mat_pow_mod,
-    mat_stream,
     mat_vec_mod,
     poly_eval_matrix,
     prime_factors,
     recurrence_coefficients,
-    stream_blocks,
     sylvester_rows,
     valuation,
     vec_dot,
@@ -40,6 +38,7 @@ from matprng.errors import (
     NotInvertibleError,
     StreamTooLargeError,
 )
+from matprng.stream import mat_stream, stream_blocks
 
 small_entries = st.integers(min_value=-30, max_value=30)
 
@@ -218,7 +217,7 @@ class TestLimbKernel:
     @pytest.mark.parametrize("block", [96, None], ids=["block96", "default"])
     def test_matches_python_int_loop(self, p, t, d, block, monkeypatch):
         if block is not None:
-            monkeypatch.setattr(arith, "STREAM_BLOCK", block)
+            monkeypatch.setattr(stream, "STREAM_BLOCK", block)
         m = PrimePowerModulus(p, t)
         mod = m.modulus
         rng = random.Random(f"{p}^{t}/{d}")
@@ -240,7 +239,7 @@ class TestLimbKernel:
         (2, 30, 2, 1), (2, 31, 2, 2), (2, 33, 2, 2), (2, 61, 2, 3), (2, 63, 2, 3), (2, 63, 3, 3), (3, 40, 3, 3), (3, 13, 3, 1),
     ])
     def test_int64_limbs_below_2_64(self, p, t, d, limbs):
-        lm = arith._limbs(PrimePowerModulus(p, t), d)
+        lm = stream._limbs(PrimePowerModulus(p, t), d)
         assert (lm.count, lm.dtype) == (limbs, np.int64)
         k = math.ceil(t / lm.count)
         assert lm.base == p**k and lm.top == p ** (t - (lm.count - 1) * k)
@@ -250,13 +249,13 @@ class TestLimbKernel:
     def test_exact_ints_from_2_64_or_without_a_base(self, p, t, d):
         # 2^31 - 1 squared is below 2^64, but no power of it leaves room for
         # d L b^2 < 2^63
-        assert arith._limbs(PrimePowerModulus(p, t), d).dtype is object
+        assert stream._limbs(PrimePowerModulus(p, t), d).dtype is object
 
     def test_no_object_arithmetic_below_2_64(self, monkeypatch):
         # every limb product is on int64 arrays; only the output is object
         seen = []
-        mul = arith._mul
-        monkeypatch.setattr(arith, "_mul", lambda x, y, lm: seen.append((x.dtype, y.dtype)) or mul(x, y, lm))
+        mul = stream._mul
+        monkeypatch.setattr(stream, "_mul", lambda x, y, lm: seen.append((x.dtype, y.dtype)) or mul(x, y, lm))
         a = IntMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 1, 0]])
         out = mat_stream(a, (1, 2, 3), PrimePowerModulus(3, 40), 5000, 7, (2, 7, 1))
         assert out.dtype == object and seen
@@ -265,14 +264,14 @@ class TestLimbKernel:
     @pytest.mark.parametrize("block", [1, 7, 4096, None])
     def test_blocks_concatenate_to_the_stream(self, block, monkeypatch):
         if block is not None:
-            monkeypatch.setattr(arith, "STREAM_BLOCK", block)
+            monkeypatch.setattr(stream, "STREAM_BLOCK", block)
         a = IntMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 1, 0]])
         m = PrimePowerModulus(3, 40)
         for v in (None, (2, 7, 1)):
             blocks = list(stream_blocks(a, (1, 2, 3), m, 9000, 5, v))
             # whole giant steps of width 128 (the least power of two whose
             # square is >= 9000), as many as a block holds
-            size = max(arith.STREAM_BLOCK // (3 if v is None else 1), 128)
+            size = max(stream.STREAM_BLOCK // (3 if v is None else 1), 128)
             assert all(1 <= len(b) <= size for b in blocks)
             assert np.concatenate(blocks).tolist() == mat_stream(a, (1, 2, 3), m, 9000, 5, v).tolist()
 

@@ -195,6 +195,17 @@ class TestGuards:
         assert err["error"] == "IterationCapExceededError"
 
 
+    @pytest.mark.parametrize("command", ["period", "bounds"])
+    def test_order_table_guard_exits_3_fast(self, command, tmp_path, capsys):
+        # the benchmark's p = 317 generator with an order table 10^5 deep
+        doc = dict(FIB_DOC, matrix=[[0, 1], [3, 1]], p=317, t=2, s_max=10**5)
+        cfg = write_config(tmp_path, doc)
+        start = time.perf_counter()
+        assert main([command, "--config", cfg]) == 3
+        assert time.perf_counter() - start < 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "OrderTableTooDeepError", "message": err["message"]}
+
     @pytest.mark.parametrize("command, key", [("gen", "count"), ("expsum", "N")])
     def test_stream_memory_guard_exits_3(self, command, key, tmp_path, capsys):
         doc = dict(FIB_DOC, **{key: str(10**12)})
@@ -433,10 +444,10 @@ BLOCK_SIZES = [1, 7, 4096, None]
 
 @pytest.mark.parametrize("block", BLOCK_SIZES, ids=["1", "7", "4096", "default"])
 def test_gen_artifacts_do_not_depend_on_the_block_size(block, tmp_path, monkeypatch):
-    from matprng import arith
+    from matprng import stream
 
     if block is not None:
-        monkeypatch.setattr(arith, "STREAM_BLOCK", block)
+        monkeypatch.setattr(stream, "STREAM_BLOCK", block)
     for case, doc, command, fmt in GOLDEN_RUNS:
         if command == "gen":
             out = tmp_path / f"{case}-{fmt}"

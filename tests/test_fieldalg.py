@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matprng.arith import IntMatrix, IntPolynomial, PrimePowerModulus
+from matprng.errors import DimensionMismatchError
 from matprng.fieldalg import (
     PolyModP,
     Verdict,
@@ -183,6 +184,42 @@ class TestBerlekampMassey:
         v = tuple(rng.randrange(p) for _ in range(d))
         terms = scalar_terms_mod_p(a, u, v, p, 4 * d)
         assert minimal_recurrence_length(terms, p) <= d
+
+
+# (rows, p, kernel dtype mod p): the fixtures, X^2 - X - 3 at p = 3001, and
+# 2 x 2 matrices around the kernel's int64 bound 2 p^2 < 2^63 and at 2^61
+SCALAR_TERM_CASES = [
+    ([[0, 1], [1, 1]], 3, "int64"),
+    ([[0, 1], [1, 1]], 7, "int64"),
+    ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], 2, "int64"),
+    ([[0, 1], [3, 1]], 3001, "int64"),
+    ([[5, -7], [2**40 + 3, 11]], 2**31 - 1, "int64"),
+    ([[5, -7], [2**40 + 3, 11]], 2**31 + 11, "object"),
+    ([[5, -7], [2**70 + 3, 11]], 2**61 - 1, "object"),
+]
+
+
+class TestScalarTermsModP:
+    @pytest.mark.parametrize("rows, p, dtype", SCALAR_TERM_CASES)
+    def test_matches_the_stream_kernel(self, rows, p, dtype):
+        import random
+
+        from matprng.stream import mat_stream
+
+        a = IntMatrix.from_rows(rows)
+        rng = random.Random(p)
+        for count in (0, 1, 4 * a.d, 50):
+            # entries outside [0, p), negative ones too
+            u = tuple(rng.randrange(-3 * p, 3 * p) for _ in range(a.d))
+            v = tuple(rng.randrange(-3 * p, 3 * p) for _ in range(a.d))
+            want = mat_stream(a, u, PrimePowerModulus(p, 1), count, v=v)
+            assert want.dtype == dtype
+            assert scalar_terms_mod_p(a, u, v, p, count) == want.tolist()
+
+    @pytest.mark.parametrize("u, v", [((1, 0, 0), (1, 0)), ((1, 0), (1,))])
+    def test_dimension_mismatch(self, fib, u, v):
+        with pytest.raises(DimensionMismatchError, match="matrix dim 2 vs vector length"):
+            scalar_terms_mod_p(fib, u, v, 3, 8)
 
 
 class TestProperAndPrimitive:

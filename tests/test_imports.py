@@ -10,10 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from test_cli import FIB_DOC, write_config
+from test_cli import FIB_DOC, GOLDEN_CASES, write_config
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ANALYSIS = "matprng.analysis"
+# what the exact-integer side (config loading, validate, period and the
+# exit-1 and exit-2 paths) must not import
+HEAVY = ("numpy", "mpmath", ANALYSIS)
 
 
 def fresh_modules(code: str, *args: str, environ: dict | None = None) -> list[str]:
@@ -34,13 +37,20 @@ def fresh_modules(code: str, *args: str, environ: dict | None = None) -> list[st
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def command_modules(tmp_path, command: str, environ: dict | None = None) -> list[str]:
-    cfg = write_config(tmp_path, FIB_DOC)
+def command_modules(
+    tmp_path, command: str, environ: dict | None = None, doc: dict = FIB_DOC, exit_code: int = 0
+) -> list[str]:
+    cfg = write_config(tmp_path, doc)
     code = (
         "import sys\nfrom matprng.cli import main\n"
-        "assert main(sys.argv[1:]) == 0"
+        f"assert main(sys.argv[1:]) == {exit_code}"
     )
     return fresh_modules(code, command, "--config", cfg, "--out", str(tmp_path / "out"), environ=environ)
+
+
+def heavy(loaded: list[str], names: tuple[str, ...] = HEAVY) -> list[str]:
+    """The modules of `loaded` that are one of `names` or inside one."""
+    return [m for m in loaded if any(m == name or m.startswith(name + ".") for name in names)]
 
 
 def test_cli_import_loads_only_arith_and_errors():
@@ -48,10 +58,40 @@ def test_cli_import_loads_only_arith_and_errors():
     assert loaded == {"matprng", "matprng.cli", "matprng.arith", "matprng.errors"}
 
 
+def test_config_loading_imports_no_numpy():
+    docs = [doc for _, doc, _ in GOLDEN_CASES]
+    code = (
+        "import json, sys\nfrom matprng.cli import load_experiment\n"
+        "for doc in json.loads(sys.argv[1]):\n    load_experiment(doc)\n"
+    )
+    assert heavy(fresh_modules(code, json.dumps(docs))) == []
+
+
 @pytest.mark.parametrize("command", ["gen", "period", "validate"])
 def test_light_commands_load_no_analysis_or_mpmath(command, tmp_path):
-    loaded = command_modules(tmp_path, command)
-    assert not [m for m in loaded if m == "mpmath" or m.startswith(("mpmath.", ANALYSIS))]
+    assert heavy(command_modules(tmp_path, command), ("mpmath", ANALYSIS)) == []
+
+
+@pytest.mark.parametrize("command", ["period", "validate"])
+def test_integer_commands_load_no_numpy_mpmath_or_analysis(command, tmp_path):
+    assert heavy(command_modules(tmp_path, command)) == []
+
+
+@pytest.mark.parametrize("command, doc, exit_code", [
+    ("period", dict(FIB_DOC, s_max=0), 1),  # a malformed value
+    ("gen", dict(FIB_DOC, count=None, N_schedule=None), 1),  # a missing key
+    ("expsum", dict(FIB_DOC, no_such_key=1), 1),  # an unknown key
+    ("validate", dict(FIB_DOC, v=["0", "0"]), 2),  # improper pair
+    ("period", dict(FIB_DOC, v=["0", "0"]), 2),
+], ids=["malformed", "missing", "unknown", "validate-rejected", "period-rejected"])
+def test_config_errors_and_rejections_load_no_numpy(command, doc, exit_code, tmp_path):
+    doc = {key: value for key, value in doc.items() if value is not None}
+    assert heavy(command_modules(tmp_path, command, doc=doc, exit_code=exit_code)) == []
+
+
+@pytest.mark.parametrize("command", ["gen", "expsum"])
+def test_streaming_commands_load_numpy(command, tmp_path):
+    assert "numpy" in command_modules(tmp_path, command)
 
 
 def test_expsum_loads_no_bounds_discrepancy_or_vinogradov(tmp_path):
@@ -111,9 +151,15 @@ BLAS = "OPENBLAS_NUM_THREADS"
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
-def test_cli_import_leaves_one_thread():
-    code = "import os\nimport matprng.cli\nassert len(os.listdir('/proc/self/task')) == 1, os.listdir('/proc/self/task')"
-    fresh_modules(code, environ={BLAS: None})
+def test_streaming_command_leaves_one_thread(tmp_path):
+    # gen imports numpy (and with it OpenBLAS) after the CLI set the variable
+    cfg = write_config(tmp_path, FIB_DOC)
+    code = (
+        "import os, sys\nfrom matprng.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\nassert 'numpy' in sys.modules\n"
+        "assert len(os.listdir('/proc/self/task')) == 1, os.listdir('/proc/self/task')"
+    )
+    fresh_modules(code, "gen", "--config", cfg, "--out", str(tmp_path / "out"), environ={BLAS: None})
 
 
 def test_cli_import_keeps_the_users_blas_setting():

@@ -27,14 +27,19 @@ from matprng.errors import (
     NotInvertibleError,
     NotIrreducibleError,
     NonSquarefreeError,
+    OrderTableTooDeepError,
     PrecisionCapExceededError,
     PreconditionViolatedError,
 )
+from matprng import padic
 from matprng.fieldalg import is_proper_pair
 from matprng.padic import (
+    _EXTENSION_CAP,
+    ORDER_WORK_BUDGET,
     H_coeffs,
     UnramifiedRing,
     _lift_order,
+    _lift_precision,
     _order_mod_p,
     beta_pair,
     binomial_to_monomial,
@@ -44,6 +49,7 @@ from matprng.padic import (
     lift_roots,
     order_mod,
     order_sequence,
+    order_table_work,
     period_profile,
     tau_pair,
     theta_matrix,
@@ -158,6 +164,38 @@ class TestPeriodProfile:
 
 
 
+class TestOrderTableGuard:
+    def test_deep_table_raises_before_the_first_lift(self, monkeypatch):
+        # p = 317, s_max = 10^5: hours of lifting at 1.7 M-bit moduli
+        monkeypatch.setattr(padic, "order_sequence", None)
+        a = IntMatrix.from_rows([[0, 1], [3, 1]])
+        start = time.perf_counter()
+        with pytest.raises(OrderTableTooDeepError, match="s_max = 100000"):
+            period_profile(a, 317, 10**5)
+        assert time.perf_counter() - start < 0.5
+
+    def test_budget_counts_the_extension_cap(self):
+        # at p = 317 the deepest admitted table is s_max = 718: 766 orders
+        # drawn at p^766; one more order lifts at p^1534
+        assert order_table_work(2, 317, 718 + _EXTENSION_CAP) <= ORDER_WORK_BUDGET
+        assert order_table_work(2, 317, 719 + _EXTENSION_CAP) > ORDER_WORK_BUDGET
+        assert (_lift_precision(766), _lift_precision(767)) == (766, 1534)
+
+    @pytest.mark.parametrize("rows, p, s_max", [
+        ([[0, 1], [1, 1]], 3, 240),  # Fibonacci at depth 240
+        ([[0, 1], [3, 1]], 317, 300),
+        ([[0, 1], [3, 1]], 2**61 - 1, 2),
+        ([[0, 1], [3, 1]], 2**127 - 1, 2),
+        ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], 2, 500),
+    ])
+    def test_tables_of_seconds_are_admitted(self, rows, p, s_max):
+        assert order_table_work(len(rows), p, s_max + _EXTENSION_CAP) <= ORDER_WORK_BUDGET
+
+    def test_fibonacci_at_depth_240(self, fib):
+        prof = period_profile(fib, 3, 240)
+        assert prof.taus[-1] == 8 * 3**239
+
+
 def order_sequence_oracle(a, p):
     """The order table as first written: every lift tests its candidates
     with a fresh A^e mod p^s (O(s^2) products to depth s)."""
@@ -193,6 +231,18 @@ class TestOrderSequence:
         orders = order_sequence(IntMatrix.from_rows([[3, 1], [0, 1]]), 3)  # nothing runs yet
         with pytest.raises(NotInvertibleError):
             next(orders)
+
+    @pytest.mark.parametrize("depth", [1, 2, 4, 5, 10, 11, 23, 60])
+    def test_lift_precision_is_the_deepest_modulus_used(self, depth, monkeypatch):
+        used = []
+
+        def modulus(p, t):
+            used.append(t)
+            return PrimePowerModulus(p, t)
+
+        monkeypatch.setattr(padic, "PrimePowerModulus", modulus)
+        list(itertools.islice(order_sequence(IntMatrix.from_rows([[0, 1], [1, 1]]), 3), depth))
+        assert max(used) == _lift_precision(depth)
 
     def test_depth_120_linear_cost(self, fib):
         best = math.inf

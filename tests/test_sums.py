@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import matprng.analysis.sums as sums
-from matprng.arith import IntMatrix, PrimePowerModulus
+from matprng import stream
+from matprng.arith import IntMatrix, PrimePowerModulus, vec_dot
 from matprng.errors import (
     DegenerateMatrixError,
     GridTooLargeError,
@@ -34,7 +35,8 @@ from matprng.analysis.sums import (
     phase_sum,
     scalar_residues,
 )
-from matprng.padic import order_mod, order_sequence, period_profile
+from matprng.padic import order_mod, order_sequence, period_profile, theta_matrix
+from matprng.stream import mat_stream
 
 
 @pytest.fixture
@@ -131,13 +133,11 @@ class TestBlockedExpSum:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_values_do_not_depend_on_the_block_size(self, name, monkeypatch):
-        from matprng import arith
-
         cfg, n = self.config(name)
         methods = ["direct"] + (["histogram"] if cfg.m.modulus <= _HISTOGRAM_LIMIT else [])
         want = {method: repr(exp_sum(cfg, n, method).value) for method in methods}
         for block in (1, 7, 4096):
-            monkeypatch.setattr(arith, "STREAM_BLOCK", block)
+            monkeypatch.setattr(stream, "STREAM_BLOCK", block)
             assert {method: repr(exp_sum(cfg, n, method).value) for method in methods} == want, block
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -282,7 +282,8 @@ class TestFullPeriodExponent:
     def test_guard_raises_before_anything_is_streamed(self, cfg, monkeypatch):
         # t = 9 sums tau_5 = 648 terms
         streamed = []
-        monkeypatch.setattr(sums, "mat_stream", lambda *args: streamed.append(args))
+        for kernel in ("mat_stream", "stream_blocks"):
+            monkeypatch.setattr(sums, kernel, lambda *args: streamed.append(args))
         with pytest.raises(PeriodTooLargeError, match="tau_5 = 648, the terms summed for t = 9,"):
             full_period_exponent(cfg, [9], tau_guard=647)
         assert streamed == []
@@ -309,6 +310,19 @@ LIFT_CASES = [
     ([[1, 2048], [2048, 2049]], 2, None),  # I + 2^11 F: s* = 11, and p^25 > 2^24
     ([[1 + 2**16, 2**16], [-(2**17), 1]], 2, range(32, 36)),  # F = [[1, 1], [-2, 0]]
 ]
+
+
+def lifted_period_sum_whole(cfg: GeneratorConfig, s: int, tau_s: int, tau_t: int) -> complex:
+    """The reference for `sums._lifted_period_sum`: the same sum with the
+    selection and the phase stream each held whole, as mat_stream returns
+    them mod p^t."""
+    m, t = cfg.m, cfg.m.t
+    q = m.p ** (t - s)
+    b = theta_matrix(cfg.a, m.p, s, tau_s, t)
+    vb = [vec_dot(cfg.v, column) for column in zip(*b.entries)]
+    keep = mat_stream(cfg.a, cfg.u0, m, tau_s, 0, vb) % q == 0
+    x = mat_stream(cfg.a, cfg.u0, m, tau_s, 0, cfg.v)[keep]
+    return tau_t // tau_s * phase_sum(x, m.modulus)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -379,6 +393,46 @@ class TestLiftedPeriodSum:
         assert row.tau == taus[t - 1]
         assert abs(row.abs_value - ref.abs_value) <= ref.error_bound
         assert math.isnan(row.theta) if row.tau == 1 else row.theta < 1
+
+    @pytest.mark.parametrize("block", [None, 7], ids=["default", "7"])
+    @pytest.mark.parametrize("rows, p, t_range", LIFT_CASES)
+    def test_block_fold_equals_whole_streams(self, rows, p, t_range, block, monkeypatch):
+        # every row bit for bit, t = 1..20, wherever tau_s is small enough
+        # to stream twice here
+        if block is not None:
+            monkeypatch.setattr(stream, "STREAM_BLOCK", block)
+        cap = 2 * 10**5 if block is None else 5000
+        _, taus, at = self._case(rows, p, range(1, 21))
+        checked = 0
+        for t in range(1, 21):
+            s = (t + 1) // 2
+            if taus[s - 1] > cap:
+                continue
+            args = (at(t), s, taus[s - 1], taus[t - 1])
+            assert sums._lifted_period_sum(*args) == lifted_period_sum_whole(*args), t
+            checked += 1
+        assert checked >= 8
+
+    def test_block_fold_holds_less_than_one_stream(self):
+        # t = 20 sums tau_10 = 157 464 exact-int terms mod 3^20
+        _, taus, at = self._case([[0, 1], [1, 1]], 3, range(20, 21))
+        cfg, tau_s = at(20), taus[9]
+        assert tau_s == 157_464 and cfg.m.modulus**2 * 2 >= 2**63
+        args = (cfg, 10, tau_s, taus[19])
+        want = lifted_period_sum_whole(*args)
+        tracemalloc.start()
+        try:
+            one_array = mat_stream(cfg.a, cfg.u0, cfg.m, tau_s, 0, cfg.v)
+            one_array_bytes = tracemalloc.get_traced_memory()[0]
+            del one_array
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            got = sums._lifted_period_sum(*args)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < one_array_bytes
 
     @pytest.mark.parametrize("t", [3, 4, 5])
     def test_identity_needs_2s_at_least_t(self, t):
