@@ -2,10 +2,9 @@
 formulas built on them.
 
 N_{k,r}(M) counts solutions of sum x_i^j = sum y_i^j (j = 1..r) with
-1 <= x_i, y_i <= M; the diagonal x = y always contributes M^k.
+1 <= x_i, y_i <= M; the diagonal x = y always contributes M^k.  The bound
+values are `decimal.Decimal`s, printed with a format spec.
 """
-
-import mpmath as mp
 
 from matprng.analysis import ford_bound, korobov_bound, vinogradov_count, vinogradov_count_naive
 
@@ -22,12 +21,12 @@ for r, d in [(2, 2), (4, 2), (8, 2), (2000, 2)]:
     fb = ford_bound(r, d, 9)
     print(
         f"  {r:3d} {d:2d} {fb.k:5d} {float(fb.exponent):10.3f} "
-        f"{mp.nstr(fb.value, 8):>24s} {str(fb.valid):>15s}"
+        f"{fb.value:>24.8g} {str(fb.valid):>15s}"
     )
 
 print("\ndouble-sum bound fed by an exact count (k=2, r=2, M=9):")
 count = vinogradov_count(2, 2, 9)
 kb = korobov_bound([729, 6561], 9, 2, 2, n_count=count)
 print(f"  N_2,2(9) = {count}")
-print(f"  bound on |S|^(2k^2): {mp.nstr(kb.value_power, 8)}")
-print(f"  bound on |S| (2k^2-th root): {mp.nstr(kb.value, 8)}  vs trivial M^2 = 81")
+print(f"  bound on |S|^(2k^2): {kb.value_power:.8g}")
+print(f"  bound on |S| (2k^2-th root): {kb.value:.8g}  vs trivial M^2 = 81")

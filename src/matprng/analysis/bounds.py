@@ -2,18 +2,22 @@
 power-sum count bound, the double-sum bound it feeds, the single-sum and
 discrepancy envelopes, and the discrepancy-from-sums inequality.
 
-Values can be astronomically large (r^{3r^3}), so everything is mpmath.
+Values can be astronomically large (r^{3r^3}), so every value is a
+`decimal.Decimal` computed at 45 significant digits with the widest
+exponent range decimal allows (10^±999999999999999999).  A result past
+that range reads Infinity or 0 and an undefined one (0 * Infinity) NaN,
+rather than raising; `reports.dec30` renders them `+inf`, `0.0`, `nan`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-import mpmath as mp
 import numpy as np
 
 from ..arith import valuation
@@ -21,13 +25,8 @@ from ..generator import GeneratorConfig
 from ..stream import mat_stream
 from .sums import phase_sum
 
-_DPS = 40
-
-
-def _mpf(x) -> mp.mpf:
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-    return mp.mpf(x)
+# the context every formula runs in (`localcontext` works on a copy)
+_CONTEXT = Context(prec=45, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,7 @@ class FordBound:
     k: int
     delta_r: Fraction
     exponent: Fraction
-    value: mp.mpf
+    value: Decimal
     valid: bool
     c0: int
 
@@ -61,8 +60,9 @@ def ford_bound(r: int, d: int, m: int, c0: int = 1000) -> FordBound:
     k = ford_k(r, d)
     delta = Fraction(1, 1000 * d)
     exponent = Fraction(2 * k) - Fraction(r * (r + 1), 2) + delta * r * r
-    with mp.workdps(_DPS):
-        value = mp.power(mp.mpf(r), 3 * r**3) * mp.power(mp.mpf(m), _mpf(exponent))
+    with localcontext(_CONTEXT):
+        e = Decimal(exponent.numerator) / exponent.denominator
+        value = Decimal(r) ** (3 * r**3) * Decimal(m) ** e
     return FordBound(
         r=r, d=d, m=m, k=k, delta_r=delta, exponent=exponent,
         value=value, valid=r >= c0 * d, c0=c0,
@@ -78,10 +78,10 @@ class KorobovBound:
     r: int
     m: int
     q_max: int
-    n_count: mp.mpf
+    n_count: Decimal
     used_ford: bool
-    value_power: mp.mpf
-    value: mp.mpf
+    value_power: Decimal
+    value: Decimal
 
 
 def korobov_bound(
@@ -103,25 +103,25 @@ def korobov_bound(
         raise ValueError("denominators must be >= 1")
     q_max = max(q)
     used_ford = n_count is None
-    with mp.workdps(_DPS):
+    with localcontext(_CONTEXT):
         if n_count is None:
             if d is None:
                 raise ValueError("d is required to fall back to the Ford bound")
             n_val = ford_bound(r, d, m, c0).value
         else:
-            n_val = mp.mpf(n_count)
-        prod = mp.mpf(1)
+            n_val = Decimal(n_count)
+        prod = Decimal(1)
         for ell, ql in enumerate(q, start=1):
-            m_ell = mp.power(mp.mpf(m), ell)
-            root = mp.sqrt(mp.mpf(ql))
+            m_ell = Decimal(m) ** ell
+            root = Decimal(ql).sqrt()
             prod *= min(m_ell, root + m_ell / root)
         value_power = (
-            mp.power(64 * k * k * mp.log(3 * q_max), mp.mpf(r) / 2)
-            * mp.power(mp.mpf(m), 4 * k * k - 2 * k)
+            (64 * k * k * Decimal(3 * q_max).ln()) ** (Decimal(r) / 2)
+            * Decimal(m) ** (4 * k * k - 2 * k)
             * n_val
             * prod
         )
-        value = mp.power(value_power, mp.mpf(1) / (2 * k * k))
+        value = value_power ** (Decimal(1) / (2 * k * k))
     return KorobovBound(
         k=k, r=r, m=m, q_max=q_max, n_count=n_val,
         used_ford=used_ford, value_power=value_power, value=value,
@@ -136,19 +136,19 @@ def theorem_envelope(
     eta: float = 1.0,
     c: float = 1.0,
     d_power: int = 4,
-) -> mp.mpf:
+) -> Decimal:
     """Single-sum envelope c * N^{1 - eta rho^2 / (d^d_power (log d)^2)} with
     rho = log N / (t log p).  eta and c are user-supplied overlay knobs."""
     if d < 2:
         raise ValueError("the envelope shape needs d >= 2")
     if n_terms < 1:
         raise ValueError("N must be >= 1")
-    with mp.workdps(_DPS):
+    with localcontext(_CONTEXT):
         if n_terms == 1:
-            return mp.mpf(c)
-        rho = mp.log(n_terms) / (t * mp.log(p))
-        exponent = 1 - mp.mpf(eta) * rho * rho / (mp.mpf(d) ** d_power * mp.log(d) ** 2)
-        return mp.mpf(c) * mp.power(n_terms, exponent)
+            return Decimal(c)
+        rho = Decimal(n_terms).ln() / (t * Decimal(p).ln())
+        exponent = 1 - Decimal(eta) * rho * rho / (Decimal(d) ** d_power * Decimal(d).ln() ** 2)
+        return Decimal(c) * Decimal(n_terms) ** exponent
 
 
 def discrepancy_envelope(
@@ -159,18 +159,18 @@ def discrepancy_envelope(
     eta0: float = 1.0,
     c0: float = 1.0,
     d_power: int = 4,
-) -> mp.mpf:
+) -> Decimal:
     """Discrepancy envelope c0 * N^{-eta0 rho^2 / (d^d_power (log d)^2)} (log N)^d."""
     if d < 2:
         raise ValueError("the envelope shape needs d >= 2")
     if n_terms < 1:
         raise ValueError("N must be >= 1")
-    with mp.workdps(_DPS):
+    with localcontext(_CONTEXT):
         if n_terms == 1:
-            return mp.mpf(c0)
-        rho = mp.log(n_terms) / (t * mp.log(p))
-        exponent = -mp.mpf(eta0) * rho * rho / (mp.mpf(d) ** d_power * mp.log(d) ** 2)
-        return mp.mpf(c0) * mp.power(n_terms, exponent) * mp.power(mp.log(n_terms), d)
+            return Decimal(c0)
+        rho = Decimal(n_terms).ln() / (t * Decimal(p).ln())
+        exponent = -Decimal(eta0) * rho * rho / (Decimal(d) ** d_power * Decimal(d).ln() ** 2)
+        return Decimal(c0) * Decimal(n_terms) ** exponent * Decimal(n_terms).ln() ** d
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ class KSBound:
     v_range: int
     constant: float
     sum_term: float
-    value: mp.mpf
+    value: Decimal
     n_vectors: int
 
 
@@ -230,8 +230,8 @@ def koksma_szusz_bound(
 
     sum_term = 2.0 * math.fsum(term(v) for v in reps)  # each v pairs with -v (conjugate sum)
     constant = constant_base**d
-    with mp.workdps(_DPS):
-        value = mp.mpf(constant) * (mp.mpf(2) / (v_range + 1) + mp.mpf(sum_term) / n_points)
+    with localcontext(_CONTEXT):
+        value = Decimal(constant) * (Decimal(2) / (v_range + 1) + Decimal(sum_term) / n_points)
     return KSBound(
         n=n_points, d=d, v_range=v_range, constant=constant,
         sum_term=sum_term, value=value, n_vectors=n_vectors,

@@ -34,8 +34,8 @@ from .arith import IntMatrix, PrimePowerModulus, char_poly
 from .errors import DimensionMismatchError, MatprngError, ResourceGuardError
 
 # Each command imports the layers it runs when it runs: a command pays the
-# start-up cost of those layers only.  validate and period load neither numpy
-# nor mpmath; gen loads numpy but not matprng.analysis or mpmath.
+# start-up cost of those layers only.  validate and period load no numpy; gen
+# loads numpy but not matprng.analysis.
 if TYPE_CHECKING:
     import numpy as np
 

@@ -2,7 +2,6 @@ import math
 from fractions import Fraction
 from itertools import product
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -43,7 +42,7 @@ class TestFordBound:
 
     def test_huge_values_finite(self):
         fb = ford_bound(8, 2, 100)
-        assert mp.isfinite(fb.value) and fb.value > 0
+        assert fb.value.is_finite() and fb.value > 0
 
     def test_value_formula_small(self):
         fb = ford_bound(1, 2, 3)
@@ -131,6 +130,15 @@ class TestEnvelopes:
         rho = math.log(n) / (6 * math.log(3))
         expected = n ** (-rho * rho / (16 * math.log(2) ** 2)) * math.log(n) ** 2
         assert float(env) == pytest.approx(expected, rel=1e-12)
+
+    def test_past_the_exponent_range(self):
+        # 10^(10^18) and beyond read Infinity (or 0), and 0 * Infinity NaN
+        from matprng.reports import dec30
+
+        assert dec30(theorem_envelope(10, 3, 2, 2, eta=-1e300)) == "+inf"
+        assert dec30(theorem_envelope(10, 3, 2, 2, eta=-1e300, c=0.0)) == "nan"
+        assert dec30(discrepancy_envelope(10, 3, 2, 2, eta0=1e300)) == "0.0"
+        assert dec30(ford_bound(10**7, 2, 1).value) == "+inf"
 
     def test_d1_rejected(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import test_cli
 from test_cli import FIB_DOC, GOLDEN_CASES, write_config
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -65,6 +66,16 @@ def test_config_loading_imports_no_numpy():
         "for doc in json.loads(sys.argv[1]):\n    load_experiment(doc)\n"
     )
     assert heavy(fresh_modules(code, json.dumps(docs))) == []
+
+
+@pytest.mark.parametrize("command", test_cli.TestDeterminism.COMMANDS)
+def test_no_command_loads_mpmath(command, tmp_path):
+    # 30-digit rendering and the bound formulas run on the standard library
+    assert heavy(command_modules(tmp_path, command), ("mpmath",)) == []
+
+
+def test_bounds_module_loads_no_mpmath():
+    assert heavy(fresh_modules("import matprng.analysis.bounds"), ("mpmath",)) == []
 
 
 @pytest.mark.parametrize("command", ["gen", "period", "validate"])

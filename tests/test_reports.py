@@ -30,6 +30,25 @@ class TestIntegerArrays:
         table = np.array(cells, dtype=object)
         assert render_csv(("n", "a", "b"), table) == csv_writer_reference(("n", "a", "b"), cells)
 
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_extreme_values(self, dtype, columns):
+        cells = [0, 2**63 - 1, -(2**63), 2**64 + 1, -(2**64 + 1), 7]
+        if dtype is np.int64:
+            cells = [x for x in cells if -(2**63) <= x < 2**63]
+        rows = [[x] * columns for x in cells]
+        table = np.array(rows, dtype=dtype)
+        header = tuple(f"c{j}" for j in range(columns))
+        assert render_csv(header, table) == csv_writer_reference(header, rows)
+        # a block: the same rows without the header
+        assert render_csv((), table) == render_csv(header, table).split("\n", 1)[1]
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_empty_block(self, dtype):
+        table = np.empty((0, 3), dtype=dtype)
+        assert render_csv((), table) == ""
+        assert render_csv(("n", "a", "b"), table) == "n,a,b\n"
+
     def test_single_column(self):
         table = np.array([[5], [0], [2**70]], dtype=object)
         assert render_csv(("x",), table) == "x\n5\n0\n1180591620717411303424\n"
