@@ -50,7 +50,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "char_poly",
         "companion_matrix",
         "det_exact",
-        "mat_inverse_mod",
         "mat_mul_mod",
         "mat_pow_mod",
         "valuation",
@@ -65,23 +64,14 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "squarefree_mod_p",
         "validate_theorem_hypotheses",
     ),
-    "generator": (
-        "GeneratorConfig",
-        "GeneratorState",
-        "fractional_points",
-        "jump_ahead",
-        "scalar_sequence",
-        "step",
-    ),
+    "generator": ("GeneratorConfig", "fractional_points", "vector_sequence"),
     "padic": (
-        "ExpansionData",
         "PeriodProfile",
         "RootSet",
         "UnramifiedRing",
         "beta_pair",
         "binomial_to_monomial",
         "compute_w",
-        "expansion_data",
         "h_coeffs",
         "H_coeffs",
         "lift_roots",

@@ -37,5 +37,5 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "korobov_reduction_residual",
         "scalar_residues",
     ),
-    "vinogradov": ("VinogradovInstance", "solve_instance", "vinogradov_count", "vinogradov_count_naive"),
+    "vinogradov": ("vinogradov_count", "vinogradov_count_naive"),
 })

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -128,6 +128,23 @@ def korobov_bound(
     )
 
 
+def _envelope(
+    n_terms: int, p: int, t: int, d: int, c: float, d_power: int,
+    shape: Callable[[Decimal, Decimal, Decimal], Decimal],
+) -> Decimal:
+    """shape(N, rho, d^d_power (log d)^2) with rho = log N / (t log p), in
+    Decimals; c itself at N = 1."""
+    if d < 2:
+        raise ValueError("the envelope shape needs d >= 2")
+    if n_terms < 1:
+        raise ValueError("N must be >= 1")
+    with localcontext(_CONTEXT):
+        if n_terms == 1:
+            return Decimal(c)
+        n = Decimal(n_terms)
+        return shape(n, n.ln() / (t * Decimal(p).ln()), Decimal(d) ** d_power * Decimal(d).ln() ** 2)
+
+
 def theorem_envelope(
     n_terms: int,
     p: int,
@@ -139,16 +156,10 @@ def theorem_envelope(
 ) -> Decimal:
     """Single-sum envelope c * N^{1 - eta rho^2 / (d^d_power (log d)^2)} with
     rho = log N / (t log p).  eta and c are user-supplied overlay knobs."""
-    if d < 2:
-        raise ValueError("the envelope shape needs d >= 2")
-    if n_terms < 1:
-        raise ValueError("N must be >= 1")
-    with localcontext(_CONTEXT):
-        if n_terms == 1:
-            return Decimal(c)
-        rho = Decimal(n_terms).ln() / (t * Decimal(p).ln())
-        exponent = 1 - Decimal(eta) * rho * rho / (Decimal(d) ** d_power * Decimal(d).ln() ** 2)
-        return Decimal(c) * Decimal(n_terms) ** exponent
+    return _envelope(
+        n_terms, p, t, d, c, d_power,
+        lambda n, rho, scale: Decimal(c) * n ** (1 - Decimal(eta) * rho * rho / scale),
+    )
 
 
 def discrepancy_envelope(
@@ -161,16 +172,10 @@ def discrepancy_envelope(
     d_power: int = 4,
 ) -> Decimal:
     """Discrepancy envelope c0 * N^{-eta0 rho^2 / (d^d_power (log d)^2)} (log N)^d."""
-    if d < 2:
-        raise ValueError("the envelope shape needs d >= 2")
-    if n_terms < 1:
-        raise ValueError("N must be >= 1")
-    with localcontext(_CONTEXT):
-        if n_terms == 1:
-            return Decimal(c0)
-        rho = Decimal(n_terms).ln() / (t * Decimal(p).ln())
-        exponent = -Decimal(eta0) * rho * rho / (Decimal(d) ** d_power * Decimal(d).ln() ** 2)
-        return Decimal(c0) * Decimal(n_terms) ** exponent * Decimal(n_terms).ln() ** d
+    return _envelope(
+        n_terms, p, t, d, c0, d_power,
+        lambda n, rho, scale: Decimal(c0) * n ** (-Decimal(eta0) * rho * rho / scale) * n.ln() ** d,
+    )
 
 
 @dataclass(frozen=True)

@@ -9,18 +9,13 @@ cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import comb
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..arith import STREAM_MEMORY_BUDGET
 from ..errors import EnumerationTooLargeError
-
-if TYPE_CHECKING:
-    from .bounds import FordBound
 
 DEFAULT_ENUMERATION_GUARD = 10**8
 # tuples whose higher power sums are built and grouped at once
@@ -94,29 +89,6 @@ def vinogradov_count(k: int, r: int, m: int) -> int:
         total += int((sizes * sizes).sum())
         start = stop
     return total
-
-
-@dataclass(frozen=True)
-class VinogradovInstance:
-    """One solved instance next to its bound: the exact count, the count
-    bound value, and whether the bound's r >= c0 d hypothesis held."""
-
-    k: int
-    r: int
-    m: int
-    count: int
-    ford: "FordBound"
-
-    @property
-    def bound_applies(self) -> bool:
-        return self.ford.valid
-
-
-def solve_instance(k: int, r: int, m: int, d: int, c0: int = 1000) -> VinogradovInstance:
-    """Exact count bundled with the count bound evaluated at (r, d, M)."""
-    from .bounds import ford_bound
-
-    return VinogradovInstance(k, r, m, vinogradov_count(k, r, m), ford_bound(r, d, m, c0))
 
 
 def vinogradov_count_naive(k: int, r: int, m: int, guard: int = DEFAULT_ENUMERATION_GUARD) -> int:

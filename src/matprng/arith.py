@@ -17,7 +17,6 @@ from .errors import (
     DimensionMismatchError,
     ExactDivisionError,
     IterationCapExceededError,
-    NotInvertibleError,
     PreconditionViolatedError,
 )
 
@@ -295,34 +294,6 @@ def sylvester_rows(f: Sequence, g: Sequence) -> list[list]:
     return rows
 
 
-def mat_inverse_mod(a: IntMatrix, m: PrimePowerModulus) -> IntMatrix:
-    """Inverse modulo p^t via adjugate; requires gcd(det A, p) = 1."""
-    det = det_exact(a)
-    if det % m.p == 0:
-        raise NotInvertibleError(f"det = {det} is divisible by p = {m.p}")
-    inv_det = pow(det % m.modulus, -1, m.modulus)
-    d = a.d
-    if d == 1:
-        return IntMatrix(((inv_det % m.modulus,),))
-    adj = [[0] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            minor = IntMatrix(
-                tuple(
-                    tuple(a.entries[r][c] for c in range(d) if c != j)
-                    for r in range(d)
-                    if r != i
-                )
-            )
-            cof = det_exact(minor)
-            if (i + j) % 2:
-                cof = -cof
-            adj[j][i] = cof
-    return IntMatrix(
-        tuple(tuple(x * inv_det % m.modulus for x in row) for row in adj)
-    )
-
-
 def _product_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Coefficients of the product of two polynomials given as ascending
     coefficient sequences; empty when either is empty (the zero polynomial)."""
@@ -483,14 +454,6 @@ def char_poly(a: IntMatrix) -> IntPolynomial:
         [IntPolynomial((-x, 1) if i == j else (-x,)) for j, x in enumerate(row)]
         for i, row in enumerate(a.entries)
     ])
-
-
-def recurrence_coefficients(f: IntPolynomial) -> tuple[int, ...]:
-    """Coefficients (a_0, ..., a_{d-1}) of the linear recurrence
-    u_{n+d} = a_{d-1} u_{n+d-1} + ... + a_0 u_n attached to a monic f."""
-    if not f.is_monic:
-        raise ValueError("recurrence coefficients need a monic polynomial")
-    return tuple(-c for c in f.coeffs[:-1])
 
 
 def poly_eval_matrix(f: IntPolynomial, a: IntMatrix) -> IntMatrix:

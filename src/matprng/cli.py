@@ -17,8 +17,8 @@ import json
 import os
 import random
 import sys
-from contextlib import ExitStack, nullcontext
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Iterator, Sequence
@@ -267,7 +267,7 @@ class Table:
     form the JSON sidecar in CSV mode, unless `sidecar` gives another one."""
 
     header: tuple[str, ...]
-    rows: list[tuple] | Iterator[np.ndarray]  # a list of rows, or blocks of integer rows
+    rows: list[tuple] | Iterator[np.ndarray | list]  # a list of rows, or blocks of rows
     extras: dict = field(default_factory=dict)
     sidecar: dict | None = None
     dump: str | None = None  # a path: the record dump of every cell but a row's first
@@ -294,11 +294,7 @@ class Table:
     def records(self, columns: Sequence[str] | None = None) -> list[dict]:
         keep = self.header if columns is None else columns
         rows = []
-        with nullcontext() if self.dump is None else open(self.dump, "wb") as dump_fh:
-            self.each_block(
-                lambda block: rows.extend(block if isinstance(block, list) else block.tolist()),
-                dump_fh,
-            )
+        self.each_block(lambda block: rows.extend(block if isinstance(block, list) else block.tolist()))
         return [{k: x for k, x in zip(self.header, row) if k in keep} for row in rows]
 
     def doc(self) -> dict:
@@ -316,25 +312,29 @@ def _emit(result: Table | dict, args) -> None:
     """The one writer.  A dict is a JSON document; a Table is written as JSON
     {"rows": [...], **extras}, or as CSV, a block of rows at a time,
     followed by its sidecar, if any, at <out>.json (after the CSV on
-    stdout)."""
+    stdout).  A Table's record dump is written here, in either format, as
+    its rows pass."""
     from .reports import render_csv, render_json
 
     if isinstance(result, dict):
         _write(args.out, render_json(result))
-    elif args.format == "json":
-        _write(args.out, render_json(result.doc()))
-    else:
-        # the dump is opened first, so that an unwritable path writes nothing
-        with ExitStack() as files:
-            dump_fh = None if result.dump is None else files.enter_context(open(result.dump, "wb"))
-            fh = sys.stdout if args.out is None else files.enter_context(
-                open(args.out, "w", encoding="utf-8", newline="")
-            )
-            fh.write(render_csv(result.header, []))
-            result.each_block(lambda block: fh.write(render_csv((), block)), dump_fh)
-        sidecar = result.extras if result.sidecar is None else result.sidecar
-        if sidecar:
-            _write(args.out, render_json(sidecar), suffix=".json" if args.out else "")
+        return
+    # the dump is opened first, so that an unwritable path writes nothing
+    with ExitStack() as files:
+        dump_fh = None if result.dump is None else files.enter_context(open(result.dump, "wb"))
+        if args.format == "json":
+            blocks = []
+            result.each_block(blocks.append, dump_fh)
+            _write(args.out, render_json(replace(result, rows=iter(blocks)).doc()))
+            return
+        fh = sys.stdout if args.out is None else files.enter_context(
+            open(args.out, "w", encoding="utf-8", newline="")
+        )
+        fh.write(render_csv(result.header, []))
+        result.each_block(lambda block: fh.write(render_csv((), block)), dump_fh)
+    sidecar = result.extras if result.sidecar is None else result.sidecar
+    if sidecar:
+        _write(args.out, render_json(sidecar), suffix=".json" if args.out else "")
 
 
 # ---------------------------------------------------------------------------
@@ -372,18 +372,20 @@ def cmd_period(exp: Experiment, args) -> Table:
 
 
 def cmd_gen(exp: Experiment, args) -> Table:
-    from .generator import sequence_blocks
-
     cfg = _generator(exp, "gen", validated=False)
     count = exp.count
     if count is None:
         _require(exp, "gen without count", "n_schedule")
         count = exp.n_schedule[0]
     if exp.scalar:
+        if cfg.v is None:
+            raise ValueError("scalar sequences need v in the config")
         header = ("n", "x")
     else:
         header = ("n",) + tuple(f"u{i}" for i in range(cfg.a.d))
-    blocks = sequence_blocks(cfg, count, exp.scalar)
+    from .stream import stream_blocks  # numpy, once the config is known to be whole
+
+    blocks = stream_blocks(cfg.a, cfg.u0, cfg.m, count, 0, cfg.v if exp.scalar else None)
     return Table(header, _numbered(blocks), dump=exp.binary_out)
 
 

@@ -311,12 +311,9 @@ def validate_theorem_hypotheses(
             return Verdict.fail("constant-term-divisible-by-p", {"a0": a0})
         if v is None:
             raise ValueError("thm1 validation needs the second vector v")
-        if not is_proper_pair(a, u, v, p):
-            terms = scalar_terms_mod_p(a, u, v, p, 4 * a.d)
-            return Verdict.fail(
-                "improper-pair",
-                {"minimal_length": minimal_recurrence_length(terms, p), "d": a.d},
-            )
+        length = minimal_recurrence_length(scalar_terms_mod_p(a, u, v, p, 4 * a.d), p)
+        if length != a.d:
+            return Verdict.fail("improper-pair", {"minimal_length": length, "d": a.d})
         return Verdict.ok()
     if not irreducible_mod_p(f, p):
         return Verdict.fail("reducible-mod-p", {"p": p})

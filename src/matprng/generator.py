@@ -1,6 +1,7 @@
-"""The pseudorandom stream itself: vector iteration, jump-ahead by matrix
-powers, scalar sequences v A^n u, fractional points in [0,1)^d, and a
-binary-stable record format for cross-checking streams between programs.
+"""The pseudorandom stream itself: the generator config, segments of the
+vector stream from any index n0 (the stream kernel jumps ahead by one
+matrix power), fractional points in [0,1)^d, and a binary-stable record
+format for cross-checking streams between programs.
 """
 
 from __future__ import annotations
@@ -8,18 +9,9 @@ from __future__ import annotations
 import itertools
 import struct
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence
 
-from .arith import (
-    IntMatrix,
-    PrimePowerModulus,
-    ResidueVector,
-    det_exact,
-    mat_pow_mod,
-    mat_vec_mod,
-    vec_reduce,
-)
+from .arith import IntMatrix, PrimePowerModulus, ResidueVector, det_exact, vec_reduce
 from .errors import NotInvertibleError
 from .fieldalg import Verdict, validate_theorem_hypotheses
 
@@ -78,38 +70,6 @@ class GeneratorConfig:
         return GeneratorConfig(self.a, m2, *self.given, self.validated)
 
 
-@dataclass
-class GeneratorState:
-    """Mutable cursor over the stream: index n and the vector u_n = A^n u_0."""
-
-    cfg: GeneratorConfig
-    n: int = 0
-    u: ResidueVector = ()
-
-    def __post_init__(self) -> None:
-        if not self.u:
-            self.u = self.cfg.u0
-
-
-def step(state: GeneratorState) -> ResidueVector:
-    """Advance the state by one step and return the new vector."""
-    state.u = mat_vec_mod(state.cfg.a, state.u, state.cfg.m)
-    state.n += 1
-    return state.u
-
-
-def jump_ahead(state: GeneratorState, k: int) -> GeneratorState:
-    """State at index n + k, computed with one matrix power; the input state
-    is left untouched."""
-    if k < 0:
-        raise ValueError("jump distance must be nonnegative")
-    if k == 0:
-        return GeneratorState(state.cfg, state.n, state.u)
-    power = mat_pow_mod(state.cfg.a, k, state.cfg.m)
-    u = mat_vec_mod(power, state.u, state.cfg.m)
-    return GeneratorState(state.cfg, state.n + k, u)
-
-
 def vector_sequence(cfg: GeneratorConfig, n0: int, count: int) -> np.ndarray:
     """Vectors u_n for n = n0 .. n0 + count - 1 as the rows of the stream
     kernel's (count, d) array: int64, or object holding exact ints (see
@@ -117,28 +77,6 @@ def vector_sequence(cfg: GeneratorConfig, n0: int, count: int) -> np.ndarray:
     from .stream import mat_stream
 
     return mat_stream(cfg.a, cfg.u0, cfg.m, count, n0)
-
-
-def scalar_sequence(cfg: GeneratorConfig, n0: int, count: int) -> list[int]:
-    """Values v A^n u0 mod p^t for n = n0 .. n0 + count - 1."""
-    from .stream import mat_stream
-
-    return mat_stream(cfg.a, cfg.u0, cfg.m, count, n0, _scalar_vector(cfg)).tolist()
-
-
-def sequence_blocks(cfg: GeneratorConfig, count: int, scalar: bool = False) -> Iterator[np.ndarray]:
-    """vector_sequence(cfg, 0, count), or with `scalar` the values of
-    scalar_sequence as an array, in the blocks of `stream.stream_blocks`:
-    one pass over the stream that holds one block at a time."""
-    from .stream import stream_blocks
-
-    return stream_blocks(cfg.a, cfg.u0, cfg.m, count, 0, _scalar_vector(cfg) if scalar else None)
-
-
-def _scalar_vector(cfg: GeneratorConfig) -> ResidueVector:
-    if cfg.v is None:
-        raise ValueError("scalar sequences need v in the config")
-    return cfg.v
 
 
 @dataclass(frozen=True)
@@ -152,16 +90,6 @@ class PointSet:
     @property
     def n(self) -> int:
         return len(self.nums)
-
-    def floats(self) -> np.ndarray:
-        """(N, d) float64 rendering; each coordinate is correctly rounded, so
-        the error is below 2^-52 per coordinate."""
-        import numpy as np
-
-        return np.array([[x / self.den for x in pt] for pt in self.nums], dtype=np.float64)
-
-    def fractions(self) -> list[tuple[Fraction, ...]]:
-        return [tuple(Fraction(x, self.den) for x in pt) for pt in self.nums]
 
 
 def fractional_points(cfg: GeneratorConfig, n_points: int) -> PointSet:

@@ -16,7 +16,6 @@ from .arith import (
     IntPolynomial,
     PrimePowerModulus,
     ResidueVector,
-    char_poly,
     companion_matrix,
     det_exact,
     mat_pow,
@@ -430,9 +429,6 @@ class RootSet:
     def d(self) -> int:
         return len(self.roots)
 
-    def at_precision(self, s: int) -> "RootSet":
-        return RootSet(self.ring.at_precision(s), tuple(r.with_precision(s) for r in self.roots))
-
 
 def lift_roots(f: IntPolynomial, p: int, s: int) -> RootSet:
     """All d roots of f in (Z/p^s)[X]/(f), Newton-refined from the Frobenius
@@ -496,15 +492,6 @@ def tau_pair(gamma: UnramifiedElement, lam: UnramifiedElement, s: int) -> int:
     return tau
 
 
-def _raise_precision(elem: UnramifiedElement, s: int) -> UnramifiedElement:
-    try:
-        return elem.with_precision(s)
-    except PrecisionCapExceededError:
-        raise
-    except Exception as exc:  # refinement genuinely impossible for this element
-        raise PrecisionCapExceededError(str(exc)) from exc
-
-
 def beta_pair(
     gamma: UnramifiedElement,
     lam: UnramifiedElement,
@@ -517,8 +504,8 @@ def beta_pair(
     if gamma.ring.p != p or lam.ring.p != p:
         raise ValueError("elements do not live over p")
     s_work = max(gamma.ring.s, lam.ring.s, 2 if p == 2 else 1)
-    g = _raise_precision(gamma, s_work)
-    h = _raise_precision(lam, s_work)
+    g = gamma.with_precision(s_work)
+    h = lam.with_precision(s_work)
     tau_star = tau_pair(g, h, 2 if p == 2 else 1)
     while True:
         diff = (g ** tau_star) - (h ** tau_star)
@@ -530,8 +517,8 @@ def beta_pair(
                 f"beta valuation still unresolved at precision cap {max_precision}"
             )
         s_work = min(2 * s_work, max_precision)
-        g = _raise_precision(gamma, s_work)
-        h = _raise_precision(lam, s_work)
+        g = gamma.with_precision(s_work)
+        h = lam.with_precision(s_work)
 
 
 def compute_w(
@@ -639,43 +626,3 @@ def H_coeffs(h: Sequence[int], r: int, s: int, p: int) -> list[int]:
             total += h[i] * (r_fact // math.factorial(i)) * c_rows[i][j] * p ** (s * (i - j))
         out.append(total)
     return out
-
-
-@dataclass(frozen=True)
-class ExpansionData:
-    """Everything needed to expand u_{n + tau_s m} in m at level s."""
-
-    m: PrimePowerModulus
-    s: int
-    tau_s: int
-    b: IntMatrix
-    r: int
-    c: tuple[tuple[int, ...], ...]
-    w: int | None
-
-    def __post_init__(self) -> None:
-        for i, row in enumerate(self.c):
-            if row[i] != 1:
-                raise ValueError("c_{i,i} must be 1")
-
-
-def expansion_data(
-    a: IntMatrix,
-    m: PrimePowerModulus,
-    s: int,
-    with_w: bool = True,
-) -> ExpansionData:
-    """Build the level-s expansion data for A mod p^t: tau_s, B, r = floor(t/s),
-    the binomial-to-monomial triangle, and (for f irreducible mod p) w."""
-    if not 1 <= s <= m.t:
-        raise PreconditionViolatedError("need 1 <= s <= t")
-    tau_s = order_mod(a, m.at_exponent(s))
-    b = theta_matrix(a, m.p, s, tau_s)
-    r = m.t // s
-    c = tuple(tuple(binomial_to_monomial(i)) for i in range(r + 1))
-    w = None
-    if with_w:
-        f = char_poly(a)
-        if irreducible_mod_p(f, m.p):
-            w = compute_w(f, m.p)
-    return ExpansionData(m, s, tau_s, b, r, c, w)

@@ -18,7 +18,6 @@ from matprng.arith import (
     is_prime,
     is_squarefree_over_q,
     legendre_factorial_valuation,
-    mat_inverse_mod,
     mat_mul,
     mat_mul_mod,
     mat_pow,
@@ -26,7 +25,6 @@ from matprng.arith import (
     mat_vec_mod,
     poly_eval_matrix,
     prime_factors,
-    recurrence_coefficients,
     sylvester_rows,
     valuation,
     vec_dot,
@@ -35,9 +33,9 @@ from matprng.errors import (
     DimensionMismatchError,
     ExactDivisionError,
     IterationCapExceededError,
-    NotInvertibleError,
     StreamTooLargeError,
 )
+from matprng.fieldalg import recurrence_constant_term
 from matprng.stream import mat_stream, stream_blocks
 
 small_entries = st.integers(min_value=-30, max_value=30)
@@ -335,32 +333,8 @@ class TestCharPoly:
         assert poly_eval_matrix(f, a) == IntMatrix.zeros(a.d)
 
     def test_recurrence_coefficients(self, fib):
-        assert recurrence_coefficients(char_poly(fib)) == (1, 1)
-
-
-class TestInverse:
-    def test_identity(self):
-        m = PrimePowerModulus(3, 2)
-        assert mat_inverse_mod(IntMatrix.identity(2), m) == IntMatrix.identity(2)
-
-    def test_fib_mod_9(self, fib):
-        m = PrimePowerModulus(3, 2)
-        inv = mat_inverse_mod(fib, m)
-        assert mat_mul_mod(fib, inv, m) == IntMatrix.identity(2)
-
-    def test_not_invertible(self):
-        m = PrimePowerModulus(3, 4)
-        with pytest.raises(NotInvertibleError):
-            mat_inverse_mod(IntMatrix.from_rows([[3, 0], [0, 1]]), m)
-
-    @given(square_matrices(3))
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip(self, a):
-        m = PrimePowerModulus(5, 3)
-        if det_exact(a) % 5 == 0:
-            return
-        inv = mat_inverse_mod(a, m)
-        assert mat_mul_mod(a, inv, m) == IntMatrix.identity(3)
+        # u_{n+2} = u_{n+1} + u_n: the constant term a_0 = -f(0) is 1
+        assert recurrence_constant_term(char_poly(fib)) == 1
 
 
 class TestValuation:

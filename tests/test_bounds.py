@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -130,6 +131,17 @@ class TestEnvelopes:
         rho = math.log(n) / (6 * math.log(3))
         expected = n ** (-rho * rho / (16 * math.log(2) ** 2)) * math.log(n) ** 2
         assert float(env) == pytest.approx(expected, rel=1e-12)
+
+    def test_exact_decimals(self):
+        # pinned to the digit: the exponent is -eta0 rounded to 45 digits
+        # times rho^2, which differs in the last digit from -(eta0 rho^2)
+        assert discrepancy_envelope(5000, 3, 6, 2, eta0=0.1) == Decimal(
+            "60.2915928408632993131130895433411529393534594"
+        )
+        assert theorem_envelope(729, 3, 6, 2, eta=0.1, c=1.5) == Decimal(
+            "1003.64201948660817431840520842751346701640512"
+        )
+        assert discrepancy_envelope(1, 3, 6, 2, eta0=0.1, c0=2.5) == Decimal("2.5")
 
     def test_past_the_exponent_range(self):
         # 10^(10^18) and beyond read Infinity (or 0), and 0 * Infinity NaN

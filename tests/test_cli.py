@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -110,6 +112,24 @@ class TestGen:
         rows = out.read_text().splitlines()[1:]
         assert [int(r.split(",")[1]) for r in rows] == values
 
+    @pytest.mark.parametrize("scalar", [False, True])
+    def test_json_and_csv_write_the_same_dump(self, scalar, tmp_path):
+        dumps = {}
+        for fmt in ("csv", "json"):
+            binary = tmp_path / f"{fmt}.bin"
+            cfg = write_config(tmp_path, dict(FIB_DOC, scalar=scalar, binary_out=str(binary)))
+            out = tmp_path / f"gen.{fmt}"
+            assert main(["gen", "--config", cfg, "--out", str(out), "--format", fmt]) == 0
+            dumps[fmt] = binary.read_bytes()
+        assert dumps["csv"] == dumps["json"] != b""
+
+    def test_scalar_without_v_exits_1(self, tmp_path, capsys):
+        doc = {k: x for k, x in FIB_DOC.items() if k != "v"}
+        cfg = write_config(tmp_path, dict(doc, scalar=True))
+        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "gen.csv")]) == 1
+        assert capsys.readouterr().err == "error: scalar sequences need v in the config\n"
+        assert not (tmp_path / "gen.csv").exists()
+
 
 class TestUnwritableOutput:
     @staticmethod
@@ -138,6 +158,13 @@ class TestUnwritableOutput:
         assert capsys.readouterr().out == ""
         assert main(["gen", "--config", cfg, "--out", str(tmp_path / "gen.csv")]) == 1
         assert not (tmp_path / "gen.csv").exists()
+
+    def test_binary_out_in_missing_directory_writes_no_json(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(FIB_DOC, binary_out=str(tmp_path / "missing_dir" / "x.bin")))
+        assert main(["gen", "--config", cfg, "--format", "json"]) == 1
+        assert capsys.readouterr().out == ""
+        assert main(["gen", "--config", cfg, "--format", "json", "--out", str(tmp_path / "gen.json")]) == 1
+        assert not (tmp_path / "gen.json").exists()
 
 
 class TestConfigErrors:
@@ -391,14 +418,51 @@ def cli_artifacts(tmp_path: Path, doc: dict, command: str, fmt: str) -> dict[str
     return {f.name: f.read_text() for f in sorted(tmp_path.glob(name + "*"))}
 
 
+# the values computed through libm (cos, sin, log), whose last bits may differ
+# across CPUs: a float under one of these keys or columns agrees to 1e-12
+# relative.  Phase sums of up to 10^4 terms carry absolute errors near 1e-11,
+# so values that cancel to almost 0 are compared absolutely.
+LIBM_KEYS = frozenset(
+    {"abs_S", "S_over_N", "re_S", "im_S", "ks_bound", "rho", "theta_t", "residual", "rho0"}
+)
+
+
+def _same_value(key: str | None, got, want) -> None:
+    if key in LIBM_KEYS and isinstance(want, str) and _FLOAT.fullmatch(want):
+        assert math.isclose(float(got), float(want), rel_tol=1e-12, abs_tol=1e-9), (key, got, want)
+    else:
+        assert got == want, (key, got, want)
+
+
+def _same_json(key: str | None, got, want) -> None:
+    """Walk two JSON documents together; a value sits under the nearest key."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want)
+        for k in want:
+            _same_json(k, got[k], want[k])
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want)
+        for g, w in zip(got, want):
+            _same_json(key, g, w)
+    else:
+        _same_value(key, got, want)
+
+
 def assert_same_artifact(got: str, want: str) -> None:
-    """Every byte outside decimal floats is equal; floats agree to 1e-12
-    relative, since libm cos/sin may differ in the last bits across CPUs.
-    Phase sums of up to 10^4 terms carry absolute errors near 1e-11, so
-    values that cancel to almost 0 are compared absolutely."""
+    """Every byte outside decimal floats is equal, and every float is equal
+    too unless it is a LIBM_KEYS value.  A JSON document is compared value
+    by value under its keys, a CSV table cell by cell under its header."""
     assert _FLOAT.split(got) == _FLOAT.split(want)
-    for g, w in zip(_FLOAT.findall(got), _FLOAT.findall(want)):
-        assert math.isclose(float(g), float(w), rel_tol=1e-12, abs_tol=1e-9), (g, w)
+    if want.startswith("{"):
+        _same_json(None, json.loads(got), json.loads(want))
+        return
+    got_rows, want_rows = (list(csv.reader(io.StringIO(text))) for text in (got, want))
+    assert len(got_rows) == len(want_rows)
+    header = want_rows[0]
+    for got_row, want_row in zip(got_rows, want_rows):
+        assert len(got_row) == len(want_row) == len(header)
+        for key, g, w in zip(header, got_row, want_row):
+            _same_value(key, g, w)
 
 
 @pytest.mark.parametrize(

@@ -5,19 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matprng.arith import IntMatrix, PrimePowerModulus
+from matprng.analysis.sums import scalar_residues
+from matprng.arith import IntMatrix, PrimePowerModulus, mat_vec_mod
 from matprng.errors import NotInvertibleError
 from matprng.generator import (
     GeneratorConfig,
-    GeneratorState,
     dump_records,
     fractional_points,
-    jump_ahead,
     load_records,
-    scalar_sequence,
-    step,
     vector_sequence,
 )
+from matprng.stream import mat_stream
 
 
 @pytest.fixture
@@ -25,27 +23,27 @@ def cfg(fib) -> GeneratorConfig:
     return GeneratorConfig.create(fib, PrimePowerModulus(3, 4), (0, 1), (1, 0))
 
 
+def scalars(cfg: GeneratorConfig, n0: int, count: int) -> list[int]:
+    """v A^n u0 mod p^t for n = n0 .. n0 + count - 1, from the stream kernel."""
+    return mat_stream(cfg.a, cfg.u0, cfg.m, count, n0, cfg.v).tolist()
+
+
 class TestStep:
     def test_fibonacci_stream_mod_81(self, cfg):
-        state = GeneratorState(cfg)
-        firsts = [state.u[0]]
-        for _ in range(11):
-            firsts.append(step(state)[0])
+        firsts = vector_sequence(cfg, 0, 12)[:, 0].tolist()
         assert firsts == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89 % 81]
 
     def test_identity_stream_constant(self):
         cfg = GeneratorConfig.create(
             IntMatrix.identity(2), PrimePowerModulus(5, 2), (3, 4)
         )
-        state = GeneratorState(cfg)
-        for _ in range(5):
-            assert step(state) == (3, 4)
+        assert vector_sequence(cfg, 1, 5).tolist() == [[3, 4]] * 5
 
     def test_step_counts(self, cfg):
-        state = GeneratorState(cfg)
-        for k in range(1, 6):
-            step(state)
-            assert state.n == k
+        # the segment from n0 is the stream from 0 with its first n0 steps dropped
+        whole = vector_sequence(cfg, 0, 12).tolist()
+        for n0 in range(1, 6):
+            assert vector_sequence(cfg, n0, 12 - n0).tolist() == whole[n0:]
 
     def test_rejects_noninvertible(self):
         with pytest.raises(NotInvertibleError):
@@ -69,25 +67,25 @@ class TestAtExponent:
 
 
 class TestJumpAhead:
+    """A segment from index n0 starts at A^n0 u0, one matrix power away."""
+
     def test_jump_zero(self, cfg):
-        state = GeneratorState(cfg)
-        state2 = jump_ahead(state, 0)
-        assert (state2.n, state2.u) == (state.n, state.u)
+        assert vector_sequence(cfg, 0, 1).tolist() == [list(cfg.u0)]
 
     def test_jump_full_period_mod_3(self, fib):
         cfg3 = GeneratorConfig.create(fib, PrimePowerModulus(3, 1), (1, 0))
-        state = jump_ahead(GeneratorState(cfg3), 8)
-        assert state.u == cfg3.u0  # Pisano period of 3 is 8
+        assert vector_sequence(cfg3, 8, 1).tolist() == [list(cfg3.u0)]  # Pisano period of 3 is 8
 
     @given(st.integers(0, 200), st.integers(0, 200))
     @settings(max_examples=30, deadline=None)
     def test_semigroup(self, k, j):
+        # the segment from k + j equals the segment from j of the stream started at u_k
         cfg = GeneratorConfig.create(
             IntMatrix.from_rows([[0, 1], [1, 1]]), PrimePowerModulus(3, 4), (0, 1)
         )
-        s1 = jump_ahead(jump_ahead(GeneratorState(cfg), k), j)
-        s2 = jump_ahead(GeneratorState(cfg), k + j)
-        assert (s1.n, s1.u) == (s2.n, s2.u)
+        (u_k,) = vector_sequence(cfg, k, 1).tolist()
+        from_k = GeneratorConfig.create(cfg.a, cfg.m, u_k)
+        assert vector_sequence(from_k, j, 3).tolist() == vector_sequence(cfg, k + j, 3).tolist()
 
     @given(st.integers(0, 2000))
     @settings(max_examples=25, deadline=None)
@@ -95,34 +93,36 @@ class TestJumpAhead:
         cfg = GeneratorConfig.create(
             IntMatrix.from_rows([[0, 1], [1, 1]]), PrimePowerModulus(3, 4), (0, 1)
         )
-        state = GeneratorState(cfg)
+        u = cfg.u0
         for _ in range(k % 64):
-            step(state)
-        jumped = jump_ahead(GeneratorState(cfg), k % 64)
-        assert (jumped.n, jumped.u) == (state.n, state.u)
+            u = mat_vec_mod(cfg.a, u, cfg.m)
+        assert vector_sequence(cfg, k % 64, 1).tolist() == [list(u)]
 
 
 class TestScalarSequence:
     def test_fibonacci_values(self, fib):
         cfg = GeneratorConfig.create(fib, PrimePowerModulus(3, 4), (0, 1), (1, 0))
-        assert scalar_sequence(cfg, 0, 10) == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
+        assert scalars(cfg, 0, 10) == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
 
     def test_zero_v(self, fib):
         cfg = GeneratorConfig.create(fib, PrimePowerModulus(3, 4), (0, 1), (0, 0))
-        assert scalar_sequence(cfg, 0, 5) == [0] * 5
+        assert scalars(cfg, 0, 5) == [0] * 5
 
     def test_empty(self, cfg):
-        assert scalar_sequence(cfg, 0, 0) == []
+        assert scalars(cfg, 0, 0) == []
+
+    def test_segment_from_n0(self, cfg):
+        assert scalars(cfg, 3, 7) == scalars(cfg, 0, 10)[3:]
 
     def test_missing_v(self, fib):
         cfg = GeneratorConfig.create(fib, PrimePowerModulus(3, 4), (0, 1))
-        with pytest.raises(ValueError):
-            scalar_sequence(cfg, 0, 3)
+        with pytest.raises(ValueError, match="need v"):
+            scalar_residues(cfg, 3)
 
     def test_linear_recurrence_holds(self, fib):
         # u_{n+2} = u_{n+1} + u_n (mod p^t) for both components and scalars
         cfg = GeneratorConfig.create(fib, PrimePowerModulus(3, 4), (2, 7), (5, 1))
-        seq = scalar_sequence(cfg, 0, 30)
+        seq = scalars(cfg, 0, 30)
         for n in range(28):
             assert (seq[n + 2] - seq[n + 1] - seq[n]) % 81 == 0
         vecs = vector_sequence(cfg, 0, 30)
@@ -137,8 +137,6 @@ class TestFractionalPoints:
         pts = fractional_points(cfg, 1)
         assert pts.nums[0] == (40, 41)
         assert pts.den == 81
-        floats = pts.floats()
-        assert floats[0][0] == pytest.approx(40 / 81, abs=1e-15)
 
     def test_full_period_distinct(self, fib):
         cfg = GeneratorConfig.create(fib, PrimePowerModulus(3, 3), (1, 0))

@@ -2,6 +2,8 @@
 packages resolve their public names on first access.  Every check runs in a
 fresh interpreter, since this process has long imported everything."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,6 +16,7 @@ import test_cli
 from test_cli import FIB_DOC, GOLDEN_CASES, write_config
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+SPANS = SRC.parent / "perfbench" / "spans.py"
 ANALYSIS = "matprng.analysis"
 # what the exact-integer side (config loading, validate, period and the
 # exit-1 and exit-2 paths) must not import
@@ -193,3 +196,15 @@ def test_artifacts_do_not_depend_on_the_blas_setting(command, tmp_path):
         outputs.append({f.name: f.read_bytes() for f in run_dir.glob("out*")})
     assert outputs[0] == outputs[1]
     assert "out" in outputs[0]
+
+
+def test_every_benchmark_wrapped_name_resolves():
+    # the benchmark's span recorder wraps these functions by name: a renamed
+    # or deleted one would otherwise show only in the benchmark's own runs.
+    # spans.py imports only the standard library.
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.INSTRUMENTED
+    for module, name, _ in spans.INSTRUMENTED:
+        assert callable(getattr(importlib.import_module(module), name, None)), f"{module}.{name}"

@@ -44,7 +44,6 @@ from matprng.padic import (
     beta_pair,
     binomial_to_monomial,
     compute_w,
-    expansion_data,
     h_coeffs,
     lift_roots,
     order_mod,
@@ -613,20 +612,26 @@ class TestEigenConsistency:
 
 
 class TestExpansionData:
+    """The level-s expansion data of u_{n + tau_s m}: tau_s, B, the
+    binomial-to-monomial triangle and w."""
+
     def test_fib_level_2(self, fib):
-        data = expansion_data(fib, PrimePowerModulus(3, 6), 2)
-        assert data.tau_s == 24
-        assert data.r == 3
-        assert data.w == 1
-        assert data.c[2] == (0, -1, 1)
+        m, s = PrimePowerModulus(3, 6), 2
+        tau_s = order_mod(fib, m.at_exponent(s))
+        assert tau_s == 24
+        assert m.t // s == 3  # r
+        assert compute_w(char_poly(fib), m.p) == 1
+        assert binomial_to_monomial(2) == [0, -1, 1]
+        b = theta_matrix(fib, m.p, s, tau_s)
         assert mat_pow(fib, 24).entries == tuple(
             tuple(x * 9 + (1 if i == j else 0) for j, x in enumerate(row))
-            for i, row in enumerate(data.b.entries)
+            for i, row in enumerate(b.entries)
         )
 
     def test_bad_level(self, fib):
-        with pytest.raises(PreconditionViolatedError):
-            expansion_data(fib, PrimePowerModulus(3, 4), 5)
+        # tau_2 = 24 is not the order at level 5: A^24 - I is not divisible by 3^5
+        with pytest.raises(ExactDivisionError):
+            theta_matrix(fib, 3, 5, order_mod(fib, PrimePowerModulus(3, 2)))
 
 
 def _ring_solve_vandermonde(ring, roots, rhs):

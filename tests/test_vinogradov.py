@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from matprng.analysis import vinogradov
+from matprng.analysis.bounds import ford_bound
 from matprng.analysis.vinogradov import _enumeration_bytes, vinogradov_count, vinogradov_count_naive
 from matprng.arith import STREAM_MEMORY_BUDGET
 from matprng.errors import EnumerationTooLargeError
@@ -123,18 +124,14 @@ class TestFordComparison:
     def test_bound_dominates_when_hypothesis_granted(self):
         # with the c0 knob at 1 the validity flag is granted for r >= d and
         # the (enormous) bound must dominate the exact count
-        from matprng.analysis import solve_instance
-
         for k, r, m in ((2, 2, 4), (3, 2, 6), (3, 3, 5)):
-            inst = solve_instance(k, r, m, d=2, c0=1)
-            assert inst.bound_applies
-            assert inst.count <= float(inst.ford.value)
+            bound = ford_bound(r, 2, m, c0=1)
+            assert bound.valid
+            assert vinogradov_count(k, r, m) <= bound.value
 
     def test_comparison_reported_not_asserted_below_threshold(self):
-        from matprng.analysis import solve_instance
-
-        inst = solve_instance(2, 2, 4, d=2)  # default c0 = 1000
-        assert not inst.bound_applies  # reported; nothing asserted about order
+        bound = ford_bound(2, 2, 4)  # default c0 = 1000
+        assert not bound.valid  # reported; nothing asserted about order
         # 4 equal pairs + 6 two-element multisets with 2 arrangements each:
         # 4 * 1 + 6 * 4 = 28
-        assert inst.count == 28
+        assert vinogradov_count(2, 2, 4) == 28
