@@ -12,11 +12,10 @@ rather than raising; `reports.dec30` renders them `+inf`, `0.0`, `nan`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,8 +28,7 @@ from .sums import phase_sum
 _CONTEXT = Context(prec=45, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])
 
 
-@dataclass(frozen=True)
-class FordBound:
+class FordBound(NamedTuple):
     """r^{3r^3} M^{2k - r(r+1)/2 + delta_r r^2} with k = floor(6 r^2 log d) and
     the worst-case delta_r = 1/(1000 d); `valid` records r >= c0 d."""
 
@@ -69,8 +67,7 @@ def ford_bound(r: int, d: int, m: int, c0: int = 1000) -> FordBound:
     )
 
 
-@dataclass(frozen=True)
-class KorobovBound:
+class KorobovBound(NamedTuple):
     """The double-sum bound: value_power bounds |S|^{2k^2}; value is its
     2k^2-th root for direct comparison with a measured double sum."""
 
@@ -178,8 +175,7 @@ def discrepancy_envelope(
     )
 
 
-@dataclass(frozen=True)
-class KSBound:
+class KSBound(NamedTuple):
     """Discrepancy bound from frequency sums: constant * (2/(V+1) + sum)."""
 
     n: int

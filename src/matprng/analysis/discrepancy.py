@@ -40,10 +40,9 @@ Exact discrepancy and the frequency-sum bound run in one thread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,8 +54,7 @@ STAR_WORK_CAP = 2**27  # grid cells the star sweep touches (see _star)
 _CHUNK_ELEMS = 2**20  # elements per temporary in the 2-D box scans
 
 
-@dataclass(frozen=True)
-class BoxCount:
+class BoxCount(NamedTuple):
     """Diagnostic count of points in one closed box."""
 
     bounds: tuple[tuple[Fraction, Fraction], ...]
@@ -64,8 +62,7 @@ class BoxCount:
     volume: Fraction
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
+class DiscrepancyReport(NamedTuple):
     """Exact discrepancy (a rational number) plus optional box diagnostics
     and, when requested, the frequency-sum bound next to it."""
 

@@ -6,7 +6,7 @@ double-sum argument.  Flags are recorded, never assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..arith import valuation
 
@@ -28,8 +28,7 @@ def integer_root(n: int, k: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class RationalizationRow:
+class RationalizationRow(NamedTuple):
     """Denominator diagnostics for one monomial coefficient: the reduced
     denominator q_j of H_j p^{sj} / (p^t r! det A) and its predicted window
     p^{t-sj-omega_j} <= q_j <= r! |det A| p^{t-sj-omega_j}."""
@@ -42,8 +41,7 @@ class RationalizationRow:
     within: bool
 
 
-@dataclass(frozen=True)
-class ProofParameters:
+class ProofParameters(NamedTuple):
     n: int
     p: int
     t: int
@@ -63,7 +61,7 @@ class ProofParameters:
     large_r_branch: bool  # r >= c0 d
     n0: int
     rho0: float
-    rationalization: tuple[RationalizationRow, ...] = field(default=())
+    rationalization: tuple[RationalizationRow, ...] = ()
 
 
 def proof_parameters(

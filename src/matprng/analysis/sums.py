@@ -23,17 +23,18 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from ..arith import IntPolynomial, det_exact, vec_dot
 from ..errors import GridTooLargeError, PeriodTooLargeError, PreconditionViolatedError
 from ..generator import GeneratorConfig
-from ..padic import H_coeffs, h_coeffs, order_mod, order_sequence, period_profile, theta_matrix
 from ..stream import mat_stream, stream_blocks
+
+# matprng.padic is imported by the full-period and double sums that use it,
+# so that exp_sum (the expsum command) does not load it
 
 _HISTOGRAM_LIMIT = 1 << 24
 # Veltkamp's splitting constant 2^27 + 1: x * _SPLIT must not overflow
@@ -51,8 +52,7 @@ _SHORT_ROW = 4096
 _PRODUCT_CHUNK = 1 << 20
 
 
-@dataclass(frozen=True)
-class SumReport:
+class SumReport(NamedTuple):
     """Measured exponential sum over N stream terms."""
 
     n: int
@@ -230,8 +230,7 @@ def exp_sum(
     )
 
 
-@dataclass(frozen=True)
-class FullPeriodRow:
+class FullPeriodRow(NamedTuple):
     t: int
     tau: int
     abs_value: float
@@ -250,6 +249,8 @@ def _lifted_period_sum(cfg: GeneratorConfig, s: int, tau_s: int, tau_t: int) -> 
     tau_s p^(t-s) / tau_t whole periods.  So
     S(tau_t) = (tau_t / tau_s) sum e(x_n / p^t) over the n < tau_s with
     p^(t-s) | c_n, where x_n = v . u_n."""
+    from ..padic import theta_matrix
+
     m, t = cfg.m, cfg.m.t
     m.check_float_range()
     q = m.p ** (t - s)
@@ -281,6 +282,8 @@ def full_period_exponent(
     anything and before any deeper order is computed.  A matrix of finite
     order is rejected first, by period_profile at the least t; a t below 1
     is a ValueError that names t_range."""
+    from ..padic import order_sequence, period_profile
+
     if not t_range:
         return []
     if min(t_range) < 1:
@@ -341,6 +344,8 @@ def double_sum_sigma(
 
     By the expansion congruence this equals the inner double sum of the
     single-to-double reduction applied to the stream."""
+    from ..padic import H_coeffs, h_coeffs, order_mod, theta_matrix
+
     if cfg.v is None:
         raise ValueError("double sums need v in the config")
     p, t = cfg.m.p, cfg.m.t

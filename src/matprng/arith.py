@@ -10,7 +10,6 @@ config loader, the validator and the order table run without numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
@@ -105,22 +104,62 @@ def legendre_factorial_valuation(r: int, p: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class PrimePowerModulus:
+class Frozen:
+    """Base of the immutable value types whose __init__ checks or normalises
+    the fields.  A subclass lists its `__slots__` and, in `_fields`, those
+    that make its value: equality and hash are over them, between instances
+    of the same class only, and the repr shows them.  __init__ sets the
+    slots through `_set`; after that, assignment raises AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        """Set the `_fields` in order (the first len(values) of them)."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state: tuple[None, dict]) -> None:
+        # copy and pickle restore every slot as it was, without __init__,
+        # which would normalise the fields again
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class PrimePowerModulus(Frozen):
     """The pair (p, t) with cached modulus p^t.  p is checked by `is_prime` at
     construction: proven prime below 3.3 * 10^24, a strong probable prime
-    above."""
+    above.  The `modulus` argument is ignored: it is always p^t."""
 
-    p: int
-    t: int
-    modulus: int = 0  # filled in __post_init__
+    __slots__ = _fields = ("p", "t", "modulus")
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.t < 1:
-            raise ValueError(f"t = {self.t} must be >= 1")
-        object.__setattr__(self, "modulus", self.p**self.t)
+    def __init__(self, p: int, t: int, modulus: int = 0) -> None:
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if t < 1:
+            raise ValueError(f"t = {t} must be >= 1")
+        self._set(p, t, p**t)
 
     def at_exponent(self, s: int) -> "PrimePowerModulus":
         return PrimePowerModulus(self.p, s)
@@ -135,16 +174,16 @@ class PrimePowerModulus:
             )
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Frozen):
     """Square matrix of arbitrary-precision integers."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self) -> None:
-        d = len(self.entries)
-        if d < 1 or any(len(row) != d for row in self.entries):
+    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+        d = len(entries)
+        if d < 1 or any(len(row) != d for row in entries):
             raise DimensionMismatchError("matrix must be square and nonempty")
+        self._set(entries)
 
     @property
     def d(self) -> int:
@@ -307,17 +346,16 @@ def _product_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Frozen):
     """Integer polynomial, coefficients ascending (c_0, c_1, ..., c_deg)."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = _fields = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        c = self._reduced(self.coeffs)
+    def __init__(self, coeffs: Sequence[int]) -> None:
+        c = self._reduced(coeffs)
         while c and c[-1] == 0:
             c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
+        self._set(c)
 
     def _reduced(self, coeffs: Sequence[int]) -> tuple[int, ...]:
         """The coefficients as stored; a subclass reduces them."""

@@ -4,6 +4,7 @@
                       [--seed S] [--format csv|json]
 
 Commands: validate | period | gen | expsum | discrepancy | vmvt | bounds | report.
+Every command takes the same options, before or after the command name.
 One JSON config in, CSV/JSON artifacts out; all integers in the config may be
 decimal strings (arbitrary precision).  Exit codes: 0 success, 1 input or output error,
 2 hypothesis rejection, 3 resource guard.  `--threads` is accepted and changes
@@ -18,10 +19,9 @@ import os
 import random
 import sys
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Iterator, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Iterator, NamedTuple, Sequence
 
 # No command calls BLAS (every matrix product is on int64 or object arrays),
 # and OpenBLAS starts a worker pool when numpy is imported, which costs
@@ -178,11 +178,7 @@ CONSTANTS = {
 }
 
 
-@dataclass
-class Experiment:
-    """Parsed experiment configuration, in the fields SCHEMA names; a key the
-    config leaves out keeps its field's default."""
-
+class _ExperimentFields(NamedTuple):
     p: int | None = None
     t: int | None = None
     matrix: IntMatrix | None = None
@@ -198,7 +194,21 @@ class Experiment:
     binary_out: str | None = None
     vmvt: list[tuple[int, int, int]] | None = None
     boxes: list | None = None
-    constants: dict = field(default_factory=lambda: _as_constants({}, "constants"))
+    constants: dict | None = None
+
+
+class Experiment(_ExperimentFields):
+    """Parsed experiment configuration, in the fields SCHEMA names; a key the
+    config leaves out keeps its field's default.  Without `constants`, an
+    experiment gets a dict of its own holding every default constant."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "Experiment":
+        exp = super().__new__(cls, *args, **kwargs)
+        if exp.constants is None:
+            exp = exp._replace(constants=_as_constants({}, "constants"))
+        return exp
 
 
 def load_experiment(doc: dict) -> Experiment:
@@ -261,16 +271,24 @@ def _generator(exp: Experiment, command: str, validated: bool = True, keep=None)
     return GeneratorConfig(exp.matrix, modulus, exp.u0, exp.v, verdict)
 
 
-@dataclass
-class Table:
-    """A command's rows.  `extras` join the rows in the JSON document and
-    form the JSON sidecar in CSV mode, unless `sidecar` gives another one."""
-
+class _TableFields(NamedTuple):
     header: tuple[str, ...]
     rows: list[tuple] | Iterator[np.ndarray | list]  # a list of rows, or blocks of rows
-    extras: dict = field(default_factory=dict)
-    sidecar: dict | None = None
-    dump: str | None = None  # a path: the record dump of every cell but a row's first
+    extras: dict
+    sidecar: dict | None
+    dump: str | None  # a path: the record dump of every cell but a row's first
+
+
+class Table(_TableFields):
+    """A command's rows.  `extras` (a new dict when not given) join the rows
+    in the JSON document and form the JSON sidecar in CSV mode, unless
+    `sidecar` gives another one."""
+
+    __slots__ = ()
+
+    def __new__(cls, header, rows, extras: dict | None = None, sidecar: dict | None = None,
+                dump: str | None = None) -> "Table":
+        return super().__new__(cls, header, rows, {} if extras is None else extras, sidecar, dump)
 
     def each_block(self, use, dump_fh: BinaryIO | None = None) -> None:
         """One pass over the rows: use(block) for each block in turn (a list
@@ -325,7 +343,7 @@ def _emit(result: Table | dict, args) -> None:
         if args.format == "json":
             blocks = []
             result.each_block(blocks.append, dump_fh)
-            _write(args.out, render_json(replace(result, rows=iter(blocks)).doc()))
+            _write(args.out, render_json(result._replace(rows=iter(blocks)).doc()))
             return
         fh = sys.stdout if args.out is None else files.enter_context(
             open(args.out, "w", encoding="utf-8", newline="")
@@ -559,18 +577,17 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser: every command takes the same options."""
     parser = argparse.ArgumentParser(prog="matprng", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", required=True, help="path to the JSON experiment config")
-        sp.add_argument("--out", default=None, help="output path (stdout if omitted)")
-        sp.add_argument(
-            "--threads", type=int, default=1,
-            help="accepted for compatibility; every command runs in one thread",
-        )
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True, help="path to the JSON experiment config")
+    parser.add_argument("--out", default=None, help="output path (stdout if omitted)")
+    parser.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted for compatibility; every command runs in one thread",
+    )
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 

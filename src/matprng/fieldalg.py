@@ -5,11 +5,11 @@ root ratio is a root of unity), proper pairs, and p-primitive vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 from .arith import (
+    Frozen,
     IntMatrix,
     IntPolynomial,
     PrimePowerModulus,
@@ -26,7 +26,6 @@ from .arith import (
 from .errors import DimensionMismatchError, ExactDivisionError
 
 
-@dataclass(frozen=True, init=False)
 class PolyModP(IntPolynomial):
     """Polynomial over Z/p, coefficients ascending and reduced into [0, p).
 
@@ -35,12 +34,12 @@ class PolyModP(IntPolynomial):
     unit mod p: any nonzero divisor over the field F_p, and a monic one over
     Z/p^s, where UnramifiedRing uses this type with p^s in place of p."""
 
-    p: int
+    __slots__ = ("p",)
+    _fields = ("coeffs", "p")
 
     def __init__(self, p: int, coeffs: Sequence[int]) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", coeffs)
-        self.__post_init__()
+        object.__setattr__(self, "p", p)  # _reduced reads it
+        super().__init__(coeffs)
 
     def _reduced(self, coeffs: Sequence[int]) -> tuple[int, ...]:
         return tuple(int(x) % self.p for x in coeffs)
@@ -80,19 +79,18 @@ class PolyModP(IntPolynomial):
         return a.monic()
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of a hypothesis check; rejected verdicts always carry a witness."""
+class Verdict(Frozen):
+    """Outcome of a hypothesis check ("accepted" or "rejected"); rejected
+    verdicts always carry a witness."""
 
-    outcome: str  # "accepted" | "rejected"
-    reason: str
-    witness: object = None
+    __slots__ = _fields = ("outcome", "reason", "witness")
 
-    def __post_init__(self) -> None:
-        if self.outcome not in ("accepted", "rejected"):
-            raise ValueError(f"bad outcome {self.outcome!r}")
-        if self.outcome == "rejected" and self.witness is None:
+    def __init__(self, outcome: str, reason: str, witness: object = None) -> None:
+        if outcome not in ("accepted", "rejected"):
+            raise ValueError(f"bad outcome {outcome!r}")
+        if outcome == "rejected" and witness is None:
             raise ValueError("rejected verdicts must carry a witness")
+        self._set(outcome, reason, witness)
 
     @property
     def accepted(self) -> bool:

@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import itertools
 import struct
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
-from .arith import IntMatrix, PrimePowerModulus, ResidueVector, det_exact, vec_reduce
+from .arith import Frozen, IntMatrix, PrimePowerModulus, ResidueVector, det_exact, vec_reduce
 from .errors import NotInvertibleError
 from .fieldalg import Verdict, validate_theorem_hypotheses
 
@@ -21,32 +20,33 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(Frozen):
     """Immutable generator description: matrix, modulus, start vector, and an
     optional second vector for scalar sequences.  u0 and v are held reduced
     mod p^t; `given` keeps them as given, so that `at_exponent` can reduce
-    them mod a higher power of p."""
+    them mod a higher power of p.  `given` is neither compared nor shown."""
 
-    a: IntMatrix
-    m: PrimePowerModulus
-    u0: ResidueVector
-    v: ResidueVector | None = None
-    validated: Verdict | None = None
-    given: tuple[ResidueVector, ResidueVector | None] = field(init=False, repr=False, compare=False)
+    __slots__ = ("a", "m", "u0", "v", "validated", "given")
+    _fields = __slots__[:-1]
 
-    def __post_init__(self) -> None:
-        if len(self.u0) != self.a.d:
+    def __init__(
+        self,
+        a: IntMatrix,
+        m: PrimePowerModulus,
+        u0: ResidueVector,
+        v: ResidueVector | None = None,
+        validated: Verdict | None = None,
+    ) -> None:
+        if len(u0) != a.d:
             raise ValueError("u0 length must match the matrix dimension")
-        if self.v is not None and len(self.v) != self.a.d:
+        if v is not None and len(v) != a.d:
             raise ValueError("v length must match the matrix dimension")
-        if det_exact(self.a) % self.m.p == 0:
+        if det_exact(a) % m.p == 0:
             raise NotInvertibleError("det A must be coprime to p")
-        given = (tuple(map(int, self.u0)), None if self.v is None else tuple(map(int, self.v)))
+        reduced_v = None if v is None else vec_reduce(v, m)
+        self._set(a, m, vec_reduce(u0, m), reduced_v, validated)
+        given = (tuple(map(int, u0)), None if v is None else tuple(map(int, v)))
         object.__setattr__(self, "given", given)
-        object.__setattr__(self, "u0", vec_reduce(self.u0, self.m))
-        if self.v is not None:
-            object.__setattr__(self, "v", vec_reduce(self.v, self.m))
 
     @classmethod
     def create(
@@ -79,8 +79,7 @@ def vector_sequence(cfg: GeneratorConfig, n0: int, count: int) -> np.ndarray:
     return mat_stream(cfg.a, cfg.u0, cfg.m, count, n0)
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(NamedTuple):
     """Exact fractional points: numerators over a common denominator."""
 
     nums: tuple[tuple[int, ...], ...]

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .arith import (
+    Frozen,
     IntMatrix,
     IntPolynomial,
     PrimePowerModulus,
@@ -160,28 +160,23 @@ def order_sequence(a: IntMatrix, p: int) -> Iterator[int]:
         yield tau
 
 
-@dataclass(frozen=True)
-class PeriodProfile:
+class PeriodProfile(Frozen):
     """Order table (tau_1 .. tau_{s_max}) together with the stable growth data
     tau_s = tau_star * p^{s - beta_star} for s >= s_star, gcd(tau_star, p) = 1."""
 
-    p: int
-    taus: tuple[int, ...]
-    tau_star: int
-    beta_star: int
-    s_star: int
+    __slots__ = _fields = ("p", "taus", "tau_star", "beta_star", "s_star")
 
-    def __post_init__(self) -> None:
-        p = self.p
-        if math.gcd(self.tau_star, p) != 1:
+    def __init__(self, p: int, taus: tuple[int, ...], tau_star: int, beta_star: int, s_star: int) -> None:
+        if math.gcd(tau_star, p) != 1:
             raise ValueError("tau_star must be coprime to p")
-        for s in range(1, len(self.taus)):
-            ratio, rem = divmod(self.taus[s], self.taus[s - 1])
+        for s in range(1, len(taus)):
+            ratio, rem = divmod(taus[s], taus[s - 1])
             if rem or ratio not in (1, p):
                 raise ValueError("tau_{s+1}/tau_s must be 1 or p")
-        for s in range(self.s_star, len(self.taus) + 1):
-            if self.taus[s - 1] != self.tau_star * p ** (s - self.beta_star):
+        for s in range(s_star, len(taus) + 1):
+            if taus[s - 1] != tau_star * p ** (s - beta_star):
                 raise ValueError("growth law violated at s = %d" % s)
+        self._set(p, taus, tau_star, beta_star, s_star)
 
     @property
     def s_max(self) -> int:
@@ -245,20 +240,18 @@ def period_profile(a: IntMatrix, p: int, s_max: int) -> PeriodProfile:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnramifiedRing:
+class UnramifiedRing(Frozen):
     """(Z/p^s)[X]/(f mod p^s) with f monic; for f irreducible mod p this is
     the degree-d unramified extension at finite precision, uniformizer p."""
 
-    f: IntPolynomial
-    p: int
-    s: int
+    __slots__ = _fields = ("f", "p", "s")
 
-    def __post_init__(self) -> None:
-        if not self.f.is_monic or self.f.degree < 1:
+    def __init__(self, f: IntPolynomial, p: int, s: int) -> None:
+        if not f.is_monic or f.degree < 1:
             raise ValueError("f must be monic of degree >= 1")
-        if self.s < 1:
+        if s < 1:
             raise ValueError("precision s must be >= 1")
+        self._set(f, p, s)
 
     @property
     def d(self) -> int:
@@ -299,16 +292,18 @@ class UnramifiedRing:
         return self.element([0, 1])
 
 
-@dataclass(frozen=True)
-class UnramifiedElement:
-    """Element of an UnramifiedRing; coefficient vector of length d.
+class UnramifiedElement(Frozen):
+    """Element of an UnramifiedRing; coefficient vector of length d.  Two
+    elements are equal when their rings are and their coefficients agree
+    mod p^s.
 
     `exact` marks elements whose coefficients are true integers (not mere
     residues), so they can be re-embedded at any higher precision."""
 
-    ring: UnramifiedRing
-    coeffs: tuple[int, ...]
-    exact: bool = False
+    __slots__ = _fields = ("ring", "coeffs", "exact")
+
+    def __init__(self, ring: UnramifiedRing, coeffs: tuple[int, ...], exact: bool = False) -> None:
+        self._set(ring, coeffs, exact)
 
     def _view(self) -> tuple[int, ...]:
         mod = self.ring.modulus
@@ -417,13 +412,14 @@ def _refine_root(f: IntPolynomial, elem: UnramifiedElement, s_target: int) -> Un
     return cur
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(Frozen):
     """The d roots of f at precision p^s, in Frobenius-orbit order; the first
     root is the class of X."""
 
-    ring: UnramifiedRing
-    roots: tuple[UnramifiedElement, ...]
+    __slots__ = _fields = ("ring", "roots")
+
+    def __init__(self, ring: UnramifiedRing, roots: tuple[UnramifiedElement, ...]) -> None:
+        self._set(ring, roots)
 
     @property
     def d(self) -> int:

@@ -191,6 +191,38 @@ class TestConfigErrors:
         assert "2^1024" in err and "Traceback" not in err
 
 
+class TestUsage:
+    COMMANDS = ["validate", "period", "gen", "expsum", "discrepancy", "vmvt", "bounds", "report"]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["validate", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: matprng")
+        assert all(command in out for command in self.COMMANDS)
+        assert "--config" in out and "--format" in out
+
+    def test_unknown_command_exits_1(self, fib_config, capsys):
+        assert main(["nonesuch", "--config", fib_config]) == 1
+        assert "invalid choice: 'nonesuch'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_config_exits_1(self, command, capsys):
+        assert main([command, "--format", "json"]) == 1
+        assert "the following arguments are required: --config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [[], ["--format", "xml", "validate"], ["validate", "--threads", "x"]])
+    def test_usage_errors_exit_1(self, argv, fib_config, capsys):
+        assert main(argv + ["--config", fib_config]) == 1
+        assert capsys.readouterr().err.startswith("usage: matprng")
+
+    def test_options_before_or_after_the_command(self, fib_config, tmp_path):
+        before, after = tmp_path / "before.json", tmp_path / "after.json"
+        assert main(["--config", fib_config, "--format", "json", "--out", str(before), "period"]) == 0
+        assert main(["period", "--config", fib_config, "--format", "json", "--out", str(after)]) == 0
+        assert before.read_bytes() == after.read_bytes()
+
+
 @pytest.mark.parametrize("command", ["expsum", "bounds", "discrepancy", "report"])
 def test_modulus_near_float_limit_exits_0(command, tmp_path):
     # 2^1023 converts to float, but 2 pi x overflows for residues x above

@@ -2,6 +2,7 @@
 packages resolve their public names on first access.  Every check runs in a
 fresh interpreter, since this process has long imported everything."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -21,6 +22,12 @@ ANALYSIS = "matprng.analysis"
 # what the exact-integer side (config loading, validate, period and the
 # exit-1 and exit-2 paths) must not import
 HEAVY = ("numpy", "mpmath", ANALYSIS)
+# what no CLI process may import: dataclasses costs about 10 ms to import,
+# through inspect (and with it ast, dis and tokenize), and about 1 ms a class
+# to build.  numpy imports inspect itself, so only the commands without
+# numpy are held to the second.
+DATACLASSES = ("dataclasses",)
+INSPECT = ("dataclasses", "inspect")
 
 
 def fresh_modules(code: str, *args: str, environ: dict | None = None) -> list[str]:
@@ -103,9 +110,65 @@ def test_config_errors_and_rejections_load_no_numpy(command, doc, exit_code, tmp
     assert heavy(command_modules(tmp_path, command, doc=doc, exit_code=exit_code)) == []
 
 
+def test_cli_import_and_config_loading_load_no_dataclasses_or_inspect():
+    docs = [doc for _, doc, _ in GOLDEN_CASES]
+    code = (
+        "import json, sys\nfrom matprng.cli import load_experiment\n"
+        "for doc in json.loads(sys.argv[1]):\n    load_experiment(doc)\n"
+    )
+    assert heavy(fresh_modules(code, json.dumps(docs)), INSPECT) == []
+
+
+@pytest.mark.parametrize("command", test_cli.TestDeterminism.COMMANDS)
+def test_no_command_loads_dataclasses(command, tmp_path):
+    assert heavy(command_modules(tmp_path, command), DATACLASSES) == []
+
+
+@pytest.mark.parametrize("command", ["period", "validate"])
+def test_integer_commands_load_no_inspect(command, tmp_path):
+    assert heavy(command_modules(tmp_path, command), INSPECT) == []
+
+
+# an unknown key (exit 1) and an improper pair (exit 2); gen and vmvt run no
+# validator, so they have no exit-2 path
+ERROR_PATHS = [
+    *((command, dict(FIB_DOC, no_such_key=1), 1) for command in test_cli.TestDeterminism.COMMANDS),
+    *((command, dict(FIB_DOC, v=["0", "0"]), 2)
+      for command in test_cli.TestDeterminism.COMMANDS if command not in ("gen", "vmvt")),
+]
+
+
+@pytest.mark.parametrize("command, doc, exit_code", ERROR_PATHS,
+                         ids=[f"{command}-exit{code}" for command, _, code in ERROR_PATHS])
+def test_exit_1_and_2_paths_load_no_dataclasses(command, doc, exit_code, tmp_path):
+    loaded = command_modules(tmp_path, command, doc=doc, exit_code=exit_code)
+    assert heavy(loaded, DATACLASSES) == []
+    if "numpy" not in loaded:
+        assert heavy(loaded, INSPECT) == []
+
+
+def test_no_source_file_imports_dataclasses():
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in names, f"{path.relative_to(SRC)}:{node.lineno}"
+
+
 @pytest.mark.parametrize("command", ["gen", "expsum"])
 def test_streaming_commands_load_numpy(command, tmp_path):
     assert "numpy" in command_modules(tmp_path, command)
+
+
+def test_expsum_loads_no_padic(tmp_path):
+    # padic serves the full-period and double sums, which expsum does not run
+    loaded = command_modules(tmp_path, "expsum")
+    assert f"{ANALYSIS}.sums" in loaded
+    assert heavy(loaded, ("matprng.padic",)) == []
 
 
 def test_expsum_loads_no_bounds_discrepancy_or_vinogradov(tmp_path):

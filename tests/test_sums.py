@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import matprng.analysis.sums as sums
-from matprng import stream
+from matprng import padic, stream
 from matprng.arith import IntMatrix, PrimePowerModulus, vec_dot
 from matprng.errors import (
     DegenerateMatrixError,
@@ -233,7 +233,7 @@ class TestFullPeriodExponent:
             calls.append(args)
             return period_profile(*args)
 
-        monkeypatch.setattr(sums, "period_profile", counted)
+        monkeypatch.setattr(padic, "period_profile", counted)
         rows = full_period_exponent(cfg, t_range)
         assert [(r.t, r.tau) for r in rows] == [(t, tau) for t, tau, _ in expected]
         for row, (_, tau, rep) in zip(rows, expected):
@@ -256,10 +256,13 @@ class TestFullPeriodExponent:
 
         def shallow(a, p, s_max):
             assert s_max <= 8
-            return period_profile(a, p, s_max)
+            start = len(drawn)
+            profile = period_profile(a, p, s_max)
+            del drawn[start:]  # the orders of the profile's own sequence
+            return profile
 
-        monkeypatch.setattr(sums, "order_sequence", counted)
-        monkeypatch.setattr(sums, "period_profile", shallow)
+        monkeypatch.setattr(padic, "order_sequence", counted)
+        monkeypatch.setattr(padic, "period_profile", shallow)
         with pytest.raises(PeriodTooLargeError, match="tau_8 = 17496, the terms summed for t = 15,"):
             full_period_exponent(cfg, range(2, 10**5), tau_guard=10**4)
         assert drawn == [8 * 3 ** (s - 1) for s in range(1, 16)]

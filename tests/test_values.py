@@ -2,6 +2,8 @@
 order, keyword construction, repr, immutability, equality and hashing, and
 the validation messages of the types that check their fields."""
 
+import copy
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -71,7 +73,7 @@ class TestPlainRecords:
     def test_defaults(self):
         report = DiscrepancyReport(8, 1, "star", Fraction(1, 8), 0.125)
         assert (report.extreme_upper_bound, report.boxes, report.ks_bound, report.ks_v) == (None, (), None, None)
-        params = dict(PLAIN_RECORDS[6][1])
+        params = dict(dict(PLAIN_RECORDS)[ProofParameters])
         del params["rationalization"]
         assert ProofParameters(**params).rationalization == ()
         assert PointSet(((1,), (2,)), 9, 1).n == 2
@@ -301,9 +303,6 @@ class TestPadicTypes:
     lambda: PeriodProfile(3, (8, 8, 24), 8, 2, 2),
 ], ids=["modulus", "matrix", "poly-mod-p", "verdict", "generator", "roots", "profile"])
 def test_copy_and_pickle_keep_the_value(make):
-    import copy
-    import pickle
-
     value = make()
     for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(other) is type(value) and repr(other) == repr(value)
