@@ -21,7 +21,7 @@ import numpy as np
 
 from ..arith import valuation
 from ..generator import GeneratorConfig
-from ..stream import mat_stream
+from ..stream import int_dtype, mat_stream
 from .sums import phase_sum
 
 # the context every formula runs in (`localcontext` works on a copy)
@@ -219,7 +219,7 @@ def koksma_szusz_bound(
     d = cfg.a.d
     p, t = cfg.m.p, cfg.m.t
     # every phase dot product is below d V p^t in absolute value
-    dtype = np.int64 if d * v_range * cfg.m.modulus < 2**63 else object
+    dtype = int_dtype(d * v_range * cfg.m.modulus)
     points = mat_stream(cfg.a, cfg.u0, cfg.m, n_points).astype(dtype, copy=False)
     # one of each pair v, -v: the one whose first nonzero entry is positive
     vs = product(range(-v_range, v_range + 1), repeat=d)

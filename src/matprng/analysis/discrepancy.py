@@ -48,6 +48,7 @@ import numpy as np
 
 from ..errors import DimensionTooLargeError, TooManyPointsError
 from ..generator import PointSet
+from ..stream import int_dtype
 
 EXTREME_POINT_CAP = 4096
 STAR_WORK_CAP = 2**27  # grid cells the star sweep touches (see _star)
@@ -93,10 +94,6 @@ def _normalize(points) -> tuple[list[tuple[int, ...]], int, int]:
         if any(x < 0 or x >= den for x in pt):
             raise ValueError("points must lie in [0, 1)^d")
     return nums, den, d
-
-
-def _int_array(values, big: bool) -> np.ndarray:
-    return np.array(values, dtype=object if big else np.int64)
 
 
 def _axes(nums: list[tuple[int, int]], den: int) -> tuple[list[int], list[int], list[int], list[int]]:
@@ -163,7 +160,7 @@ def _strip_values(
 
 
 def _box_scan(
-    nums: list[tuple[int, int]], xs: list[int], ys: list[int], den2: int, n: int, big: bool, closed: bool
+    nums: list[tuple[int, int]], xs: list[int], ys: list[int], den2: int, n: int, dtype: type, closed: bool
 ) -> int:
     """Largest scaled excess (closed=True: closed boxes [xs[a], xs[b]] x
     [ys[j], ys[k]], a <= b) or deficit (closed=False: open boxes
@@ -180,11 +177,11 @@ def _box_scan(
     the objective's favour.  Blocks whose upper bound is at most the best
     value found are dropped, and the rest are split in four, down to single
     pairs, where both bounds are the exact value.  The starting blocks are
-    the least power of two s with 8 s >= len(xs) on a side."""
-    dtype = object if big else np.int64
+    the least power of two s with 8 s >= len(xs) on a side.  `dtype` holds
+    every scaled value (see _extreme_2d)."""
     table = _prefix_counts(nums, xs, ys)
-    xv = _int_array(xs, big)
-    yv = _int_array(ys, big)
+    xv = np.array(xs, dtype=dtype)
+    yv = np.array(ys, dtype=dtype)
     k = len(xs)
     gap = 0 if closed else 1  # least b - a of a pair
     s = 1
@@ -216,25 +213,26 @@ def _extreme_1d(nums: list[int], den: int, n: int) -> Fraction:
     """One strip of x-width 1 over the 1-D prefix counts, scored by
     _strip_values at scale n * den: closed intervals with ends on point
     coordinates, then open ones with ends on coordinates, 0 or den."""
-    big = n * den >= 2**62
-    dtype = object if big else np.int64
+    dtype = int_dtype(2 * n * den)  # as in _extreme_2d
     strip = tuple(np.array([i]) for i in (0, 1, 0, 1))  # lo, hi, wa, wb
-    xv = _int_array([0, 1], big)
+    xv = np.array([0, 1], dtype=dtype)
     best = 0
     for grid, closed in ((sorted(set(nums)), True), (sorted({0, den, *nums}), False)):
         table = _prefix_counts([(0, y) for y in nums], [0], grid)
-        yv = _int_array(grid, big)
+        yv = np.array(grid, dtype=dtype)
         best = max(best, int(_strip_values(table, xv, yv, strip, den, n, dtype, closed)[0]))
     return Fraction(best, n * den)
 
 
 def _extreme_2d(nums: list[tuple[int, int]], den: int, n: int) -> Fraction:
     den2 = den * den
-    big = n * den2 >= 2**62
+    # a scaled count and a scaled volume each lie in [0, n den^2], and every
+    # value a scan forms is one of them, or a sum or difference of two
+    dtype = int_dtype(2 * n * den2)
     xs, ys, ex, ey = _axes(nums, den)
     best = max(
-        _box_scan(nums, xs, ys, den2, n, big, closed=True),
-        _box_scan(nums, ex, ey, den2, n, big, closed=False),
+        _box_scan(nums, xs, ys, den2, n, dtype, closed=True),
+        _box_scan(nums, ex, ey, den2, n, dtype, closed=False),
     )
     return Fraction(best, n * den2)
 
@@ -271,12 +269,11 @@ def _star(nums: list[tuple[int, ...]], den: int, n: int, d: int) -> Fraction:
         )
     nums = [tuple(pt[j] for j in order) for pt in nums]
     scale = den**d
-    big = n * scale >= 2**62
-    dtype = object if big else np.int64
+    dtype = int_dtype(2 * n * scale)  # as in _extreme_2d
     cell = [{c: i + 1 for i, c in enumerate(e)} for e in edges[1:]]  # padded grid index
     vol = np.array(n, dtype=dtype)  # n times the corner volume at x = 1
     for e in edges[1:]:
-        vol = np.multiply.outer(vol, _int_array(e + [den], big))
+        vol = np.multiply.outer(vol, np.array(e + [den], dtype=dtype))
     grid = np.zeros(tuple(len(e) + 2 for e in edges[1:]), dtype=np.int64)
     scaled = np.zeros(grid.shape, dtype=dtype)  # den^d times C
     closed = (slice(1, None),) * (d - 1)
@@ -369,11 +366,7 @@ def full_discrepancy_report(
     kind = "extreme" if cfg.a.d <= 2 else "star"
     rep = exact_discrepancy(pts, kind=kind, boxes=boxes)
     ks = koksma_szusz_bound(cfg, n_points, v_range, constant_base=constant_base)
-    return DiscrepancyReport(
-        n=rep.n, d=rep.d, kind=rep.kind, value=rep.value, value_float=rep.value_float,
-        extreme_upper_bound=rep.extreme_upper_bound, boxes=rep.boxes,
-        ks_bound=float(ks.value), ks_v=v_range,
-    )
+    return rep._replace(ks_bound=float(ks.value), ks_v=v_range)
 
 
 def extreme_discrepancy_bruteforce(points) -> Fraction:

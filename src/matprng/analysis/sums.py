@@ -109,12 +109,6 @@ def _exact_sums(chunks: Iterable[np.ndarray], width: int) -> list[float]:
     return [math.fsum(group[group != 0].tolist()) for group in groups]
 
 
-def _exact_sum(x: np.ndarray) -> float:
-    """math.fsum(x.tolist()), bit for bit, without building a Python list."""
-    step = _EXACT_SUM_CHUNK
-    return _exact_sums((x[None, i : i + step] for i in range(0, x.size, step)), 1)[0]
-
-
 def _phase_terms(x, mod: int, weights=None) -> np.ndarray:
     """The (2, n) real and imaginary parts of w_j e(x_j / mod) for the n
     residues x_j (an int64 array, or exact ints in a list or object array),

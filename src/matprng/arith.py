@@ -382,10 +382,6 @@ class IntPolynomial(Frozen):
         return IntPolynomial(coeffs)
 
     @classmethod
-    def from_coeffs(cls, coeffs: Sequence[int]) -> "IntPolynomial":
-        return cls(tuple(int(x) for x in coeffs))
-
-    @classmethod
     def x_power(cls, n: int, coeff: int = 1) -> "IntPolynomial":
         return cls((0,) * n + (coeff,))
 
@@ -445,16 +441,13 @@ class IntPolynomial(Frozen):
                     rem[k + i] -= q * dc
         return quo, rem[: len(dcoeffs) - 1]
 
-    def divmod_exact(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
+    def __divmod__(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """(quotient, remainder) of `_long_division`."""
         quo, rem = self._long_division(self.coeffs, divisor)
         return self._like(quo), self._like(rem)
 
-    def __divmod__(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
-        return self.divmod_exact(divisor)
-
     def __mod__(self, divisor: "IntPolynomial") -> "IntPolynomial":
-        """The remainder of divmod_exact, without building the quotient."""
+        """The remainder of divmod, without building the quotient."""
         return self._like(self._long_division(self.coeffs, divisor)[1])
 
     def pow_mod(self, e: int, mod: "IntPolynomial") -> "IntPolynomial":

@@ -33,9 +33,11 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .arith import IntMatrix, PrimePowerModulus, char_poly
 from .errors import DimensionMismatchError, MatprngError, ResourceGuardError
 
-# Each command imports the layers it runs when it runs: a command pays the
-# start-up cost of those layers only.  validate and period load no numpy; gen
-# loads numpy but not matprng.analysis.
+# main checks a command's config against its row of _COMMANDS before the
+# command runs, and each command imports the layers it runs when it runs: a
+# command pays the start-up cost of those layers only, and a config that is
+# incomplete (exit 1) or rejected (exit 2) loads none of them.  validate and
+# period load no numpy; gen loads numpy but not matprng.analysis.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -239,25 +241,22 @@ def _require(exp: Experiment, command: str, *names: str) -> None:
 
 
 class Rejection(Exception):
-    """Hypothesis rejection, exit 2.  `doc`, when given, is still written as
-    the command's output (validate, report); otherwise the verdict goes to
-    stderr."""
+    """Hypothesis rejection, exit 2; main writes what the command's row of
+    _COMMANDS names."""
 
-    def __init__(self, verdict, doc: dict | None = None):
+    def __init__(self, verdict):
         super().__init__(verdict.reason)
         self.verdict = verdict
-        self.doc = doc
 
 
 def _validation(exp: Experiment, verdict) -> dict:
     return {"level": exp.level, **verdict.to_dict()}
 
 
-def _generator(exp: Experiment, command: str, validated: bool = True, keep=None) -> GeneratorConfig:
+def _generator(exp: Experiment, command: str, validated: bool) -> GeneratorConfig:
     """The one route from a config to a generator.  A validated generator
     carries the verdict on the config's level; a rejected verdict raises
-    Rejection, which writes `keep(validation document)` when `keep` is
-    given."""
+    Rejection before the generator is built."""
     from .fieldalg import validate_theorem_hypotheses
     from .generator import GeneratorConfig
 
@@ -267,7 +266,7 @@ def _generator(exp: Experiment, command: str, validated: bool = True, keep=None)
     if validated:
         verdict = validate_theorem_hypotheses(exp.matrix, exp.u0, exp.v, modulus, exp.level)
         if not verdict.accepted:
-            raise Rejection(verdict, keep and keep(_validation(exp, verdict)))
+            raise Rejection(verdict)
     return GeneratorConfig(exp.matrix, modulus, exp.u0, exp.v, verdict)
 
 
@@ -356,12 +355,12 @@ def _emit(result: Table | dict, args) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Commands: each returns a Table, or a dict for the JSON-only ones
+# Commands: each runs on a config that passed the checks of its row of
+# _COMMANDS, and returns a Table, or a dict for the JSON-only ones
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(exp: Experiment, args) -> dict:
-    cfg = _generator(exp, "validate", keep=lambda doc: doc)
+def cmd_validate(exp: Experiment, cfg: GeneratorConfig, args) -> dict:
     return _validation(exp, cfg.validated)
 
 
@@ -384,13 +383,11 @@ def _period_table(exp: Experiment) -> Table:
     return Table(("s", "tau_s"), rows, {"summary": summary}, sidecar=summary)
 
 
-def cmd_period(exp: Experiment, args) -> Table:
-    _generator(exp, "period")
+def cmd_period(exp: Experiment, cfg: GeneratorConfig, args) -> Table:
     return _period_table(exp)
 
 
-def cmd_gen(exp: Experiment, args) -> Table:
-    cfg = _generator(exp, "gen", validated=False)
+def cmd_gen(exp: Experiment, cfg: GeneratorConfig, args) -> Table:
     count = exp.count
     if count is None:
         _require(exp, "gen without count", "n_schedule")
@@ -417,11 +414,9 @@ def _numbered(blocks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
         n += len(block)
 
 
-def cmd_expsum(exp: Experiment, args) -> Table:
+def cmd_expsum(exp: Experiment, cfg: GeneratorConfig, args) -> Table:
     from .analysis.sums import exp_sum
 
-    _require(exp, "expsum", "n_schedule")
-    cfg = _generator(exp, "expsum")
     rows = []
     for n in exp.n_schedule:
         rep = exp_sum(cfg, n)
@@ -461,17 +456,14 @@ def _discrepancy_table(exp: Experiment, cfg: GeneratorConfig, boxes=None) -> Tab
     return Table(header, rows, {"box_diagnostics": diagnostics} if diagnostics else {})
 
 
-def cmd_discrepancy(exp: Experiment, args) -> Table:
-    _require(exp, "discrepancy", "n_schedule", "v_range")
-    cfg = _generator(exp, "discrepancy")
+def cmd_discrepancy(exp: Experiment, cfg: GeneratorConfig, args) -> Table:
     return _discrepancy_table(exp, cfg, exp.boxes)
 
 
-def cmd_vmvt(exp: Experiment, args) -> Table:
+def cmd_vmvt(exp: Experiment, cfg: GeneratorConfig | None, args) -> Table:
     from .analysis.bounds import ford_bound
     from .analysis.vinogradov import vinogradov_count
 
-    _require(exp, "vmvt", "vmvt")
     c0 = exp.constants["c0"]
     d_for_bound = exp.matrix.d if exp.matrix is not None else 2
     rows = []
@@ -503,13 +495,11 @@ def _bounds_table(exp: Experiment, cfg: GeneratorConfig) -> Table:
     return Table(header, rows)
 
 
-def cmd_bounds(exp: Experiment, args) -> Table:
+def cmd_bounds(exp: Experiment, cfg: GeneratorConfig, args) -> Table:
     from .analysis.params import proof_parameters
     from .analysis.sums import full_period_exponent
     from .padic import period_profile
 
-    _require(exp, "bounds", "n_schedule")
-    cfg = _generator(exp, "bounds")
     table = _bounds_table(exp, cfg)
     extras = table.extras
     if exp.t_range is not None:
@@ -537,10 +527,9 @@ def cmd_bounds(exp: Experiment, args) -> Table:
     return table
 
 
-def cmd_report(exp: Experiment, args) -> dict:
+def cmd_report(exp: Experiment, cfg: GeneratorConfig, args) -> dict:
     from .analysis.sums import korobov_reduction_check
 
-    cfg = _generator(exp, "report", keep=lambda doc: {"validate": doc})
     doc = {"validate": _validation(exp, cfg.validated), "period": _period_table(exp).doc()}
     if exp.n_schedule is not None:
         doc["expsum"] = _bounds_table(exp, cfg).records(
@@ -551,7 +540,7 @@ def cmd_report(exp: Experiment, args) -> dict:
                 ("N", "kind", "exact", "ks_bound", "exact_le_bound")
             )
     if exp.vmvt is not None:
-        doc["vmvt"] = cmd_vmvt(exp, args).records(("k", "r", "M", "count"))
+        doc["vmvt"] = cmd_vmvt(exp, cfg, args).records(("k", "r", "M", "count"))
     rng = random.Random(args.seed)
     residual_sample = []
     for _ in range(5):
@@ -564,15 +553,23 @@ def cmd_report(exp: Experiment, args) -> dict:
     return doc
 
 
+# The pre-flight table, one row per command, which main reads before the
+# command runs:
+#   the command, called as command(exp, cfg, args);
+#   the Experiment fields it needs, checked before the generator's
+#   (p, t, matrix and u0);
+#   its generator: "validated", "unvalidated", or None (cfg is None);
+#   what a rejected verdict writes: "verdict" (the validation document),
+#   "report" ({"validate": that document}), or None (the verdict, on stderr).
 _COMMANDS = {
-    "validate": cmd_validate,
-    "period": cmd_period,
-    "gen": cmd_gen,
-    "expsum": cmd_expsum,
-    "discrepancy": cmd_discrepancy,
-    "vmvt": cmd_vmvt,
-    "bounds": cmd_bounds,
-    "report": cmd_report,
+    "validate": (cmd_validate, (), "validated", "verdict"),
+    "period": (cmd_period, (), "validated", None),
+    "gen": (cmd_gen, (), "unvalidated", None),
+    "expsum": (cmd_expsum, ("n_schedule",), "validated", None),
+    "discrepancy": (cmd_discrepancy, ("n_schedule", "v_range"), "validated", None),
+    "vmvt": (cmd_vmvt, ("vmvt",), None, None),
+    "bounds": (cmd_bounds, ("n_schedule",), "validated", None),
+    "report": (cmd_report, (), "validated", "report"),
 }
 
 
@@ -606,15 +603,19 @@ def main(argv=None) -> int:
         return 1
     try:
         exp = load_experiment(doc)
+        command, needs, generator, rejection = _COMMANDS[args.command]
+        _require(exp, args.command, *needs)
         try:
-            result, code = _COMMANDS[args.command](exp, args), 0
+            cfg = None if generator is None else _generator(exp, args.command, generator == "validated")
         except Rejection as rej:
-            if rej.doc is None:
+            if rejection is None:
                 sys.stderr.write(render_json(rej.verdict.to_dict()))
                 return 2
-            result, code = rej.doc, 2
-        _emit(result, args)
-        return code
+            validation = _validation(exp, rej.verdict)
+            _emit(validation if rejection == "verdict" else {"validate": validation}, args)
+            return 2
+        _emit(command(exp, cfg, args), args)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -47,10 +47,6 @@ class PolyModP(IntPolynomial):
     def _like(self, coeffs: Sequence[int]) -> "PolyModP":
         return PolyModP(self.p, coeffs)
 
-    @classmethod
-    def from_int_poly(cls, f: IntPolynomial, p: int) -> "PolyModP":
-        return cls(p, f.coeffs)
-
     def _long_division(
         self, coeffs: Sequence[int], divisor: IntPolynomial
     ) -> tuple[list[int], list[int]]:
@@ -64,8 +60,6 @@ class PolyModP(IntPolynomial):
         inv = pow(divisor.coeffs[-1], -1, self.p)
         quo, rem = super()._long_division(coeffs, divisor * inv)
         return [q * inv for q in quo], rem
-
-    divmod = IntPolynomial.divmod_exact
 
     def monic(self) -> "PolyModP":
         if self.is_zero or self.coeffs[-1] == 1:
@@ -114,7 +108,7 @@ class Verdict(Frozen):
 def squarefree_mod_p(f: IntPolynomial, p: int) -> Verdict:
     """Accepted iff gcd(f, f') = 1 in F_p[X]; otherwise the witness is the
     common (repeated) factor."""
-    fp = PolyModP.from_int_poly(f, p)
+    fp = PolyModP(p, f.coeffs)
     if fp.is_zero:
         raise ValueError("polynomial vanishes mod p")
     if fp.degree < 1:
@@ -128,7 +122,7 @@ def squarefree_mod_p(f: IntPolynomial, p: int) -> Verdict:
 def irreducible_mod_p(f: IntPolynomial, p: int) -> bool:
     """Irreducibility of f mod p: no irreducible factor of degree <= deg/2,
     plus the Frobenius fixed-point identity X^{p^deg} = X mod f."""
-    fp = PolyModP.from_int_poly(f, p).monic()
+    fp = PolyModP(p, f.coeffs).monic()
     if fp.is_zero:
         raise ValueError("polynomial vanishes mod p")
     n = fp.degree
@@ -162,7 +156,7 @@ def cyclotomic_polynomial(n: int) -> IntPolynomial:
     num = IntPolynomial.x_power(n) - IntPolynomial((1,))
     for d in range(1, n):
         if n % d == 0:
-            q, r = num.divmod_exact(cyclotomic_polynomial(d))
+            q, r = divmod(num, cyclotomic_polynomial(d))
             if not r.is_zero:
                 raise ExactDivisionError("cyclotomic division not exact")
             num = q
@@ -194,13 +188,13 @@ def nondegeneracy_check(f: IntPolynomial) -> Verdict:
     for n in range(1, 2 * d * d + 1):
         if euler_phi(n) > d:
             continue
-        _, r = f.divmod_exact(cyclotomic_polynomial(n))
+        _, r = divmod(f, cyclotomic_polynomial(n))
         if r.is_zero:
             return Verdict.fail("degenerate", {"kind": "root", "n": n})
     g = ratio_resultant(f)
     trivial = IntPolynomial((-1, 1))
     for _ in range(d):
-        g, r = g.divmod_exact(trivial)
+        g, r = divmod(g, trivial)
         if not r.is_zero:
             raise ExactDivisionError("(X - 1)^d must divide the ratio resultant")
     if g.is_zero:
@@ -209,7 +203,7 @@ def nondegeneracy_check(f: IntPolynomial) -> Verdict:
     for n in range(1, 2 * d**4 + 1):
         if euler_phi(n) > dd:
             continue
-        _, r = g.divmod_exact(cyclotomic_polynomial(n))
+        _, r = divmod(g, cyclotomic_polynomial(n))
         if r.is_zero:
             return Verdict.fail("degenerate", {"kind": "ratio", "n": n})
     return Verdict.ok()

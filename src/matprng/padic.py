@@ -267,7 +267,7 @@ class UnramifiedRing(Frozen):
     def element(self, coeffs: Sequence[int], exact: bool = False) -> "UnramifiedElement":
         """The class of the polynomial with these coefficients: reduced mod f,
         and mod p^s unless `exact` keeps the true integers."""
-        poly = IntPolynomial.from_coeffs(coeffs) if exact else PolyModP(self.modulus, coeffs)
+        poly = IntPolynomial(coeffs) if exact else PolyModP(self.modulus, coeffs)
         return self._from_poly(poly, exact)
 
     def _from_poly(self, poly: IntPolynomial, exact: bool = False) -> "UnramifiedElement":
@@ -437,7 +437,7 @@ def lift_roots(f: IntPolynomial, p: int, s: int) -> RootSet:
     d = f.degree
     roots = [ring.x_class()]
     if d > 1:
-        f_mod_p = PolyModP.from_int_poly(f, p)
+        f_mod_p = PolyModP(p, f.coeffs)
         x = PolyModP(p, (0, 1))
         frob = x
         base_ring = UnramifiedRing(f, p, 1)

@@ -43,11 +43,18 @@ class _Limbs(NamedTuple):
     dtype: type
 
 
+def int_dtype(bound: int) -> type:
+    """The dtype of a computation whose every value lies below `bound` in
+    absolute value: int64 when bound < 2^63, object (exact Python ints)
+    otherwise.  Every choice between the two in the package is made here."""
+    return np.int64 if bound < 2**63 else object
+
+
 def stream_dtype(m: PrimePowerModulus, d: int) -> type:
     """The dtype of the stream kernel's output: int64 when d (p^t)^2 < 2^63,
     so that no dot product of residues can overflow, and object (exact
     Python ints) otherwise."""
-    return np.int64 if d * m.modulus**2 < 2**63 else object
+    return int_dtype(d * m.modulus**2)
 
 
 def _limbs(m: PrimePowerModulus, d: int) -> _Limbs:
@@ -62,7 +69,7 @@ def _limbs(m: PrimePowerModulus, d: int) -> _Limbs:
         for n in range(2, t + 1):
             k = -(-t // n)
             count, base = -(-t // k), p**k
-            if d * count * base * base < 2**63:
+            if int_dtype(d * count * base * base) is np.int64:
                 return _Limbs(base, count, p ** (t - (count - 1) * k), np.int64)
     return _Limbs(mod, 1, mod, object)
 

@@ -157,6 +157,11 @@ class TestMatStream:
         assert [tuple(x) for x in vecs.tolist()] == want
         assert scalars.tolist() == [vec_dot(v, x) % m.modulus for x in want]
 
+    def test_int_dtype_edge(self):
+        # the one rule for int64 or exact ints: int64 below 2^63
+        assert stream.int_dtype(2**63 - 1) is np.int64
+        assert stream.int_dtype(2**63) is object
+
     def test_empty_and_single(self):
         m = PrimePowerModulus(3, 2)
         a = IntMatrix.from_rows([[0, 1], [1, 1]])
@@ -366,15 +371,15 @@ class TestValuation:
 class TestPolynomials:
     def test_divmod_exact(self):
         f = IntPolynomial((-1, 0, 1))  # X^2 - 1
-        q, r = f.divmod_exact(IntPolynomial((-1, 1)))
+        q, r = divmod(f, IntPolynomial((-1, 1)))
         assert q == IntPolynomial((1, 1)) and r.is_zero
 
     def test_divmod_exact_non_monic(self):
         f = IntPolynomial((0, 2, 2))  # 2X^2 + 2X
-        q, r = f.divmod_exact(IntPolynomial((0, 2)))
+        q, r = divmod(f, IntPolynomial((0, 2)))
         assert q == IntPolynomial((1, 1)) and r.is_zero
         with pytest.raises(ExactDivisionError):
-            IntPolynomial((1, 0, 1)).divmod_exact(IntPolynomial((0, 2)))
+            divmod(IntPolynomial((1, 0, 1)), IntPolynomial((0, 2)))
 
     def test_gcd_over_q(self):
         f = IntPolynomial((1, 2, 1))  # (X+1)^2
@@ -398,14 +403,14 @@ class TestPolynomials:
     def test_pow_mod_matches_repeated_product(self, a, e):
         mod = IntPolynomial((3, -1, 0, 1))  # monic X^3 - X + 3
         base = IntPolynomial(tuple(a))
-        assert base % mod == base.divmod_exact(mod)[1]
+        assert base % mod == divmod(base, mod)[1]
         if e < 0:
             with pytest.raises(ValueError):
                 base.pow_mod(e, mod)
             return
         expected = IntPolynomial((1,))
         for _ in range(e):
-            expected = (expected * base).divmod_exact(mod)[1]
+            expected = divmod(expected * base, mod)[1]
         assert base.pow_mod(e, mod) == expected
 
 

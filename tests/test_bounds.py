@@ -16,7 +16,7 @@ from matprng.analysis.bounds import (
     korobov_bound,
     theorem_envelope,
 )
-from matprng.analysis.sums import _angles
+from matprng.analysis.sums import _angles, phase_sum
 from matprng.analysis.vinogradov import vinogradov_count
 
 
@@ -157,6 +157,29 @@ class TestEnvelopes:
             theorem_envelope(10, 3, 2, 1)
 
 
+def reference_terms(cfg, n, v_range) -> list[float]:
+    """|S(N; u, v)| / r(v) for one v of each pair v, -v with 0 < ||v|| <= V,
+    from phases reduced on Python-int residues and added by fsum."""
+    p, t = cfg.m.p, cfg.m.t
+    points, u = [], cfg.u0
+    for _ in range(n):
+        points.append(u)
+        u = mat_vec_mod(cfg.a, u, cfg.m)
+    terms = []
+    for v in product(range(-v_range, v_range + 1), repeat=cfg.a.d):
+        if next((x for x in v if x != 0), 0) <= 0:
+            continue
+        nu = 0
+        while nu < t and all(x % p ** (nu + 1) == 0 for x in v):
+            nu += 1
+        mod = p ** (t - nu)
+        phases = [sum(a // p**nu * b for a, b in zip(v, pt)) % mod for pt in points]
+        ang = _angles(phases, mod)
+        s = complex(math.fsum(np.cos(ang).tolist()), math.fsum(np.sin(ang).tolist()))
+        terms.append(abs(s) / math.prod(max(abs(x), 1) for x in v))
+    return terms
+
+
 class TestKoksmaSzusz:
     @pytest.fixture
     def cfg(self, fib):
@@ -184,25 +207,29 @@ class TestKoksmaSzusz:
         # to int64 for the phases, t = 40 stays on exact ints; n = 5000 is
         # past the kernel's short rows
         cfg = GeneratorConfig.create(fib, PrimePowerModulus(3, t), (1, 2), (1, 0))
-        v_range = 3
-        points, u = [], cfg.u0
-        for _ in range(n):
-            points.append(u)
-            u = mat_vec_mod(cfg.a, u, cfg.m)
-        terms = []
-        for v in product(range(-v_range, v_range + 1), repeat=2):
-            if next((x for x in v if x != 0), 0) <= 0:
-                continue
-            nu = 0
-            while nu < t and all(x % 3 ** (nu + 1) == 0 for x in v):
-                nu += 1
-            mod = 3 ** (t - nu)
-            phases = [sum(a // 3**nu * b for a, b in zip(v, pt)) % mod for pt in points]
-            ang = _angles(phases, mod)
-            s = complex(math.fsum(np.cos(ang).tolist()), math.fsum(np.sin(ang).tolist()))
-            terms.append(abs(s) / math.prod(max(abs(x), 1) for x in v))
-        ks = koksma_szusz_bound(cfg, n, v_range)
+        terms = reference_terms(cfg, n, 3)
+        ks = koksma_szusz_bound(cfg, n, 3)
         assert ks.n_vectors == 2 * len(terms) == 48
+        assert ks.sum_term == 2.0 * math.fsum(terms)
+
+    @pytest.mark.parametrize("t, dtype", [(61, np.int64), (62, object)])
+    def test_phase_dtype_edge(self, fib, monkeypatch, t, dtype):
+        # p = 2, d = 2, V = 1: every phase dot product is below
+        # d V p^t = 2^(t+1), so t = 61 is the last exponent on int64
+        from matprng.analysis import bounds
+
+        seen = []
+
+        def spy(x, mod, weights=None):
+            seen.append(x.dtype)
+            return phase_sum(x, mod, weights)
+
+        monkeypatch.setattr(bounds, "phase_sum", spy)
+        cfg = GeneratorConfig(fib, PrimePowerModulus(2, t), (2**t - 1, 2**t - 3))
+        terms = reference_terms(cfg, 40, 1)
+        ks = koksma_szusz_bound(cfg, 40, 1)
+        assert set(seen) == {np.dtype(dtype)}
+        assert ks.n_vectors == 2 * len(terms) == 8
         assert ks.sum_term == 2.0 * math.fsum(terms)
 
     def test_gcd_reduction_matches_direct(self, cfg):

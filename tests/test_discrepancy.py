@@ -23,14 +23,13 @@ def rational_points(rng, n, d, den):
     return [tuple(Fraction(rng.randrange(den), den) for _ in range(d)) for _ in range(n)]
 
 
-def box_scan_oracle(nums, xs, ys, den2, n, big, closed):
+def box_scan_oracle(nums, xs, ys, den2, n, dtype, closed):
     """The exhaustive scan the pruned discrepancy._box_scan replaced: one
     vectorised step per left edge a and chunk of right edges b, scoring every
-    box with faces on the grid."""
-    dtype = object if big else np.int64
+    box with faces on the grid, in arrays of `dtype`."""
     table = discrepancy._prefix_counts(nums, xs, ys)
-    xv = discrepancy._int_array(xs, big)
-    yv = discrepancy._int_array(ys, big)
+    xv = np.array(xs, dtype=dtype)
+    yv = np.array(ys, dtype=dtype)
     s = 1 if closed else 0
     best = 0
     for a in range(len(xs) - 1 + s):
@@ -58,11 +57,11 @@ def scan_pairs(nums, den):
     """(pruned, oracle) values of the closed (excess) and the open (deficit)
     scan of one 2-D point set on the integer grid 0..den-1."""
     n, den2 = len(nums), den * den
-    big = n * den2 >= 2**62
+    dtype = object if n * den2 >= 2**62 else np.int64
     xs, ys, ex, ey = discrepancy._axes(nums, den)
     return [
-        (discrepancy._box_scan(nums, gx, gy, den2, n, big, closed),
-         box_scan_oracle(nums, gx, gy, den2, n, big, closed))
+        (discrepancy._box_scan(nums, gx, gy, den2, n, dtype, closed),
+         box_scan_oracle(nums, gx, gy, den2, n, dtype, closed))
         for gx, gy, closed in ((xs, ys, True), (ex, ey, False))
     ]
 

@@ -98,13 +98,28 @@ def test_integer_commands_load_no_numpy_mpmath_or_analysis(command, tmp_path):
     assert heavy(command_modules(tmp_path, command)) == []
 
 
-@pytest.mark.parametrize("command, doc, exit_code", [
+# The pre-flight table refuses a config before the command imports a layer.
+# Beyond the first cases: one field each command needs, left out (exit 1),
+# and an improper pair (exit 2) for the other commands that validate.
+NEEDED = {"validate": "matrix", "period": "p", "gen": "u0", "expsum": "N_schedule",
+          "discrepancy": "V", "vmvt": "vmvt", "bounds": "N_schedule", "report": "t"}
+REJECTED = ["expsum", "discrepancy", "bounds", "report"]
+CONFIG_ERRORS = [
     ("period", dict(FIB_DOC, s_max=0), 1),  # a malformed value
     ("gen", dict(FIB_DOC, count=None, N_schedule=None), 1),  # a missing key
     ("expsum", dict(FIB_DOC, no_such_key=1), 1),  # an unknown key
     ("validate", dict(FIB_DOC, v=["0", "0"]), 2),  # improper pair
     ("period", dict(FIB_DOC, v=["0", "0"]), 2),
-], ids=["malformed", "missing", "unknown", "validate-rejected", "period-rejected"])
+    *((command, dict(FIB_DOC, **{key: None}), 1) for command, key in NEEDED.items()),
+    *((command, dict(FIB_DOC, v=["0", "0"]), 2) for command in REJECTED),
+]
+
+
+@pytest.mark.parametrize("command, doc, exit_code", CONFIG_ERRORS, ids=[
+    "malformed", "missing", "unknown", "validate-rejected", "period-rejected",
+    *(f"{command}-without-{key}" for command, key in NEEDED.items()),
+    *(f"{command}-rejected" for command in REJECTED),
+])
 def test_config_errors_and_rejections_load_no_numpy(command, doc, exit_code, tmp_path):
     doc = {key: value for key, value in doc.items() if value is not None}
     assert heavy(command_modules(tmp_path, command, doc=doc, exit_code=exit_code)) == []
@@ -147,6 +162,19 @@ def test_exit_1_and_2_paths_load_no_dataclasses(command, doc, exit_code, tmp_pat
         assert heavy(loaded, INSPECT) == []
 
 
+def test_preflight_table_rows():
+    from matprng import cli
+
+    choices = next(a.choices for a in cli.build_parser()._actions if a.dest == "command")
+    assert list(cli._COMMANDS) == list(choices) == list(NEEDED)
+    fields = {name for name, _ in cli.SCHEMA.values() if name is not None}
+    for command, (handler, needs, generator, rejection) in cli._COMMANDS.items():
+        assert callable(handler), command
+        assert set(needs) <= fields, command
+        assert generator in ("validated", "unvalidated", None), command
+        assert rejection in ("verdict", "report", None), command
+
+
 def test_no_source_file_imports_dataclasses():
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -157,6 +185,28 @@ def test_no_source_file_imports_dataclasses():
             else:
                 continue
             assert "dataclasses" not in names, f"{path.relative_to(SRC)}:{node.lineno}"
+
+
+INT64_EDGES = {2**62, 2**63}
+
+
+def test_only_the_stream_kernel_spells_the_int64_edge():
+    # stream.int_dtype is the one rule for int64 or exact ints: a second
+    # spelling of the edge could drift from it and let int64 wrap silently
+    for path in sorted(SRC.rglob("*.py")):
+        if path.relative_to(SRC) == Path("matprng", "stream.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Pow, ast.LShift)):
+                if not all(isinstance(x, ast.Constant) for x in (node.left, node.right)):
+                    continue
+                a, b = node.left.value, node.right.value
+                value = a**b if isinstance(node.op, ast.Pow) else a << b
+            elif isinstance(node, ast.Constant) and type(node.value) is int:
+                value = node.value
+            else:
+                continue
+            assert value not in INT64_EDGES, f"{path.relative_to(SRC)}:{node.lineno}"
 
 
 @pytest.mark.parametrize("command", ["gen", "expsum"])

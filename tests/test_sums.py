@@ -25,7 +25,7 @@ from matprng.analysis.sums import (
     _HISTOGRAM_LIMIT,
     _SHORT_ROW,
     _angles,
-    _exact_sum,
+    _exact_sums,
     _product_multiplicities,
     double_sum_sigma,
     exp_sum,
@@ -556,13 +556,19 @@ class TestKorobovReduction:
             assert korobov_reduction_residual(table, n, m, a) >= 0
 
 
+def exact_sum(x: np.ndarray) -> float:
+    """_exact_sums of the one series x, in chunks of _EXACT_SUM_CHUNK terms."""
+    step = _EXACT_SUM_CHUNK
+    return _exact_sums((x[None, i : i + step] for i in range(0, x.size, step)), 1)[0]
+
+
 def assert_fsum_bits(x: np.ndarray) -> None:
-    got, want = _exact_sum(x), math.fsum(x.tolist())
+    got, want = exact_sum(x), math.fsum(x.tolist())
     assert got.hex() == want.hex()
 
 
 class TestExactSum:
-    """_exact_sum against math.fsum: the same float, bit for bit."""
+    """_exact_sums against math.fsum: the same float, bit for bit."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_magnitudes(self, seed):
@@ -590,7 +596,8 @@ class TestExactSum:
         assert_fsum_bits(np.array([0.0, -0.0]))
         assert_fsum_bits(np.array([-0.0, -0.0, -0.0]))
         assert_fsum_bits(np.array([1.5, -0.0, -1.5]))
-        assert _exact_sum(np.zeros(0)) == math.fsum([]) == 0.0
+        # an empty series is an empty chunk iterator
+        assert _exact_sums(iter(()), 1) == [math.fsum([])] == [0.0]
 
     def test_phase_terms(self):
         # the terms exp_sum adds: weighted cos and sin of histogram bins
@@ -609,7 +616,7 @@ class TestExactSum:
         # exponent group holds every term
         x = np.full(1 << 24, 1.0 + 2.0**-52 + 2.0**-51)
         x[::3] = -(1.0 - 2.0**-53)
-        assert _exact_sum(x).hex() == math.fsum(x).hex()  # fsum iterates, no list
+        assert exact_sum(x).hex() == math.fsum(x).hex()  # fsum iterates, no list
 
 
 def fsum_phase_sum(x, mod: int, weights=None) -> complex:
