@@ -178,7 +178,7 @@ def _box_scan(
     value found are dropped, and the rest are split in four, down to single
     pairs, where both bounds are the exact value.  The starting blocks are
     the least power of two s with 8 s >= len(xs) on a side.  `dtype` holds
-    every scaled value (see _extreme_2d)."""
+    every scaled value (see _scaled_dtype)."""
     table = _prefix_counts(nums, xs, ys)
     xv = np.array(xs, dtype=dtype)
     yv = np.array(ys, dtype=dtype)
@@ -209,11 +209,17 @@ def _box_scan(
         j = (2 * j[keep, None] + [0, 1, 0, 1]).ravel()
 
 
+def _scaled_dtype(n: int, den: int, d: int) -> type:
+    """The dtype of the scans at scale n den^d: every value they form is a
+    count or volume in [0, n den^d], or a sum or difference of two."""
+    return int_dtype(2 * n * den**d)
+
+
 def _extreme_1d(nums: list[int], den: int, n: int) -> Fraction:
     """One strip of x-width 1 over the 1-D prefix counts, scored by
     _strip_values at scale n * den: closed intervals with ends on point
     coordinates, then open ones with ends on coordinates, 0 or den."""
-    dtype = int_dtype(2 * n * den)  # as in _extreme_2d
+    dtype = _scaled_dtype(n, den, 1)
     strip = tuple(np.array([i]) for i in (0, 1, 0, 1))  # lo, hi, wa, wb
     xv = np.array([0, 1], dtype=dtype)
     best = 0
@@ -226,9 +232,7 @@ def _extreme_1d(nums: list[int], den: int, n: int) -> Fraction:
 
 def _extreme_2d(nums: list[tuple[int, int]], den: int, n: int) -> Fraction:
     den2 = den * den
-    # a scaled count and a scaled volume each lie in [0, n den^2], and every
-    # value a scan forms is one of them, or a sum or difference of two
-    dtype = int_dtype(2 * n * den2)
+    dtype = _scaled_dtype(n, den, 2)
     xs, ys, ex, ey = _axes(nums, den)
     best = max(
         _box_scan(nums, xs, ys, den2, n, dtype, closed=True),
@@ -269,7 +273,7 @@ def _star(nums: list[tuple[int, ...]], den: int, n: int, d: int) -> Fraction:
         )
     nums = [tuple(pt[j] for j in order) for pt in nums]
     scale = den**d
-    dtype = int_dtype(2 * n * scale)  # as in _extreme_2d
+    dtype = _scaled_dtype(n, den, d)
     cell = [{c: i + 1 for i, c in enumerate(e)} for e in edges[1:]]  # padded grid index
     vol = np.array(n, dtype=dtype)  # n times the corner volume at x = 1
     for e in edges[1:]:

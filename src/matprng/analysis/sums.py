@@ -14,8 +14,9 @@ terms come from `_phase_terms` (angles from `_angles`), and the real and
 the imaginary part are each the float `math.fsum` returns over all the
 terms, bit for bit, whatever the number of terms.  `phase_sum` sums a
 sequence it is given; `exp_sum` feeds the same exact summation its stream
-blocks or histogram windows as they are made.  Summation is therefore
-deterministic and runs in one thread.
+blocks or histogram windows as they are made; the reduction residual sums
+each inner row of its terms by fsum.  Summation is therefore deterministic
+and runs in one thread.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -31,7 +31,7 @@ import numpy as np
 from ..arith import IntPolynomial, det_exact, vec_dot
 from ..errors import GridTooLargeError, PeriodTooLargeError, PreconditionViolatedError
 from ..generator import GeneratorConfig
-from ..stream import mat_stream, stream_blocks
+from ..stream import int_dtype, mat_stream, stream_blocks
 
 # matprng.padic is imported by the full-period and double sums that use it,
 # so that exp_sum (the expsum command) does not load it
@@ -202,7 +202,8 @@ def exp_sum(
         counts = np.zeros(mod, dtype=np.int64)
         top = 0
         for block in blocks:
-            np.add.at(counts, block, 1)
+            # residues below p^t <= 2^24 are int64 whatever dtype the stream holds
+            np.add.at(counts, block.astype(np.int64, copy=False), 1)
             top = max(top, int(block.max()) + 1)
         terms = _histogram_terms(counts[:top], mod)
     else:
@@ -363,37 +364,35 @@ def double_sum_sigma(
     return phase_sum([(phase(prod) * sign) % dabs for prod in prods], dabs, mults)
 
 
-def korobov_reduction_residual(
-    angles: Sequence[float | Fraction],
-    n_terms: int,
-    m: int,
-    a: int,
-) -> float:
+def korobov_reduction_residual(residues, mod: int, n_terms: int, m: int, a: int) -> float:
     """rhs - lhs of the single-to-double reduction inequality
-    |sum_x e(f(x))| <= (1/M^2) sum_x |sum_{y,z<=M} e(f(x + a y z))| + 2 a M^2,
-    evaluated on a concrete phase table (indices 0 .. N-1 + a M^2)."""
+    |sum_x e(f(x))| <= (1/M^2) sum_x |sum_{y,z<=M} e(f(x + a y z))| + 2 a M^2
+    for the phases f(n) = x_n / mod of the residues x_0 .. x_{N-1+aM^2}.
+
+    The lhs is `phase_sum` of x_0 .. x_{N-1}.  The inner sum at n is exactly
+    rounded over its row of `_phase_terms`: the residues x_{n + a yz} of the
+    distinct products yz, weighted by their multiplicities.  Rows are formed
+    up to _EXACT_SUM_CHUNK terms at a time, and fsum adds their moduli."""
     if m < 1 or a < 0 or n_terms < 1:
         raise ValueError("need M >= 1, a >= 0, N >= 1")
     needed = n_terms + a * m * m
-    if len(angles) < needed:
-        raise ValueError(f"need phase values for {needed} indices")
-    table = np.exp(
-        2j * math.pi * np.array([float(x) for x in angles[:needed]], dtype=np.float64)
-    )
-    lhs = abs(complex(np.sum(table[:n_terms])))
-    inner = np.zeros(n_terms, dtype=np.complex128)
-    for prod, mult in zip(*_product_multiplicities(m)):
-        off = a * prod
-        inner += mult * table[off : off + n_terms]
-    rhs = float(np.sum(np.abs(inner))) / (m * m) + 2.0 * a * m * m
-    return rhs - lhs
+    if len(residues) < needed:
+        raise ValueError(f"need residues for {needed} indices")
+    x = np.asarray(residues[:needed], dtype=int_dtype(mod))
+    lhs = abs(phase_sum(x[:n_terms], mod))
+    prods, mults = _product_multiplicities(m)
+    step = max(1, _EXACT_SUM_CHUNK // len(prods))
+    moduli = []
+    for lo in range(0, n_terms, step):
+        rows = np.add.outer(np.arange(lo, min(lo + step, n_terms)), a * np.array(prods))
+        terms = _phase_terms(x[rows].ravel(), mod, np.tile(mults, len(rows))).reshape(2, *rows.shape)
+        moduli += (abs(complex(math.fsum(re), math.fsum(im))) for re, im in zip(*terms.tolist()))
+    return math.fsum(moduli) / (m * m) + 2.0 * a * m * m - lhs
 
 
 def korobov_reduction_check(cfg: GeneratorConfig, n_terms: int, m: int, a: int) -> float:
     """The reduction residual on the generator's own phase function
     f(x) = (v A^x u)/p^t; nonnegative by the inequality."""
     cfg.m.check_float_range()
-    mod = cfg.m.modulus
     residues = scalar_residues(cfg, n_terms + a * m * m)
-    angles = np.asarray(residues, dtype=np.float64) / float(mod)
-    return korobov_reduction_residual(angles, n_terms, m, a)
+    return korobov_reduction_residual(residues, cfg.m.modulus, n_terms, m, a)

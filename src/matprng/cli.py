@@ -560,16 +560,18 @@ def cmd_report(exp: Experiment, cfg: GeneratorConfig, args) -> dict:
 #   (p, t, matrix and u0);
 #   its generator: "validated", "unvalidated", or None (cfg is None);
 #   what a rejected verdict writes: "verdict" (the validation document),
-#   "report" ({"validate": that document}), or None (the verdict, on stderr).
+#   "report" ({"validate": that document}), or None (the verdict, on stderr);
+#   whether it sums phases e(x / p^t) in float64, so that p^t must convert to
+#   a float (checked after the verdict, exit 1).
 _COMMANDS = {
-    "validate": (cmd_validate, (), "validated", "verdict"),
-    "period": (cmd_period, (), "validated", None),
-    "gen": (cmd_gen, (), "unvalidated", None),
-    "expsum": (cmd_expsum, ("n_schedule",), "validated", None),
-    "discrepancy": (cmd_discrepancy, ("n_schedule", "v_range"), "validated", None),
-    "vmvt": (cmd_vmvt, ("vmvt",), None, None),
-    "bounds": (cmd_bounds, ("n_schedule",), "validated", None),
-    "report": (cmd_report, (), "validated", "report"),
+    "validate": (cmd_validate, (), "validated", "verdict", False),
+    "period": (cmd_period, (), "validated", None, False),
+    "gen": (cmd_gen, (), "unvalidated", None, False),
+    "expsum": (cmd_expsum, ("n_schedule",), "validated", None, True),
+    "discrepancy": (cmd_discrepancy, ("n_schedule", "v_range"), "validated", None, True),
+    "vmvt": (cmd_vmvt, ("vmvt",), None, None, False),
+    "bounds": (cmd_bounds, ("n_schedule",), "validated", None, True),
+    "report": (cmd_report, (), "validated", "report", True),
 }
 
 
@@ -603,7 +605,7 @@ def main(argv=None) -> int:
         return 1
     try:
         exp = load_experiment(doc)
-        command, needs, generator, rejection = _COMMANDS[args.command]
+        command, needs, generator, rejection, phases = _COMMANDS[args.command]
         _require(exp, args.command, *needs)
         try:
             cfg = None if generator is None else _generator(exp, args.command, generator == "validated")
@@ -614,6 +616,8 @@ def main(argv=None) -> int:
             validation = _validation(exp, rej.verdict)
             _emit(validation if rejection == "verdict" else {"validate": validation}, args)
             return 2
+        if phases:
+            cfg.m.check_float_range()
         _emit(command(exp, cfg, args), args)
         return 0
     except ConfigError as exc:

@@ -150,7 +150,7 @@ def order_sequence(a: IntMatrix, p: int) -> Iterator[int]:
     prec = 0
     for s in itertools.count(2):
         if s > prec:
-            prec = 2 * s
+            prec = _lift_precision(s)
             m = PrimePowerModulus(p, prec)
             x = mat_pow_mod(a, tau, m)
         ps = p**s

@@ -29,6 +29,8 @@ from .errors import DimensionMismatchError, StreamTooLargeError
 # Entries per block of `stream_blocks`: a block holds at most STREAM_BLOCK // w
 # terms of w entries (w = d for vectors, 1 for scalars), or one giant step
 STREAM_BLOCK = 1 << 15
+# int_dtype's edge, read at each call: one patch moves every choice at once
+INT64_EDGE = 2**63
 
 
 class _Limbs(NamedTuple):
@@ -45,9 +47,9 @@ class _Limbs(NamedTuple):
 
 def int_dtype(bound: int) -> type:
     """The dtype of a computation whose every value lies below `bound` in
-    absolute value: int64 when bound < 2^63, object (exact Python ints)
-    otherwise.  Every choice between the two in the package is made here."""
-    return np.int64 if bound < 2**63 else object
+    absolute value: int64 below INT64_EDGE = 2^63, object (exact Python
+    ints) otherwise.  Every choice between the two in the package is here."""
+    return np.int64 if bound < INT64_EDGE else object
 
 
 def stream_dtype(m: PrimePowerModulus, d: int) -> type:

@@ -168,8 +168,8 @@ def test_criterion_6_inequality_sanity():
         m = rng.randrange(1, 5)
         a = rng.randrange(0, 4)
         mod = rng.choice([16, 27, 81, 125, 243])
-        table = [Fraction(rng.randrange(mod), mod) for _ in range(n + a * m * m)]
-        residual = korobov_reduction_residual(table, n, m, a)
+        residues = [rng.randrange(mod) for _ in range(n + a * m * m)]
+        residual = korobov_reduction_residual(residues, mod, n, m, a)
         assert residual >= 0, (i, n, m, a)
     pairs_checked = 0
     for t in (3, 4):

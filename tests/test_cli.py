@@ -497,17 +497,19 @@ def assert_same_artifact(got: str, want: str) -> None:
             _same_value(key, g, w)
 
 
+def assert_matches_golden(got: dict[str, str], case: str, command: str, fmt: str) -> None:
+    want = {f.name: f.read_text() for f in sorted((GOLDEN_DIR / case).glob(f"{command}.{fmt}*"))}
+    assert sorted(got) == sorted(want), (case, command, fmt)
+    for name in want:
+        assert_same_artifact(got[name], want[name])
+
+
 @pytest.mark.parametrize(
     "case, doc, command, fmt", GOLDEN_RUNS,
     ids=[f"{case}-{command}-{fmt}" for case, _, command, fmt in GOLDEN_RUNS],
 )
 def test_cli_artifacts_match_goldens(case, doc, command, fmt, tmp_path):
-    got = cli_artifacts(tmp_path, doc, command, fmt)
-    want_dir = GOLDEN_DIR / case
-    want = {f.name: f.read_text() for f in sorted(want_dir.glob(f"{command}.{fmt}*"))}
-    assert sorted(got) == sorted(want)
-    for name in want:
-        assert_same_artifact(got[name], want[name])
+    assert_matches_golden(cli_artifacts(tmp_path, doc, command, fmt), case, command, fmt)
 
 
 # `gen` record dumps (binary_out), compared by SHA-256
@@ -533,6 +535,37 @@ def test_gen_record_dump_matches_golden_digest(case, tmp_path):
     assert gen_dump_digest(tmp_path, DUMP_CASES[case]) == want
 
 
+# --- every integer path --------------------------------------------------------
+
+# stream.int_dtype reads INT64_EDGE at each call.  At 0 every computation runs
+# on exact ints; at the lower edges the stream kernel runs in several int64
+# limbs on the golden moduli, and the analysis layers on exact ints sooner.
+INT64_EDGES = [0, 2**20, 2**30, 2**40]
+
+
+def assert_goldens(tmp_path: Path, commands: tuple[str, ...] | None = None) -> None:
+    """Every GOLDEN_RUNS case (of `commands`, when given) matches its
+    golden, and every DUMP_CASES record dump its digest."""
+    for case, doc, command, fmt in GOLDEN_RUNS:
+        if commands is None or command in commands:
+            out = tmp_path / f"{case}-{command}-{fmt}"
+            out.mkdir()
+            assert_matches_golden(cli_artifacts(out, doc, command, fmt), case, command, fmt)
+    digests = json.loads(DUMP_DIGESTS.read_text())
+    for case, doc in DUMP_CASES.items():
+        out = tmp_path / f"dump-{case}"
+        out.mkdir()
+        assert gen_dump_digest(out, doc) == digests[case], case
+
+
+@pytest.mark.parametrize("edge", INT64_EDGES, ids=["0", "2^20", "2^30", "2^40"])
+def test_every_golden_on_every_integer_path(edge, tmp_path, monkeypatch):
+    from matprng import stream
+
+    monkeypatch.setattr(stream, "INT64_EDGE", edge)
+    assert_goldens(tmp_path)
+
+
 # --- block boundaries and memory ---------------------------------------------
 
 BLOCK_SIZES = [1, 7, 4096, None]
@@ -544,18 +577,7 @@ def test_gen_artifacts_do_not_depend_on_the_block_size(block, tmp_path, monkeypa
 
     if block is not None:
         monkeypatch.setattr(stream, "STREAM_BLOCK", block)
-    for case, doc, command, fmt in GOLDEN_RUNS:
-        if command == "gen":
-            out = tmp_path / f"{case}-{fmt}"
-            out.mkdir()
-            assert cli_artifacts(out, doc, command, fmt) == {
-                f.name: f.read_text() for f in (GOLDEN_DIR / case).glob(f"gen.{fmt}*")
-            }
-    digests = json.loads(DUMP_DIGESTS.read_text())
-    for case, doc in DUMP_CASES.items():
-        out = tmp_path / f"dump-{case}"
-        out.mkdir()
-        assert gen_dump_digest(out, doc) == digests[case], case
+    assert_goldens(tmp_path, ("gen",))
 
 
 def test_gen_memory_is_bounded_by_a_block(tmp_path):

@@ -246,6 +246,26 @@ class TestIntegerPaths:
             scaled = PointSet(tuple(tuple(x * scale for x in pt) for pt in nums), den * scale, d)
             assert exact_discrepancy(scaled, kind=kind).value == base
 
+    @pytest.mark.parametrize("above, dtype", [(False, np.int64), (True, object)])
+    def test_box_scan_dtype_edge(self, above, dtype, monkeypatch):
+        # two points: every value a 2-D scan forms lies below 2 n den^2 =
+        # 4 den^2, which is just below 2^63 at den = isqrt(2^61 - 1) and
+        # just above it at den + 1
+        den = math.isqrt(2**61 - 1) + above
+        assert (4 * den * den < 2**63) is not above
+        seen = []
+        box_scan = discrepancy._box_scan
+
+        def spy(nums, xs, ys, den2, n, dtype, closed):
+            seen.append(np.dtype(dtype))
+            return box_scan(nums, xs, ys, den2, n, dtype, closed)
+
+        monkeypatch.setattr(discrepancy, "_box_scan", spy)
+        points = PointSet(((1, den - 1), (den - 2, 3)), den, 2)
+        value = exact_discrepancy(points).value
+        assert seen == [np.dtype(dtype)] * 2
+        assert value == extreme_discrepancy_bruteforce(points)
+
 
 class TestGuards:
     def test_extreme_d3_rejected(self):

@@ -100,10 +100,12 @@ def test_integer_commands_load_no_numpy_mpmath_or_analysis(command, tmp_path):
 
 # The pre-flight table refuses a config before the command imports a layer.
 # Beyond the first cases: one field each command needs, left out (exit 1),
-# and an improper pair (exit 2) for the other commands that validate.
+# an improper pair (exit 2) for the other commands that validate, and a
+# modulus 3^700 > 2^1109 beyond float range (exit 1) for those that sum phases.
 NEEDED = {"validate": "matrix", "period": "p", "gen": "u0", "expsum": "N_schedule",
           "discrepancy": "V", "vmvt": "vmvt", "bounds": "N_schedule", "report": "t"}
 REJECTED = ["expsum", "discrepancy", "bounds", "report"]
+BEYOND_FLOAT = dict(FIB_DOC, t=700)
 CONFIG_ERRORS = [
     ("period", dict(FIB_DOC, s_max=0), 1),  # a malformed value
     ("gen", dict(FIB_DOC, count=None, N_schedule=None), 1),  # a missing key
@@ -112,6 +114,7 @@ CONFIG_ERRORS = [
     ("period", dict(FIB_DOC, v=["0", "0"]), 2),
     *((command, dict(FIB_DOC, **{key: None}), 1) for command, key in NEEDED.items()),
     *((command, dict(FIB_DOC, v=["0", "0"]), 2) for command in REJECTED),
+    *((command, BEYOND_FLOAT, 1) for command in REJECTED),
 ]
 
 
@@ -119,6 +122,7 @@ CONFIG_ERRORS = [
     "malformed", "missing", "unknown", "validate-rejected", "period-rejected",
     *(f"{command}-without-{key}" for command, key in NEEDED.items()),
     *(f"{command}-rejected" for command in REJECTED),
+    *(f"{command}-beyond-float-range" for command in REJECTED),
 ])
 def test_config_errors_and_rejections_load_no_numpy(command, doc, exit_code, tmp_path):
     doc = {key: value for key, value in doc.items() if value is not None}
@@ -168,11 +172,12 @@ def test_preflight_table_rows():
     choices = next(a.choices for a in cli.build_parser()._actions if a.dest == "command")
     assert list(cli._COMMANDS) == list(choices) == list(NEEDED)
     fields = {name for name, _ in cli.SCHEMA.values() if name is not None}
-    for command, (handler, needs, generator, rejection) in cli._COMMANDS.items():
+    for command, (handler, needs, generator, rejection, phases) in cli._COMMANDS.items():
         assert callable(handler), command
         assert set(needs) <= fields, command
         assert generator in ("validated", "unvalidated", None), command
         assert rejection in ("verdict", "report", None), command
+        assert phases is (command in REJECTED), command
 
 
 def test_no_source_file_imports_dataclasses():

@@ -231,7 +231,7 @@ class TestOrderSequence:
         with pytest.raises(NotInvertibleError):
             next(orders)
 
-    @pytest.mark.parametrize("depth", [1, 2, 4, 5, 10, 11, 23, 60])
+    @pytest.mark.parametrize("depth", [1, 2, 4, 5, 10, 11, 22, 23, 46, 47, 60])
     def test_lift_precision_is_the_deepest_modulus_used(self, depth, monkeypatch):
         used = []
 

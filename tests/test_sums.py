@@ -534,9 +534,21 @@ class TestProductMultiplicities:
 class TestKorobovReduction:
     def test_a_zero_exact(self):
         rng = random.Random(3)
-        table = [Fraction(rng.randrange(81), 81) for _ in range(80)]
-        residual = korobov_reduction_residual(table, 50, 3, 0)
+        residues = [rng.randrange(81) for _ in range(80)]
+        residual = korobov_reduction_residual(residues, 81, 50, 3, 0)
         assert residual >= 0
+
+    def test_m1_a0_is_exactly_rounded(self):
+        # at M = 1, a = 0 the inner sum at x is the one term e(x_n / mod), so
+        # the residual is fsum |e(x_n / mod)| - |phase_sum|, bit for bit; at
+        # this seed a table of np.exp(2 pi i x_n / mod) added by np.sum is
+        # one ulp off it
+        rng = random.Random(12)
+        mod = 3**9
+        residues = [rng.randrange(mod) for _ in range(200)]
+        moduli = [abs(complex(c, s)) for c, s in zip(*sums._phase_terms(residues, mod).tolist())]
+        want = math.fsum(moduli) - abs(phase_sum(residues, mod))
+        assert korobov_reduction_residual(residues, mod, 200, 1, 0) == want
 
     def test_m1_a0_trivial(self, cfg):
         assert korobov_reduction_check(cfg, 40, 1, 0) >= 0
@@ -552,8 +564,8 @@ class TestKorobovReduction:
             m = rng.randrange(1, 5)
             a = rng.randrange(0, 4)
             mod = rng.choice([16, 27, 81, 125])
-            table = [Fraction(rng.randrange(mod), mod) for _ in range(n + a * m * m)]
-            assert korobov_reduction_residual(table, n, m, a) >= 0
+            residues = [rng.randrange(mod) for _ in range(n + a * m * m)]
+            assert korobov_reduction_residual(residues, mod, n, m, a) >= 0
 
 
 def exact_sum(x: np.ndarray) -> float:
