@@ -8,7 +8,7 @@ values are `decimal.Decimal`s, printed with a format spec.
 
 from matprng.analysis import ford_bound, korobov_bound, vinogradov_count, vinogradov_count_naive
 
-print("exact counts (meet-in-the-middle vs independent brute force):")
+print("exact counts (multisets vs independent brute force):")
 print(f"  {'k':>2s} {'r':>2s} {'M':>2s} {'count':>8s} {'naive':>8s} {'M^k':>6s}")
 for k, r, m in [(1, 1, 2), (2, 1, 2), (2, 2, 2), (2, 2, 6), (3, 2, 4), (3, 3, 5)]:
     fast = vinogradov_count(k, r, m)

@@ -50,6 +50,10 @@ _EXACT_SUM_CHUNK = 1 << 14
 _SHORT_ROW = 4096
 # products x*y formed per np.unique call in _product_multiplicities
 _PRODUCT_CHUNK = 1 << 20
+# largest tau_s whose terms full_period_exponent sums, and largest grid
+# p^(2s) of double_sum_sigma; both are read at each call
+TAU_GUARD = 10**7
+GRID_GUARD = 10**8
 
 
 class SumReport(NamedTuple):
@@ -264,7 +268,6 @@ def _lifted_period_sum(cfg: GeneratorConfig, s: int, tau_s: int, tau_t: int) -> 
 def full_period_exponent(
     cfg: GeneratorConfig,
     t_range: Sequence[int],
-    tau_guard: int = 10**7,
 ) -> list[FullPeriodRow]:
     """Measured exponents theta_t = log|S(tau_t)| / log tau_t for each t.
 
@@ -273,7 +276,7 @@ def full_period_exponent(
     rounded over the terms it adds.
 
     Every tau_t is drawn from one order sequence, only as deep as t, and a
-    tau_s over tau_guard raises PeriodTooLargeError before that row streams
+    tau_s over TAU_GUARD raises PeriodTooLargeError before that row streams
     anything and before any deeper order is computed.  A matrix of finite
     order is rejected first, by period_profile at the least t; a t below 1
     is a ValueError that names t_range."""
@@ -294,9 +297,9 @@ def full_period_exponent(
         taus.extend(itertools.islice(orders, max(0, t - len(taus))))
         s = (t + 1) // 2
         tau, tau_s = taus[t - 1], taus[s - 1]
-        if tau_s > tau_guard:
+        if tau_s > TAU_GUARD:
             raise PeriodTooLargeError(
-                f"tau_{s} = {tau_s}, the terms summed for t = {t}, exceeds guard {tau_guard}"
+                f"tau_{s} = {tau_s}, the terms summed for t = {t}, exceeds guard {TAU_GUARD}"
             )
         abs_value = abs(_lifted_period_sum(cfg.at_exponent(t), s, tau_s, tau))
         if tau == 1:  # log|S| / log tau is 0 / 0
@@ -332,7 +335,6 @@ def double_sum_sigma(
     n: int,
     s: int,
     r: int | None = None,
-    grid_guard: int = 10**8,
 ) -> complex:
     """sigma_n = sum_{x,y=1}^{p^s} e(f_n(x, y)) with the exact polynomial phase
     f_n(x, y) = (sum_j H_{n,j} p^{sj} (xy)^j) / (p^t r! det A).
@@ -349,8 +351,8 @@ def double_sum_sigma(
     grid = p**s
     if r > grid:
         raise PreconditionViolatedError(f"r = {r} exceeds p^s = {grid}")
-    if grid * grid > grid_guard:
-        raise GridTooLargeError(f"grid p^{2 * s} exceeds guard {grid_guard}")
+    if grid * grid > GRID_GUARD:
+        raise GridTooLargeError(f"grid p^{2 * s} exceeds guard {GRID_GUARD}")
     tau_s = order_mod(cfg.a, cfg.m.at_exponent(s))
     b = theta_matrix(cfg.a, p, s, tau_s)
     h = h_coeffs(cfg.a, cfg.u0, cfg.v, b, n, r)

@@ -2,13 +2,15 @@
 
     x_1^j + ... + x_k^j = y_1^j + ... + y_k^j   (j = 1..r),  1 <= x_i, y_i <= M.
 
-The production counter groups the ordered tuples by their power-sum vector
-in numpy; a genuinely independent nested-loop counter is kept for
-cross-checking.
+Ordered tuples with the same multiset have the same power sums, so the
+production counter runs over the C(M+k-1, k) multisets of size k, each
+weighted by its number of orderings, in numpy; a genuinely independent
+nested-loop counter is kept for cross-checking.
 """
 
 from __future__ import annotations
 
+import sys
 from itertools import product
 from math import comb
 
@@ -16,79 +18,110 @@ import numpy as np
 
 from ..arith import STREAM_MEMORY_BUDGET
 from ..errors import EnumerationTooLargeError
+from ..stream import int_dtype
 
 DEFAULT_ENUMERATION_GUARD = 10**8
-# tuples whose higher power sums are built and grouped at once
-_CHUNK_TUPLES = 1 << 12
-# bytes held per ordered tuple: p_1 and its sort order, int64 each
-_TUPLE_BYTES = 16
+# exact ints squared per dot product in _square_sum
+_SQUARE_BLOCK = 1 << 10
+# numpy's ufunc buffers, one block of _square_sum, the interpreter's objects
+_OVERHEAD_BYTES = 1 << 17
 
 
 def _enumeration_bytes(k: int, r: int, m: int) -> int:
-    """Estimated peak allocation of vinogradov_count(k, r, m): _TUPLE_BYTES
-    per ordered tuple, plus 8 (2k + c + 4) bytes, c = min(r, k), per tuple
-    of the largest chunk (np.unravel_index's k digit arrays and its working
-    copy, the c key columns, the sum, sort and comparison temporaries; it
-    bounds the tracemalloc peak measured up to k = 20).  A chunk holds at
-    most _CHUNK_TUPLES tuples and one more p_1 group; the largest group is
-    the central coefficient of (1 + x + ... + x^(M-1))^k, counted by
-    inclusion-exclusion only once the tuples fit the budget, so k <= 26
-    there unless M = 1."""
-    tuples = m**k
-    held = _TUPLE_BYTES * tuples
-    if held > STREAM_MEMORY_BUDGET:
-        return held
-    n = (m - 1) * k // 2
-    largest_group = sum((-1) ** j * comb(k, j) * comb(n - j * m + k - 1, k - 1) for j in range(n // m + 1))
-    chunk = min(tuples, _CHUNK_TUPLES + largest_group)
-    return held + 8 * (2 * k + min(r, k) + 4) * chunk
+    """Estimated peak allocation of vinogradov_count(k, r, m), c = min(r, k):
+    per multiset, its last entry and run length (int32) and weight, and for
+    c < k its c power sums and 2 entries + 16 bytes of temporaries (those
+    that build a column, or the sort order, a permuted key and two flags);
+    24 bytes per extended row (child count, first child, temporaries).  An
+    entry is 8 bytes in int64, else 8 plus the size of the largest value,
+    as stream._check_stream prices it.  Past 27 < min(k, M-1), C(M+k-1, 27)
+    multisets are over budget: a huge k or M is refused before M^k forms."""
+    c = min(r, k)
+    rows = comb(m + k - 1, min(k, m - 1, 27))
+    if 16 * rows > STREAM_MEMORY_BUDGET:
+        return 16 * rows
+    bound = k * m**k
+    entry = 8 if int_dtype(bound) is np.int64 else 8 + sys.getsizeof(bound)
+    per_row = 8 + entry if c == k else 8 + (c + 3) * entry + 16
+    return rows * per_row + 24 * comb(m + k - 2, k - 1) + _OVERHEAD_BYTES
+
+
+def _multisets(k: int, m: int, c: int, dtype: type):
+    """Yield the multisets of size k from 1 .. M in k + 1 columns, column j
+    holding those with j entries below M, as the arrays (of `dtype`) of
+    their weights k!/prod(mult!) and power sums p_1 .. p_c.
+
+    Column 0 is the all-M multiset.  A row of column j whose entries below
+    M end in x has a child in column j + 1 for each y = x .. M-1, which
+    trades one M for y; its weight is w (k - j) / run, run the length of
+    its last run below M: an integer at every step, and w (k - j) <= k M^k."""
+    last = np.ones(1, np.int32)  # the all-M row's first child is 1
+    run = np.zeros(1, np.int32)
+    w = np.ones(1, dtype)
+    keys = [np.full(1, k * m**i, dtype) for i in range(1, c + 1)]
+    for j in range(k):
+        yield w, *keys
+        counts = m - last
+        size = int(counts.sum())
+        if not size:
+            return  # M = 1: no entry below M to add
+        first = np.cumsum(counts) - counts
+        step = np.ones(size, np.int32)  # the children's last entries, as a running sum
+        step[first] = last - (m - 1)  # the block before ends in M-1
+        step[0] += m - 1
+        child_run = np.ones(size, np.int32)
+        child_run[first] = run + 1  # only the first child repeats x
+        last, run = np.cumsum(step, out=step), child_run
+        w = np.repeat(w, counts)
+        w *= k - j
+        w //= run
+        keys = [np.repeat(key, counts) + (last.astype(dtype) ** i - m**i) for i, key in enumerate(keys, 1)]
+    yield w, *keys
+
+
+def _square_sum(x: np.ndarray, dtype: type) -> int:
+    """sum(x^2) as an exact int, given the dtype that holds it: one dot
+    product in int64, else one per block of exact ints."""
+    if dtype is np.int64:
+        return int(np.dot(x, x))
+    blocks = (x[i : i + _SQUARE_BLOCK].astype(object) for i in range(0, x.size, _SQUARE_BLOCK))
+    return sum(int(np.dot(b, b)) for b in blocks)
 
 
 def vinogradov_count(k: int, r: int, m: int) -> int:
-    """Exact solution count: the sum of squared group sizes when the M^k
-    ordered x-tuples are grouped by their power-sum vector (sum x_i^j)_j.
+    """Exact solution count: the sum of squared group weights when the
+    multisets of size k from 1 .. M, weighted by their orderings, are
+    grouped by their power sums.
 
-    By Newton's identities p_1 .. p_k fix the multiset of a k-tuple, so the
-    vector (p_1 .. p_c), c = min(r, k), groups the tuples exactly as
-    (p_1 .. p_r) does, and every entry is at most k M^k: int64 under the
-    guard.  Equal vectors have equal p_1, so the tuples are sorted by p_1
-    and cut between p_1 values into chunks of about _CHUNK_TUPLES; each
-    chunk's columns are built from its tuple indices and grouped by
-    np.lexsort and run lengths.
+    By Newton's identities p_1 .. p_k fix a multiset, so (p_1 .. p_c),
+    c = min(r, k), groups them exactly as (p_1 .. p_r) does.  When c = k
+    every group is one multiset; otherwise one np.lexsort over the c key
+    columns brings each group together and np.add.reduceat sums its
+    weights.  Keys, weights and group sums are below k M^k, in
+    stream.int_dtype(k M^k); their squares are summed in exact ints.
 
     Raises EnumerationTooLargeError, before anything is allocated, when the
     estimated peak (_enumeration_bytes) is over arith.STREAM_MEMORY_BUDGET."""
     if k < 1 or r < 1 or m < 1:
         raise ValueError("need k, r, M >= 1")
-    if m == 1:
-        return 1  # the only pair of tuples is all ones
     need = _enumeration_bytes(k, r, m)
     if need > STREAM_MEMORY_BUDGET:
         raise EnumerationTooLargeError(
-            f"M^k = {m**k} tuples need about {need} bytes, over the budget of {STREAM_MEMORY_BUDGET}"
+            f"the multisets of size k = {k} from 1..M = {m} need about {need} bytes, "
+            f"over the budget of {STREAM_MEMORY_BUDGET}"
         )
-    powers = [np.arange(1, m + 1, dtype=np.int64) ** j for j in range(1, min(r, k) + 1)]
-    p1 = powers[0]
-    for _ in range(k - 1):
-        p1 = np.add.outer(p1, powers[0]).ravel()  # C order of the index tuples
-    order = np.argsort(p1, kind="stable")
-    p1.sort()
-    total = 0
-    start = 0
-    while start < p1.size:
-        stop = int(np.searchsorted(p1, p1[min(start + _CHUNK_TUPLES, p1.size) - 1], "right"))
-        digits = np.unravel_index(order[start:stop], (m,) * k)
-        keys = [p1[start:stop]] + [sum(pw[i] for i in digits) for pw in powers[1:]]
-        ranked = np.lexsort(keys[::-1])
-        new_group = np.zeros(stop - start + 1, dtype=bool)
-        new_group[[0, -1]] = True
-        for key in keys:
-            key = key[ranked]
-            new_group[1:-1] |= key[1:] != key[:-1]
-        sizes = np.diff(np.flatnonzero(new_group))
-        total += int((sizes * sizes).sum())
-        start = stop
-    return total
+    c = min(r, k)
+    dtype, squares = int_dtype(k * m**k), int_dtype(m ** (2 * k))  # weights sum to M^k
+    if c == k:
+        return sum(_square_sum(w, squares) for (w,) in _multisets(k, m, 0, dtype))
+    parts = [list(part) for part in zip(*_multisets(k, m, c, dtype))]  # the weights, then p_1 .. p_c
+    w, *keys = (np.concatenate(parts.pop(0)) for _ in range(c + 1))  # freeing each part as it goes
+    order = np.lexsort(keys)
+    new_group = np.r_[True, np.zeros(order.size - 1, dtype=bool)]
+    while keys:
+        key = keys.pop()[order]
+        new_group[1:] |= key[1:] != key[:-1]
+    return _square_sum(np.add.reduceat(w[order], np.flatnonzero(new_group)), squares)
 
 
 def vinogradov_count_naive(k: int, r: int, m: int, guard: int = DEFAULT_ENUMERATION_GUARD) -> int:

@@ -94,16 +94,6 @@ def valuation(x: int, p: int) -> int | float:
     return k
 
 
-def legendre_factorial_valuation(r: int, p: int) -> int:
-    """nu_p(r!) via the digit-sum-free form sum_k floor(r / p^k)."""
-    total = 0
-    q = p
-    while q <= r:
-        total += r // q
-        q *= p
-    return total
-
-
 class Frozen:
     """Base of the immutable value types whose __init__ checks or normalises
     the fields.  A subclass lists its `__slots__` and, in `_fields`, those
@@ -284,7 +274,7 @@ def vec_reduce(v: Sequence[int], m: PrimePowerModulus) -> ResidueVector:
 
 
 # Largest estimated size of one `stream.mat_stream` output array and of the
-# tuple arrays of analysis.vinogradov.vinogradov_count
+# multiset arrays of analysis.vinogradov.vinogradov_count
 STREAM_MEMORY_BUDGET = 2**30
 
 
@@ -460,16 +450,6 @@ class IntPolynomial(Frozen):
 
         return self._like(_square_and_multiply((self % mod).coeffs, e, mul_mod, (1,)))
 
-    def content(self) -> int:
-        return math.gcd(*(abs(c) for c in self.coeffs)) if self.coeffs else 0
-
-    def primitive_part(self) -> "IntPolynomial":
-        c = self.content()
-        if c in (0, 1):
-            return self
-        sign = 1 if self.coeffs[-1] > 0 else -1
-        return IntPolynomial(tuple(x // (c * sign) for x in self.coeffs))
-
 
 def is_squarefree_over_q(f: IntPolynomial) -> bool:
     """No repeated root over Q: Res(f, f') != 0 when deg f >= 1 (in
@@ -485,23 +465,6 @@ def char_poly(a: IntMatrix) -> IntPolynomial:
         [IntPolynomial((-x, 1) if i == j else (-x,)) for j, x in enumerate(row)]
         for i, row in enumerate(a.entries)
     ])
-
-
-def poly_eval_matrix(f: IntPolynomial, a: IntMatrix) -> IntMatrix:
-    """Evaluate f at a matrix argument by Horner over exact matrices."""
-    d = a.d
-    acc = IntMatrix.zeros(d)
-    ident = IntMatrix.identity(d)
-    for c in reversed(f.coeffs):
-        acc = mat_mul(acc, a)
-        if c:
-            acc = IntMatrix(
-                tuple(
-                    tuple(x + c * e for x, e in zip(row, irow))
-                    for row, irow in zip(acc.entries, ident.entries)
-                )
-            )
-    return acc
 
 
 def companion_matrix(f: IntPolynomial) -> IntMatrix:

@@ -37,6 +37,7 @@ from .errors import (
 )
 from .fieldalg import PolyModP, cyclotomic_polynomial, irreducible_mod_p, squarefree_mod_p
 
+# working precision at which beta_pair gives up; read at each call
 DEFAULT_PRECISION_CAP = 64
 # s_star is detected once this many consecutive order steps multiply by p; the
 # order table is extended by at most _EXTENSION_CAP levels past s_max for that.
@@ -492,27 +493,26 @@ def beta_pair(
     gamma: UnramifiedElement,
     lam: UnramifiedElement,
     p: int,
-    max_precision: int = DEFAULT_PRECISION_CAP,
 ) -> int:
     """Valuation of gamma^{tau_*} - lambda^{tau_*} with tau_* the pair order at
     precision 1 (precision 2 for p = 2).  Working precision is raised by
-    doubling until the valuation resolves strictly below it."""
+    doubling until the valuation resolves strictly below it, up to
+    DEFAULT_PRECISION_CAP."""
     if gamma.ring.p != p or lam.ring.p != p:
         raise ValueError("elements do not live over p")
     s_work = max(gamma.ring.s, lam.ring.s, 2 if p == 2 else 1)
     g = gamma.with_precision(s_work)
     h = lam.with_precision(s_work)
     tau_star = tau_pair(g, h, 2 if p == 2 else 1)
+    cap = DEFAULT_PRECISION_CAP
     while True:
         diff = (g ** tau_star) - (h ** tau_star)
         val = diff.valuation()
         if val < s_work:
             return int(val)
-        if s_work >= max_precision:
-            raise PrecisionCapExceededError(
-                f"beta valuation still unresolved at precision cap {max_precision}"
-            )
-        s_work = min(2 * s_work, max_precision)
+        if s_work >= cap:
+            raise PrecisionCapExceededError(f"beta valuation still unresolved at precision cap {cap}")
+        s_work = min(2 * s_work, cap)
         g = gamma.with_precision(s_work)
         h = lam.with_precision(s_work)
 
@@ -520,7 +520,6 @@ def beta_pair(
 def compute_w(
     f: IntPolynomial,
     p: int,
-    max_precision: int = DEFAULT_PRECISION_CAP,
     profile: PeriodProfile | None = None,
 ) -> int:
     """Window constant  w = d(d+1)/2 * max{beta(gamma_i, gamma_j) - beta_*, 0} + 1.
@@ -537,8 +536,8 @@ def compute_w(
     best = 0
     for i in range(d):
         for j in range(i + 1, d):
-            best = max(best, beta_pair(elems[i], elems[j], p, max_precision) - profile.beta_star)
-        best = max(best, beta_pair(elems[i], one, p, max_precision) - profile.beta_star)
+            best = max(best, beta_pair(elems[i], elems[j], p) - profile.beta_star)
+        best = max(best, beta_pair(elems[i], one, p) - profile.beta_star)
     return d * (d + 1) // 2 * best + 1
 
 

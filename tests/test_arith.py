@@ -17,13 +17,11 @@ from matprng.arith import (
     det_exact,
     is_prime,
     is_squarefree_over_q,
-    legendre_factorial_valuation,
     mat_mul,
     mat_mul_mod,
     mat_pow,
     mat_pow_mod,
     mat_vec_mod,
-    poly_eval_matrix,
     prime_factors,
     sylvester_rows,
     valuation,
@@ -335,7 +333,7 @@ class TestCharPoly:
     def test_cayley_hamilton(self, a):
         f = char_poly(a)
         assert f.degree == a.d and f.is_monic
-        assert poly_eval_matrix(f, a) == IntMatrix.zeros(a.d)
+        assert poly_at_matrix(f, a) == IntMatrix.zeros(a.d)
 
     def test_recurrence_coefficients(self, fib):
         # u_{n+2} = u_{n+1} + u_n: the constant term a_0 = -f(0) is 1
@@ -363,9 +361,9 @@ class TestValuation:
     @pytest.mark.parametrize("r", [0, 1, 5, 10, 100, 1000])
     @pytest.mark.parametrize("p", [2, 3, 7])
     def test_legendre_matches_factorial(self, r, p):
-        assert legendre_factorial_valuation(r, p) == (
-            0 if r < 2 else int(valuation(math.factorial(r), p))
-        )
+        # Legendre's formula nu_p(r!) = sum_k floor(r / p^k) as the oracle
+        legendre = sum(r // p**k for k in range(1, r.bit_length() + 1))
+        assert valuation(math.factorial(r), p) == legendre
 
 
 class TestPolynomials:
@@ -415,8 +413,8 @@ class TestPolynomials:
 
 
     def test_content_sign(self):
-        f = IntPolynomial((-4, -8))
-        assert f.primitive_part() == IntPolynomial((1, 2))
+        # the gcd oracle's normal form: content divided out, positive lead
+        assert primitive_part(IntPolynomial((-4, -8))) == IntPolynomial((1, 2))
 
     @given(st.lists(small_entries, min_size=1, max_size=5),
            st.lists(small_entries, min_size=1, max_size=5))
@@ -455,7 +453,27 @@ def poly_gcd_q(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
         return IntPolynomial(())
     den = math.lcm(*(x.denominator for x in a))
     ints = [int(x * den) for x in a]
-    return IntPolynomial(tuple(ints)).primitive_part()
+    return primitive_part(IntPolynomial(tuple(ints)))
+
+
+def primitive_part(f: IntPolynomial) -> IntPolynomial:
+    """f divided by the gcd of its coefficients, with a positive lead."""
+    c = math.gcd(*f.coeffs)
+    if c == 0:
+        return f
+    c = c if f.coeffs[-1] > 0 else -c
+    return IntPolynomial(tuple(x // c for x in f.coeffs))
+
+
+def poly_at_matrix(f: IntPolynomial, a: IntMatrix) -> IntMatrix:
+    """Oracle: f(A) by Horner's rule over exact matrices."""
+    acc = IntMatrix.zeros(a.d)
+    for c in reversed(f.coeffs):
+        acc = mat_mul(acc, a)
+        acc = IntMatrix(tuple(
+            tuple(x + c * (i == j) for j, x in enumerate(row)) for i, row in enumerate(acc.entries)
+        ))
+    return acc
 
 
 def fraction_det(rows) -> Fraction:

@@ -297,8 +297,8 @@ class TestGuards:
         assert float(rows[4][0]["abs_S"]) == pytest.approx(52.1449, abs=1e-4)
 
     def test_vmvt_byte_guard_exits_3(self, tmp_path, capsys):
-        # 8193^2 ordered pairs at 16 bytes each exceed the 2^30-byte budget
-        cfg = write_config(tmp_path, dict(FIB_DOC, vmvt=[[2, 2, 8193]]))
+        # C(11585, 2) multisets at 16 bytes each exceed the 2^30-byte budget
+        cfg = write_config(tmp_path, dict(FIB_DOC, vmvt=[[2, 2, 11584]]))
         start = time.perf_counter()
         assert main(["vmvt", "--config", cfg]) == 3
         assert time.perf_counter() - start < 2

@@ -2,7 +2,6 @@ import cmath
 import math
 import random
 import tracemalloc
-from fractions import Fraction
 
 from collections import Counter
 
@@ -263,8 +262,9 @@ class TestFullPeriodExponent:
 
         monkeypatch.setattr(padic, "order_sequence", counted)
         monkeypatch.setattr(padic, "period_profile", shallow)
+        monkeypatch.setattr(sums, "TAU_GUARD", 10**4)
         with pytest.raises(PeriodTooLargeError, match="tau_8 = 17496, the terms summed for t = 15,"):
-            full_period_exponent(cfg, range(2, 10**5), tau_guard=10**4)
+            full_period_exponent(cfg, range(2, 10**5))
         assert drawn == [8 * 3 ** (s - 1) for s in range(1, 16)]
 
     def test_finite_order_degenerate(self):
@@ -278,17 +278,19 @@ class TestFullPeriodExponent:
         for row in rows:
             assert row.theta <= 0.5 + 0.2
 
-    def test_guard(self, cfg):
+    def test_guard(self, cfg, monkeypatch):
+        monkeypatch.setattr(sums, "TAU_GUARD", 10**6)
         with pytest.raises(PeriodTooLargeError):
-            full_period_exponent(cfg, [30], tau_guard=10**6)
+            full_period_exponent(cfg, [30])
 
     def test_guard_raises_before_anything_is_streamed(self, cfg, monkeypatch):
         # t = 9 sums tau_5 = 648 terms
         streamed = []
         for kernel in ("mat_stream", "stream_blocks"):
             monkeypatch.setattr(sums, kernel, lambda *args: streamed.append(args))
+        monkeypatch.setattr(sums, "TAU_GUARD", 647)
         with pytest.raises(PeriodTooLargeError, match="tau_5 = 648, the terms summed for t = 9,"):
-            full_period_exponent(cfg, [9], tau_guard=647)
+            full_period_exponent(cfg, [9])
         assert streamed == []
 
     @pytest.mark.parametrize("t_range", [range(0, 3), [2, -1]])
@@ -471,32 +473,21 @@ class TestDoubleSum:
                 assert abs(sigma - direct) < 1e-10
 
     def test_toy_hand_table(self):
-        # single j=1 term a/9: sigma = sum_{x,y=1..3} e(a x y / 9)
-        a_val = 2
-        direct = sum(
-            cmath.exp(2j * math.pi * a_val * x * y / 9)
-            for x in range(1, 4)
-            for y in range(1, 4)
-        )
-        # reproduce through the machinery on a synthetic phase: use the
-        # residual helper instead (the phase table is explicit)
-        table = [Fraction(a_val * v, 9) for v in range(200)]
-        # inner double sum at x = 0 with a = 1, M = 3 equals the hand table sum
-        total = sum(
-            cmath.exp(2j * math.pi * float(table[x * y]))
-            for x in range(1, 4)
-            for y in range(1, 4)
-        )
-        assert abs(total - direct) < 1e-12
+        # residues x_v = 2v mod 9, N = 1, M = 3, a = 1: the only inner sum is
+        # the hand table sum_{y,z=1..3} e(2yz/9), and the lhs is |e(0)| = 1
+        direct = sum(cmath.exp(2j * math.pi * 2 * y * z / 9) for y in range(1, 4) for z in range(1, 4))
+        residual = korobov_reduction_residual([2 * v % 9 for v in range(10)], 9, 1, 3, 1)
+        assert residual == pytest.approx(abs(direct) / 9 + 17, abs=1e-12)
 
     def test_precondition_r(self, cfg):
         with pytest.raises(PreconditionViolatedError):
             double_sum_sigma(cfg, n=0, s=1, r=4)  # r = 4 > 3^1
 
-    def test_grid_guard(self, fib):
+    def test_grid_guard(self, fib, monkeypatch):
+        monkeypatch.setattr(sums, "GRID_GUARD", 10**6)
         cfg = GeneratorConfig.create(fib, PrimePowerModulus(3, 20), (1, 0), (1, 0), level="thm1")
         with pytest.raises(GridTooLargeError):
-            double_sum_sigma(cfg, n=0, s=10, r=1, grid_guard=10**6)
+            double_sum_sigma(cfg, n=0, s=10, r=1)
 
     def test_reduction_rhs_dominates_sum(self, cfg):
         # (1/p^{2s}) sum_n |sigma_n| + 2 tau_s p^{2s} >= |S(N)|

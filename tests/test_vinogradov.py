@@ -1,9 +1,11 @@
 import time
 import tracemalloc
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from matprng.analysis import vinogradov
+from matprng import stream
 from matprng.analysis.bounds import ford_bound
 from matprng.analysis.vinogradov import _enumeration_bytes, vinogradov_count, vinogradov_count_naive
 from matprng.arith import STREAM_MEMORY_BUDGET
@@ -31,15 +33,12 @@ class TestKnownCounts:
         with pytest.raises(EnumerationTooLargeError):
             vinogradov_count_naive(15, 1, 10)
 
-    @pytest.mark.parametrize("k, r", [(2, 2), (16, 16)])
+    @pytest.mark.parametrize("k, r", [(2, 1), (2, 2), (16, 16)])
     def test_byte_guard_fires_before_allocation(self, k, r):
-        # the least M whose estimate is over the 2^30-byte budget; at k = 16,
-        # M = 3 is rejected by its chunk (a p_1 group of 5.2 million tuples)
-        # although its 3^16 tuples alone take 689 MB
+        # the least M whose estimate is over the 2^30-byte budget
         m = 1
         while _enumeration_bytes(k, r, m + 1) <= STREAM_MEMORY_BUDGET:
             m += 1
-        assert 16 * (m + 1) ** k <= STREAM_MEMORY_BUDGET < _enumeration_bytes(k, r, m + 1)
         tracemalloc.start()
         try:
             with pytest.raises(EnumerationTooLargeError):
@@ -49,17 +48,35 @@ class TestKnownCounts:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_huge_k_and_m_refused_at_once(self):
+        # C(2 10^8 - 1, 10^8) multisets: refused before M^k is formed
+        start = time.perf_counter()
+        with pytest.raises(EnumerationTooLargeError):
+            vinogradov_count(10**8, 1, 10**8)
+        assert time.perf_counter() - start < 0.1
+
+    # c = min(r, k) < k groups the multisets, c = k does not
     @pytest.mark.parametrize(
-        "k, r, m", [(1, 1, 5000), (2, 2, 1000), (3, 1, 100), (4, 4, 20), (8, 8, 4), (12, 12, 3), (16, 16, 2)]
+        "k, r, m",
+        [(1, 1, 5000), (2, 2, 1000), (2, 1, 1000), (3, 1, 100), (3, 2, 100), (4, 4, 20), (8, 4, 6),
+         (8, 8, 4), (12, 12, 3), (16, 16, 2), (16, 16, 3)],
     )
     def test_estimate_bounds_peak(self, k, r, m):
-        tracemalloc.start()
-        try:
-            vinogradov_count(k, r, m)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= _enumeration_bytes(k, r, m) + 2**16  # interpreter overhead
+        assert traced_peak(k, r, m) <= _enumeration_bytes(k, r, m)
+
+    @pytest.mark.parametrize("k, r, m", [(1, 1, 5000), (2, 2, 1000), (2, 1, 1000), (3, 2, 100), (8, 4, 6)])
+    def test_estimate_bounds_peak_on_exact_ints(self, k, r, m, monkeypatch):
+        monkeypatch.setattr(stream, "INT64_EDGE", 0)  # every key and weight an exact int
+        assert traced_peak(k, r, m) <= _enumeration_bytes(k, r, m)
+
+
+def traced_peak(k, r, m):
+    tracemalloc.start()
+    try:
+        vinogradov_count(k, r, m)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestAgainstNaive:
@@ -91,14 +108,21 @@ class TestAgainstNaive:
     def test_agreement_r_above_k(self, k, r, m):
         assert vinogradov_count(k, r, m) == vinogradov_count_naive(k, r, m)
 
-    @pytest.mark.parametrize("chunk", [1, 3, 50])
-    def test_chunking_does_not_change_counts(self, chunk, monkeypatch):
-        # chunks are cut only between p_1 values, so every size gives the
-        # same groups; chunk 1 makes each p_1 value its own chunk
-        want = {(k, r, m): vinogradov_count_naive(k, r, m)
-                for k, r, m in ((2, 2, 9), (3, 1, 5), (3, 4, 5), (4, 2, 4))}
-        monkeypatch.setattr(vinogradov, "_CHUNK_TUPLES", chunk)
-        assert {key: vinogradov_count(*key) for key in want} == want
+    @pytest.mark.parametrize("k, m", [(5, 7), (16, 3), (16, 8)])
+    def test_r_at_least_k_counts_permuted_pairs(self, k, m):
+        # for r >= k, y solves iff it permutes x: the count is the sum over
+        # multisets of (k!/prod mult!)^2 = (k!)^2 [t^k] (sum_j t^j/(j!)^2)^M,
+        # past 2^63 at (16, 16, 8)
+        series = [Fraction(1)] + [Fraction(0)] * k
+        for _ in range(m):
+            series = [sum(series[i - j] / factorial(j) ** 2 for j in range(i + 1)) for i in range(k + 1)]
+        assert vinogradov_count(k, k, m) == factorial(k) ** 2 * series[k]
+
+    @pytest.mark.parametrize("k, r, m", [(2, 1, 9), (3, 2, 7), (4, 4, 6), (8, 4, 6), (16, 16, 3)])
+    def test_exact_ints_give_the_same_counts(self, k, r, m, monkeypatch):
+        want = vinogradov_count(k, r, m)
+        monkeypatch.setattr(stream, "INT64_EDGE", 0)
+        assert vinogradov_count(k, r, m) == want
 
 
 class TestStructure:
