@@ -9,14 +9,14 @@ u_{n + tau_s m} = u_n + m p^s B u_n (mod p^t) (Shparlinski's polynomial
 representation of u_{n + tau_s m} in m), and the sum over m is a complete
 geometric sum.
 
-Every sum of phases sum_n w_n e(x_n / m) goes through one kernel: the
-terms come from `_phase_terms` (angles from `_angles`), and the real and
-the imaginary part are each the float `math.fsum` returns over all the
-terms, bit for bit, whatever the number of terms.  `phase_sum` sums a
-sequence it is given; `exp_sum` feeds the same exact summation its stream
-blocks or histogram windows as they are made; the reduction residual sums
-each inner row of its terms by fsum.  Summation is therefore deterministic
-and runs in one thread.
+Every sum of phases sum_n w_n e(x_n / m), w_n integer, goes through one
+kernel: the unit terms e(x_n / m) come from `_phase_terms` (angles from
+`_angles`), and the real and the imaginary part are each the float
+`math.fsum` returns over the unit terms, the n-th repeated w_n times.
+`phase_sum` sums a sequence it is given; `exp_sum` feeds the same exact
+summation its stream blocks, or its histogram windows weighted by the
+counts, so both paths return one value; the reduction residual sums each
+inner row of unit terms by fsum.  Summation is deterministic, one thread.
 """
 
 from __future__ import annotations
@@ -40,14 +40,13 @@ _HISTOGRAM_LIMIT = 1 << 24
 # Veltkamp's splitting constant 2^27 + 1: x * _SPLIT must not overflow
 _SPLIT = 134217729.0
 _EXACT_SUM_MAX_ABS = 2.0**996
-# the stream budget (2^30 bytes, 8 a term) and sigma_n's grid guard keep sums within this
+# total weight of a sum; the stream budget (2^30 bytes, 8 a term) and sigma_n's grid guard keep it below
 _EXACT_SUM_MAX_TERMS = 1 << 27
 # frexp exponents of |x| < 2^996 run from -1073 (subnormals) to 996
 _EXPONENT_BINS = 1074 + 997
 _EXACT_SUM_CHUNK = 1 << 14
-# phase_sum adds up to this many terms with math.fsum over a list, which
-# costs less than the fixed cost of the bincount accumulation
-_SHORT_ROW = 4096
+# phase_sum fsums unweighted rows up to this long as a list, cheaper than a bincount pass
+_SHORT_ROW = 1024
 # products x*y formed per np.unique call in _product_multiplicities
 _PRODUCT_CHUNK = 1 << 20
 # largest tau_s whose terms full_period_exponent sums, and largest grid
@@ -89,96 +88,94 @@ def _angles(x, mod: int) -> np.ndarray:
     return np.asarray(x, dtype=np.float64) / float(mod) * (2 * math.pi)
 
 
-def _exact_sums(chunks: Iterable[np.ndarray], width: int) -> list[float]:
-    """math.fsum over each of `width` float series, bit for bit; `chunks`
-    yields (width, m) float64 arrays, the next m terms of every series.  The
-    terms must be finite with |x| < 2^996, at most 2^27 a series.
+def _exact_sums(chunks: Iterable[tuple[np.ndarray, np.ndarray | None]], width: int) -> list[float]:
+    """math.fsum over each of `width` float series, bit for bit, each term
+    repeated as often as its weight says.  `chunks` yields (terms, weights):
+    the next m terms of every series as a (width, m) float64 array, which is
+    overwritten, and their m nonnegative integer weights, or None for 1.
+    The terms must be finite with |x| < 2^996; the weights total <= 2^27.
 
     Dekker's split (Veltkamp's constant 2^27 + 1) writes each term x with
     frexp exponent e as hi + lo, two halves of at most 26 significant bits:
     hi is a multiple of 2^(e-26) with |hi| <= 2^e, and lo a multiple of
-    2^(e-53) (or of the subnormal spacing) with |lo| <= 2^(e-27).  Added up
-    per exponent by np.bincount, chunk by chunk, either half stays within
-    2^53 of its units, so exact, while at most 2^27 terms share e.  fsum of
-    these exact group sums is the exactly rounded sum of the series, which
-    is what fsum returns for the series itself."""
+    2^(e-53) (or of the subnormal spacing) with |lo| <= 2^(e-27).  Times an
+    integer weight c <= 2^27, either half is exact and still a multiple of
+    its unit.  Added up per exponent of the unweighted term by np.bincount,
+    chunk by chunk, either half stays within 2^53 of its units, so exact.
+    fsum of these exact group sums is the exactly rounded sum of the
+    repeated series, which is what fsum returns for it."""
     groups = np.zeros((width, 2, _EXPONENT_BINS))
-    for part in chunks:
+    total = 0
+    for part, weights in chunks:
         assert np.abs(part).max() < _EXACT_SUM_MAX_ABS
+        exponents = np.frexp(part)[1] + 1074
         hi = part * _SPLIT
         hi -= hi - part
-        for group, x, h, e in zip(groups, part, hi, np.frexp(part)[1] + 1074):
+        part -= hi
+        if weights is not None:
+            weights = np.asarray(weights)
+            assert weights.dtype.kind in "iu" and weights.min() >= 0
+            hi *= weights
+            part *= weights
+        total += part.shape[1] if weights is None else int(weights.sum())
+        assert total <= _EXACT_SUM_MAX_TERMS
+        for group, h, lo, e in zip(groups, hi, part, exponents):
             group[0] += np.bincount(e, weights=h, minlength=_EXPONENT_BINS)
-            group[1] += np.bincount(e, weights=x - h, minlength=_EXPONENT_BINS)
+            group[1] += np.bincount(e, weights=lo, minlength=_EXPONENT_BINS)
     return [math.fsum(group[group != 0].tolist()) for group in groups]
 
 
-def _phase_terms(x, mod: int, weights=None) -> np.ndarray:
-    """The (2, n) real and imaginary parts of w_j e(x_j / mod) for the n
+def _phase_terms(x, mod: int) -> np.ndarray:
+    """The (2, n) real and imaginary parts of e(x_j / mod) for the n
     residues x_j (an int64 array, or exact ints in a list or object array),
-    with weights w_j (default 1) and angles from _angles."""
+    with angles from _angles."""
     ang = _angles(x, mod)
-    rows = np.array([np.cos(ang), np.sin(ang)])
-    if weights is not None:
-        rows *= np.asarray(weights, dtype=np.float64)
-    return rows
+    return np.array([np.cos(ang), np.sin(ang)])
+
+
+def _chunk_terms(x, mod: int, weights=None) -> Iterator[tuple[np.ndarray, object]]:
+    """(unit _phase_terms, weights or None) of x, _EXACT_SUM_CHUNK residues at a time."""
+    step = _EXACT_SUM_CHUNK
+    for lo in range(0, len(x), step):
+        yield _phase_terms(x[lo : lo + step], mod), None if weights is None else weights[lo : lo + step]
 
 
 def phase_sum(x, mod: int, weights=None) -> complex:
     """sum_n w_n e(x_n / mod) for residues x_n held in an int64 array, or as
-    exact ints in a list or object array, with weights w_n (default 1).
-
-    The real and the imaginary part are each the float math.fsum returns
-    over all the terms of `_phase_terms`.  The terms are formed
-    _EXACT_SUM_CHUNK at a time, so the work memory does not grow with their
-    number."""
-    if len(x) <= _SHORT_ROW:
-        return complex(*map(math.fsum, _phase_terms(x, mod, weights).tolist()))
-    assert len(x) <= _EXACT_SUM_MAX_TERMS
-    step = _EXACT_SUM_CHUNK
-    return complex(*_exact_sums(
-        (_phase_terms(x[lo : lo + step], mod, None if weights is None else weights[lo : lo + step])
-         for lo in range(0, len(x), step)),
-        2,
-    ))
+    exact ints in a list or object array, with integer multiplicities
+    w_n >= 0 (default 1) totalling at most 2^27: each part is the float
+    math.fsum returns over the unit `_phase_terms`, the n-th repeated w_n
+    times.  Unweighted rows of up to _SHORT_ROW terms go to fsum as a list,
+    every other sum to `_exact_sums`, so the work memory stays one chunk."""
+    if weights is None and len(x) <= _SHORT_ROW:
+        return complex(*map(math.fsum, _phase_terms(x, mod).tolist()))
+    return complex(*_exact_sums(_chunk_terms(x, mod, weights), 2))
 
 
-def _stream_terms(blocks: Iterable[np.ndarray], mod: int) -> Iterator[np.ndarray]:
-    """_phase_terms of the residues of `blocks`, _EXACT_SUM_CHUNK at a time."""
-    step = _EXACT_SUM_CHUNK
-    for block in blocks:
-        for lo in range(0, len(block), step):
-            yield _phase_terms(block[lo : lo + step], mod)
-
-
-def _histogram_terms(counts: np.ndarray, mod: int) -> Iterator[np.ndarray]:
-    """_phase_terms of the residues x mod `mod` that occur, weighted by
-    their counts c_x, over windows of _EXACT_SUM_CHUNK bins."""
+def _histogram_terms(counts: np.ndarray, mod: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The _phase_terms of the residues x mod `mod` that occur, with their
+    counts c_x as weights, over windows of _EXACT_SUM_CHUNK bins."""
     step = _EXACT_SUM_CHUNK
     for lo in range(0, len(counts), step):
         window = counts[lo : lo + step]
         bins = np.flatnonzero(window)
         if bins.size:
-            yield _phase_terms(bins + lo, mod, window[bins])
+            yield _phase_terms(bins + lo, mod), window[bins]
 
 
-def exp_sum(
-    cfg: GeneratorConfig,
-    n_terms: int,
-    method: str = "auto",
-) -> SumReport:
+def exp_sum(cfg: GeneratorConfig, n_terms: int) -> SumReport:
     """S = sum_{n=0}^{N-1} e(v A^n u / p^t), with each phase an exact integer
     over p^t.
 
     The N residues are never held at once: the sum folds the blocks of
-    `stream.stream_blocks`, one at a time.
-    method "direct": the phase terms of each block, 2^14 at a time.
-    method "histogram" (available for p^t <= 2^24): each block adds its
-    residues to one count array of p^t bins (np.add.at); then the residues
-    x that occur, up to the largest, weighted by their counts c_x, windows
-    of 2^14 bins at a time.  Either way the real and the imaginary part are
-    exactly rounded over all the terms summed (`_exact_sums`, as in
-    `phase_sum`), so the value does not depend on where the blocks end.
+    `stream.stream_blocks`, one at a time.  For p^t <= _HISTOGRAM_LIMIT
+    (2^24, read at each call) the "histogram" path counts each block's
+    residues in one array of p^t bins (np.add.at), then sums the residues
+    x that occur, up to the largest, weighted by their counts c_x, 2^14
+    bins at a time; above it the "direct" path sums the terms of each
+    block, 2^14 at a time.  Either way each part is the exactly rounded sum
+    of the N unit terms (`_exact_sums`), so both paths return the same
+    float, bit for bit, whatever the blocks.  SumReport.method names it.
     """
     if n_terms < 1:
         raise ValueError("N must be >= 1")
@@ -191,15 +188,10 @@ def exp_sum(
         )
     cfg.m.check_float_range()
     mod = cfg.m.modulus
-    if method == "auto":
-        method = "histogram" if mod <= _HISTOGRAM_LIMIT else "direct"
-    if method == "histogram" and mod > _HISTOGRAM_LIMIT:
-        raise PreconditionViolatedError("histogram method needs p^t <= 2^24")
-    if method not in ("histogram", "direct"):
-        raise ValueError(f"unknown method {method!r}")
     if cfg.v is None:
         raise ValueError("scalar residues need v in the config")
     blocks = stream_blocks(cfg.a, cfg.u0, cfg.m, n_terms, 0, cfg.v)
+    method = "histogram" if mod <= _HISTOGRAM_LIMIT else "direct"
     if method == "histogram":
         # np.zeros maps its pages lazily, so bins above the largest residue
         # cost neither memory nor, in the scan below, time
@@ -211,7 +203,7 @@ def exp_sum(
             top = max(top, int(block.max()) + 1)
         terms = _histogram_terms(counts[:top], mod)
     else:
-        terms = _stream_terms(blocks, mod)
+        terms = itertools.chain.from_iterable(_chunk_terms(block, mod) for block in blocks)
     value = complex(*_exact_sums(terms, 2))
 
     # Per-term phase error < 3 ulp of pi-scale plus sin/cos rounding; the
@@ -371,10 +363,10 @@ def korobov_reduction_residual(residues, mod: int, n_terms: int, m: int, a: int)
     |sum_x e(f(x))| <= (1/M^2) sum_x |sum_{y,z<=M} e(f(x + a y z))| + 2 a M^2
     for the phases f(n) = x_n / mod of the residues x_0 .. x_{N-1+aM^2}.
 
-    The lhs is `phase_sum` of x_0 .. x_{N-1}.  The inner sum at n is exactly
-    rounded over its row of `_phase_terms`: the residues x_{n + a yz} of the
-    distinct products yz, weighted by their multiplicities.  Rows are formed
-    up to _EXACT_SUM_CHUNK terms at a time, and fsum adds their moduli."""
+    The lhs is `phase_sum` of x_0 .. x_{N-1}.  The inner sum at n is fsum
+    over its row of M^2 unit `_phase_terms`, the residues x_{n + a yz} of
+    all the pairs (y, z).  Rows are formed up to _EXACT_SUM_CHUNK terms at a
+    time, and fsum adds their moduli."""
     if m < 1 or a < 0 or n_terms < 1:
         raise ValueError("need M >= 1, a >= 0, N >= 1")
     needed = n_terms + a * m * m
@@ -382,12 +374,12 @@ def korobov_reduction_residual(residues, mod: int, n_terms: int, m: int, a: int)
         raise ValueError(f"need residues for {needed} indices")
     x = np.asarray(residues[:needed], dtype=int_dtype(mod))
     lhs = abs(phase_sum(x[:n_terms], mod))
-    prods, mults = _product_multiplicities(m)
-    step = max(1, _EXACT_SUM_CHUNK // len(prods))
+    offsets = a * np.outer(np.arange(1, m + 1), np.arange(1, m + 1)).ravel()
+    step = max(1, _EXACT_SUM_CHUNK // offsets.size)
     moduli = []
     for lo in range(0, n_terms, step):
-        rows = np.add.outer(np.arange(lo, min(lo + step, n_terms)), a * np.array(prods))
-        terms = _phase_terms(x[rows].ravel(), mod, np.tile(mults, len(rows))).reshape(2, *rows.shape)
+        rows = np.add.outer(np.arange(lo, min(lo + step, n_terms)), offsets)
+        terms = _phase_terms(x[rows].ravel(), mod).reshape(2, *rows.shape)
         moduli += (abs(complex(math.fsum(re), math.fsum(im))) for re, im in zip(*terms.tolist()))
     return math.fsum(moduli) / (m * m) + 2.0 * a * m * m - lhs
 

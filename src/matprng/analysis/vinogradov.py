@@ -124,13 +124,13 @@ def vinogradov_count(k: int, r: int, m: int) -> int:
     return _square_sum(np.add.reduceat(w[order], np.flatnonzero(new_group)), squares)
 
 
-def vinogradov_count_naive(k: int, r: int, m: int, guard: int = DEFAULT_ENUMERATION_GUARD) -> int:
+def vinogradov_count_naive(k: int, r: int, m: int) -> int:
     """Independent brute force: iterate all ordered (x, y) tuple pairs and
-    test the r equations directly.  O(M^{2k}); for cross-checks only."""
+    test the r equations directly.  O(M^{2k}), up to DEFAULT_ENUMERATION_GUARD; for cross-checks only."""
     if k < 1 or r < 1 or m < 1:
         raise ValueError("need k, r, M >= 1")
-    if m ** (2 * k) > guard:
-        raise EnumerationTooLargeError(f"M^(2k) = {m ** (2 * k)} exceeds guard {guard}")
+    if m ** (2 * k) > (guard := DEFAULT_ENUMERATION_GUARD):
+        raise EnumerationTooLargeError(f"M^(2k) for M = {m}, k = {k} exceeds guard {guard}")
     count = 0
     rng = range(1, m + 1)
     xs_list = [(xs, [sum(x**j for x in xs) for j in range(1, r + 1)]) for xs in product(rng, repeat=k)]

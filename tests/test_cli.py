@@ -305,6 +305,31 @@ class TestGuards:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "EnumerationTooLargeError", "message": err["message"]}
 
+    def test_vmvt_count_past_the_int_to_str_limit_exits_3(self, tmp_path, capsys):
+        # the bound 2^16000 on N_{8000,1}(2) has 4817 digits, over the 4300 default
+        cfg = write_config(tmp_path, dict(FIB_DOC, vmvt=[[8000, 1, 2]]))
+        start = time.perf_counter()
+        assert main(["vmvt", "--config", cfg]) == 3
+        assert time.perf_counter() - start < 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        payload = json.loads(err)
+        assert payload == {"error": "EnumerationTooLargeError", "message": payload["message"]}
+
+    @pytest.mark.parametrize("k, code", [(1063, 0), (1064, 3)])
+    def test_vmvt_digit_limit_edge(self, k, code, tmp_path, capsys):
+        # at the least limit, 640 digits: 2^2126 has 640 digits, 2^2128 641
+        cfg = write_config(tmp_path, dict(FIB_DOC, vmvt=[[k, 1, 2]]))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert main(["vmvt", "--config", cfg]) == code
+        finally:
+            sys.set_int_max_str_digits(limit)
+        out = capsys.readouterr().out
+        if code == 0:
+            assert int(out.splitlines()[1].split(",")[3]) == math.comb(2 * k, k)
+
     def test_star_sweep_guard_exits_3_fast(self, tmp_path, capsys):
         # 600 points of the 3x3 stream have 568 distinct coordinates a side,
         # and 568^3 grid cells are over the 2^27 cap of the star sweep

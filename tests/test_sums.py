@@ -4,6 +4,7 @@ import random
 import tracemalloc
 
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from matprng.analysis.sums import (
     _SHORT_ROW,
     _angles,
     _exact_sums,
+    _phase_terms,
     _product_multiplicities,
     double_sum_sigma,
     exp_sum,
@@ -87,10 +89,12 @@ class TestExpSum:
             rep = exp_sum(zero_v, 37)
         assert rep.value == pytest.approx(37.0 + 0.0j)
 
-    def test_methods_agree(self, cfg):
-        hist = exp_sum(cfg, 500, method="histogram")
-        direct = exp_sum(cfg, 500, method="direct")
-        assert abs(hist.value - direct.value) <= 1e-9 * 500
+    def test_methods_agree(self, cfg, monkeypatch):
+        hist = exp_sum(cfg, 500)
+        monkeypatch.setattr(sums, "_HISTOGRAM_LIMIT", 0)
+        direct = exp_sum(cfg, 500)
+        assert (hist.method, direct.method) == ("histogram", "direct")
+        assert_same_complex(hist.value, direct.value)
 
     def test_matches_reference(self, cfg):
         rep = exp_sum(cfg, 123)
@@ -133,11 +137,12 @@ class TestBlockedExpSum:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_values_do_not_depend_on_the_block_size(self, name, monkeypatch):
         cfg, n = self.config(name)
-        methods = ["direct"] + (["histogram"] if cfg.m.modulus <= _HISTOGRAM_LIMIT else [])
-        want = {method: repr(exp_sum(cfg, n, method).value) for method in methods}
-        for block in (1, 7, 4096):
-            monkeypatch.setattr(stream, "STREAM_BLOCK", block)
-            assert {method: repr(exp_sum(cfg, n, method).value) for method in methods} == want, block
+        want = repr(exp_sum(cfg, n).value)
+        for limit in (_HISTOGRAM_LIMIT, 0):
+            monkeypatch.setattr(sums, "_HISTOGRAM_LIMIT", limit)
+            for block in (1, 7, 4096):
+                monkeypatch.setattr(stream, "STREAM_BLOCK", block)
+                assert repr(exp_sum(cfg, n).value) == want, (limit, block)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("p, t, n, method, limit", [
@@ -149,10 +154,10 @@ class TestBlockedExpSum:
     ])
     def test_memory_is_bounded_by_a_block(self, p, t, n, method, limit):
         cfg = GeneratorConfig(IntMatrix.from_rows([[0, 1], [1, 1]]), PrimePowerModulus(p, t), (314, 2718), (2, 7))
-        exp_sum(cfg, 5000, method)
+        assert exp_sum(cfg, 5000).method == method
         tracemalloc.start()
         try:
-            exp_sum(cfg, n, method)
+            exp_sum(cfg, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -165,9 +170,11 @@ class TestBlockedExpSum:
         scanned = []
         terms = sums._histogram_terms
         monkeypatch.setattr(sums, "_histogram_terms", lambda counts, mod: scanned.append(len(counts)) or terms(counts, mod))
-        got = exp_sum(cfg, 10, "histogram").value
+        got = exp_sum(cfg, 10)
+        assert got.method == "histogram"
         assert 1 <= scanned[0] <= 1000
-        assert got == pytest.approx(exp_sum(cfg, 10, "direct").value, abs=1e-12)
+        monkeypatch.setattr(sums, "_HISTOGRAM_LIMIT", 0)
+        assert_same_complex(got.value, exp_sum(cfg, 10).value)
 
 
 MATRICES = ([[0, 1], [1, 1]], [[1, 2], [1, 1]], [[0, 1, 0], [0, 0, 1], [1, 1, 0]])
@@ -175,14 +182,14 @@ PRIMES = (2, 3, 5, 7, 11, 13, 4093)
 
 
 @st.composite
-def histogram_configs(draw):
-    """A generator with p^t <= 2^24, so that both summation methods apply."""
+def exp_sum_configs(draw):
+    """A generator with p^t on either side of _HISTOGRAM_LIMIT (2^24)."""
     rows = draw(st.sampled_from(MATRICES))
     p = draw(st.sampled_from(PRIMES))
     t_max = 1
     while p ** (t_max + 1) <= _HISTOGRAM_LIMIT:
         t_max += 1
-    t = draw(st.integers(1, t_max))
+    t = draw(st.integers(1, t_max + 3))
     d = len(rows)
     u0 = draw(st.lists(st.integers(0, 10**6), min_size=d, max_size=d))
     v = draw(st.lists(st.integers(0, 10**6), min_size=d, max_size=d))
@@ -191,19 +198,22 @@ def histogram_configs(draw):
 
 class TestHistogramAgainstDirect:
     @given(
-        histogram_configs(),
+        exp_sum_configs(),
         st.one_of(
-            st.sampled_from([1, 4095, 4096, 4097, 8191, 8192, 8193, 12289]),
+            st.sampled_from([1, 4095, 4096, 4097, 8191, 8192, 8193, 12289, 16383, 16384, 16385]),
             st.integers(1, 20000),
         ),
     )
     @settings(max_examples=60, deadline=None)
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_within_error_bound(self, cfg, n):
-        hist = exp_sum(cfg, n, method="histogram")
-        direct = exp_sum(cfg, n, method="direct")
-        assert hist.error_bound == direct.error_bound
-        assert abs(hist.value - direct.value) <= direct.error_bound
+    def test_same_float_as_phase_sum(self, cfg, n):
+        # the histogram weighs each bin by its count exactly, so both paths
+        # return the exactly rounded sum of the N unit terms
+        want = phase_sum(mat_stream(cfg.a, cfg.u0, cfg.m, n, 0, cfg.v), cfg.m.modulus)
+        for limit in (_HISTOGRAM_LIMIT, 0):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sums, "_HISTOGRAM_LIMIT", limit)
+                assert_same_complex(exp_sum(cfg, n).value, want)
 
 
 class TestFullPeriodExponent:
@@ -348,18 +358,20 @@ class TestLiftedPeriodSum:
         return t_range, taus, lambda t: GeneratorConfig(a, PrimePowerModulus(p, t), u0, v)
 
     @pytest.mark.parametrize("rows, p, t_range", LIFT_CASES)
-    def test_matches_exp_sum(self, rows, p, t_range):
+    def test_matches_exp_sum(self, rows, p, t_range, monkeypatch):
         t_range, taus, at = self._case(rows, p, t_range)
         fp_rows = full_period_exponent(at(t_range[-1]), t_range)
         assert [(row.t, row.tau) for row in fp_rows] == [(t, taus[t - 1]) for t in t_range]
         for t, row in zip(t_range, fp_rows):
             cfg, tau, s = at(t), taus[t - 1], (t + 1) // 2
             lifted = sums._lifted_period_sum(cfg, s, taus[s - 1], tau)
-            methods = ["direct"] + (["histogram"] if cfg.m.modulus <= _HISTOGRAM_LIMIT else [])
-            for method in methods:
-                ref = exp_sum(cfg, tau, method=method)
-                assert abs(lifted - ref.value) <= ref.error_bound, (t, method)
-                assert abs(row.abs_value - ref.abs_value) <= ref.error_bound, (t, method)
+            ref = exp_sum(cfg, tau)
+            assert abs(lifted - ref.value) <= ref.error_bound, t
+            assert abs(row.abs_value - ref.abs_value) <= ref.error_bound, t
+            if ref.method == "histogram":
+                with monkeypatch.context() as patch:
+                    patch.setattr(sums, "_HISTOGRAM_LIMIT", 0)
+                    assert_same_complex(exp_sum(cfg, tau).value, ref.value)
 
     def test_cases_cover_both_sides_of_2s_t_several_periods_and_every_path(self):
         seen = set()
@@ -479,6 +491,16 @@ class TestDoubleSum:
         residual = korobov_reduction_residual([2 * v % 9 for v in range(10)], 9, 1, 3, 1)
         assert residual == pytest.approx(abs(direct) / 9 + 17, abs=1e-12)
 
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_sigma_is_exactly_rounded_over_the_grid(self, fib, s, monkeypatch):
+        # sigma_n weighs each distinct product xy by its multiplicity: the
+        # same float as phase_sum over the p^(2s) grid residues, each once
+        cfg = GeneratorConfig.create(fib, PrimePowerModulus(3, 8), (1, 0), (1, 2), level="thm1")
+        want = double_sum_sigma(cfg, n=3, s=s)
+        monkeypatch.setattr(sums, "_product_multiplicities",
+                            lambda m: ([x * y for x in range(1, m + 1) for y in range(1, m + 1)], None))
+        assert_same_complex(double_sum_sigma(cfg, n=3, s=s), want)
+
     def test_precondition_r(self, cfg):
         with pytest.raises(PreconditionViolatedError):
             double_sum_sigma(cfg, n=0, s=1, r=4)  # r = 4 > 3^1
@@ -541,6 +563,21 @@ class TestKorobovReduction:
         want = math.fsum(moduli) - abs(phase_sum(residues, mod))
         assert korobov_reduction_residual(residues, mod, 200, 1, 0) == want
 
+    @pytest.mark.parametrize("m, a", [(2, 1), (4, 3), (6, 1)])
+    def test_rows_are_fsum_over_all_pairs(self, m, a, monkeypatch):
+        # each inner sum is fsum over its M^2 unit terms, one a pair (y, z);
+        # at M = 6 the 1000 rows span three row blocks
+        monkeypatch.setattr(sums, "_product_multiplicities", None)
+        rng = random.Random(m)
+        mod, n = 3**9, 1000
+        residues = [rng.randrange(mod) for _ in range(n + a * m * m)]
+        cos, sin = _phase_terms(residues, mod).tolist()
+        offsets = [a * y * z for y in range(1, m + 1) for z in range(1, m + 1)]
+        moduli = [abs(complex(math.fsum(cos[i + o] for o in offsets), math.fsum(sin[i + o] for o in offsets)))
+                  for i in range(n)]
+        want = math.fsum(moduli) / (m * m) + 2.0 * a * m * m - abs(phase_sum(residues[:n], mod))
+        assert korobov_reduction_residual(residues, mod, n, m, a) == want
+
     def test_m1_a0_trivial(self, cfg):
         assert korobov_reduction_check(cfg, 40, 1, 0) >= 0
 
@@ -559,10 +596,15 @@ class TestKorobovReduction:
             assert korobov_reduction_residual(residues, mod, n, m, a) >= 0
 
 
-def exact_sum(x: np.ndarray) -> float:
-    """_exact_sums of the one series x, in chunks of _EXACT_SUM_CHUNK terms."""
+def exact_sum(x: np.ndarray, weights: np.ndarray | None = None) -> float:
+    """_exact_sums of the one series x with the given weights (default
+    none), in chunks of _EXACT_SUM_CHUNK terms."""
     step = _EXACT_SUM_CHUNK
-    return _exact_sums((x[None, i : i + step] for i in range(0, x.size, step)), 1)[0]
+    return _exact_sums(
+        ((x[None, i : i + step].copy(), None if weights is None else weights[i : i + step])
+         for i in range(0, x.size, step)),
+        1,
+    )[0]
 
 
 def assert_fsum_bits(x: np.ndarray) -> None:
@@ -603,11 +645,13 @@ class TestExactSum:
         assert _exact_sums(iter(()), 1) == [math.fsum([])] == [0.0]
 
     def test_phase_terms(self):
-        # the terms exp_sum adds: weighted cos and sin of histogram bins
+        # the terms exp_sum adds: cos and sin of histogram bins, each
+        # weighted by its count, against fsum over the bins repeated
         rng = np.random.default_rng(11)
         ang = rng.integers(0, 3**13, 20000) * (2 * math.pi / 3**13)
-        weights = rng.integers(1, 50, 20000).astype(np.float64)
-        assert_fsum_bits(weights * np.cos(ang))
+        weights = rng.integers(0, 50, 20000)
+        for x in (np.cos(ang), np.sin(ang)):
+            assert exact_sum(x, weights).hex() == math.fsum(np.repeat(x, weights)).hex()
         assert_fsum_bits(np.sin(ang))
 
     def test_largest_magnitude_allowed(self):
@@ -623,10 +667,12 @@ class TestExactSum:
 
 
 def fsum_phase_sum(x, mod: int, weights=None) -> complex:
-    """The kernel's contract: math.fsum over the cos and sin terms of _angles."""
+    """The kernel's contract: math.fsum over the cos and sin terms of
+    _angles, each term repeated as often as its weight says."""
     ang = _angles(list(x), mod)
-    w = np.ones(len(ang)) if weights is None else np.asarray(weights, dtype=np.float64)
-    return complex(math.fsum((w * np.cos(ang)).tolist()), math.fsum((w * np.sin(ang)).tolist()))
+    if weights is not None:
+        ang = np.repeat(ang, weights)
+    return complex(math.fsum(np.cos(ang).tolist()), math.fsum(np.sin(ang).tolist()))
 
 
 def assert_same_complex(got: complex, want: complex) -> None:
@@ -638,15 +684,15 @@ class TestPhaseSum:
 
     @pytest.mark.parametrize(
         "n",
-        [1, 2, _SHORT_ROW - 1, _SHORT_ROW, _SHORT_ROW + 1,
-         _EXACT_SUM_CHUNK - 1, _EXACT_SUM_CHUNK, _EXACT_SUM_CHUNK + 1],
+        [1, 2, _SHORT_ROW - 1, _SHORT_ROW, _SHORT_ROW + 1, 4 * _SHORT_ROW - 1, 4 * _SHORT_ROW,
+         4 * _SHORT_ROW + 1, _EXACT_SUM_CHUNK - 1, _EXACT_SUM_CHUNK, _EXACT_SUM_CHUNK + 1],
     )
     def test_int64_residues_at_boundaries(self, n):
         mod = 3**13
         x = np.random.default_rng(n).integers(0, mod, n)
         assert_same_complex(phase_sum(x, mod), fsum_phase_sum(x, mod))
 
-    @pytest.mark.parametrize("n", [7, _SHORT_ROW + 1, 3 * _EXACT_SUM_CHUNK // 2])
+    @pytest.mark.parametrize("n", [7, _SHORT_ROW + 1, 4 * _SHORT_ROW + 1, 3 * _EXACT_SUM_CHUNK // 2])
     @pytest.mark.parametrize("mod", [3**40, 2**1023], ids=["3^40", "2^1023"])
     def test_exact_ints_above_2_53(self, mod, n):
         # near 2^1023, 2 pi x would overflow; x / mod never does
@@ -663,32 +709,54 @@ class TestPhaseSum:
             want = [(float(x) / float(mod) * (2 * math.pi)).hex() for x in xs]
             assert [a.hex() for a in _angles(xs, mod).tolist()] == want
 
-    @pytest.mark.parametrize("n", [5, _SHORT_ROW + 1, _EXACT_SUM_CHUNK + 1])
+    @pytest.mark.parametrize("n", [5, 4097, _EXACT_SUM_CHUNK + 1])
     def test_weighted_bins(self, n):
+        # each bin counts as c_x unit terms, whatever the number of bins
         mod = 3**13
         rng = np.random.default_rng(100 + n)
         bins = np.sort(rng.choice(mod, n, replace=False))
-        counts = rng.integers(1, 1000, n)
+        counts = rng.integers(1, 100, n)
         assert_same_complex(phase_sum(bins, mod, counts), fsum_phase_sum(bins, mod, counts))
         # weights as a list of ints, as double_sum_sigma passes them
         assert_same_complex(
             phase_sum(bins, mod, counts.tolist()), fsum_phase_sum(bins, mod, counts)
         )
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_weights_totalling_2_27_against_fractions(self, seed):
+        # the largest total weight the kernel takes: float(sum c_x Fraction(cos x))
+        # is the exactly rounded weighted sum
+        mod = 3**13
+        rng = np.random.default_rng(200 + seed)
+        bins = np.sort(rng.choice(mod, 3000, replace=False))
+        cuts = np.sort(rng.integers(0, 2**27, bins.size - 1))
+        counts = np.diff(np.r_[0, cuts, 2**27])
+        assert counts.sum() == 2**27
+        cos, sin = _phase_terms(bins, mod).tolist()
+        want = complex(*(float(sum(Fraction(x) * int(c) for x, c in zip(row, counts))) for row in (cos, sin)))
+        assert_same_complex(phase_sum(bins, mod, counts), want)
+        with pytest.raises(AssertionError):
+            phase_sum(bins, mod, counts + (np.arange(bins.size) == 0))
+
     def test_empty(self):
         for x in (np.zeros(0, dtype=np.int64), []):
             assert_same_complex(phase_sum(x, 81), 0j)
             assert_same_complex(phase_sum(x, 81, []), 0j)
 
-    def test_exp_sum_is_one_kernel_call(self, fib):
-        # the direct method sums every residue, the histogram method the
-        # occupied bins weighted by their counts
+    def test_exp_sum_is_one_kernel_call(self, fib, monkeypatch):
+        # the direct path sums every residue, the histogram path the occupied
+        # bins weighted by their counts: both are phase_sum of the residues
         cfg = GeneratorConfig.create(fib, PrimePowerModulus(3, 8), (1, 0), (1, 2), level="thm1")
         n = 3 * _SHORT_ROW
         residues = scalar_residues(cfg, n)
-        direct = exp_sum(cfg, n, method="direct").value
-        assert_same_complex(direct, fsum_phase_sum(residues, 3**8))
+        want = fsum_phase_sum(residues, 3**8)
+        assert_same_complex(phase_sum(residues, 3**8), want)
         counts = np.bincount(residues)
         bins = np.flatnonzero(counts)
-        hist = exp_sum(cfg, n, method="histogram").value
-        assert_same_complex(hist, fsum_phase_sum(bins, 3**8, counts[bins]))
+        assert_same_complex(phase_sum(bins, 3**8, counts[bins]), want)
+        hist = exp_sum(cfg, n)
+        monkeypatch.setattr(sums, "_HISTOGRAM_LIMIT", 0)
+        direct = exp_sum(cfg, n)
+        assert (hist.method, direct.method) == ("histogram", "direct")
+        assert_same_complex(hist.value, want)
+        assert_same_complex(direct.value, want)

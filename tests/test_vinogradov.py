@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+import matprng.analysis.vinogradov as vinogradov
 from matprng import stream
 from matprng.analysis.bounds import ford_bound
 from matprng.analysis.vinogradov import _enumeration_bytes, vinogradov_count, vinogradov_count_naive
@@ -32,6 +33,17 @@ class TestKnownCounts:
             vinogradov_count(30, 1, 10)
         with pytest.raises(EnumerationTooLargeError):
             vinogradov_count_naive(15, 1, 10)
+
+    def test_naive_guard_is_read_at_each_call(self, monkeypatch):
+        assert vinogradov_count_naive(2, 1, 2) == 6
+        monkeypatch.setattr(vinogradov, "DEFAULT_ENUMERATION_GUARD", 15)
+        with pytest.raises(EnumerationTooLargeError, match="M = 2, k = 2 exceeds guard 15"):
+            vinogradov_count_naive(2, 1, 2)
+
+    def test_naive_guard_names_no_huge_power(self):
+        # 2^16000 has more digits than the interpreter converts to str
+        with pytest.raises(EnumerationTooLargeError, match="M = 2, k = 8000"):
+            vinogradov_count_naive(8000, 1, 2)
 
     @pytest.mark.parametrize("k, r", [(2, 1), (2, 2), (16, 16)])
     def test_byte_guard_fires_before_allocation(self, k, r):
