@@ -10,6 +10,7 @@ config loader, the validator and the order table run without numpy.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 from .errors import (
@@ -92,6 +93,19 @@ def valuation(x: int, p: int) -> int | float:
         x //= p
         k += 1
     return k
+
+
+def exceeds_str_digits(coeff: int, base: int, exponent: int) -> bool:
+    """Whether coeff * base^exponent (all >= 1) has more decimal digits than
+    the interpreter converts to a string: its int-to-str limit, or that
+    limit's default (4300) when it is 0 (none), so that no integer the
+    program prints is unbounded.  log10 decides unless it lies within 1 of
+    the limit; only then is the exact power formed."""
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    log = math.log10(coeff) + exponent * math.log10(base)
+    if abs(log - digits) >= 1:
+        return log > digits
+    return coeff * base**exponent >= 10**digits
 
 
 class Frozen:

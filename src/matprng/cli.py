@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import random
 import sys
@@ -31,7 +30,7 @@ from typing import TYPE_CHECKING, BinaryIO, Iterator, NamedTuple, Sequence
 # is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .arith import IntMatrix, PrimePowerModulus, char_poly
+from .arith import IntMatrix, PrimePowerModulus, char_poly, exceeds_str_digits
 from .errors import DimensionMismatchError, EnumerationTooLargeError, MatprngError, ResourceGuardError
 
 # main checks a command's config against its row of _COMMANDS before the
@@ -467,13 +466,12 @@ def cmd_vmvt(exp: Experiment, cfg: GeneratorConfig | None, args) -> Table:
 
     c0 = exp.constants["c0"]
     d_for_bound = exp.matrix.d if exp.matrix is not None else 2
-    digits = sys.get_int_max_str_digits()  # 0 is no limit
     rows = []
     for k, r, m in exp.vmvt:
-        # the count <= M^(2k) is written in decimal; log10 decides a huge k
-        if digits and (2 * k * math.log10(m) >= digits + 1 or m ** (2 * k) >= 10**digits):
-            raise EnumerationTooLargeError(f"the count for k = {k}, M = {m} may have more than "
-                                           f"{digits} digits, the int-to-str conversion limit")
+        # the count <= M^(2k) is written in decimal
+        if exceeds_str_digits(1, m, 2 * k):
+            raise EnumerationTooLargeError(f"the count for k = {k}, M = {m} may have more decimal digits "
+                                           "than the int-to-str conversion limit")
         count = vinogradov_count(k, r, m)
         fb = ford_bound(r, d_for_bound, m, c0)
         rows.append(

@@ -58,7 +58,8 @@ class PeriodTooLargeError(ResourceGuardError):
 
 
 class OrderTableTooDeepError(ResourceGuardError):
-    """The order table's lifts would exceed their work budget."""
+    """The order table's orders may have more decimal digits than the
+    interpreter converts to a string."""
 
 
 class DimensionTooLargeError(ResourceGuardError):

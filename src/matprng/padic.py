@@ -1,14 +1,15 @@
 """p-adic structure of the generator: multiplicative order growth tau_s and
-its invariants (tau_*, beta_*, s_*), Hensel-lifted roots in the unramified
-extension, pairwise order/valuation data, the window constant w, and the
-integer expansion coefficients h_{n,j} and H_{n,j}.
+its invariants (tau_*, beta_*, s_*), read from one valuation by the growth
+law (`_growth`), Hensel-lifted roots in the unramified extension, pairwise
+order/valuation data, the window constant w, and the integer expansion
+coefficients h_{n,j} and H_{n,j}.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence
 
 from .arith import (
     Frozen,
@@ -18,6 +19,7 @@ from .arith import (
     ResidueVector,
     companion_matrix,
     det_exact,
+    exceeds_str_digits,
     mat_pow,
     mat_pow_mod,
     mat_vec,
@@ -39,15 +41,9 @@ from .fieldalg import PolyModP, cyclotomic_polynomial, irreducible_mod_p, square
 
 # working precision at which beta_pair gives up; read at each call
 DEFAULT_PRECISION_CAP = 64
-# s_star is detected once this many consecutive order steps multiply by p; the
-# order table is extended by at most _EXTENSION_CAP levels past s_max for that.
-_STABILIZATION_WINDOW = 3
+# period_profile draws this many orders past s_max; a matrix whose order has
+# not started to grow by then is reported as degenerate
 _EXTENSION_CAP = 48
-# Largest `order_table_work` that period_profile starts: at p = 317, d = 2
-# the budget admits s_max = 718 (about 9 s on a 2-vCPU host) and refuses 719
-ORDER_WORK_BUDGET = 10**13
-
-T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +79,15 @@ def _unit_order(p: int, d: int, is_one: Callable[[int], bool]) -> int:
     if not is_one(order):
         raise NotInvertibleError("element is not a unit mod p")
     for q in primes:
-        while order % q == 0 and is_one(order // q):
-            order //= q
+        # is_one(order // q^k) holds up to some k and fails above it: bisect
+        lo, hi = 0, int(valuation(order, q))
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if is_one(order // q**mid):
+                lo = mid
+            else:
+                hi = mid - 1
+        order //= q**lo
     return order
 
 
@@ -92,7 +95,7 @@ def order_mod(a: IntMatrix, m: PrimePowerModulus) -> int:
     """Smallest tau >= 1 with A^tau = I (mod p^s).
 
     tau_1 is found by descent over a known multiple of the order; higher
-    exponents use the lift dichotomy tau_{s} in {tau_{s-1}, p * tau_{s-1}}."""
+    exponents follow from one valuation by the growth law (`_growth`)."""
     return next(itertools.islice(order_sequence(a, m.p), m.t - 1, None))
 
 
@@ -103,62 +106,51 @@ def _order_mod_p(a: IntMatrix, p: int) -> int:
     return _unit_order(p, a.d, lambda e: mat_pow_mod(a, e, m1).is_identity())
 
 
-def _lift_order(
-    x: T, tau: int, p: int, is_one: Callable[[T], bool], pth_power: Callable[[T], T]
-) -> tuple[T, int]:
-    """One step of the order lift with the power carried: x = g^tau with
-    tau the order of g at the current precision, and `is_one` tests at the
-    next one.  The order there is tau or p * tau, so the result is
-    (g^tau', tau') after at most one p-th power of x."""
-    if is_one(x):
-        return x, tau
-    x = pth_power(x)
-    if is_one(x):
-        return x, p * tau
-    raise ExactDivisionError("order lift dichotomy violated (arithmetic bug)")
+def _growth(p: int, tau: int, excess: Callable[[int], int]) -> tuple[int, int]:
+    """(tau0, beta0) such that the order of a unit g modulo p^s is tau at
+    s = 1 and tau0 * p^max(0, s - beta0) for 2 <= s <= prec.  tau is the
+    order of g mod p, and excess(e) = v_p(g^e - 1), capped at the working
+    precision prec.
+
+    Growth law: if g^tau0 = 1 + p^b B with B != 0 (mod p) and b >= 1
+    (b >= 2 for p = 2), then (g^tau0)^p = 1 + p^(b+1) B' with B' = B (mod p),
+    since every other binomial term has valuation >= b + 2.  For p = 2 with
+    v_2(g^tau - 1) = 1 the order mod 4 is 2 tau, and v_2(g^(2 tau) - 1) >= 2."""
+    beta0 = excess(tau)
+    if p == 2 and beta0 == 1:
+        tau *= 2
+        beta0 = excess(tau)
+    return tau, beta0
 
 
-def _lift_precision(depth: int) -> int:
-    """The exponent of the largest modulus p^prec that order_sequence works
-    at when it has drawn `depth` orders: 1 for tau_1 alone, then prec = 2s
-    at each s = 2, 5, 11, ... past the previous prec."""
-    prec, s = 1, 2
-    while s <= depth:
-        prec = 2 * s
-        s = prec + 1
-    return prec
-
-
-def order_table_work(d: int, p: int, depth: int) -> int:
-    """An estimate of the work of drawing `depth` orders of a d x d matrix
-    from order_sequence: depth levels, each of O(log p) products of d x d
-    matrices whose entries have up to `bits` bits, the bits of the largest
-    modulus the lift works at, and a product costs about d^3 bits^2 (CPython
-    divides in quadratic time)."""
-    bits = _lift_precision(depth) * p.bit_length()
-    return depth * d**3 * p.bit_length() * bits * bits
+def _excess(x: IntMatrix, p: int, prec: int) -> int:
+    """v_p(X - I) for X reduced mod p^prec, capped at prec."""
+    entries = (v - (i == j) for i, row in enumerate(x.entries) for j, v in enumerate(row))
+    return min(prec, *(valuation(v, p) for v in entries))
 
 
 def order_sequence(a: IntMatrix, p: int) -> Iterator[int]:
     """tau_1, tau_2, ... with tau_s the order of A mod p^s: tau_1 by descent,
-    each later order by the lift, computed only when it is drawn.
+    the rest by the growth law, computed only when drawn.
 
-    X = A^tau is kept mod p^prec, prec >= s, and carried through
-    _lift_order, so an order costs O(log p) products; X is recomputed from A
-    once, at twice the precision, each time s passes prec."""
+    v_p(A^tau_1 - I) is found mod p^(2s) at s = 2.  While it is not below
+    that precision (finite order, or growth that starts later), it is found
+    again at twice the precision each time s passes it; once it is, every
+    later order is the previous one or p times it, with no matrix product."""
     tau = _order_mod_p(a, p)
     yield tau
-    prec = 0
+    prec = 1
     for s in itertools.count(2):
         if s > prec:
-            prec = _lift_precision(s)
+            prec = 2 * s
             m = PrimePowerModulus(p, prec)
-            x = mat_pow_mod(a, tau, m)
-        ps = p**s
-        x, tau = _lift_order(
-            x, tau, p, lambda y: y.reduce(ps).is_identity(), lambda y: mat_pow_mod(y, p, m)
-        )
-        yield tau
+            tau0, beta0 = _growth(p, tau, lambda e: _excess(mat_pow_mod(a, e, m), p, prec))
+            order = tau0 * p ** max(0, s - beta0)
+            if beta0 < prec:
+                prec = math.inf
+        elif s > beta0:
+            order *= p
+        yield order
 
 
 class PeriodProfile(Frozen):
@@ -194,42 +186,26 @@ class PeriodProfile(Frozen):
 def period_profile(a: IntMatrix, p: int, s_max: int) -> PeriodProfile:
     """Order table up to s_max plus the extracted growth invariants.
 
-    s_star is detected empirically: the table is extended (beyond s_max if
-    needed) until _STABILIZATION_WINDOW consecutive steps multiply by p.
-    A matrix of finite order never stabilizes and is reported as degenerate.
+    s_max + _EXTENSION_CAP orders are drawn; when the last step is flat the
+    order has not started to grow, and the matrix is reported as degenerate
+    (finite order).  s_star follows the last flat step.
 
-    The work of the deepest table this may draw, s_max + _EXTENSION_CAP
-    orders (`order_table_work`), is checked before the first lift:
-    OrderTableTooDeepError when it is over ORDER_WORK_BUDGET.
+    tau_{s_max} divides L * p^(s_max - 1), L = _unit_exponent(p, d).  When
+    that bound has more decimal digits than the interpreter converts
+    (`exceeds_str_digits`), OrderTableTooDeepError is raised before any
+    order is drawn.
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
-    depth = s_max + _EXTENSION_CAP
-    work = order_table_work(a.d, p, depth)
-    if work > ORDER_WORK_BUDGET:
+    if exceeds_str_digits(_unit_exponent(p, a.d), p, s_max - 1):
         raise OrderTableTooDeepError(
-            f"an order table of depth up to {depth} (s_max = {s_max}) mod powers of p = {p} "
-            f"is estimated at {work:.3g} bit operations, over the budget of {ORDER_WORK_BUDGET:.3g}"
+            f"the orders of an order table to s_max = {s_max} mod powers of p = {p} may have "
+            "more decimal digits than the int-to-str conversion limit"
         )
-    orders = order_sequence(a, p)
-    taus = list(itertools.islice(orders, s_max))
-
-    def stabilized() -> bool:
-        tail = taus[-_STABILIZATION_WINDOW - 1 :]
-        return len(tail) > _STABILIZATION_WINDOW and all(y == p * x for x, y in zip(tail, tail[1:]))
-
-    while not stabilized():
-        if len(taus) >= s_max + _EXTENSION_CAP:
-            raise DegenerateMatrixError(
-                "order growth never stabilizes; matrix looks degenerate (finite order)"
-            )
-        taus.append(next(orders))
-
-    last_flat = 0
-    for s in range(1, len(taus)):
-        if taus[s] == taus[s - 1]:
-            last_flat = s
-    s_star = last_flat + 1
+    taus = list(itertools.islice(order_sequence(a, p), s_max + _EXTENSION_CAP))
+    if taus[-1] == taus[-2]:
+        raise DegenerateMatrixError("order growth never starts; matrix looks degenerate (finite order)")
+    s_star = max((s for s in range(1, len(taus)) if taus[s] == taus[s - 1]), default=0) + 1
     nu = valuation(taus[s_star - 1], p)
     tau_star = taus[s_star - 1] // p**int(nu)
     beta_star = s_star - int(nu)
@@ -468,7 +444,8 @@ def _residue_order(ratio: UnramifiedElement) -> int:
 
 
 def tau_pair(gamma: UnramifiedElement, lam: UnramifiedElement, s: int) -> int:
-    """Minimal t >= 1 with gamma^t = lambda^t (mod p^s)."""
+    """Minimal t >= 1 with gamma^t = lambda^t (mod p^s): the order of the
+    ratio mod p, then the growth law (`_growth`) at precision s."""
     if s < 1:
         raise PreconditionViolatedError("precision s must be >= 1")
     ring = gamma.ring
@@ -480,13 +457,10 @@ def tau_pair(gamma: UnramifiedElement, lam: UnramifiedElement, s: int) -> int:
     tau = _residue_order(ratio)
     if s == 1:
         return tau
-    x = ring.at_precision(s).element(ratio._view()) ** tau
-    for k in range(2, s + 1):
-        ringk = ring.at_precision(k)
-        x, tau = _lift_order(
-            x, tau, ring.p, lambda y: (ringk.element(y._view()) - ringk.one()).is_zero, lambda y: y**ring.p
-        )
-    return tau
+    rings = ring.at_precision(s)
+    x = rings.element(ratio._view())
+    tau0, beta0 = _growth(ring.p, tau, lambda e: min(s, (x**e - rings.one()).valuation()))
+    return tau0 * ring.p ** max(0, s - beta0)
 
 
 def beta_pair(

@@ -265,6 +265,27 @@ class TestGuards:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "OrderTableTooDeepError", "message": err["message"]}
 
+    def test_orders_past_the_int_to_str_limit_exit_3_fast(self, tmp_path, capsys):
+        # tau_500 of [[7]] mod powers of 2^31 - 1 may have over 4300 digits
+        doc = {"p": 2147483647, "t": 2, "matrix": [[7]], "u0": [1], "v": [1], "s_max": 500}
+        out = tmp_path / "period.csv"
+        start = time.perf_counter()
+        assert main(["period", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 3
+        assert time.perf_counter() - start < 2
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "OrderTableTooDeepError", "message": err["message"]}
+
+    def test_deepest_admitted_order_table_prints(self, tmp_path):
+        # 1717 is the deepest s_max at p = 317 that the default limit admits
+        doc = dict(FIB_DOC, matrix=[[0, 1], [3, 1]], p=317, t=2, s_max=1717)
+        out = tmp_path / "period.csv"
+        assert main(["period", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        rows = list(csv.reader(out.read_text().splitlines()))[1:]
+        assert [int(s) for s, _ in rows] == list(range(1, 1718))
+        taus = [int(tau) for _, tau in rows]
+        assert all(y == 317 * x for x, y in zip(taus, taus[1:]))
+
     @pytest.mark.parametrize("command, key", [("gen", "count"), ("expsum", "N")])
     def test_stream_memory_guard_exits_3(self, command, key, tmp_path, capsys):
         doc = dict(FIB_DOC, **{key: str(10**12)})
@@ -315,6 +336,17 @@ class TestGuards:
         assert out == ""
         payload = json.loads(err)
         assert payload == {"error": "EnumerationTooLargeError", "message": payload["message"]}
+
+    def test_vmvt_count_digits_are_bounded_without_a_limit(self, tmp_path, capsys):
+        # a limit of 0 converts any int; the count is still held to 4300 digits
+        cfg = write_config(tmp_path, dict(FIB_DOC, vmvt=[[8000, 1, 2]]))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert main(["vmvt", "--config", cfg]) == 3
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert json.loads(capsys.readouterr().err)["error"] == "EnumerationTooLargeError"
 
     @pytest.mark.parametrize("k, code", [(1063, 0), (1064, 3)])
     def test_vmvt_digit_limit_edge(self, k, code, tmp_path, capsys):

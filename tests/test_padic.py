@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+import sys
 import time
+import tracemalloc
 from math import comb, factorial
 
 import pytest
@@ -31,14 +33,11 @@ from matprng.errors import (
     PreconditionViolatedError,
 )
 from matprng import padic
-from matprng.fieldalg import is_proper_pair
+from matprng.fieldalg import irreducible_mod_p, is_proper_pair
 from matprng.padic import (
-    _EXTENSION_CAP,
-    ORDER_WORK_BUDGET,
     H_coeffs,
     UnramifiedRing,
-    _lift_order,
-    _lift_precision,
+    _growth,
     _order_mod_p,
     beta_pair,
     binomial_to_monomial,
@@ -47,7 +46,6 @@ from matprng.padic import (
     lift_roots,
     order_mod,
     order_sequence,
-    order_table_work,
     period_profile,
     tau_pair,
     theta_matrix,
@@ -73,15 +71,27 @@ class TestOrderMod:
     def test_against_brute_force(self, fib, p, s):
         assert order_mod(fib, PrimePowerModulus(p, s)) == brute_force_order(fib, p, s)
 
-    def test_lift_dichotomy(self):
-        # the carried power is the exponent itself; its p-th power is 3 e
-        def lift(order):
-            return _lift_order(8, 8, 3, lambda e: e % order == 0, lambda e: 3 * e)
-
-        assert lift(8) == (8, 8)
-        assert lift(24) == (24, 24)
-        with pytest.raises(ExactDivisionError):
-            lift(72)
+    @pytest.mark.parametrize(
+        "g, p, law",
+        [
+            (4, 3, (1, 1)),  # p odd: 4 = 1 + 3
+            (10, 3, (1, 2)),  # p odd, growth from s = 3
+            (8, 3, (2, 2)),  # order 2 mod 3; 8^2 = 1 + 9 * 7
+            (3, 2, (2, 3)),  # p = 2, b = 1: order 2 mod 4, 3^2 = 1 + 8
+            (7, 2, (2, 4)),  # p = 2, b = 1: 7^2 = 1 + 16 * 3
+            (5, 2, (1, 2)),  # p = 2, b = 2: 5 = 1 + 4
+            (17, 2, (1, 4)),  # p = 2, b = 4
+            (1, 5, (1, 8)),  # finite order: the valuation is the precision
+        ],
+    )
+    def test_growth(self, g, p, law):
+        prec = 8
+        tau = next(e for e in itertools.count(1) if pow(g, e, p) == 1)
+        assert _growth(p, tau, lambda e: min(prec, valuation(g**e - 1, p))) == law
+        tau0, beta0 = law
+        for s in range(2, prec + 1):
+            order = next(e for e in itertools.count(1) if pow(g, e, p**s) == 1)
+            assert order == tau0 * p ** max(0, s - beta0)
 
     def test_fixture_matrices_against_brute_force(self, m2x2, m3x3):
         for a, p in ((m2x2, 5), (m3x3, 2)):
@@ -151,6 +161,14 @@ class TestPeriodProfile:
         assert prof.taus == (1_501_000, 1_501_000 * 3001, 1_501_000 * 3001**2)
         assert best < 0.05
 
+    def test_growth_that_starts_past_the_drawn_orders_is_degenerate(self):
+        # tau_s = 1 for s <= 60; s_max + 48 orders reach the growth at s_max = 13
+        a = IntMatrix.from_rows([[1, 3**60], [0, 1]])
+        prof = period_profile(a, 3, 13)
+        assert (prof.s_star, prof.tau_star, prof.beta_star) == (60, 1, 60)
+        with pytest.raises(DegenerateMatrixError):
+            period_profile(a, 3, 12)
+
     def test_plateau_profile(self):
         # X^2 - 4X - 19 mod 3: both roots have order 8 mod 3 and mod 9
         # (brute-force verified), so the growth only starts at s = 2
@@ -164,20 +182,41 @@ class TestPeriodProfile:
 
 class TestOrderTableGuard:
     def test_deep_table_raises_before_the_first_lift(self, monkeypatch):
-        # p = 317, s_max = 10^5: hours of lifting at 1.7 M-bit moduli
-        monkeypatch.setattr(padic, "order_sequence", None)
+        # p = 317, s_max = 10^5: orders of about 250 000 digits
+        drawn = []
+        monkeypatch.setattr(padic, "order_sequence", lambda *args: drawn.append(args))
         a = IntMatrix.from_rows([[0, 1], [3, 1]])
+        tracemalloc.start()
         start = time.perf_counter()
-        with pytest.raises(OrderTableTooDeepError, match="s_max = 100000"):
-            period_profile(a, 317, 10**5)
-        assert time.perf_counter() - start < 0.5
+        try:
+            with pytest.raises(OrderTableTooDeepError, match="s_max = 100000"):
+                period_profile(a, 317, 10**5)
+            assert time.perf_counter() - start < 0.5
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+        assert drawn == []
 
-    def test_budget_counts_the_extension_cap(self):
-        # at p = 317 the deepest admitted table is s_max = 718: 766 orders
-        # drawn at p^766; one more order lifts at p^1534
-        assert order_table_work(2, 317, 718 + _EXTENSION_CAP) <= ORDER_WORK_BUDGET
-        assert order_table_work(2, 317, 719 + _EXTENSION_CAP) > ORDER_WORK_BUDGET
-        assert (_lift_precision(766), _lift_precision(767)) == (766, 1534)
+    # the deepest admitted s_max: L * p^(s_max - 1) < 10^digits, L = 24 at
+    # p = 3 and L = (p^2 - 1) p otherwise
+    @pytest.mark.parametrize("limit, deepest", [
+        (None, (9010, 1717, 232)),
+        (640, (1339, 253, 32)),
+        (0, (9010, 1717, 232)),  # no limit reads as the default, 4300
+    ])
+    def test_deepest_admitted_table(self, limit, deepest):
+        saved = sys.get_int_max_str_digits()
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        try:
+            for (rows, p), s_max in zip([([[0, 1], [1, 1]], 3), ([[0, 1], [3, 1]], 317),
+                                          ([[0, 1], [3, 1]], 2**61 - 1)], deepest):
+                a = IntMatrix.from_rows(rows)
+                assert len(period_profile(a, p, s_max).taus) == s_max
+                with pytest.raises(OrderTableTooDeepError):
+                    period_profile(a, p, s_max + 1)
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     @pytest.mark.parametrize("rows, p, s_max", [
         ([[0, 1], [1, 1]], 3, 240),  # Fibonacci at depth 240
@@ -186,8 +225,11 @@ class TestOrderTableGuard:
         ([[0, 1], [3, 1]], 2**127 - 1, 2),
         ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], 2, 500),
     ])
-    def test_tables_of_seconds_are_admitted(self, rows, p, s_max):
-        assert order_table_work(len(rows), p, s_max + _EXTENSION_CAP) <= ORDER_WORK_BUDGET
+    def test_tables_build_in_under_a_second(self, rows, p, s_max):
+        start = time.perf_counter()
+        prof = period_profile(IntMatrix.from_rows(rows), p, s_max)
+        assert time.perf_counter() - start < 1
+        assert len(prof.taus) == s_max
 
     def test_fibonacci_at_depth_240(self, fib):
         prof = period_profile(fib, 3, 240)
@@ -230,8 +272,46 @@ class TestOrderSequence:
         with pytest.raises(NotInvertibleError):
             next(orders)
 
+    @given(
+        st.sampled_from([2, 3, 5, 7]).flatmap(lambda p: st.tuples(
+            st.just(p),
+            st.integers(1, 3).flatmap(
+                lambda d: st.lists(st.lists(st.integers(-9, 9), min_size=d, max_size=d), min_size=d, max_size=d)
+            ),
+            st.sampled_from([None, 1, -1]),  # N itself, I + p^k N or -I + p^k N
+            st.integers(1, 12),
+        ))
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_fresh_powers_on_random_matrices(self, case):
+        p, n, shift, k = case
+        d = len(n)
+        if shift is None:
+            a = IntMatrix.from_rows(n)
+        else:
+            a = IntMatrix.from_rows([[shift * (i == j) + p**k * n[i][j] for j in range(d)] for i in range(d)])
+        if det_exact(a) % p == 0:
+            return
+        got = list(itertools.islice(order_sequence(a, p), 40))
+        assert got == list(itertools.islice(order_sequence_oracle(a, p), 40))
+
+    def test_no_product_once_the_valuation_resolves(self, fib, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return mat_pow_mod(*args)
+
+        monkeypatch.setattr(padic, "mat_pow_mod", spy)
+        orders = order_sequence(fib, 3)
+        assert list(itertools.islice(orders, 2)) == [8, 24]
+        resolved = len(calls)
+        for s, tau in enumerate(itertools.islice(orders, 1000), start=3):
+            assert tau == 8 * 3 ** (s - 1)
+        assert len(calls) == resolved
+
     @pytest.mark.parametrize("depth", [1, 2, 4, 5, 10, 11, 22, 23, 46, 47, 60])
-    def test_lift_precision_is_the_deepest_modulus_used(self, depth, monkeypatch):
+    def test_finite_order_precision_stays_within_twice_the_depth(self, depth, monkeypatch):
         used = []
 
         def modulus(p, t):
@@ -239,8 +319,9 @@ class TestOrderSequence:
             return PrimePowerModulus(p, t)
 
         monkeypatch.setattr(padic, "PrimePowerModulus", modulus)
-        list(itertools.islice(order_sequence(IntMatrix.from_rows([[0, 1], [1, 1]]), 3), depth))
-        assert max(used) == _lift_precision(depth)
+        orders = list(itertools.islice(order_sequence(IntMatrix.from_rows([[0, 1], [-1, 0]]), 3), depth))
+        assert orders == [4] * depth
+        assert max(used) <= 2 * depth
 
     def test_depth_120_linear_cost(self, fib):
         best = math.inf
@@ -354,6 +435,34 @@ class TestTauPair:
             r = ring.element(ratio._view())
             tau = next(e for e in (tau, p * tau) if (r**e - ring.one()).is_zero)
             assert tau_pair(g, l, s) == tau
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_least_exponent_on_random_polynomials(self, p, d):
+        # the order of the ratio mod p by repeated multiplication, then the
+        # least tau_1 p^j with a fresh ratio^e = 1 (mod p^s)
+        rng = random.Random(100 * p + d)
+        polys = []
+        while len(polys) < 3:
+            f = IntPolynomial(tuple(rng.randint(-9, 9) for _ in range(d)) + (1,))
+            if irreducible_mod_p(f, p):
+                polys.append(f)
+        for f in polys:
+            rs = lift_roots(f, p, 8)
+            one = rs.ring.one()
+            for g in rs.roots:
+                for l in rs.roots + (one,):
+                    ratio = g * l.inverse()
+                    ring1 = rs.ring.at_precision(1)
+                    r1 = ring1.element(ratio._view())
+                    power, tau1 = r1, 1
+                    while power != ring1.one():
+                        power, tau1 = power * r1, tau1 + 1
+                    for s in range(1, 9):
+                        ring = rs.ring.at_precision(s)
+                        r = ring.element(ratio._view())
+                        least = next(tau1 * p**j for j in itertools.count() if r ** (tau1 * p**j) == ring.one())
+                        assert tau_pair(g, l, s) == least
 
     def test_pairwise_growth_dichotomy(self, fib_poly):
         # tau_s(gamma, lambda) = tau_* for s <= beta, tau_* p^{s-beta} beyond
