@@ -67,9 +67,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "generator": ("GeneratorConfig", "fractional_points", "vector_sequence"),
     "padic": (
         "PeriodProfile",
-        "RootSet",
-        "UnramifiedRing",
-        "beta_pair",
         "binomial_to_monomial",
         "compute_w",
         "h_coeffs",
@@ -77,7 +74,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "lift_roots",
         "order_mod",
         "period_profile",
-        "tau_pair",
         "theta_matrix",
     ),
     "stream": ("mat_stream",),

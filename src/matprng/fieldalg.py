@@ -31,8 +31,7 @@ class PolyModP(IntPolynomial):
 
     The arithmetic is IntPolynomial's, on reduced coefficients.  Division
     goes through the divisor's monic associate, so it needs a lead that is a
-    unit mod p: any nonzero divisor over the field F_p, and a monic one over
-    Z/p^s, where UnramifiedRing uses this type with p^s in place of p."""
+    unit mod p: any nonzero divisor."""
 
     __slots__ = ("p",)
     _fields = ("coeffs", "p")

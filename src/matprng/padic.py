@@ -1,15 +1,16 @@
 """p-adic structure of the generator: multiplicative order growth tau_s and
 its invariants (tau_*, beta_*, s_*), read from one valuation by the growth
-law (`_growth`), Hensel-lifted roots in the unramified extension, pairwise
-order/valuation data, the window constant w, and the integer expansion
-coefficients h_{n,j} and H_{n,j}.
+law (`_growth`), Hensel-lifted roots of f in the matrix algebra Z/p^s[C]
+(C the companion matrix), the window constant w from their pairwise
+valuations, and the integer expansion coefficients h_{n,j} and H_{n,j}.
+Every order and valuation is taken of an integer matrix.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .arith import (
     Frozen,
@@ -20,6 +21,7 @@ from .arith import (
     companion_matrix,
     det_exact,
     exceeds_str_digits,
+    mat_mul_mod,
     mat_pow,
     mat_pow_mod,
     mat_vec,
@@ -37,9 +39,10 @@ from .errors import (
     PrecisionCapExceededError,
     PreconditionViolatedError,
 )
-from .fieldalg import PolyModP, cyclotomic_polynomial, irreducible_mod_p, squarefree_mod_p
+from .fieldalg import cyclotomic_polynomial, irreducible_mod_p, squarefree_mod_p
 
-# working precision at which beta_pair gives up; read at each call
+# working precision at which compute_w gives up on resolving a valuation;
+# read at each call
 DEFAULT_PRECISION_CAP = 64
 # period_profile draws this many orders past s_max; a matrix whose order has
 # not started to grow by then is reported as degenerate
@@ -65,32 +68,6 @@ def _unit_exponent(p: int, d: int) -> int:
     return exponent
 
 
-def _unit_order(p: int, d: int, is_one: Callable[[int], bool]) -> int:
-    """Least tau >= 1 with is_one(tau), where is_one(e) tests u^e = 1 for a
-    unit u of a rank-d algebra over F_p.
-
-    The order divides L = _unit_exponent(p, d), whose primes are p and those
-    of the cyclotomic values Phi_k(p), k <= d; the order is found by descent
-    from L over them (Cohen, GTM 138, Alg. 1.4.3)."""
-    order = _unit_exponent(p, d)
-    primes = {p}
-    for k in range(1, d + 1):
-        primes.update(prime_factors(cyclotomic_polynomial(k)(p)))
-    if not is_one(order):
-        raise NotInvertibleError("element is not a unit mod p")
-    for q in primes:
-        # is_one(order // q^k) holds up to some k and fails above it: bisect
-        lo, hi = 0, int(valuation(order, q))
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if is_one(order // q**mid):
-                lo = mid
-            else:
-                hi = mid - 1
-        order //= q**lo
-    return order
-
-
 def order_mod(a: IntMatrix, m: PrimePowerModulus) -> int:
     """Smallest tau >= 1 with A^tau = I (mod p^s).
 
@@ -100,33 +77,52 @@ def order_mod(a: IntMatrix, m: PrimePowerModulus) -> int:
 
 
 def _order_mod_p(a: IntMatrix, p: int) -> int:
+    """Smallest tau >= 1 with A^tau = I (mod p).
+
+    The order divides L = _unit_exponent(p, d), whose primes are p and those
+    of the cyclotomic values Phi_k(p), k <= d; it is found by descent from L
+    over them (Cohen, GTM 138, Alg. 1.4.3)."""
     if det_exact(a) % p == 0:
         raise NotInvertibleError("det A is divisible by p; no order exists")
     m1 = PrimePowerModulus(p, 1)
-    return _unit_order(p, a.d, lambda e: mat_pow_mod(a, e, m1).is_identity())
+    order = _unit_exponent(p, a.d)
+    primes = {p}
+    for k in range(1, a.d + 1):
+        primes.update(prime_factors(cyclotomic_polynomial(k)(p)))
+    for q in primes:
+        # A^(order // q^k) = I holds up to some k and fails above it: bisect
+        lo, hi = 0, int(valuation(order, q))
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if mat_pow_mod(a, order // q**mid, m1).is_identity():
+                lo = mid
+            else:
+                hi = mid - 1
+        order //= q**lo
+    return order
 
 
-def _growth(p: int, tau: int, excess: Callable[[int], int]) -> tuple[int, int]:
-    """(tau0, beta0) such that the order of a unit g modulo p^s is tau at
-    s = 1 and tau0 * p^max(0, s - beta0) for 2 <= s <= prec.  tau is the
-    order of g mod p, and excess(e) = v_p(g^e - 1), capped at the working
-    precision prec.
+def _growth(g: IntMatrix, tau: int, m: PrimePowerModulus) -> tuple[int, int]:
+    """(tau0, beta0) such that the order of G modulo p^s is tau at s = 1 and
+    tau0 * p^max(0, s - beta0) for 2 <= s <= t, m = p^t.  tau is the order
+    of G mod p, and beta0 = v_p(G^tau0 - I), capped at t.
 
-    Growth law: if g^tau0 = 1 + p^b B with B != 0 (mod p) and b >= 1
-    (b >= 2 for p = 2), then (g^tau0)^p = 1 + p^(b+1) B' with B' = B (mod p),
+    Growth law: if G^tau0 = I + p^b B with B != 0 (mod p) and b >= 1
+    (b >= 2 for p = 2), then (G^tau0)^p = I + p^(b+1) B' with B' = B (mod p),
     since every other binomial term has valuation >= b + 2.  For p = 2 with
-    v_2(g^tau - 1) = 1 the order mod 4 is 2 tau, and v_2(g^(2 tau) - 1) >= 2."""
-    beta0 = excess(tau)
-    if p == 2 and beta0 == 1:
+    v_2(G^tau - I) = 1 the order mod 4 is 2 tau, and v_2(G^(2 tau) - I) >= 2."""
+    power = mat_pow_mod(g, tau, m)
+    beta0 = _excess(power, m)
+    if m.p == 2 and beta0 == 1:
         tau *= 2
-        beta0 = excess(tau)
+        beta0 = _excess(mat_mul_mod(power, power, m), m)
     return tau, beta0
 
 
-def _excess(x: IntMatrix, p: int, prec: int) -> int:
-    """v_p(X - I) for X reduced mod p^prec, capped at prec."""
+def _excess(x: IntMatrix, m: PrimePowerModulus) -> int:
+    """v_p(X - I) for X reduced mod p^t, capped at t."""
     entries = (v - (i == j) for i, row in enumerate(x.entries) for j, v in enumerate(row))
-    return min(prec, *(valuation(v, p) for v in entries))
+    return min(m.t, *(valuation(v, m.p) for v in entries))
 
 
 def order_sequence(a: IntMatrix, p: int) -> Iterator[int]:
@@ -143,8 +139,7 @@ def order_sequence(a: IntMatrix, p: int) -> Iterator[int]:
     for s in itertools.count(2):
         if s > prec:
             prec = 2 * s
-            m = PrimePowerModulus(p, prec)
-            tau0, beta0 = _growth(p, tau, lambda e: _excess(mat_pow_mod(a, e, m), p, prec))
+            tau0, beta0 = _growth(a, tau, PrimePowerModulus(p, prec))
             order = tau0 * p ** max(0, s - beta0)
             if beta0 < prec:
                 prec = math.inf
@@ -166,9 +161,11 @@ class PeriodProfile(Frozen):
             ratio, rem = divmod(taus[s], taus[s - 1])
             if rem or ratio not in (1, p):
                 raise ValueError("tau_{s+1}/tau_s must be 1 or p")
+        expected = tau_star * p ** (s_star - beta_star)
         for s in range(s_star, len(taus) + 1):
-            if taus[s - 1] != tau_star * p ** (s - beta_star):
+            if taus[s - 1] != expected:
                 raise ValueError("growth law violated at s = %d" % s)
+            expected *= p
         self._set(p, taus, tau_star, beta_star, s_star)
 
     @property
@@ -213,282 +210,65 @@ def period_profile(a: IntMatrix, p: int, s_max: int) -> PeriodProfile:
 
 
 # ---------------------------------------------------------------------------
-# The unramified extension (Z/p^s)[X]/(f) and its roots
+# Roots of f in the matrix algebra Z/p^s[C]; the window constant w
 # ---------------------------------------------------------------------------
 
 
-class UnramifiedRing(Frozen):
-    """(Z/p^s)[X]/(f mod p^s) with f monic; for f irreducible mod p this is
-    the degree-d unramified extension at finite precision, uniformizer p."""
-
-    __slots__ = _fields = ("f", "p", "s")
-
-    def __init__(self, f: IntPolynomial, p: int, s: int) -> None:
-        if not f.is_monic or f.degree < 1:
-            raise ValueError("f must be monic of degree >= 1")
-        if s < 1:
-            raise ValueError("precision s must be >= 1")
-        self._set(f, p, s)
-
-    @property
-    def d(self) -> int:
-        return self.f.degree
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.s
-
-    def at_precision(self, s: int) -> "UnramifiedRing":
-        return UnramifiedRing(self.f, self.p, s)
-
-    def element(self, coeffs: Sequence[int], exact: bool = False) -> "UnramifiedElement":
-        """The class of the polynomial with these coefficients: reduced mod f,
-        and mod p^s unless `exact` keeps the true integers."""
-        poly = IntPolynomial(coeffs) if exact else PolyModP(self.modulus, coeffs)
-        return self._from_poly(poly, exact)
-
-    def _from_poly(self, poly: IntPolynomial, exact: bool = False) -> "UnramifiedElement":
-        """The class of `poly`, whose coefficients are already stored as the
-        element keeps them (reduced mod p^s unless `exact`)."""
-        if poly.degree >= self.d:
-            poly = poly % self.f
-        return UnramifiedElement(self, poly.coeffs + (0,) * (self.d - len(poly.coeffs)), exact)
-
-    def zero(self) -> "UnramifiedElement":
-        return self.element([0], exact=True)
-
-    def one(self) -> "UnramifiedElement":
-        return self.element([1], exact=True)
-
-    def embed(self, n: int) -> "UnramifiedElement":
-        return self.element([n], exact=True)
-
-    def x_class(self) -> "UnramifiedElement":
-        if self.d == 1:
-            return self.element([-self.f.coeffs[0]])
-        return self.element([0, 1])
+def _combine(a: IntMatrix, b: IntMatrix, c: int, m: PrimePowerModulus) -> IntMatrix:
+    """A + c B mod p^s."""
+    return IntMatrix(tuple(
+        tuple((x + c * y) % m.modulus for x, y in zip(row_a, row_b))
+        for row_a, row_b in zip(a.entries, b.entries)
+    ))
 
 
-class UnramifiedElement(Frozen):
-    """Element of an UnramifiedRing; coefficient vector of length d.  Two
-    elements are equal when their rings are and their coefficients agree
-    mod p^s.
-
-    `exact` marks elements whose coefficients are true integers (not mere
-    residues), so they can be re-embedded at any higher precision."""
-
-    __slots__ = _fields = ("ring", "coeffs", "exact")
-
-    def __init__(self, ring: UnramifiedRing, coeffs: tuple[int, ...], exact: bool = False) -> None:
-        self._set(ring, coeffs, exact)
-
-    def _view(self) -> tuple[int, ...]:
-        mod = self.ring.modulus
-        return tuple(c % mod for c in self.coeffs)
-
-    def _poly(self) -> PolyModP:
-        return PolyModP(self.ring.modulus, self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UnramifiedElement):
-            return NotImplemented
-        return self.ring == other.ring and self._view() == other._view()
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self._view()))
-
-    def _operand(self, other: "UnramifiedElement | int") -> "UnramifiedElement":
-        """`other` as an element of this ring; an int is embedded, so that
-        IntPolynomial's Horner evaluation runs on ring elements."""
-        if isinstance(other, int):
-            return self.ring.embed(other)
-        if self.ring != other.ring:
-            raise ValueError("elements live in different rings")
-        return other
-
-    def __add__(self, other: "UnramifiedElement | int") -> "UnramifiedElement":
-        return self.ring._from_poly(self._poly() + self._operand(other)._poly())
-
-    def __sub__(self, other: "UnramifiedElement | int") -> "UnramifiedElement":
-        return self.ring._from_poly(self._poly() - self._operand(other)._poly())
-
-    def __mul__(self, other: "UnramifiedElement | int") -> "UnramifiedElement":
-        return self.ring._from_poly(self._poly() * self._operand(other)._poly())
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "UnramifiedElement":
-        if e < 0:
-            return self.inverse() ** (-e)
-        return self.ring._from_poly(self._poly().pow_mod(e, self.ring.f))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self._view())
-
-    def residue_mod_p(self) -> PolyModP:
-        return PolyModP(self.ring.p, self._view())
-
-    def valuation(self):
-        """Minimum p-valuation over the coefficient vector (the p-adic
-        valuation since p is the uniformizer); math.inf when the element
-        vanishes at this precision."""
-        if self.exact:
-            return min((valuation(c, self.ring.p) for c in self.coeffs), default=math.inf)
-        return min((valuation(c, self.ring.p) for c in self._view()), default=math.inf)
-
-    def inverse(self) -> "UnramifiedElement":
-        """Inverse of a unit: x = a^(L - 1) mod p, with L = _unit_exponent
-        a multiple of every unit's order, then Newton lifting x -> x(2 - a x)."""
-        ring = self.ring
-        ring1 = ring.at_precision(1)
-        a1 = ring1.element(self._view())
-        if a1.is_zero:
-            raise NotInvertibleError("element is divisible by p")
-        x = a1 ** (_unit_exponent(ring.p, ring.d) - 1)
-        if x * a1 != ring1.one():
-            raise NotInvertibleError("element shares a factor with f mod p")
-        prec = 1
-        while prec < ring.s:
-            prec = min(2 * prec, ring.s)
-            sub = ring.at_precision(prec)
-            xv = sub.element(x.coeffs)
-            av = sub.element(self._view())
-            x = xv * (sub.embed(2) - av * xv)
-        return ring.element(x.coeffs)
-
-    def with_precision(self, s: int) -> "UnramifiedElement":
-        """Same element viewed at another precision.  Raising the precision is
-        only possible for exact elements or refinable roots of f."""
-        ring2 = self.ring.at_precision(s)
-        if s <= self.ring.s or self.exact:
-            return ring2.element(self.coeffs, exact=self.exact)
-        return _refine_root(self.ring.f, self, s)
+def _evaluate(f: IntPolynomial, z: IntMatrix, m: PrimePowerModulus) -> IntMatrix:
+    """f(Z) mod p^s by Horner's rule."""
+    one = IntMatrix.identity(z.d)
+    acc = IntMatrix.zeros(z.d)
+    for c in reversed(f.coeffs):
+        acc = _combine(mat_mul_mod(acc, z, m), one, c, m)
+    return acc
 
 
-def _refine_root(f: IntPolynomial, elem: UnramifiedElement, s_target: int) -> UnramifiedElement:
-    """Newton-lift a root of f from the element's precision up to s_target."""
-    ring = elem.ring
-    fp = ring.p
-    cur = elem
-    if not f(cur).is_zero:
-        raise PrecisionCapExceededError(
-            "element is not a root of f at its own precision; cannot auto-raise"
-        )
-    prec = ring.s
-    while prec < s_target:
-        prec = min(2 * prec, s_target)
-        sub = UnramifiedRing(f, fp, prec)
-        g = sub.element(cur._view())
-        fg = f(g)
-        dfg = f.derivative()(g)
-        g = g - fg * dfg.inverse()
-        cur = g
-    if not f(cur).is_zero:
-        raise ExactDivisionError("Newton refinement failed to reach a root")
-    return cur
+def _inverse(y: IntMatrix, m: PrimePowerModulus) -> IntMatrix:
+    """Y^-1 mod p^s: from Z = Y^(L - 1) mod p, L = _unit_exponent, Newton
+    steps Z <- Z + Z (I - Y Z), each doubling the precision of Y Z = I."""
+    z = mat_pow_mod(y, _unit_exponent(m.p, y.d) - 1, PrimePowerModulus(m.p, 1))
+    one, zero = IntMatrix.identity(y.d), IntMatrix.zeros(y.d)
+    while True:
+        e = _combine(one, mat_mul_mod(y, z, m), -1, m)
+        if e == zero:
+            return z
+        if any(x % m.p for row in e.entries for x in row):
+            raise NotInvertibleError("matrix is not invertible mod p")
+        z = _combine(z, mat_mul_mod(z, e, m), 1, m)
 
 
-class RootSet(Frozen):
-    """The d roots of f at precision p^s, in Frobenius-orbit order; the first
-    root is the class of X."""
+def lift_roots(f: IntPolynomial, p: int, s: int) -> tuple[IntMatrix, ...]:
+    """The d roots of f in Z/p^s[C], C = companion_matrix(f): C itself, then
+    its conjugates S_k = sigma^k(C), k = 1 .. d - 1, each Newton-lifted from
+    C^(p^k) mod p^s.
 
-    __slots__ = _fields = ("ring", "roots")
-
-    def __init__(self, ring: UnramifiedRing, roots: tuple[UnramifiedElement, ...]) -> None:
-        self._set(ring, roots)
-
-    @property
-    def d(self) -> int:
-        return len(self.roots)
-
-
-def lift_roots(f: IntPolynomial, p: int, s: int) -> RootSet:
-    """All d roots of f in (Z/p^s)[X]/(f), Newton-refined from the Frobenius
-    conjugates X, X^p, X^{p^2}, ... of the residue field."""
+    Z/p^s[C] is (Z/p^s)[X]/(f), the unramified extension at precision s
+    when f is irreducible mod p, and sigma^k(C) = C^(p^k) (mod p).  Newton
+    steps stay in Z/p^s[C] only from a start formed there: reduced mod p,
+    C^(p^k) would converge to a root of f outside it."""
     if squarefree_mod_p(f, p).outcome != "accepted":
         raise NonSquarefreeError("f has multiple roots mod p")
     if not irreducible_mod_p(f, p):
         raise NotIrreducibleError("f is reducible mod p; root lifting is restricted")
-    ring = UnramifiedRing(f, p, s)
-    d = f.degree
-    roots = [ring.x_class()]
-    if d > 1:
-        f_mod_p = PolyModP(p, f.coeffs)
-        x = PolyModP(p, (0, 1))
-        frob = x
-        base_ring = UnramifiedRing(f, p, 1)
-        for _ in range(1, d):
-            frob = frob.pow_mod(p, f_mod_p)
-            approx = base_ring.element(frob.coeffs)
-            roots.append(_refine_root(f, approx, s) if s > 1 else approx)
-    for r in roots:
-        if not f(r).is_zero:
-            raise ExactDivisionError("lifted root does not satisfy f at precision")
-    seen = {r.residue_mod_p().coeffs for r in roots}
-    if len(seen) != d:
-        raise NonSquarefreeError("roots are not pairwise distinct mod p")
-    return RootSet(ring, tuple(roots))
-
-
-# ---------------------------------------------------------------------------
-# Pairwise orders and valuations; the window constant w
-# ---------------------------------------------------------------------------
-
-
-def _residue_order(ratio: UnramifiedElement) -> int:
-    """Multiplicative order of a unit modulo p, in the residue ring F_p[X]/(f)."""
-    ring1 = ratio.ring.at_precision(1)
-    r1 = ring1.element(ratio._view())
-    return _unit_order(ring1.p, ring1.d, lambda e: (r1**e - ring1.one()).is_zero)
-
-
-def tau_pair(gamma: UnramifiedElement, lam: UnramifiedElement, s: int) -> int:
-    """Minimal t >= 1 with gamma^t = lambda^t (mod p^s): the order of the
-    ratio mod p, then the growth law (`_growth`) at precision s."""
-    if s < 1:
-        raise PreconditionViolatedError("precision s must be >= 1")
-    ring = gamma.ring
-    if s > ring.s:
-        raise PreconditionViolatedError("elements carry less precision than requested")
-    if gamma.residue_mod_p().is_zero or lam.residue_mod_p().is_zero:
-        raise NotInvertibleError("tau_pair needs units")
-    ratio = gamma * lam.inverse()
-    tau = _residue_order(ratio)
-    if s == 1:
-        return tau
-    rings = ring.at_precision(s)
-    x = rings.element(ratio._view())
-    tau0, beta0 = _growth(ring.p, tau, lambda e: min(s, (x**e - rings.one()).valuation()))
-    return tau0 * ring.p ** max(0, s - beta0)
-
-
-def beta_pair(
-    gamma: UnramifiedElement,
-    lam: UnramifiedElement,
-    p: int,
-) -> int:
-    """Valuation of gamma^{tau_*} - lambda^{tau_*} with tau_* the pair order at
-    precision 1 (precision 2 for p = 2).  Working precision is raised by
-    doubling until the valuation resolves strictly below it, up to
-    DEFAULT_PRECISION_CAP."""
-    if gamma.ring.p != p or lam.ring.p != p:
-        raise ValueError("elements do not live over p")
-    s_work = max(gamma.ring.s, lam.ring.s, 2 if p == 2 else 1)
-    g = gamma.with_precision(s_work)
-    h = lam.with_precision(s_work)
-    tau_star = tau_pair(g, h, 2 if p == 2 else 1)
-    cap = DEFAULT_PRECISION_CAP
-    while True:
-        diff = (g ** tau_star) - (h ** tau_star)
-        val = diff.valuation()
-        if val < s_work:
-            return int(val)
-        if s_work >= cap:
-            raise PrecisionCapExceededError(f"beta valuation still unresolved at precision cap {cap}")
-        s_work = min(2 * s_work, cap)
-        g = gamma.with_precision(s_work)
-        h = lam.with_precision(s_work)
+    m = PrimePowerModulus(p, s)
+    c = companion_matrix(f).reduce(m.modulus)
+    df = f.derivative()
+    zero = IntMatrix.zeros(f.degree)
+    roots = [c]
+    for k in range(1, f.degree):
+        z = mat_pow_mod(c, p**k, m)
+        while (fz := _evaluate(f, z, m)) != zero:
+            z = _combine(z, mat_mul_mod(fz, _inverse(_evaluate(df, z, m), m), m), -1, m)
+        roots.append(z)
+    return tuple(roots)
 
 
 def compute_w(
@@ -499,20 +279,36 @@ def compute_w(
     """Window constant  w = d(d+1)/2 * max{beta(gamma_i, gamma_j) - beta_*, 0} + 1.
 
     The pair set includes gamma_0 = 1, i.e. all 0 <= i < j <= d, matching the
-    divisibility argument that consumes w."""
+    divisibility argument that consumes w.  beta(x, y) = v_p(x^tau - y^tau)
+    with tau the order of x / y mod p (mod 4 for p = 2): the second value of
+    `_growth` on the ratio, whose valuation in Z/p^s[C] is the least over
+    its entries.
+
+    The roots are the conjugates sigma^k(gamma), and Frobenius keeps orders
+    and valuations, so beta(gamma_i, gamma_j) = beta(gamma, sigma^k gamma)
+    with k = j - i or d - (j - i): the pairs (C, I) and (C, S_k), k <= d/2,
+    cover every value.  gamma / sigma^k gamma = gamma^(1 - p^k) (mod p) has
+    order tau_1 / gcd(tau_1, p^k - 1).  The precision starts at
+    max(4, beta_* + 2) and doubles until every beta lies below it, up to
+    DEFAULT_PRECISION_CAP."""
     d = f.degree
     if profile is None:
         profile = period_profile(companion_matrix(f), p, s_max=3)
-    start = max(4, profile.beta_star + 2, 2 if p == 2 else 1)
-    roots = lift_roots(f, p, start)
-    elems = list(roots.roots)
-    one = roots.ring.one()
-    best = 0
-    for i in range(d):
-        for j in range(i + 1, d):
-            best = max(best, beta_pair(elems[i], elems[j], p) - profile.beta_star)
-        best = max(best, beta_pair(elems[i], one, p) - profile.beta_star)
-    return d * (d + 1) // 2 * best + 1
+    tau = profile.taus[0]
+    s = max(4, profile.beta_star + 2)
+    while True:
+        m = PrimePowerModulus(p, s)
+        c, *conjugates = lift_roots(f, p, s)
+        beta = _growth(c, tau, m)[1]
+        for k, root in enumerate(conjugates[: d // 2], start=1):
+            ratio = mat_mul_mod(c, _inverse(root, m), m)
+            beta = max(beta, _growth(ratio, tau // math.gcd(tau, p**k - 1), m)[1])
+        if beta < s:
+            return d * (d + 1) // 2 * max(beta - profile.beta_star, 0) + 1
+        cap = DEFAULT_PRECISION_CAP
+        if s >= cap:
+            raise PrecisionCapExceededError(f"beta valuation still unresolved at precision cap {cap}")
+        s = min(2 * s, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from matprng.arith import IntMatrix, IntPolynomial, PrimePowerModulus, mat_mul_mod
+
+# `--hypothesis-profile=ci`: the same examples on every run, and a failure
+# prints the blob that replays it
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import tracemalloc
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from matprng.arith import (
     IntMatrix,
@@ -16,9 +16,11 @@ from matprng.arith import (
     char_poly,
     companion_matrix,
     det_exact,
+    mat_mul_mod,
     mat_pow,
     mat_pow_mod,
     mat_vec,
+    sylvester_rows,
     valuation,
     vec_dot,
 )
@@ -36,10 +38,8 @@ from matprng import padic
 from matprng.fieldalg import irreducible_mod_p, is_proper_pair
 from matprng.padic import (
     H_coeffs,
-    UnramifiedRing,
     _growth,
     _order_mod_p,
-    beta_pair,
     binomial_to_monomial,
     compute_w,
     h_coeffs,
@@ -47,10 +47,42 @@ from matprng.padic import (
     order_mod,
     order_sequence,
     period_profile,
-    tau_pair,
     theta_matrix,
 )
 from conftest import brute_force_order
+
+
+def _ratio(x: IntMatrix, y: IntMatrix, m: PrimePowerModulus) -> IntMatrix:
+    """X Y^-1 mod p^s."""
+    return mat_mul_mod(x, padic._inverse(y, m), m)
+
+
+def _beta(x: IntMatrix, y: IntMatrix, m: PrimePowerModulus) -> int:
+    """beta(x, y) = v_p(x^tau - y^tau) with tau the order of x / y mod p
+    (mod 4 for p = 2), capped at the precision: the second value of
+    `_growth` on the ratio, from a brute-force order mod p."""
+    ratio = _ratio(x, y, m)
+    return _growth(ratio, brute_force_order(ratio, m.p, 1), m)[1]
+
+
+def _poly_at(coeffs, g: IntMatrix, m: PrimePowerModulus) -> IntMatrix:
+    """sum_i c_i G^i mod p^s, one power per term."""
+    d = g.d
+    total = [[0] * d for _ in range(d)]
+    for i, c in enumerate(coeffs):
+        for row, power_row in zip(total, mat_pow_mod(g, i, m).entries):
+            for j, x in enumerate(power_row):
+                row[j] += c * x
+    return IntMatrix.from_rows(total).reduce(m.modulus)
+
+
+def _irreducible_polys(rng: random.Random, p: int, d: int, count: int) -> list[IntPolynomial]:
+    polys = []
+    while len(polys) < count:
+        f = IntPolynomial(tuple(rng.randint(-9, 9) for _ in range(d)) + (1,))
+        if irreducible_mod_p(f, p):
+            polys.append(f)
+    return polys
 
 
 class TestOrderMod:
@@ -87,7 +119,7 @@ class TestOrderMod:
     def test_growth(self, g, p, law):
         prec = 8
         tau = next(e for e in itertools.count(1) if pow(g, e, p) == 1)
-        assert _growth(p, tau, lambda e: min(prec, valuation(g**e - 1, p))) == law
+        assert _growth(IntMatrix(((g,),)), tau, PrimePowerModulus(p, prec)) == law
         tau0, beta0 = law
         for s in range(2, prec + 1):
             order = next(e for e in itertools.count(1) if pow(g, e, p**s) == 1)
@@ -335,19 +367,17 @@ class TestOrderSequence:
 
 class TestLiftRoots:
     def test_linear(self):
-        rs = lift_roots(IntPolynomial((-5, 1)), 3, 4)
-        assert rs.roots[0].coeffs == (5,)
+        assert lift_roots(IntPolynomial((-5, 1)), 3, 4) == (IntMatrix(((5,),)),)
 
     def test_fib_precision_1(self, fib_poly):
-        rs = lift_roots(fib_poly, 3, 1)
-        assert rs.roots[0].coeffs == (0, 1)  # class of X
-        assert rs.roots[1].coeffs == (1, 2)  # 1 - X mod 3 (sum of roots = 1)
+        roots = lift_roots(fib_poly, 3, 1)
+        assert roots[0] == IntMatrix.from_rows([[0, 1], [1, 1]])  # C
+        assert roots[1] == IntMatrix.from_rows([[1, 2], [2, 0]])  # I - C mod 3 (sum of roots = 1)
 
     def test_fib_precision_3(self, fib_poly):
-        rs = lift_roots(fib_poly, 3, 3)
-        one = rs.ring.one()
-        for g in rs.roots:
-            assert (g * g - g - one).is_zero  # f(gamma) = 0 mod 27
+        m = PrimePowerModulus(3, 3)
+        for g in lift_roots(fib_poly, 3, 3):
+            assert _poly_at(fib_poly.coeffs, g, m) == IntMatrix.zeros(2)  # f(gamma) = 0 mod 27
 
     def test_reducible_rejected(self):
         with pytest.raises(NotIrreducibleError):
@@ -359,33 +389,41 @@ class TestLiftRoots:
 
     def test_cubic_roots_mod_2(self, m3x3):
         f = char_poly(m3x3)
-        rs = lift_roots(f, 2, 10)
-        for g in rs.roots:
-            acc = rs.ring.zero()
-            for c in reversed(f.coeffs):
-                acc = acc * g + rs.ring.embed(c)
-            assert acc.is_zero
-        residues = {g.residue_mod_p().coeffs for g in rs.roots}
-        assert len(residues) == 3
+        m = PrimePowerModulus(2, 10)
+        roots = lift_roots(f, 2, 10)
+        for g in roots:
+            assert _poly_at(f.coeffs, g, m) == IntMatrix.zeros(3)
+        assert len({g.reduce(2) for g in roots}) == 3
+
+    @pytest.mark.parametrize("coeffs, p", [((-1, -1, 1), 3), ((-1, -1, 0, 1), 2), ((1, 1, 1), 5),
+                                           ((2, 0, 0, 1), 7), ((2, 1, 0, 0, 1), 3)])
+    def test_roots_lie_in_the_algebra_of_c(self, coeffs, p):
+        # a root commutes with C, so it is a polynomial in C; a Newton start
+        # reduced mod p would lead to roots of f outside Z/p^s[C]
+        m = PrimePowerModulus(p, 12)
+        c, *conjugates = lift_roots(IntPolynomial(coeffs), p, 12)
+        for g in conjugates:
+            assert mat_mul_mod(c, g, m) == mat_mul_mod(g, c, m)
 
 
 class TestTauPair:
+    """The order of gamma / lambda mod p^s is the order of the ratio matrix
+    in Z/p^s[C]: `order_mod` and `order_sequence` on it."""
+
     def test_fib_root_against_one(self, fib_poly):
-        rs = lift_roots(fib_poly, 3, 4)
-        assert tau_pair(rs.roots[0], rs.ring.one(), 1) == 8
+        assert order_mod(lift_roots(fib_poly, 3, 4)[0], PrimePowerModulus(3, 1)) == 8
 
     def test_equal_elements(self, fib_poly):
-        rs = lift_roots(fib_poly, 3, 4)
-        assert tau_pair(rs.roots[0], rs.roots[0], 1) == 1
+        m = PrimePowerModulus(3, 4)
+        g = lift_roots(fib_poly, 3, 4)[0]
+        assert order_mod(_ratio(g, g, m), PrimePowerModulus(3, 1)) == 1
 
     def test_minus_one(self):
-        ring = UnramifiedRing(IntPolynomial((-1, 1)), 3, 4)
-        assert tau_pair(ring.embed(-1), ring.one(), 2) == 2
+        assert order_mod(IntMatrix(((-1,),)), PrimePowerModulus(3, 2)) == 2
 
     def test_zero_precision_rejected(self, fib_poly):
-        rs = lift_roots(fib_poly, 3, 2)
-        with pytest.raises(PreconditionViolatedError):
-            tau_pair(rs.roots[0], rs.ring.one(), 0)
+        with pytest.raises(ValueError, match="^t = 0 must be >= 1$"):
+            lift_roots(fib_poly, 3, 0)
 
     @pytest.mark.parametrize(
         "coeffs, p",
@@ -399,19 +437,23 @@ class TestTauPair:
         ],
     )
     def test_reducible_ring_against_brute_force(self, coeffs, p):
-        ring = UnramifiedRing(IntPolynomial(coeffs), p, 1)
-        one = ring.one()
-        d = ring.d
+        # every nonzero element of F_p[X]/(f), as a polynomial in C
+        c = companion_matrix(IntPolynomial(coeffs))
+        d = c.d
+        m1 = PrimePowerModulus(p, 1)
+        one = IntMatrix.identity(d)
         for index in range(1, p**d):
-            x = ring.element([index // p**i % p for i in range(d)])
+            x = _poly_at([index // p**i % p for i in range(d)], c, m1)
             power, order = x, 1
             while power != one and order < p**d:
-                power, order = power * x, order + 1
+                power, order = mat_mul_mod(power, x, m1), order + 1
             if power == one:
-                assert tau_pair(x, one, 1) == order
+                assert order_mod(x, m1) == order
             else:  # a zero divisor
                 with pytest.raises(NotInvertibleError):
-                    tau_pair(x, one, 1)
+                    order_mod(x, m1)
+                with pytest.raises(NotInvertibleError):
+                    padic._inverse(x, PrimePowerModulus(p, 4))
 
     @pytest.mark.parametrize(
         "coeffs, p, pair",
@@ -426,80 +468,99 @@ class TestTauPair:
     def test_matches_fresh_powers(self, coeffs, p, pair):
         # the lift as first written: a fresh ratio^e at every precision
         depth = 30
-        rs = lift_roots(IntPolynomial(coeffs), p, depth)
-        g, l = (rs.ring.one() if i is None else rs.roots[i] for i in pair)
-        ratio = g * l.inverse()
-        tau = tau_pair(g, l, 1)
-        for s in range(2, depth + 1):
-            ring = rs.ring.at_precision(s)
-            r = ring.element(ratio._view())
-            tau = next(e for e in (tau, p * tau) if (r**e - ring.one()).is_zero)
-            assert tau_pair(g, l, s) == tau
+        roots = lift_roots(IntPolynomial(coeffs), p, depth)
+        one = IntMatrix.identity(len(roots))
+        g, l = (one if i is None else roots[i] for i in pair)
+        ratio = _ratio(g, l, PrimePowerModulus(p, depth))
+        got = list(itertools.islice(order_sequence(ratio, p), depth))
+        assert got == list(itertools.islice(order_sequence_oracle(ratio, p), depth))
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     @pytest.mark.parametrize("d", [2, 3])
     def test_least_exponent_on_random_polynomials(self, p, d):
         # the order of the ratio mod p by repeated multiplication, then the
-        # least tau_1 p^j with a fresh ratio^e = 1 (mod p^s)
-        rng = random.Random(100 * p + d)
-        polys = []
-        while len(polys) < 3:
-            f = IntPolynomial(tuple(rng.randint(-9, 9) for _ in range(d)) + (1,))
-            if irreducible_mod_p(f, p):
-                polys.append(f)
-        for f in polys:
-            rs = lift_roots(f, p, 8)
-            one = rs.ring.one()
-            for g in rs.roots:
-                for l in rs.roots + (one,):
-                    ratio = g * l.inverse()
-                    ring1 = rs.ring.at_precision(1)
-                    r1 = ring1.element(ratio._view())
-                    power, tau1 = r1, 1
-                    while power != ring1.one():
-                        power, tau1 = power * r1, tau1 + 1
+        # least tau_1 p^j with a fresh ratio^e = I (mod p^s)
+        m = PrimePowerModulus(p, 8)
+        for f in _irreducible_polys(random.Random(100 * p + d), p, d, 3):
+            roots = lift_roots(f, p, 8)
+            for g in roots:
+                for l in roots + (IntMatrix.identity(d),):
+                    ratio = _ratio(g, l, m)
+                    tau1 = brute_force_order(ratio, p, 1)
                     for s in range(1, 9):
-                        ring = rs.ring.at_precision(s)
-                        r = ring.element(ratio._view())
-                        least = next(tau1 * p**j for j in itertools.count() if r ** (tau1 * p**j) == ring.one())
-                        assert tau_pair(g, l, s) == least
+                        ms = PrimePowerModulus(p, s)
+                        least = next(tau1 * p**j for j in itertools.count()
+                                     if mat_pow_mod(ratio, tau1 * p**j, ms).is_identity())
+                        assert order_mod(ratio, ms) == least
 
     def test_pairwise_growth_dichotomy(self, fib_poly):
         # tau_s(gamma, lambda) = tau_* for s <= beta, tau_* p^{s-beta} beyond
-        rs = lift_roots(fib_poly, 3, 8)
-        g1, g2 = rs.roots
-        beta = beta_pair(g1, g2, 3)
-        tau_star = tau_pair(g1, g2, 1)
+        m = PrimePowerModulus(3, 8)
+        g1, g2 = lift_roots(fib_poly, 3, 8)
+        ratio = _ratio(g1, g2, m)
+        tau_star = order_mod(ratio, PrimePowerModulus(3, 1))
+        beta = _growth(ratio, tau_star, m)[1]
+        assert beta < 8
         for s in range(1, 8):
             expected = tau_star if s <= beta else tau_star * 3 ** (s - beta)
-            assert tau_pair(g1, g2, s) == expected
+            assert order_mod(ratio, PrimePowerModulus(3, s)) == expected
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_pair_order_formula(self, p, d):
+        # gamma / sigma^k gamma = gamma^(1 - p^k) (mod p), so its order is
+        # tau_1 / gcd(tau_1, p^k - 1): against repeated products mod p
+        m1 = PrimePowerModulus(p, 1)
+        for f in _irreducible_polys(random.Random(10 * p + d), p, d, 2):
+            c, *conjugates = lift_roots(f, p, 1)
+            tau1 = brute_force_order(c, p, 1)
+            for k, root in enumerate(conjugates, start=1):
+                assert brute_force_order(_ratio(c, root, m1), p, 1) == tau1 // math.gcd(tau1, p**k - 1)
 
 
 class TestBetaPair:
+    """beta(x, y) = v_p(x^tau - y^tau), tau the order of x / y mod p (mod 4
+    for p = 2): the second value of `_growth` on the ratio matrix."""
+
     def test_fib_roots(self, fib_poly):
-        rs = lift_roots(fib_poly, 3, 6)
-        g1, g2 = rs.roots
-        assert beta_pair(g1, g2, 3) == 1
-        assert beta_pair(g1, rs.ring.one(), 3) == 1
+        m = PrimePowerModulus(3, 6)
+        g1, g2 = lift_roots(fib_poly, 3, 6)
+        assert _beta(g1, g2, m) == 1
+        assert _beta(g1, IntMatrix.identity(2), m) == 1
 
     def test_one_plus_p(self):
-        ring = UnramifiedRing(IntPolynomial((-1, 1)), 5, 8)
-        assert beta_pair(ring.embed(6), ring.one(), 5) == 1
+        assert _beta(IntMatrix(((6,),)), IntMatrix(((1,),)), PrimePowerModulus(5, 8)) == 1
 
     def test_one_plus_p_squared(self):
-        ring = UnramifiedRing(IntPolynomial((-1, 1)), 5, 8)
-        assert beta_pair(ring.embed(26), ring.one(), 5) == 2
+        assert _beta(IntMatrix(((26,),)), IntMatrix(((1,),)), PrimePowerModulus(5, 8)) == 2
 
-    def test_auto_raise_precision(self):
-        # start at precision 1; the valuation 2 needs a raise to resolve
-        ring = UnramifiedRing(IntPolynomial((-1, 1)), 5, 1)
-        assert beta_pair(ring.embed(26), ring.one(), 5) == 2
+    def test_auto_raise_precision(self, monkeypatch):
+        # X^2 + 4X + 16 + 5^6 (X + 1): the roots are 4 omega and 4 omega^2 up
+        # to 5^6, so beta(gamma_1, gamma_2) = 6 over beta_* = 1.  The valuation
+        # reads as the cap at the starting precision 4 and resolves at 8.
+        precisions = []
+        lift = padic.lift_roots
+        monkeypatch.setattr(padic, "lift_roots", lambda f, p, s: precisions.append(s) or lift(f, p, s))
+        assert compute_w(IntPolynomial((16 + 5**6, 4 + 5**6, 1)), 5) == 3 * (6 - 1) + 1
+        assert precisions == [4, 8]
 
     def test_equal_elements_hit_cap(self, monkeypatch):
+        one = IntMatrix(((1,),))
+        assert _beta(one, one, PrimePowerModulus(5, 16)) == 16  # unresolved at any precision
         monkeypatch.setattr(padic, "DEFAULT_PRECISION_CAP", 16)
-        ring = UnramifiedRing(IntPolynomial((-1, 1)), 5, 2)
         with pytest.raises(PrecisionCapExceededError, match="precision cap 16$"):
-            beta_pair(ring.one(), ring.one(), 5)
+            compute_w(IntPolynomial((16, 4, 1)), 5)
+
+
+def _disc_valuation(g: IntMatrix, p: int):
+    """v_p of the discriminant of char_poly(G), exactly over Z."""
+    h = char_poly(g)
+    return valuation(det_exact(sylvester_rows(h.coeffs, h.derivative().coeffs)), p)
+
+
+def _excess_exact(x: IntMatrix, p: int):
+    """v_p(X - I), exactly over Z."""
+    return min(valuation(v - (i == j), p) for i, row in enumerate(x.entries) for j, v in enumerate(row))
 
 
 class TestComputeW:
@@ -524,6 +585,53 @@ class TestComputeW:
         # fib polynomial splits mod 11; w has no root-based value there
         with pytest.raises(NotIrreducibleError):
             compute_w(fib_poly, 11)
+
+    def test_root_of_unity_ratio_hits_the_cap(self):
+        # X^2 + 4X + 16 has the roots 4 omega and 4 omega^2: their ratio is a
+        # cube root of unity, so beta(gamma_1, gamma_2) is infinite
+        with pytest.raises(PrecisionCapExceededError, match="precision cap 64$"):
+            compute_w(IntPolynomial((16, 4, 1)), 5)
+
+    @given(
+        st.sampled_from([2, 3, 5, 7, 11]),
+        st.sampled_from([2, 3]),
+        st.lists(st.integers(-20, 20), min_size=4, max_size=4),
+        st.booleans(),
+        st.integers(1, 8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_discriminant_oracle(self, p, d, coeffs, binomial, k):
+        # f random, or X^d - a + p^k (...): a root ratio within p^k of a d-th
+        # root of unity.  For d <= 3 the pairs of roots are Frobenius
+        # conjugates, so one pair order tau and one beta serve them all:
+        # tau is the least e with every gamma_i^e = gamma_j^e (mod p, mod 4
+        # for p = 2), read from disc(char_poly(C^e)), and then
+        # v_p(disc(char_poly(C^tau))) = d(d - 1) beta
+        if binomial:
+            perturbation = IntPolynomial([p**k * x for x in coeffs[1:d + 1]])
+            f = IntPolynomial([-coeffs[0]] + [0] * (d - 1) + [1]) + perturbation
+        else:
+            f = IntPolynomial(coeffs[:d] + [1])
+        assume(irreducible_mod_p(f, p))
+        c = companion_matrix(f)
+        tau_one = brute_force_order(c, p, 2 if p == 2 else 1)
+        beta_one = _excess_exact(mat_pow(c, tau_one), p)
+        assume(beta_one != math.inf)  # C of finite order: no growth, no beta_*
+        pairs = d * (d - 1)
+        floor = 2 * pairs if p == 2 else pairs
+        # the least e, from C^e mod p^(floor + 1), which decides v_p(disc) >= floor
+        m = PrimePowerModulus(p, floor + 1)
+        tau = next(e for e in itertools.count(1) if _disc_valuation(mat_pow_mod(c, e, m), p) >= floor)
+        disc_valuation = _disc_valuation(mat_pow(c, tau), p)
+        if disc_valuation == math.inf:  # a root ratio is a root of unity
+            with pytest.raises(PrecisionCapExceededError):
+                compute_w(f, p)
+            return
+        beta_pair, rem = divmod(disc_valuation, pairs)
+        assert rem == 0
+        beta_star = period_profile(c, p, 3).beta_star
+        w = d * (d + 1) // 2 * max(beta_pair - beta_star, beta_one - beta_star, 0) + 1
+        assert compute_w(f, p) == w
 
 
 class TestThetaMatrix:
@@ -686,38 +794,44 @@ class TestWindowDivisibility:
                 assert min(vals) < bound
 
 
+def _scalar(x: int, d: int) -> IntMatrix:
+    return IntMatrix(tuple(tuple(x if i == j else 0 for j in range(d)) for i in range(d)))
+
+
+def _divide(x: IntMatrix, q: int) -> IntMatrix:
+    assert all(v % q == 0 for row in x.entries for v in row)
+    return IntMatrix(tuple(tuple(v // q for v in row) for row in x.entries))
+
+
 class TestEigenConsistency:
     @pytest.mark.parametrize("mat_name,p", [("fib", 3), ("m3x3", 2)])
     def test_char_poly_of_theta_matches_roots(self, request, mat_name, p):
         a = request.getfixturevalue(mat_name)
+        d = a.d
         f = char_poly(a)
         s = 1 if p != 2 else 2
         s_check = 6
         tau_s = order_mod(a, PrimePowerModulus(p, s))
         b = theta_matrix(a, p, s, tau_s)
         char_b = char_poly(b)
-        rs = lift_roots(f, p, s_check + s)
-        ring = rs.ring
-        thetas = []
-        for g in rs.roots:
-            diff = (g**tau_s) - ring.one()
-            coeffs = [c % ring.modulus for c in diff.coeffs]
-            assert all(c % p**s == 0 for c in coeffs)
-            thetas.append(ring.element([c // p**s for c in coeffs]))
-        # expand prod (X - theta_i) over the ring; coefficients must be
-        # rational integers matching char_poly(B) mod p^{s_check}
-        poly = [ring.one()]
+        m = PrimePowerModulus(p, s_check + s)
+        one = IntMatrix.identity(d)
+        thetas = [_divide(padic._combine(mat_pow_mod(g, tau_s, m), one, -1, m), p**s)
+                  for g in lift_roots(f, p, s_check + s)]
+        # expand prod (X - theta_i) over Z/p^s[C]; its coefficients must be
+        # rational integers (scalar matrices) matching char_poly(B) mod p^{s_check}
+        poly = [one]
         for th in thetas:
-            nxt = [ring.zero() for _ in range(len(poly) + 1)]
+            nxt = [IntMatrix.zeros(d)] * (len(poly) + 1)
             for i, c in enumerate(poly):
-                nxt[i + 1] = nxt[i + 1] + c
-                nxt[i] = nxt[i] - (c * th)
+                nxt[i + 1] = padic._combine(nxt[i + 1], c, 1, m)
+                nxt[i] = padic._combine(nxt[i], mat_mul_mod(c, th, m), -1, m)
             poly = nxt
         mod_check = p**s_check
         for i, c in enumerate(poly):
-            coeffs = [x % ring.modulus for x in c.coeffs]
-            assert all(x % mod_check == 0 for x in coeffs[1:]), "coefficient not rational"
-            assert (coeffs[0] - char_b.coeffs[i]) % mod_check == 0
+            c = c.reduce(mod_check)
+            assert c == _scalar(c.entries[0][0], d), "coefficient not rational"
+            assert (c.entries[0][0] - char_b.coeffs[i]) % mod_check == 0
 
 
 class TestExpansionData:
@@ -743,23 +857,22 @@ class TestExpansionData:
             theta_matrix(fib, 3, 5, order_mod(fib, PrimePowerModulus(3, 2)))
 
 
-def _ring_solve_vandermonde(ring, roots, rhs):
-    """Solve sum_i alpha_i gamma_i^n = rhs_n (n = 0..d-1) over the ring by
+def _solve_vandermonde(roots, rhs, m):
+    """Solve sum_i alpha_i gamma_i^n = rhs_n (n = 0..d-1) over Z/p^s[C] by
     Gaussian elimination; pivots are units because the roots are distinct
     mod p."""
     d = len(roots)
-    rows = [[r**n for r in roots] + [rhs[n]] for n in range(d)]
+    rows = [[mat_pow_mod(r, n, m) for r in roots] + [rhs[n]] for n in range(d)]
     for col in range(d):
-        pivot = next(
-            i for i in range(col, d) if not rows[i][col].residue_mod_p().is_zero
-        )
+        pivot = next(i for i in range(col, d) if any(x % m.p for row in rows[i][col].entries for x in row))
         rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = rows[col][col].inverse()
-        rows[col] = [x * inv for x in rows[col]]
+        inv = padic._inverse(rows[col][col], m)
+        rows[col] = [mat_mul_mod(x, inv, m) for x in rows[col]]
         for i in range(d):
-            if i != col and not rows[i][col].is_zero:
+            if i != col:
                 factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
+                rows[i] = [padic._combine(x, mat_mul_mod(factor, y, m), -1, m)
+                           for x, y in zip(rows[i], rows[col])]
     return [rows[i][d] for i in range(d)]
 
 
@@ -777,30 +890,27 @@ class TestRootSideCrossCheck:
         j_max = 4
         check_prec = 6
         work = check_prec + s * j_max + s
+        m = PrimePowerModulus(p, work)
         tau_s = order_mod(a, PrimePowerModulus(p, s))
         b = theta_matrix(a, p, s, tau_s)
-        rs = lift_roots(f, p, work)
-        ring = rs.ring
+        roots = lift_roots(f, p, work)
+        one = IntMatrix.identity(d)
         u = tuple(1 if i == 0 else 0 for i in range(d))
         v = tuple(1 if i == d - 1 else 0 for i in range(d))
         # weights: sum_i alpha_i gamma_i^n = det A * (v A^n u) for n < d
-        rhs = [
-            ring.embed(det * vec_dot(v, mat_vec(mat_pow(a, n), u)))
-            for n in range(d)
-        ]
-        alphas = _ring_solve_vandermonde(ring, list(rs.roots), rhs)
-        thetas = [(g**tau_s) - ring.one() for g in rs.roots]
+        rhs = [_scalar(det * vec_dot(v, mat_vec(mat_pow(a, n), u)), d) for n in range(d)]
+        alphas = _solve_vandermonde(roots, rhs, m)
+        thetas = [padic._combine(mat_pow_mod(g, tau_s, m), one, -1, m) for g in roots]
         matrix_side = h_coeffs(a, u, v, b, 2, j_max)
+        mod_check = p**check_prec
         for j in range(j_max + 1):
-            total = ring.zero()
-            for alpha, g, th in zip(alphas, rs.roots, thetas):
-                total = total + alpha * (g**2) * (th**j)
-            coeffs = [c % ring.modulus for c in total.coeffs]
-            assert all(c % p ** (s * j) == 0 for c in coeffs)
-            reduced = [c // p ** (s * j) for c in coeffs]
-            mod_check = p**check_prec
-            assert all(c % mod_check == 0 for c in reduced[1:]), "not a constant"
-            assert (reduced[0] - matrix_side[j]) % mod_check == 0
+            total = IntMatrix.zeros(d)
+            for alpha, g, th in zip(alphas, roots, thetas):
+                term = mat_mul_mod(mat_mul_mod(alpha, mat_pow_mod(g, 2, m), m), mat_pow_mod(th, j, m), m)
+                total = padic._combine(total, term, 1, m)
+            reduced = _divide(total, p ** (s * j)).reduce(mod_check)
+            assert reduced == _scalar(reduced.entries[0][0], d), "not a constant"
+            assert (reduced.entries[0][0] - matrix_side[j]) % mod_check == 0
 
 
 class TestPlateauDichotomy:
@@ -808,12 +918,11 @@ class TestPlateauDichotomy:
         # X^2 - 4X - 19 mod 3: beta(gamma_i, 1) = 2, so tau_s(gamma, 1)
         # stays flat through s = 2 before growing by p each level
         f = IntPolynomial((-19, -4, 1))
-        rs = lift_roots(f, 3, 9)
-        one = rs.ring.one()
-        for g in rs.roots:
-            beta = beta_pair(g, one, 3)
+        m = PrimePowerModulus(3, 9)
+        for g in lift_roots(f, 3, 9):
+            beta = _beta(g, IntMatrix.identity(2), m)
             assert beta == 2
-            tau_star = tau_pair(g, one, 1)
+            tau_star = order_mod(g, PrimePowerModulus(3, 1))
             for s in range(1, 9):
                 expected = tau_star if s <= beta else tau_star * 3 ** (s - beta)
-                assert tau_pair(g, one, s) == expected
+                assert order_mod(g, PrimePowerModulus(3, s)) == expected

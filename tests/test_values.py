@@ -18,12 +18,11 @@ from matprng.cli import Experiment, Table, load_experiment
 from matprng.errors import DimensionMismatchError, NotInvertibleError
 from matprng.fieldalg import PolyModP, Verdict, cyclotomic_polynomial
 from matprng.generator import GeneratorConfig, PointSet
-from matprng.padic import PeriodProfile, RootSet, UnramifiedElement, UnramifiedRing, lift_roots
+from matprng.padic import PeriodProfile, lift_roots
 
 FIB = IntMatrix(((0, 1), (1, 1)))
 FIB_POLY = IntPolynomial((-1, -1, 1))
 M9 = PrimePowerModulus(3, 2)
-RING = UnramifiedRing(FIB_POLY, 3, 3)
 
 # (class, field values in order, by name): every field the repr shows
 PLAIN_RECORDS = [
@@ -246,51 +245,20 @@ class TestPadicTypes:
             PeriodProfile(3, (8, 16), 8, 1, 2)
         with pytest.raises(ValueError, match="^growth law violated at s = 2$"):
             PeriodProfile(3, (8, 24), 8, 2, 2)
+        with pytest.raises(ValueError, match="^growth law violated at s = 3$"):
+            PeriodProfile(3, (8, 24, 24), 8, 1, 1)
         profile = PeriodProfile(3, (8, 8, 24), 8, 2, 2)
         assert profile == PeriodProfile(3, (8, 8, 24), 8, 2, 2)
         assert hash(profile) == hash(PeriodProfile(3, (8, 8, 24), 8, 2, 2))
         assert (profile.s_max, profile.tau(5)) == (3, 8 * 27)
 
-    def test_unramified_ring(self):
-        assert RING == UnramifiedRing(f=FIB_POLY, p=3, s=3)
-        assert RING != RING.at_precision(2)
-        assert hash(RING) == hash(UnramifiedRing(FIB_POLY, 3, 3))
-        assert repr(RING) == "UnramifiedRing(f=IntPolynomial(coeffs=(-1, -1, 1)), p=3, s=3)"
-        assert (RING.d, RING.modulus) == (2, 27)
-        with pytest.raises(AttributeError):
-            RING.s = 4
-
-    @pytest.mark.parametrize("f, s, message", [
-        (IntPolynomial((1, 2)), 1, "f must be monic of degree >= 1"),
-        (IntPolynomial((1,)), 1, "f must be monic of degree >= 1"),
-        (FIB_POLY, 0, "precision s must be >= 1"),
-    ])
-    def test_unramified_ring_validation(self, f, s, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            UnramifiedRing(f, 5, s)
-
-    def test_unramified_element(self):
-        x = RING.element([0, 1])
-        assert x == UnramifiedElement(ring=RING, coeffs=(0, 1), exact=False)
-        assert x == UnramifiedElement(RING, (27, 28))  # compared mod p^s
-        assert hash(x) == hash(UnramifiedElement(RING, (27, 28)))
-        assert x != RING.element([1, 0])
-        assert repr(x) == (
-            "UnramifiedElement(ring=UnramifiedRing(f=IntPolynomial(coeffs=(-1, -1, 1)), p=3, s=3), "
-            "coeffs=(0, 1), exact=False)"
-        )
-        assert RING.one().exact and RING.one() == RING.element([1])
-        with pytest.raises(AttributeError):
-            x.coeffs = (1, 0)
-
     def test_root_set(self):
+        # the roots of f mod p^s are a tuple of matrices, the first C itself
         roots = lift_roots(FIB_POLY, 3, 3)
-        assert roots == RootSet(ring=roots.ring, roots=roots.roots)
+        assert roots == lift_roots(FIB_POLY, 3, 3)
         assert hash(roots) == hash(lift_roots(FIB_POLY, 3, 3))
-        assert roots.d == 2 and roots.roots[0] == RING.x_class()
-        assert repr(roots) == f"RootSet(ring={roots.ring!r}, roots={roots.roots!r})"
-        with pytest.raises(AttributeError):
-            roots.roots = ()
+        assert type(roots) is tuple and all(type(root) is IntMatrix for root in roots)
+        assert len(roots) == 2 and roots[0] == FIB
 
 
 @pytest.mark.parametrize("make", [
