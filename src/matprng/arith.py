@@ -1,5 +1,8 @@
 """Exact arbitrary-precision arithmetic: prime-power moduli, integer matrices,
-residue vectors, and integer polynomials.
+residue vectors, and integer polynomials, which are evaluated, and asked
+about, as matrices: at a matrix (`mat_poly`), or through their companion
+matrix, whose determinants give the resultants and whose trace recurrence
+(Faddeev-LeVerrier) gives `char_poly`.
 
 Nothing in this module touches floating point or numpy; all results are
 exact Python integers.  The numpy stream kernel, which computes long runs
@@ -292,13 +295,10 @@ def vec_reduce(v: Sequence[int], m: PrimePowerModulus) -> ResidueVector:
 STREAM_MEMORY_BUDGET = 2**30
 
 
-def det_exact(a: IntMatrix | Sequence[Sequence]) -> int | IntPolynomial:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    The entries are integers (an IntMatrix or rows of ints) or IntPolynomials:
-    every division is by the previous pivot and exact in Z and in Z[X]
-    (Bareiss, Math. Comp. 22, 1968), so one routine gives det A and the
-    resultants built by `sylvester_rows`."""
+def det_exact(a: IntMatrix | Sequence[Sequence[int]]) -> int:
+    """Exact determinant of an integer matrix (an IntMatrix or rows of ints)
+    by fraction-free (Bareiss) elimination: every division is by the
+    previous pivot and exact in Z (Bareiss, Math. Comp. 22, 1968)."""
     m = [list(row) for row in (a.entries if isinstance(a, IntMatrix) else a)]
     d = len(m)
     sign = 1
@@ -307,7 +307,7 @@ def det_exact(a: IntMatrix | Sequence[Sequence]) -> int | IntPolynomial:
         if not m[k][k]:
             pivot = next((i for i in range(k + 1, d) if m[i][k]), None)
             if pivot is None:
-                return m[k][k]
+                return 0
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         for i in range(k + 1, d):
@@ -322,48 +322,16 @@ def det_exact(a: IntMatrix | Sequence[Sequence]) -> int | IntPolynomial:
     return m[d - 1][d - 1] if sign == 1 else -m[d - 1][d - 1]
 
 
-def sylvester_rows(f: Sequence, g: Sequence) -> list[list]:
-    """Sylvester matrix of f and g, given as ascending coefficient lists with
-    nonzero leads (entries in Z or Z[X]): deg g shifted rows of f, then deg f
-    shifted rows of g.  Its determinant is the resultant Res(f, g)."""
-    m, n = len(f) - 1, len(g) - 1
-    zero = f[-1] * 0
-    rows = []
-    for coeffs, shifts in ((f, n), (g, m)):
-        for i in range(shifts):
-            row = [zero] * (m + n)
-            row[i : i + len(coeffs)] = coeffs[::-1]
-            rows.append(row)
-    return rows
-
-
-def _product_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Coefficients of the product of two polynomials given as ascending
-    coefficient sequences; empty when either is empty (the zero polynomial)."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 class IntPolynomial(Frozen):
     """Integer polynomial, coefficients ascending (c_0, c_1, ..., c_deg)."""
 
     __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[int]) -> None:
-        c = self._reduced(coeffs)
+        c = tuple(int(x) for x in coeffs)
         while c and c[-1] == 0:
             c = c[:-1]
         self._set(c)
-
-    def _reduced(self, coeffs: Sequence[int]) -> tuple[int, ...]:
-        """The coefficients as stored; a subclass reduces them."""
-        return tuple(int(x) for x in coeffs)
 
     @property
     def degree(self) -> int:
@@ -381,14 +349,6 @@ class IntPolynomial(Frozen):
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def _like(self, coeffs: Sequence[int]) -> "IntPolynomial":
-        """A polynomial of this one's kind (a subclass keeps its modulus)."""
-        return IntPolynomial(coeffs)
-
-    @classmethod
-    def x_power(cls, n: int, coeff: int = 1) -> "IntPolynomial":
-        return cls((0,) * n + (coeff,))
-
     def __call__(self, x):
         acc = 0
         for c in reversed(self.coeffs):
@@ -399,90 +359,53 @@ class IntPolynomial(Frozen):
         n = max(len(self.coeffs), len(other.coeffs))
         a = self.coeffs + (0,) * (n - len(self.coeffs))
         b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return self._like(x + y for x, y in zip(a, b))
+        return IntPolynomial([x + y for x, y in zip(a, b)])
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return self._like(x - y for x, y in zip(a, b))
+        return self + -other
 
     def __neg__(self) -> "IntPolynomial":
-        return self._like(-x for x in self.coeffs)
+        return IntPolynomial([-x for x in self.coeffs])
 
     def __mul__(self, other) -> "IntPolynomial":
         if isinstance(other, int):
-            return self._like(c * other for c in self.coeffs)
-        return self._like(_product_coeffs(self.coeffs, other.coeffs))
+            return IntPolynomial([c * other for c in self.coeffs])
+        out = [0] * max(len(self.coeffs) + len(other.coeffs) - 1, 0)
+        for i, x in enumerate(self.coeffs):
+            for j, y in enumerate(other.coeffs):
+                out[i + j] += x * y
+        return IntPolynomial(out)
 
     __rmul__ = __mul__
 
     def derivative(self) -> "IntPolynomial":
-        return self._like(i * c for i, c in enumerate(self.coeffs) if i > 0)
-
-    def _long_division(
-        self, coeffs: Sequence[int], divisor: "IntPolynomial"
-    ) -> tuple[list[int], list[int]]:
-        """Quotient and remainder coefficients of `coeffs` over `divisor`, in
-        exact integer steps: each quotient coefficient is the leading
-        remainder coefficient over the divisor's lead, and a step that is not
-        integral raises ExactDivisionError.  Every step is exact for a monic
-        divisor, and for any divisor that divides exactly in Z[X].  The
-        remainder has at most deg(divisor) coefficients."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        dcoeffs = divisor.coeffs
-        dlead = dcoeffs[-1]
-        rem = list(coeffs)
-        quo = [0] * max(len(rem) - len(dcoeffs) + 1, 1)
-        for k in range(len(rem) - len(dcoeffs), -1, -1):
-            q, r = divmod(rem[k + len(dcoeffs) - 1], dlead)
-            if r:
-                raise ExactDivisionError("polynomial division not integral")
-            quo[k] = q
-            if q:
-                for i, dc in enumerate(dcoeffs):
-                    rem[k + i] -= q * dc
-        return quo, rem[: len(dcoeffs) - 1]
-
-    def __divmod__(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
-        """(quotient, remainder) of `_long_division`."""
-        quo, rem = self._long_division(self.coeffs, divisor)
-        return self._like(quo), self._like(rem)
-
-    def __mod__(self, divisor: "IntPolynomial") -> "IntPolynomial":
-        """The remainder of divmod, without building the quotient."""
-        return self._like(self._long_division(self.coeffs, divisor)[1])
-
-    def pow_mod(self, e: int, mod: "IntPolynomial") -> "IntPolynomial":
-        """self^e reduced modulo `mod` (monic, or with a unit lead for a
-        subclass over Z/p) by square-and-multiply on coefficient tuples; e = 0
-        gives 1."""
-
-        def mul_mod(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
-            return self._reduced(self._long_division(_product_coeffs(x, y), mod)[1])
-
-        return self._like(_square_and_multiply((self % mod).coeffs, e, mul_mod, (1,)))
+        return IntPolynomial([i * c for i, c in enumerate(self.coeffs) if i > 0])
 
 
-def is_squarefree_over_q(f: IntPolynomial) -> bool:
-    """No repeated root over Q: Res(f, f') != 0 when deg f >= 1 (in
-    characteristic 0, f' has degree deg f - 1); constants count as squarefree."""
-    if f.degree < 1:
-        return True
-    return det_exact(sylvester_rows(f.coeffs, f.derivative().coeffs)) != 0
+def mat_add(a: IntMatrix, b: IntMatrix, c: int = 1, m: PrimePowerModulus | None = None) -> IntMatrix:
+    """A + c B, exactly over Z, or reduced mod p^s when m is given."""
+    _check_same_dim(a, b)
+    total = IntMatrix(tuple(
+        tuple(x + c * y for x, y in zip(row_a, row_b)) for row_a, row_b in zip(a.entries, b.entries)
+    ))
+    return total if m is None else total.reduce(m.modulus)
 
 
-def char_poly(a: IntMatrix) -> IntPolynomial:
-    """Characteristic polynomial det(XI - A), by `det_exact` over Z[X]."""
-    return det_exact([
-        [IntPolynomial((-x, 1) if i == j else (-x,)) for j, x in enumerate(row)]
-        for i, row in enumerate(a.entries)
-    ])
+def mat_poly(f: IntPolynomial, z: IntMatrix, m: PrimePowerModulus | None = None) -> IntMatrix:
+    """f(Z) by Horner's rule, exactly over Z, or reduced mod p^s at each step
+    when m is given."""
+    one = IntMatrix.identity(z.d)
+    acc = IntMatrix.zeros(z.d)
+    for c in reversed(f.coeffs):
+        acc = mat_add(mat_mul(acc, z), one, c, m)
+    return acc
 
 
 def companion_matrix(f: IntPolynomial) -> IntMatrix:
-    """Companion matrix whose characteristic polynomial is the monic f."""
+    """Companion matrix whose characteristic polynomial is the monic f.
+
+    For monic f every question about the ring Z[X]/(f) is one about the
+    integer matrices Z[C]: g(C) is the class of g, and Res(f, g) = det g(C)."""
     if not f.is_monic or f.degree < 1:
         raise ValueError("companion matrix needs a monic polynomial of degree >= 1")
     d = f.degree
@@ -491,3 +414,32 @@ def companion_matrix(f: IntPolynomial) -> IntMatrix:
         rows.append(tuple(1 if j == i + 1 else 0 for j in range(d)))
     rows.append(tuple(-f.coeffs[j] for j in range(d)))
     return IntMatrix(tuple(rows))
+
+
+def is_squarefree_over_q(f: IntPolynomial) -> bool:
+    """No repeated root over Q; constants count as squarefree.  f has one
+    exactly when the monic g(X) = c^(d-1) f(X / c), c the lead of f, whose
+    roots are c times those of f, shares a root with g': when
+    Res(g, g') = det g'(C_g) is 0, C_g = companion_matrix(g)."""
+    d = f.degree
+    if d < 1:
+        return True
+    c = f.coeffs[-1]
+    g = IntPolynomial([x * c ** (d - 1 - i) for i, x in enumerate(f.coeffs[:-1])] + [1])
+    return det_exact(mat_poly(g.derivative(), companion_matrix(g))) != 0
+
+
+def char_poly(a: IntMatrix) -> IntPolynomial:
+    """Characteristic polynomial det(XI - A) = X^d + c_(d-1) X^(d-1) + ... + c_0
+    by Faddeev-LeVerrier over Z: M_1 = I, M_(k+1) = A M_k + c_(d-k) I and
+    c_(d-k) = -tr(A M_k) / k, every division exact."""
+    one = IntMatrix.identity(a.d)
+    coeffs = [1]  # c_d, c_(d-1), ..., c_0
+    am = IntMatrix.zeros(a.d)  # A M_(k-1)
+    for k in range(1, a.d + 1):
+        am = mat_mul(a, mat_add(am, one, coeffs[-1]))
+        c, rem = divmod(-sum(am.entries[i][i] for i in range(a.d)), k)
+        if rem:
+            raise ExactDivisionError("Faddeev-LeVerrier division not exact")
+        coeffs.append(c)
+    return IntPolynomial(coeffs[::-1])

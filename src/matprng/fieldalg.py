@@ -1,6 +1,11 @@
-"""Polynomial algebra over F_p and the generator hypothesis validators:
-squarefreeness and irreducibility mod p, nondegeneracy over Q (no root or
-root ratio is a root of unity), proper pairs, and p-primitive vectors.
+"""The generator hypothesis validators: squarefreeness and irreducibility
+mod p, nondegeneracy over Q (no root or root ratio is a root of unity),
+proper pairs, and p-primitive vectors.
+
+Each question about f = det(XI - A) is asked of its companion matrix C,
+the ring Z[X]/(f) as integer matrices: a resultant Res(f, g) is det g(C),
+and the Frobenius test reads powers of C mod p.  Only the squarefree
+witness, a gcd, is found by Euclid's algorithm on coefficients mod p.
 """
 
 from __future__ import annotations
@@ -15,61 +20,19 @@ from .arith import (
     PrimePowerModulus,
     ResidueVector,
     char_poly,
+    companion_matrix,
     det_exact,
     is_squarefree_over_q,
+    mat_add,
+    mat_pow,
+    mat_pow_mod,
+    mat_vec,
     mat_vec_mod,
     prime_factors,
-    sylvester_rows,
     vec_dot,
     vec_reduce,
 )
-from .errors import DimensionMismatchError, ExactDivisionError
-
-
-class PolyModP(IntPolynomial):
-    """Polynomial over Z/p, coefficients ascending and reduced into [0, p).
-
-    The arithmetic is IntPolynomial's, on reduced coefficients.  Division
-    goes through the divisor's monic associate, so it needs a lead that is a
-    unit mod p: any nonzero divisor."""
-
-    __slots__ = ("p",)
-    _fields = ("coeffs", "p")
-
-    def __init__(self, p: int, coeffs: Sequence[int]) -> None:
-        object.__setattr__(self, "p", p)  # _reduced reads it
-        super().__init__(coeffs)
-
-    def _reduced(self, coeffs: Sequence[int]) -> tuple[int, ...]:
-        return tuple(int(x) % self.p for x in coeffs)
-
-    def _like(self, coeffs: Sequence[int]) -> "PolyModP":
-        return PolyModP(self.p, coeffs)
-
-    def _long_division(
-        self, coeffs: Sequence[int], divisor: IntPolynomial
-    ) -> tuple[list[int], list[int]]:
-        """Division mod p: IntPolynomial's exact steps by the monic associate
-        c^-1 * divisor, then the quotient times c^-1."""
-        if divisor.is_monic:
-            return super()._long_division(coeffs, divisor)
-        divisor = self._like(divisor.coeffs)
-        if divisor.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        inv = pow(divisor.coeffs[-1], -1, self.p)
-        quo, rem = super()._long_division(coeffs, divisor * inv)
-        return [q * inv for q in quo], rem
-
-    def monic(self) -> "PolyModP":
-        if self.is_zero or self.coeffs[-1] == 1:
-            return self
-        return self * pow(self.coeffs[-1], -1, self.p)
-
-    def gcd(self, other: "PolyModP") -> "PolyModP":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
+from .errors import DimensionMismatchError
 
 
 class Verdict(Frozen):
@@ -104,39 +67,61 @@ class Verdict(Frozen):
         return {"outcome": self.outcome, "reason": self.reason, "witness": w}
 
 
+def _mod_p(coeffs: Sequence[int], p: int) -> list[int]:
+    """Coefficients reduced into [0, p), without leading zeros."""
+    c = [x % p for x in coeffs]
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _gcd_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd in F_p[X] of reduced coefficient lists, a nonzero, by
+    Euclid's algorithm."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q, shift = a[-1] * inv, len(a) - len(b)
+            a = _mod_p([x - q * b[i - shift] if i >= shift else x for i, x in enumerate(a)], p)
+        a, b = b, a
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
 def squarefree_mod_p(f: IntPolynomial, p: int) -> Verdict:
     """Accepted iff gcd(f, f') = 1 in F_p[X]; otherwise the witness is the
-    common (repeated) factor."""
-    fp = PolyModP(p, f.coeffs)
-    if fp.is_zero:
+    common (repeated) factor, monic."""
+    fp = _mod_p(f.coeffs, p)
+    if not fp:
         raise ValueError("polynomial vanishes mod p")
-    if fp.degree < 1:
+    if len(fp) < 2:
         raise ValueError("degree must be >= 1 mod p")
-    g = fp.gcd(fp.derivative())
-    if g.degree <= 0:
+    g = _gcd_mod_p(fp, _mod_p([i * c for i, c in enumerate(fp)][1:], p), p)
+    if len(g) <= 1:
         return Verdict.ok()
-    return Verdict.fail("multiple-roots-mod-p", g)
+    return Verdict.fail("multiple-roots-mod-p", IntPolynomial(g))
 
 
 def irreducible_mod_p(f: IntPolynomial, p: int) -> bool:
-    """Irreducibility of f mod p: no irreducible factor of degree <= deg/2,
-    plus the Frobenius fixed-point identity X^{p^deg} = X mod f."""
-    fp = PolyModP(p, f.coeffs).monic()
-    if fp.is_zero:
+    """Irreducibility of f mod p, asked of C, the companion matrix of its
+    monic associate mod p: no irreducible factor of degree k <= deg/2, that
+    is gcd(X^(p^k) - X, f) = 1, or det(C^(p^k) - C) != 0 mod p; then the
+    Frobenius fixed-point identity C^(p^deg) = C (Cohen, GTM 138)."""
+    fp = _mod_p(f.coeffs, p)
+    if not fp:
         raise ValueError("polynomial vanishes mod p")
-    n = fp.degree
+    n = len(fp) - 1
     if n <= 0:
         return False
-    if n == 1:
-        return True
-    x = PolyModP(p, (0, 1))
-    r = x
-    for _ in range(n // 2):
-        r = r.pow_mod(p, fp)  # now X^{p^k} mod f
-        if (r - x).gcd(fp).degree > 0:
+    inv = pow(fp[-1], -1, p)
+    m = PrimePowerModulus(p, 1)
+    c = companion_matrix(IntPolynomial(_mod_p([x * inv for x in fp], p))).reduce(p)
+    power = c
+    for k in range(1, n + 1):
+        power = mat_pow_mod(power, p, m)  # C^(p^k)
+        if 2 * k <= n and det_exact(mat_add(power, c, -1)) % p == 0:
             return False
-    full = x.pow_mod(p**n, fp)
-    return full == x % fp
+    return power == c
 
 
 @lru_cache(maxsize=None)
@@ -147,33 +132,19 @@ def euler_phi(n: int) -> int:
     return result
 
 
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> IntPolynomial:
-    """n-th cyclotomic polynomial via exact division of X^n - 1."""
-    if n == 1:
-        return IntPolynomial((-1, 1))
-    num = IntPolynomial.x_power(n) - IntPolynomial((1,))
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = divmod(num, cyclotomic_polynomial(d))
-            if not r.is_zero:
-                raise ExactDivisionError("cyclotomic division not exact")
-            num = q
-    return num
-
-
-def ratio_resultant(f: IntPolynomial) -> IntPolynomial:
-    """Res_Y(f(Y), f(X*Y)) as a polynomial in X; its roots are the ratios
-    lambda_i / lambda_j of the roots of f (including the trivial i = j)."""
-    a = [IntPolynomial((c,)) for c in f.coeffs]
-    b = [IntPolynomial.x_power(k, c) for k, c in enumerate(f.coeffs)]
-    return det_exact(sylvester_rows(a, b))
-
-
 def nondegeneracy_check(f: IntPolynomial) -> Verdict:
     """Accepted iff no root of f and no ratio of two distinct roots is a root
-    of unity.  Deterministic: cyclotomic sweep against f itself (roots) and
-    against Res_Y(f(Y), f(X*Y)) / (X-1)^d (ratios), using phi(n) >= sqrt(n/2).
+    of unity; the witness is the least order n found, roots first.
+
+    Both are asked of C = companion_matrix(f).  A root is an n-th root of
+    unity iff det(C^n - I) = Res(f, X^n - 1) = 0.  C is diagonalizable (f is
+    squarefree) with the cyclic vector e_d, so the Krylov matrix
+    [C^(kn) e_d : k < d] is the eigenvectors times a Vandermonde matrix in
+    the lambda_i^n: it is singular iff lambda_i^n = lambda_j^n for some
+    i != j.  The least such n is the order of a root of unity of degree
+    phi(n) <= d (a root) or <= d^2 (a ratio), and phi(n) >= sqrt(n/2) bounds
+    n by 2d^2 and 2d^4.  Only the n that pass that filter are tried: C^n for
+    a root, and for a ratio every n-th vector of the one orbit C^j e_d.
     """
     d = f.degree
     if d < 1:
@@ -184,27 +155,18 @@ def nondegeneracy_check(f: IntPolynomial) -> Verdict:
         raise ValueError("f(0) = 0: zero is a root")
     if not is_squarefree_over_q(f):
         raise ValueError("polynomial is not squarefree over Q")
+    c = companion_matrix(f)
+    one = IntMatrix.identity(d)
     for n in range(1, 2 * d * d + 1):
-        if euler_phi(n) > d:
-            continue
-        _, r = divmod(f, cyclotomic_polynomial(n))
-        if r.is_zero:
+        if euler_phi(n) <= d and det_exact(mat_add(mat_pow(c, n), one, -1)) == 0:
             return Verdict.fail("degenerate", {"kind": "root", "n": n})
-    g = ratio_resultant(f)
-    trivial = IntPolynomial((-1, 1))
-    for _ in range(d):
-        g, r = divmod(g, trivial)
-        if not r.is_zero:
-            raise ExactDivisionError("(X - 1)^d must divide the ratio resultant")
-    if g.is_zero:
-        raise ExactDivisionError("ratio resultant vanished; f was not squarefree")
-    dd = d * d
+    orbit = [one.entries[-1]]  # C^j e_d, j = 0, 1, ...
     for n in range(1, 2 * d**4 + 1):
-        if euler_phi(n) > dd:
-            continue
-        _, r = divmod(g, cyclotomic_polynomial(n))
-        if r.is_zero:
-            return Verdict.fail("degenerate", {"kind": "ratio", "n": n})
+        if euler_phi(n) <= d * d:
+            while len(orbit) <= (d - 1) * n:
+                orbit.append(mat_vec(c, orbit[-1]))
+            if det_exact(orbit[: (d - 1) * n + 1 : n]) == 0:
+                return Verdict.fail("degenerate", {"kind": "ratio", "n": n})
     return Verdict.ok()
 
 

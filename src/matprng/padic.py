@@ -21,7 +21,9 @@ from .arith import (
     companion_matrix,
     det_exact,
     exceeds_str_digits,
+    mat_add,
     mat_mul_mod,
+    mat_poly,
     mat_pow,
     mat_pow_mod,
     mat_vec,
@@ -39,7 +41,7 @@ from .errors import (
     PrecisionCapExceededError,
     PreconditionViolatedError,
 )
-from .fieldalg import cyclotomic_polynomial, irreducible_mod_p, squarefree_mod_p
+from .fieldalg import irreducible_mod_p, squarefree_mod_p
 
 # working precision at which compute_w gives up on resolving a valuation;
 # read at each call
@@ -76,6 +78,21 @@ def order_mod(a: IntMatrix, m: PrimePowerModulus) -> int:
     return next(itertools.islice(order_sequence(a, m.p), m.t - 1, None))
 
 
+def _cyclotomic_value(k: int, p: int) -> int:
+    """Phi_k(p) = prod over e | k of (p^e - 1)^mu(k / e), mu the Moebius
+    function."""
+    num = den = 1
+    for e in range(1, k + 1):
+        if k % e == 0:
+            primes = prime_factors(k // e)
+            if math.prod(primes) == k // e:  # k / e squarefree
+                if len(primes) % 2:
+                    den *= p**e - 1
+                else:
+                    num *= p**e - 1
+    return num // den
+
+
 def _order_mod_p(a: IntMatrix, p: int) -> int:
     """Smallest tau >= 1 with A^tau = I (mod p).
 
@@ -88,7 +105,7 @@ def _order_mod_p(a: IntMatrix, p: int) -> int:
     order = _unit_exponent(p, a.d)
     primes = {p}
     for k in range(1, a.d + 1):
-        primes.update(prime_factors(cyclotomic_polynomial(k)(p)))
+        primes.update(prime_factors(_cyclotomic_value(k, p)))
     for q in primes:
         # A^(order // q^k) = I holds up to some k and fails above it: bisect
         lo, hi = 0, int(valuation(order, q))
@@ -214,41 +231,30 @@ def period_profile(a: IntMatrix, p: int, s_max: int) -> PeriodProfile:
 # ---------------------------------------------------------------------------
 
 
-def _combine(a: IntMatrix, b: IntMatrix, c: int, m: PrimePowerModulus) -> IntMatrix:
-    """A + c B mod p^s."""
-    return IntMatrix(tuple(
-        tuple((x + c * y) % m.modulus for x, y in zip(row_a, row_b))
-        for row_a, row_b in zip(a.entries, b.entries)
-    ))
-
-
-def _evaluate(f: IntPolynomial, z: IntMatrix, m: PrimePowerModulus) -> IntMatrix:
-    """f(Z) mod p^s by Horner's rule."""
-    one = IntMatrix.identity(z.d)
-    acc = IntMatrix.zeros(z.d)
-    for c in reversed(f.coeffs):
-        acc = _combine(mat_mul_mod(acc, z, m), one, c, m)
-    return acc
-
-
-def _inverse(y: IntMatrix, m: PrimePowerModulus) -> IntMatrix:
-    """Y^-1 mod p^s: from Z = Y^(L - 1) mod p, L = _unit_exponent, Newton
-    steps Z <- Z + Z (I - Y Z), each doubling the precision of Y Z = I."""
-    z = mat_pow_mod(y, _unit_exponent(m.p, y.d) - 1, PrimePowerModulus(m.p, 1))
+def _inverse(y: IntMatrix, m: PrimePowerModulus, start: IntMatrix | None = None) -> IntMatrix:
+    """Y^-1 mod p^s: from Z = `start`, or Y^(L - 1) mod p, L = _unit_exponent,
+    Newton steps Z <- Z + Z (I - Y Z), each doubling the precision of
+    Y Z = I.  A start that is no inverse of Y mod p raises
+    NotInvertibleError, as a Y that has none does."""
+    z = start
+    if z is None:
+        z = mat_pow_mod(y, _unit_exponent(m.p, y.d) - 1, PrimePowerModulus(m.p, 1))
     one, zero = IntMatrix.identity(y.d), IntMatrix.zeros(y.d)
     while True:
-        e = _combine(one, mat_mul_mod(y, z, m), -1, m)
+        e = mat_add(one, mat_mul_mod(y, z, m), -1, m)
         if e == zero:
             return z
         if any(x % m.p for row in e.entries for x in row):
             raise NotInvertibleError("matrix is not invertible mod p")
-        z = _combine(z, mat_mul_mod(z, e, m), 1, m)
+        z = mat_add(z, mat_mul_mod(z, e, m), 1, m)
 
 
 def lift_roots(f: IntPolynomial, p: int, s: int) -> tuple[IntMatrix, ...]:
     """The d roots of f in Z/p^s[C], C = companion_matrix(f): C itself, then
     its conjugates S_k = sigma^k(C), k = 1 .. d - 1, each Newton-lifted from
-    C^(p^k) mod p^s.
+    C^(p^k) mod p^s.  f(C^(p^k)) = f(C)^(p^k) = 0 (mod p), so every Newton
+    step keeps Z mod p, f'(Z) mod p is that of the start, and each inverse
+    starts from the previous one.
 
     Z/p^s[C] is (Z/p^s)[X]/(f), the unramified extension at precision s
     when f is irreducible mod p, and sigma^k(C) = C^(p^k) (mod p).  Newton
@@ -264,9 +270,10 @@ def lift_roots(f: IntPolynomial, p: int, s: int) -> tuple[IntMatrix, ...]:
     zero = IntMatrix.zeros(f.degree)
     roots = [c]
     for k in range(1, f.degree):
-        z = mat_pow_mod(c, p**k, m)
-        while (fz := _evaluate(f, z, m)) != zero:
-            z = _combine(z, mat_mul_mod(fz, _inverse(_evaluate(df, z, m), m), m), -1, m)
+        z, inv = mat_pow_mod(c, p**k, m), None
+        while (fz := mat_poly(f, z, m)) != zero:
+            inv = _inverse(mat_poly(df, z, m), m, inv)
+            z = mat_add(z, mat_mul_mod(fz, inv, m), -1, m)
         roots.append(z)
     return tuple(roots)
 

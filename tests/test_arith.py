@@ -19,17 +19,16 @@ from matprng.arith import (
     is_squarefree_over_q,
     mat_mul,
     mat_mul_mod,
+    mat_poly,
     mat_pow,
     mat_pow_mod,
     mat_vec_mod,
     prime_factors,
-    sylvester_rows,
     valuation,
     vec_dot,
 )
 from matprng.errors import (
     DimensionMismatchError,
-    ExactDivisionError,
     IterationCapExceededError,
     StreamTooLargeError,
 )
@@ -39,9 +38,9 @@ from matprng.stream import mat_stream, stream_blocks
 small_entries = st.integers(min_value=-30, max_value=30)
 
 
-def square_matrices(d: int):
+def square_matrices(d: int, entries=small_entries):
     return st.lists(
-        st.lists(small_entries, min_size=d, max_size=d), min_size=d, max_size=d
+        st.lists(entries, min_size=d, max_size=d), min_size=d, max_size=d
     ).map(IntMatrix.from_rows)
 
 
@@ -334,6 +333,15 @@ class TestCharPoly:
         f = char_poly(a)
         assert f.degree == a.d and f.is_monic
         assert poly_at_matrix(f, a) == IntMatrix.zeros(a.d)
+        assert mat_poly(f, a) == mat_poly(f, a, PrimePowerModulus(3, 5)) == IntMatrix.zeros(a.d)
+
+    @given(st.integers(1, 5).flatmap(
+        lambda d: square_matrices(d, st.integers(-10**12, 10**12))), st.integers(-6, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_values_match_the_determinant(self, a, x):
+        # det(xI - A) at integer points, by elimination over Q
+        rows = [[x * (i == j) - v for j, v in enumerate(row)] for i, row in enumerate(a.entries)]
+        assert char_poly(a)(x) == fraction_det(rows)
 
     def test_recurrence_coefficients(self, fib):
         # u_{n+2} = u_{n+1} + u_n: the constant term a_0 = -f(0) is 1
@@ -367,18 +375,6 @@ class TestValuation:
 
 
 class TestPolynomials:
-    def test_divmod_exact(self):
-        f = IntPolynomial((-1, 0, 1))  # X^2 - 1
-        q, r = divmod(f, IntPolynomial((-1, 1)))
-        assert q == IntPolynomial((1, 1)) and r.is_zero
-
-    def test_divmod_exact_non_monic(self):
-        f = IntPolynomial((0, 2, 2))  # 2X^2 + 2X
-        q, r = divmod(f, IntPolynomial((0, 2)))
-        assert q == IntPolynomial((1, 1)) and r.is_zero
-        with pytest.raises(ExactDivisionError):
-            divmod(IntPolynomial((1, 0, 1)), IntPolynomial((0, 2)))
-
     def test_gcd_over_q(self):
         f = IntPolynomial((1, 2, 1))  # (X+1)^2
         g = IntPolynomial((1, 1))
@@ -395,22 +391,6 @@ class TestPolynomials:
         fa, fb = IntPolynomial(tuple(a)), IntPolynomial(tuple(b))
         f = fa * fa * fb if square else fa * fb
         assert is_squarefree_over_q(f) == (poly_gcd_q(f, f.derivative()).degree <= 0)
-
-    @given(st.lists(small_entries, min_size=1, max_size=5), st.integers(-3, 12))
-    @settings(max_examples=100, deadline=None)
-    def test_pow_mod_matches_repeated_product(self, a, e):
-        mod = IntPolynomial((3, -1, 0, 1))  # monic X^3 - X + 3
-        base = IntPolynomial(tuple(a))
-        assert base % mod == divmod(base, mod)[1]
-        if e < 0:
-            with pytest.raises(ValueError):
-                base.pow_mod(e, mod)
-            return
-        expected = IntPolynomial((1,))
-        for _ in range(e):
-            expected = divmod(expected * base, mod)[1]
-        assert base.pow_mod(e, mod) == expected
-
 
     def test_content_sign(self):
         # the gcd oracle's normal form: content divided out, positive lead
@@ -494,38 +474,3 @@ def fraction_det(rows) -> Fraction:
             for j in range(k, d):
                 m[i][j] -= factor * m[k][j]
     return det
-
-
-class TestBareissOverZX:
-    @given(st.lists(st.lists(small_entries, min_size=1, max_size=3), min_size=9, max_size=9),
-           st.integers(-4, 4))
-    @settings(max_examples=60, deadline=None)
-    def test_det_commutes_with_substitution(self, entries, x):
-        polys = [IntPolynomial(tuple(c)) for c in entries]
-        rows = [polys[3 * i : 3 * i + 3] for i in range(3)]
-        det = det_exact(rows)
-        assert det(x) == fraction_det([[f(x) for f in row] for row in rows])
-
-    @given(st.lists(small_entries, min_size=2, max_size=5).filter(lambda c: c[-1] != 0),
-           st.integers(-3, 3))
-    @settings(max_examples=100, deadline=None)
-    def test_ratio_resultant_against_sylvester_at_a_point(self, coeffs, x):
-        from matprng.fieldalg import ratio_resultant
-
-        # Res_Y(f(Y), f(xY)) at an integer x, from a Sylvester matrix built here
-        d = len(coeffs) - 1
-        g = [c * x**k for k, c in enumerate(coeffs)]
-        size = 2 * d
-        rows = []
-        for shifted in [coeffs] * d + [g] * d:
-            i = len(rows) % d
-            row = [0] * size
-            for k, c in enumerate(reversed(shifted)):
-                row[i + k] = c
-            rows.append(row)
-        assert ratio_resultant(IntPolynomial(tuple(coeffs)))(x) == fraction_det(rows)
-
-    def test_integer_rows(self):
-        rows = sylvester_rows((-1, 0, 1), (1, 1))  # Res(X^2 - 1, X + 1) = 0
-        assert len(rows) == 3 and det_exact(rows) == 0
-        assert det_exact(sylvester_rows((1, 0, 1), (1, 1))) == 2  # (-i + 1)(i + 1)

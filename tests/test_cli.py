@@ -554,11 +554,15 @@ def assert_same_artifact(got: str, want: str) -> None:
             _same_value(key, g, w)
 
 
-def assert_matches_golden(got: dict[str, str], case: str, command: str, fmt: str) -> None:
+def assert_matches_golden(got: dict[str, str], case: str, command: str, fmt: str, mask=None) -> None:
+    """`got` matches the golden files, after `mask` (text to text) when given."""
     want = {f.name: f.read_text() for f in sorted((GOLDEN_DIR / case).glob(f"{command}.{fmt}*"))}
     assert sorted(got) == sorted(want), (case, command, fmt)
     for name in want:
-        assert_same_artifact(got[name], want[name])
+        if mask is None:
+            assert_same_artifact(got[name], want[name])
+        else:
+            assert_same_artifact(mask(got[name]), mask(want[name]))
 
 
 @pytest.mark.parametrize(
@@ -600,14 +604,15 @@ def test_gen_record_dump_matches_golden_digest(case, tmp_path):
 INT64_EDGES = [0, 2**20, 2**30, 2**40]
 
 
-def assert_goldens(tmp_path: Path, commands: tuple[str, ...] | None = None) -> None:
+def assert_goldens(tmp_path: Path, commands: tuple[str, ...] | None = None, mask=None) -> None:
     """Every GOLDEN_RUNS case (of `commands`, when given) matches its
-    golden, and every DUMP_CASES record dump its digest."""
+    golden (after `mask`, when given), and every DUMP_CASES record dump its
+    digest."""
     for case, doc, command, fmt in GOLDEN_RUNS:
         if commands is None or command in commands:
             out = tmp_path / f"{case}-{command}-{fmt}"
             out.mkdir()
-            assert_matches_golden(cli_artifacts(out, doc, command, fmt), case, command, fmt)
+            assert_matches_golden(cli_artifacts(out, doc, command, fmt), case, command, fmt, mask)
     digests = json.loads(DUMP_DIGESTS.read_text())
     for case, doc in DUMP_CASES.items():
         out = tmp_path / f"dump-{case}"
@@ -621,6 +626,36 @@ def test_every_golden_on_every_integer_path(edge, tmp_path, monkeypatch):
 
     monkeypatch.setattr(stream, "INT64_EDGE", edge)
     assert_goldens(tmp_path)
+
+
+# --- every reference path ------------------------------------------------------
+
+# A fast path's module constant, read at each call, sends the work it selects
+# down the reference path: exp_sum counts no histogram at _HISTOGRAM_LIMIT = 0,
+# phase_sum rounds no short row by fsum at _SHORT_ROW = 0, and every command
+# streams in blocks of the given size.  Every golden matches under each.
+REFERENCE_PATHS = [
+    ("analysis.sums", "_HISTOGRAM_LIMIT", 0),
+    ("analysis.sums", "_SHORT_ROW", 0),
+    ("stream", "STREAM_BLOCK", 1),
+    ("stream", "STREAM_BLOCK", 7),
+    ("stream", "STREAM_BLOCK", 4096),
+]
+# The `method` cell of `expsum` names the path exp_sum took, so without the
+# histogram it reads "direct" where the goldens read "histogram": that one
+# cell is masked, and every value must still match.
+_METHOD = re.compile(r"\b(?:histogram|direct)\b")
+
+
+@pytest.mark.parametrize(
+    "module, name, value", REFERENCE_PATHS, ids=[f"{name}={value}" for _, name, value in REFERENCE_PATHS]
+)
+def test_every_golden_on_every_reference_path(module, name, value, tmp_path, monkeypatch):
+    import importlib
+
+    monkeypatch.setattr(importlib.import_module(f"matprng.{module}"), name, value)
+    mask = (lambda text: _METHOD.sub("<method>", text)) if name == "_HISTOGRAM_LIMIT" else None
+    assert_goldens(tmp_path, mask=mask)
 
 
 # --- block boundaries and memory ---------------------------------------------

@@ -1,23 +1,24 @@
+import math
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matprng.arith import IntMatrix, IntPolynomial, PrimePowerModulus
+from matprng.arith import IntMatrix, IntPolynomial, PrimePowerModulus, is_squarefree_over_q
 from matprng.errors import DimensionMismatchError
 from matprng.fieldalg import (
-    PolyModP,
     Verdict,
-    cyclotomic_polynomial,
     euler_phi,
     irreducible_mod_p,
     is_p_primitive,
     is_proper_pair,
     minimal_recurrence_length,
     nondegeneracy_check,
-    ratio_resultant,
     scalar_terms_mod_p,
     squarefree_mod_p,
     validate_theorem_hypotheses,
 )
+from matprng.padic import _cyclotomic_value
 
 
 class TestSquarefreeModP:
@@ -123,16 +124,9 @@ class TestNondegeneracy:
         elif base.witness["kind"] == "ratio":
             assert not other.accepted and other.witness == base.witness
 
-    def test_ratio_resultant_factors(self, fib_poly):
-        # Res_Y(f(Y), f(XY)) has the d trivial ratio roots at X = 1
-        g = ratio_resultant(fib_poly)
-        q, r = divmod(g, IntPolynomial((-1, 1)))
-        assert r.is_zero
-        q, r = divmod(q, IntPolynomial((-1, 1)))
-        assert r.is_zero
-
 
 class TestCyclotomic:
+    # the values Phi_n(x) that the order descent factors
     @pytest.mark.parametrize(
         "n,coeffs",
         [
@@ -144,18 +138,19 @@ class TestCyclotomic:
         ],
     )
     def test_known(self, n, coeffs):
-        assert cyclotomic_polynomial(n) == IntPolynomial(coeffs)
+        for x in (2, 3, 5, 7, 10, 2**61 - 1):
+            assert _cyclotomic_value(n, x) == IntPolynomial(coeffs)(x)
 
     def test_product_over_divisors(self):
-        # X^12 - 1 = prod_{d | 12} Phi_d
-        prod = IntPolynomial((1,))
-        for d in (1, 2, 3, 4, 6, 12):
-            prod = prod * cyclotomic_polynomial(d)
-        assert prod == IntPolynomial.x_power(12) - IntPolynomial((1,))
+        # x^12 - 1 = prod_{d | 12} Phi_d(x)
+        for x in (2, 3, 10, 65537):
+            assert math.prod(_cyclotomic_value(d, x) for d in (1, 2, 3, 4, 6, 12)) == x**12 - 1
 
     def test_phi_degrees(self):
+        # Phi_n(x) is a product of phi(n) factors x - zeta with x - 1 <= |x - zeta| <= x + 1,
+        # and at x = 100 those bounds single out the degree phi(n) < 50
         for n in range(1, 50):
-            assert cyclotomic_polynomial(n).degree == euler_phi(n)
+            assert 99 ** euler_phi(n) <= _cyclotomic_value(n, 100) <= 101 ** euler_phi(n)
 
 
 class TestBerlekampMassey:
@@ -295,31 +290,169 @@ class TestValidate:
         ).accepted
 
 
-class TestPolyModP:
-    def test_divmod_roundtrip(self):
-        f = PolyModP(7, (3, 2, 5, 1))
-        g = PolyModP(7, (1, 4, 2))
-        q, r = divmod(f, g)
-        assert q * g + r == f
-        assert r.degree < g.degree
+# --- oracles: the polynomial-ring algorithms that the companion-matrix checks
+# replaced (exact division, cyclotomic polynomials, Sylvester resultants over
+# Z[X], and F_p arithmetic through monic associates), kept here as references
 
-    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=6),
-           st.lists(st.integers(-50, 50), min_size=2, max_size=4),
-           st.integers(0, 20))
-    @settings(max_examples=100, deadline=None)
-    def test_pow_mod_non_monic_divisor(self, a, b, e):
-        # over F_7 a divisor with any nonzero lead works, through its monic associate
-        mod = PolyModP(7, b)
-        if mod.degree < 1:
-            return
-        base = PolyModP(7, a)
-        expected = PolyModP(7, (1,))
-        for _ in range(e):
-            expected = divmod(expected * base, mod)[1]
-        assert base.pow_mod(e, mod) == expected
-        assert base % mod == divmod(base, mod)[1]
+def _divmod_exact(num: IntPolynomial, den: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
+    """Long division over Z; every step must be integral (den monic, or a
+    divisor of num in Z[X])."""
+    rem, dc = list(num.coeffs), den.coeffs
+    quo = [0] * max(len(rem) - len(dc) + 1, 1)
+    for k in range(len(rem) - len(dc), -1, -1):
+        q, r = divmod(rem[k + len(dc) - 1], dc[-1])
+        assert r == 0, "division not integral"
+        quo[k] = q
+        for i, c in enumerate(dc):
+            rem[k + i] -= q * c
+    return IntPolynomial(quo), IntPolynomial(rem[: len(dc) - 1])
 
-    def test_gcd_monic(self):
-        f = PolyModP(5, (4, 0, 1))  # X^2 + 4 = (X-1)(X+1) mod 5
-        g = PolyModP(5, (4, 1))  # X + 4 = X - 1
-        assert f.gcd(g) == g.monic()
+
+@lru_cache(maxsize=None)
+def _cyclotomic(n: int) -> IntPolynomial:
+    """Phi_n by exact division of X^n - 1 by Phi_e, e | n, e < n."""
+    num = IntPolynomial((-1,) + (0,) * (n - 1) + (1,))
+    for e in range(1, n):
+        if n % e == 0:
+            num, rem = _divmod_exact(num, _cyclotomic(e))
+            assert rem.is_zero
+    return num
+
+
+def _sylvester_det(f: list, g: list):
+    """Res(f, g): the Bareiss determinant of the Sylvester matrix of two
+    ascending coefficient lists with entries in Z or in Z[X]."""
+    m, n = len(f) - 1, len(g) - 1
+    zero = f[-1] * 0
+    rows = []
+    for coeffs, shifts in ((f, n), (g, m)):
+        for i in range(shifts):
+            row = [zero] * (m + n)
+            row[i : i + len(coeffs)] = coeffs[::-1]
+            rows.append(row)
+    d, sign, prev = len(rows), 1, None
+    for k in range(d - 1):
+        if not rows[k][k]:
+            pivot = next((i for i in range(k + 1, d) if rows[i][k]), None)
+            if pivot is None:
+                return zero
+            rows[k], rows[pivot], sign = rows[pivot], rows[k], -sign
+        for i in range(k + 1, d):
+            for j in range(k + 1, d):
+                num = rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]
+                if prev is not None:
+                    if isinstance(num, int):
+                        num, rem = divmod(num, prev)
+                        assert rem == 0
+                    else:
+                        num, rem = _divmod_exact(num, prev)
+                        assert rem.is_zero
+                rows[i][j] = num
+        prev = rows[k][k]
+    return rows[-1][-1] * sign
+
+
+def _nondegeneracy_oracle(f: IntPolynomial) -> Verdict:
+    """The cyclotomic sweep against f (roots) and against
+    Res_Y(f(Y), f(XY)) / (X - 1)^d (ratios)."""
+    d = f.degree
+    if f.coeffs[0] == 0 or _sylvester_det(list(f.coeffs), list(f.derivative().coeffs)) == 0:
+        raise ValueError("zero root or repeated root")
+    for n in range(1, 2 * d * d + 1):
+        if euler_phi(n) <= d and _divmod_exact(f, _cyclotomic(n))[1].is_zero:
+            return Verdict.fail("degenerate", {"kind": "root", "n": n})
+    g = _sylvester_det([IntPolynomial((c,)) for c in f.coeffs],
+                       [IntPolynomial((0,) * k + (c,)) for k, c in enumerate(f.coeffs)])
+    for _ in range(d):
+        g, rem = _divmod_exact(g, IntPolynomial((-1, 1)))
+        assert rem.is_zero
+    for n in range(1, 2 * d**4 + 1):
+        if euler_phi(n) <= d * d and _divmod_exact(g, _cyclotomic(n))[1].is_zero:
+            return Verdict.fail("degenerate", {"kind": "ratio", "n": n})
+    return Verdict.ok()
+
+
+def _mod_p(f: IntPolynomial, p: int) -> IntPolynomial:
+    return IntPolynomial([c % p for c in f.coeffs])
+
+
+def _rem_mod_p(f: IntPolynomial, g: IntPolynomial, p: int) -> IntPolynomial:
+    """f mod g in F_p[X], through the monic associate of g."""
+    monic = _mod_p(g * pow(g.coeffs[-1], -1, p), p)
+    return _mod_p(_divmod_exact(f, monic)[1], p)
+
+
+def _gcd_mod_p(f: IntPolynomial, g: IntPolynomial, p: int) -> IntPolynomial:
+    while not g.is_zero:
+        f, g = g, _rem_mod_p(f, g, p)
+    return _mod_p(f * pow(f.coeffs[-1], -1, p), p)
+
+
+def _pow_mod_p(base: IntPolynomial, e: int, mod: IntPolynomial, p: int) -> IntPolynomial:
+    result = IntPolynomial((1,))
+    while e:
+        if e & 1:
+            result = _rem_mod_p(result * base, mod, p)
+        base, e = _rem_mod_p(base * base, mod, p), e >> 1
+    return result
+
+
+def _irreducible_oracle(f: IntPolynomial, p: int) -> bool:
+    """gcd(X^(p^k) - X, f) = 1 in F_p[X] for k <= deg/2, and X^(p^deg) = X mod f."""
+    fp = _mod_p(f * pow(f.coeffs[-1], -1, p), p)
+    n, x = fp.degree, IntPolynomial((0, 1))
+    if n <= 1:
+        return n == 1
+    r = x
+    for _ in range(n // 2):
+        r = _pow_mod_p(r, p, fp, p)
+        if _gcd_mod_p(_mod_p(r - x, p), fp, p).degree > 0:
+            return False
+    return _pow_mod_p(x, p**n, fp, p) == _rem_mod_p(x, fp, p)
+
+
+def _squarefree_oracle(f: IntPolynomial, p: int) -> Verdict:
+    g = _gcd_mod_p(_mod_p(f, p), _mod_p(f.derivative(), p), p)
+    return Verdict.ok() if g.degree <= 0 else Verdict.fail("multiple-roots-mod-p", g)
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError:
+        return ValueError
+
+
+# n with phi(n) <= 4
+SMALL_CYCLOTOMIC = [1, 2, 3, 4, 5, 6, 8, 10, 12]
+
+
+@st.composite
+def cyclotomic_products(draw):
+    """(f, p): a product of scaled cyclotomic polynomials a^phi(n) Phi_n(X / a),
+    of degree <= 4, its lower coefficients perturbed by multiples of 0, 1, p
+    or p^2.  Unperturbed factors give root (a = +-1) and ratio witnesses, and
+    equal factors repeated roots; small perturbations keep f mod p a product
+    of such factors, so that f is often reducible or not squarefree mod p."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    f = IntPolynomial((1,))
+    for n in draw(st.lists(st.sampled_from(SMALL_CYCLOTOMIC), min_size=1, max_size=3)):
+        phi, a = _cyclotomic(n), draw(st.sampled_from([1, -1, 2, 3, -2]))
+        if f.degree + phi.degree <= 4:
+            f = f * IntPolynomial([c * a ** (phi.degree - i) for i, c in enumerate(phi.coeffs)])
+    shift = draw(st.sampled_from([0, 1, p, p * p]))
+    noise = draw(st.lists(st.integers(-2, 2), min_size=f.degree, max_size=f.degree))
+    return f + IntPolynomial([shift * x for x in noise]), p
+
+
+class TestAgainstPolynomialRingOracles:
+    @given(cyclotomic_products(), st.sampled_from([1, 2, -3]))
+    @settings(max_examples=300, deadline=None)
+    def test_every_check_matches_its_oracle(self, case, lead):
+        f, p = case
+        assert _outcome(nondegeneracy_check, f) == _outcome(_nondegeneracy_oracle, f)
+        assert irreducible_mod_p(f, p) == _irreducible_oracle(f, p)
+        assert squarefree_mod_p(f, p) == _squarefree_oracle(f, p)
+        # a lead other than 1, which the check scales away
+        g = IntPolynomial(f.coeffs[:-1] + (lead,))
+        assert is_squarefree_over_q(g) == (_sylvester_det(list(g.coeffs), list(g.derivative().coeffs)) != 0)

@@ -16,11 +16,11 @@ from matprng.arith import (
     char_poly,
     companion_matrix,
     det_exact,
+    mat_add,
     mat_mul_mod,
     mat_pow,
     mat_pow_mod,
     mat_vec,
-    sylvester_rows,
     valuation,
     vec_dot,
 )
@@ -395,6 +395,26 @@ class TestLiftRoots:
             assert _poly_at(f.coeffs, g, m) == IntMatrix.zeros(3)
         assert len({g.reduce(2) for g in roots}) == 3
 
+    def test_one_cold_inverse_per_conjugate(self, monkeypatch):
+        # f'(Z) mod p is the same at every Newton step, so each inverse after
+        # a conjugate's first starts from the one before
+        starts = []
+        inverse = padic._inverse
+        monkeypatch.setattr(padic, "_inverse", lambda y, m, start=None: starts.append(start) or inverse(y, m, start))
+        f = IntPolynomial((2, 1, 0, 0, 1))  # irreducible mod 3
+        roots = lift_roots(f, 3, 40)
+        assert sum(start is None for start in starts) == f.degree - 1 < len(starts)
+        for g in roots:
+            assert _poly_at(f.coeffs, g, PrimePowerModulus(3, 40)) == IntMatrix.zeros(4)
+
+    def test_inverse_from_a_start(self, fib):
+        m = PrimePowerModulus(3, 20)
+        y = mat_pow(fib, 5)
+        start = padic._inverse(y, PrimePowerModulus(3, 1))
+        assert padic._inverse(y, m, start) == padic._inverse(y, m)
+        with pytest.raises(NotInvertibleError):
+            padic._inverse(y, m, IntMatrix.identity(2))  # no inverse of Y mod 3
+
     @pytest.mark.parametrize("coeffs, p", [((-1, -1, 1), 3), ((-1, -1, 0, 1), 2), ((1, 1, 1), 5),
                                            ((2, 0, 0, 1), 7), ((2, 1, 0, 0, 1), 3)])
     def test_roots_lie_in_the_algebra_of_c(self, coeffs, p):
@@ -553,9 +573,14 @@ class TestBetaPair:
 
 
 def _disc_valuation(g: IntMatrix, p: int):
-    """v_p of the discriminant of char_poly(G), exactly over Z."""
+    """v_p of the discriminant of char_poly(G), exactly over Z: of the
+    resultant Res(h, h'), the determinant of their Sylvester matrix."""
     h = char_poly(g)
-    return valuation(det_exact(sylvester_rows(h.coeffs, h.derivative().coeffs)), p)
+    f, df = h.coeffs, h.derivative().coeffs
+    size = len(f) + len(df) - 2
+    rows = [[0] * i + list(f[::-1]) + [0] * (size - len(f) - i) for i in range(len(df) - 1)]
+    rows += [[0] * i + list(df[::-1]) + [0] * (size - len(df) - i) for i in range(len(f) - 1)]
+    return valuation(det_exact(rows), p)
 
 
 def _excess_exact(x: IntMatrix, p: int):
@@ -816,7 +841,7 @@ class TestEigenConsistency:
         char_b = char_poly(b)
         m = PrimePowerModulus(p, s_check + s)
         one = IntMatrix.identity(d)
-        thetas = [_divide(padic._combine(mat_pow_mod(g, tau_s, m), one, -1, m), p**s)
+        thetas = [_divide(mat_add(mat_pow_mod(g, tau_s, m), one, -1, m), p**s)
                   for g in lift_roots(f, p, s_check + s)]
         # expand prod (X - theta_i) over Z/p^s[C]; its coefficients must be
         # rational integers (scalar matrices) matching char_poly(B) mod p^{s_check}
@@ -824,8 +849,8 @@ class TestEigenConsistency:
         for th in thetas:
             nxt = [IntMatrix.zeros(d)] * (len(poly) + 1)
             for i, c in enumerate(poly):
-                nxt[i + 1] = padic._combine(nxt[i + 1], c, 1, m)
-                nxt[i] = padic._combine(nxt[i], mat_mul_mod(c, th, m), -1, m)
+                nxt[i + 1] = mat_add(nxt[i + 1], c, 1, m)
+                nxt[i] = mat_add(nxt[i], mat_mul_mod(c, th, m), -1, m)
             poly = nxt
         mod_check = p**s_check
         for i, c in enumerate(poly):
@@ -871,7 +896,7 @@ def _solve_vandermonde(roots, rhs, m):
         for i in range(d):
             if i != col:
                 factor = rows[i][col]
-                rows[i] = [padic._combine(x, mat_mul_mod(factor, y, m), -1, m)
+                rows[i] = [mat_add(x, mat_mul_mod(factor, y, m), -1, m)
                            for x, y in zip(rows[i], rows[col])]
     return [rows[i][d] for i in range(d)]
 
@@ -900,14 +925,14 @@ class TestRootSideCrossCheck:
         # weights: sum_i alpha_i gamma_i^n = det A * (v A^n u) for n < d
         rhs = [_scalar(det * vec_dot(v, mat_vec(mat_pow(a, n), u)), d) for n in range(d)]
         alphas = _solve_vandermonde(roots, rhs, m)
-        thetas = [padic._combine(mat_pow_mod(g, tau_s, m), one, -1, m) for g in roots]
+        thetas = [mat_add(mat_pow_mod(g, tau_s, m), one, -1, m) for g in roots]
         matrix_side = h_coeffs(a, u, v, b, 2, j_max)
         mod_check = p**check_prec
         for j in range(j_max + 1):
             total = IntMatrix.zeros(d)
             for alpha, g, th in zip(alphas, roots, thetas):
                 term = mat_mul_mod(mat_mul_mod(alpha, mat_pow_mod(g, 2, m), m), mat_pow_mod(th, j, m), m)
-                total = padic._combine(total, term, 1, m)
+                total = mat_add(total, term, 1, m)
             reduced = _divide(total, p ** (s * j)).reduce(mod_check)
             assert reduced == _scalar(reduced.entries[0][0], d), "not a constant"
             assert (reduced.entries[0][0] - matrix_side[j]) % mod_check == 0

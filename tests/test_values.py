@@ -16,7 +16,7 @@ from matprng.analysis.sums import FullPeriodRow, SumReport
 from matprng.arith import IntMatrix, IntPolynomial, PrimePowerModulus
 from matprng.cli import Experiment, Table, load_experiment
 from matprng.errors import DimensionMismatchError, NotInvertibleError
-from matprng.fieldalg import PolyModP, Verdict, cyclotomic_polynomial
+from matprng.fieldalg import Verdict
 from matprng.generator import GeneratorConfig, PointSet
 from matprng.padic import PeriodProfile, lift_roots
 
@@ -154,34 +154,10 @@ class TestPolynomials:
         with pytest.raises(AttributeError):
             f.coeffs = (3,)
 
-    def test_poly_mod_p(self):
-        g = PolyModP(5, (6, -3, 5))
-        assert g.coeffs == (1, 2) and g.p == 5
-        assert g == PolyModP(p=5, coeffs=(1, 2))
-        assert g != PolyModP(7, (1, 2))
-        assert hash(g) == hash(PolyModP(5, (1, 2)))
-        assert repr(g) == "PolyModP(coeffs=(1, 2), p=5)"
-        for name in ("p", "coeffs"):
-            with pytest.raises(AttributeError):
-                setattr(g, name, 3)
-
-    def test_int_polynomial_against_poly_mod_p(self):
-        f, g = IntPolynomial((1, 2)), PolyModP(5, (1, 2))
-        assert f != g and g != f
-        assert not f == g and not g == f
-        assert len({f, g}) == 2
-        assert isinstance(g, IntPolynomial)
-
     def test_arithmetic_keeps_the_kind(self):
-        g = PolyModP(5, (1, 2))
-        assert isinstance(g * g, PolyModP) and (g * g).p == 5
-        assert type(IntPolynomial((1, 2)) * IntPolynomial((1, 2))) is IntPolynomial
-
-    def test_cyclotomic_cache_hits(self):
-        cyclotomic_polynomial(12)
-        before = cyclotomic_polynomial.cache_info().hits
-        assert cyclotomic_polynomial(12) == IntPolynomial((1, 0, -1, 0, 1))
-        assert cyclotomic_polynomial.cache_info().hits == before + 1
+        f = IntPolynomial((1, 2))
+        for value in (f * f, f * 3, f + f, f - f, -f, f.derivative()):
+            assert type(value) is IntPolynomial
 
 
 class TestVerdict:
@@ -264,12 +240,12 @@ class TestPadicTypes:
 @pytest.mark.parametrize("make", [
     lambda: PrimePowerModulus(3, 2),
     lambda: FIB,
-    lambda: PolyModP(5, (6, 2)),
+    lambda: IntPolynomial((6, 2)),
     lambda: Verdict.fail("degenerate", {"kind": "root", "n": 1}),
     lambda: GeneratorConfig(FIB, M9, (10, 0), (1, 9), Verdict.ok()),
     lambda: lift_roots(FIB_POLY, 3, 3),
     lambda: PeriodProfile(3, (8, 8, 24), 8, 2, 2),
-], ids=["modulus", "matrix", "poly-mod-p", "verdict", "generator", "roots", "profile"])
+], ids=["modulus", "matrix", "polynomial", "verdict", "generator", "roots", "profile"])
 def test_copy_and_pickle_keep_the_value(make):
     value = make()
     for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
