@@ -23,7 +23,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "DiscrepancyReport",
         "box_counts",
         "exact_discrepancy",
-        "extreme_discrepancy_bruteforce",
         "full_discrepancy_report",
     ),
     "params": ("ProofParameters", "RationalizationRow", "integer_root", "proof_parameters"),

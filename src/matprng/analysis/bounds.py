@@ -1,6 +1,8 @@
 """Explicit bound formulas evaluated as arbitrary-precision floats: the
 power-sum count bound, the double-sum bound it feeds, the single-sum and
-discrepancy envelopes, and the discrepancy-from-sums inequality.
+discrepancy envelopes, and the discrepancy-from-sums inequality.  The
+last is measured: its frequency sums over the stream points are summed,
+a chunk of vectors at a time, by the exact kernel of `sums`.
 
 Values can be astronomically large (r^{3r^3}), so every value is a
 `decimal.Decimal` computed at 45 significant digits with the widest
@@ -14,15 +16,13 @@ from __future__ import annotations
 import math
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
-from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ..arith import valuation
 from ..generator import GeneratorConfig
 from ..stream import int_dtype, mat_stream
-from .sums import phase_sum
+from .sums import _EXACT_SUM_CHUNK, _row_sums
 
 # the context every formula runs in (`localcontext` works on a copy)
 _CONTEXT = Context(prec=45, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])
@@ -187,22 +187,6 @@ class KSBound(NamedTuple):
     n_vectors: int
 
 
-def _frequency_abs_sum(points: np.ndarray, v: tuple[int, ...], p: int, t: int) -> float:
-    """|sum_n e(v . u_n / p^t)| over the stream points u_n, an (N, d) array
-    of residues mod p^t, with the common-p-power reduction: when p^nu | v
-    the sum is routed through the modulus p^{t-nu}.  The frequency v / p^nu
-    stays signed, so d V p^t bounds every partial dot product with it; the
-    phases are formed in the array's own dtype and summed by
-    `sums.phase_sum`."""
-    nu = min([t] + [int(valuation(x, p)) for x in v if x != 0])
-    t_red = t - nu
-    if t_red == 0:
-        return float(len(points))
-    mod = p**t_red
-    freq = np.array([x // p**nu for x in v], dtype=points.dtype)
-    return abs(phase_sum((points @ freq) % mod, mod))
-
-
 def koksma_szusz_bound(
     cfg: GeneratorConfig,
     n_points: int,
@@ -212,28 +196,51 @@ def koksma_szusz_bound(
     """Explicit discrepancy bound
         (3/2)^d * ( 2/(V+1) + (1/N) sum_{0 < ||v|| <= V} |S(N; u, v)| / r(v) ),
     the classical explicit form of the frequency-sum inequality; r(v) is the
-    product of max(|v_j|, 1).  constant_base overrides the 3/2."""
+    product of max(|v_j|, 1).  constant_base overrides the 3/2.
+
+    S(N; u, -v) is the conjugate of S(N; u, v), so the sum runs over one of
+    each pair, the v whose first nonzero entry is positive, and counts it
+    twice.  With p^nu the largest power of p dividing v, S(N; u, v) is N
+    where nu >= t, else the sum of e(x_n / p^(t-nu)) over the residues
+    x_n = (v / p^nu) . u_n mod p^(t-nu).  The vectors, their nu and their
+    r(v) are arrays; the vectors of one nu form their residues by one
+    matrix product with the (N, d) stream points, about _EXACT_SUM_CHUNK
+    residues at a time, and `sums._row_sums` sums each vector's row.
+    v / p^nu stays signed, so d V p^t bounds every partial dot product: the
+    residues are int64 below the edge (`stream.int_dtype`), exact ints
+    above."""
     if v_range < 1:
         raise ValueError("V must be >= 1")
     cfg.m.check_float_range()
     d = cfg.a.d
     p, t = cfg.m.p, cfg.m.t
-    # every phase dot product is below d V p^t in absolute value
     dtype = int_dtype(d * v_range * cfg.m.modulus)
     points = mat_stream(cfg.a, cfg.u0, cfg.m, n_points).astype(dtype, copy=False)
-    # one of each pair v, -v: the one whose first nonzero entry is positive
-    vs = product(range(-v_range, v_range + 1), repeat=d)
-    reps = [v for v in vs if next((x for x in v if x != 0), 0) > 0]
-    n_vectors = 2 * len(reps)
-
-    def term(v: tuple[int, ...]) -> float:
-        return _frequency_abs_sum(points, v, p, t) / math.prod(max(abs(x), 1) for x in v)
-
-    sum_term = 2.0 * math.fsum(term(v) for v in reps)  # each v pairs with -v (conjugate sum)
+    # in lexicographic order the grid runs -v_max .. 0 .. v_max, each v at
+    # the mirror place of -v, so the v after 0 are those whose first nonzero
+    # entry is positive
+    grid = np.indices((2 * v_range + 1,) * d).reshape(d, -1).T - v_range
+    reps = grid[len(grid) // 2 + 1 :]
+    freq, nu = reps.copy(), np.zeros(len(reps), dtype=np.int64)
+    if p <= v_range:  # else p divides no nonzero entry
+        while (divisible := (freq % p == 0).all(axis=1)).any():
+            nu += divisible
+            freq[divisible] //= p
+    abs_sums = np.full(len(reps), float(n_points))  # |S(N; u, v)|, N where nu >= t
+    step = max(1, _EXACT_SUM_CHUNK // max(n_points, 1))
+    for k in np.unique(nu[nu < t]).tolist():
+        mod = p ** (t - k)
+        rows = np.flatnonzero(nu == k)
+        for lo in range(0, len(rows), step):
+            chunk = rows[lo : lo + step]
+            sums = _row_sums(freq[chunk].astype(dtype) @ points.T % mod, mod)
+            abs_sums[chunk] = list(map(abs, sums))
+    r = np.maximum(np.abs(reps), 1).prod(axis=1)
+    sum_term = 2.0 * math.fsum((abs_sums / r).tolist())  # each v pairs with -v (conjugate sum)
     constant = constant_base**d
     with localcontext(_CONTEXT):
         value = Decimal(constant) * (Decimal(2) / (v_range + 1) + Decimal(sum_term) / n_points)
     return KSBound(
         n=n_points, d=d, v_range=v_range, constant=constant,
-        sum_term=sum_term, value=value, n_vectors=n_vectors,
+        sum_term=sum_term, value=value, n_vectors=2 * len(reps),
     )

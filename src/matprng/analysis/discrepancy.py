@@ -371,55 +371,3 @@ def full_discrepancy_report(
     rep = exact_discrepancy(pts, kind=kind, boxes=boxes)
     ks = koksma_szusz_bound(cfg, n_points, v_range, constant_base=constant_base)
     return rep._replace(ks_bound=float(ks.value), ks_v=v_range)
-
-
-def extreme_discrepancy_bruteforce(points) -> Fraction:
-    """Reference implementation: enumerate every pair of critical edge values
-    per axis with every open/closed combination.  Exponential in d and
-    quadratic-per-axis; for small cross-check sets only."""
-    nums, den, d = _normalize(points)
-    n = len(nums)
-    axes = []
-    for j in range(d):
-        vals = sorted({0, den, *(pt[j] for pt in nums)})
-        axes.append(vals)
-
-    from itertools import product as iproduct
-
-    best = Fraction(0)
-    intervals_per_axis = []
-    for j in range(d):
-        intervals = []
-        vals = axes[j]
-        for ai in range(len(vals)):
-            for bi in range(ai, len(vals)):
-                for open_lo in (False, True):
-                    for open_hi in (False, True):
-                        intervals.append((vals[ai], vals[bi], open_lo, open_hi))
-        intervals_per_axis.append(intervals)
-    for combo in iproduct(*intervals_per_axis):
-        count = 0
-        for pt in nums:
-            ok = True
-            for x, (lo, hi, open_lo, open_hi) in zip(pt, combo):
-                if open_lo:
-                    if x <= lo:
-                        ok = False
-                        break
-                elif x < lo:
-                    ok = False
-                    break
-                if open_hi:
-                    if x >= hi:
-                        ok = False
-                        break
-                elif x > hi:
-                    ok = False
-                    break
-            if ok:
-                count += 1
-        vol = Fraction(1)
-        for lo, hi, _, _ in combo:
-            vol *= Fraction(hi - lo, den)
-        best = max(best, abs(Fraction(count, n) - vol))
-    return best

@@ -15,8 +15,11 @@ kernel: the unit terms e(x_n / m) come from `_phase_terms` (angles from
 `math.fsum` returns over the unit terms, the n-th repeated w_n times.
 `phase_sum` sums a sequence it is given; `exp_sum` feeds the same exact
 summation its stream blocks, or its histogram windows weighted by the
-counts, so both paths return one value; the reduction residual sums each
-inner row of unit terms by fsum.  Summation is deterministic, one thread.
+counts, so both paths return one value.  `_row_sums` sums each row of
+residues held in memory, by fsum over its unit terms: the rows of the
+reduction residual's inner sums, of the discrepancy bound's frequency
+sums, and an unweighted `phase_sum`.  Summation is deterministic, one
+thread.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ _EXACT_SUM_MAX_TERMS = 1 << 27
 # frexp exponents of |x| < 2^996 run from -1073 (subnormals) to 996
 _EXPONENT_BINS = 1074 + 997
 _EXACT_SUM_CHUNK = 1 << 14
-# phase_sum fsums unweighted rows up to this long as a list, cheaper than a bincount pass
+# _row_sums fsums rows up to this long as lists, cheaper than a bincount pass
 _SHORT_ROW = 1024
 # products x*y formed per np.unique call in _product_multiplicities
 _PRODUCT_CHUNK = 1 << 20
@@ -140,15 +143,27 @@ def _chunk_terms(x, mod: int, weights=None) -> Iterator[tuple[np.ndarray, object
         yield _phase_terms(x[lo : lo + step], mod), None if weights is None else weights[lo : lo + step]
 
 
+def _row_sums(x, mod: int) -> list[complex]:
+    """sum_j e(x_ij / mod) for each row i of R >= 1 rows of n residues: an
+    (R, n) int64 or object array, or a list of rows, each held as
+    `_phase_terms` takes it.  Each part is the float math.fsum returns over
+    the row's unit `_phase_terms`.  Rows of up to _SHORT_ROW terms go to
+    fsum as lists, longer ones to `_exact_sums`, so the work memory stays
+    one chunk."""
+    if len(x[0]) > _SHORT_ROW:
+        return [complex(*_exact_sums(_chunk_terms(row, mod), 2)) for row in x]
+    return [complex(math.fsum(re), math.fsum(im)) for re, im in zip(*_phase_terms(x, mod).tolist())]
+
+
 def phase_sum(x, mod: int, weights=None) -> complex:
     """sum_n w_n e(x_n / mod) for residues x_n held in an int64 array, or as
     exact ints in a list or object array, with integer multiplicities
     w_n >= 0 (default 1) totalling at most 2^27: each part is the float
     math.fsum returns over the unit `_phase_terms`, the n-th repeated w_n
-    times.  Unweighted rows of up to _SHORT_ROW terms go to fsum as a list,
-    every other sum to `_exact_sums`, so the work memory stays one chunk."""
-    if weights is None and len(x) <= _SHORT_ROW:
-        return complex(*map(math.fsum, _phase_terms(x, mod).tolist()))
+    times.  An unweighted sum is one row of `_row_sums`, a weighted one
+    goes to `_exact_sums`."""
+    if weights is None:
+        return _row_sums([x], mod)[0]
     return complex(*_exact_sums(_chunk_terms(x, mod, weights), 2))
 
 
@@ -363,10 +378,10 @@ def korobov_reduction_residual(residues, mod: int, n_terms: int, m: int, a: int)
     |sum_x e(f(x))| <= (1/M^2) sum_x |sum_{y,z<=M} e(f(x + a y z))| + 2 a M^2
     for the phases f(n) = x_n / mod of the residues x_0 .. x_{N-1+aM^2}.
 
-    The lhs is `phase_sum` of x_0 .. x_{N-1}.  The inner sum at n is fsum
-    over its row of M^2 unit `_phase_terms`, the residues x_{n + a yz} of
-    all the pairs (y, z).  Rows are formed up to _EXACT_SUM_CHUNK terms at a
-    time, and fsum adds their moduli."""
+    The lhs is `phase_sum` of x_0 .. x_{N-1}.  The inner sum at n is the
+    `_row_sums` of its row of M^2 residues x_{n + a yz}, one a pair (y, z).
+    Rows are formed up to _EXACT_SUM_CHUNK terms at a time, and fsum adds
+    their moduli."""
     if m < 1 or a < 0 or n_terms < 1:
         raise ValueError("need M >= 1, a >= 0, N >= 1")
     needed = n_terms + a * m * m
@@ -379,8 +394,7 @@ def korobov_reduction_residual(residues, mod: int, n_terms: int, m: int, a: int)
     moduli = []
     for lo in range(0, n_terms, step):
         rows = np.add.outer(np.arange(lo, min(lo + step, n_terms)), offsets)
-        terms = _phase_terms(x[rows].ravel(), mod).reshape(2, *rows.shape)
-        moduli += (abs(complex(math.fsum(re), math.fsum(im))) for re, im in zip(*terms.tolist()))
+        moduli += map(abs, _row_sums(x[rows], mod))
     return math.fsum(moduli) / (m * m) + 2.0 * a * m * m - lhs
 
 

@@ -32,6 +32,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .arith import IntMatrix, PrimePowerModulus, char_poly, exceeds_str_digits
 from .errors import DimensionMismatchError, EnumerationTooLargeError, MatprngError, ResourceGuardError
+from .errors import NonSquarefreeError, NotIrreducibleError
 
 # main checks a command's config against its row of _COMMANDS before the
 # command runs, and each command imports the layers it runs when it runs: a
@@ -365,11 +366,12 @@ def cmd_validate(exp: Experiment, cfg: GeneratorConfig, args) -> dict:
 
 
 def _profile_summary(exp: Experiment, profile) -> dict:
-    from .fieldalg import irreducible_mod_p
     from .padic import compute_w
 
-    f = char_poly(exp.matrix)
-    w = compute_w(f, exp.p, profile=profile) if irreducible_mod_p(f, exp.p) else None
+    try:  # w has a root-based value only where f is irreducible mod p
+        w = compute_w(char_poly(exp.matrix), exp.p, profile=profile)
+    except (NotIrreducibleError, NonSquarefreeError):
+        w = None
     return {"tau_star": profile.tau_star, "beta_star": profile.beta_star,
             "s_star": profile.s_star, "w": w}
 

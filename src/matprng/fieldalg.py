@@ -146,8 +146,7 @@ def nondegeneracy_check(f: IntPolynomial) -> Verdict:
     n by 2d^2 and 2d^4.  Only the n that pass that filter are tried: C^n for
     a root, and for a ratio every n-th vector of the one orbit C^j e_d.
     """
-    d = f.degree
-    if d < 1:
+    if f.degree < 1:
         raise ValueError("degree must be >= 1")
     if not f.is_monic:
         raise ValueError("polynomial must be monic")
@@ -155,6 +154,13 @@ def nondegeneracy_check(f: IntPolynomial) -> Verdict:
         raise ValueError("f(0) = 0: zero is a root")
     if not is_squarefree_over_q(f):
         raise ValueError("polynomial is not squarefree over Q")
+    return _root_of_unity_sweep(f)
+
+
+def _root_of_unity_sweep(f: IntPolynomial) -> Verdict:
+    """`nondegeneracy_check` on a monic squarefree f of degree >= 1 with
+    f(0) != 0, whose caller has checked these."""
+    d = f.degree
     c = companion_matrix(f)
     one = IntMatrix.identity(d)
     for n in range(1, 2 * d * d + 1):
@@ -251,7 +257,7 @@ def validate_theorem_hypotheses(
     if not is_squarefree_over_q(f):
         # A repeated root makes the ratio lambda_i / lambda_j = 1 a root of unity.
         return Verdict.fail("degenerate", {"kind": "ratio", "n": 1})
-    nd = nondegeneracy_check(f)
+    nd = _root_of_unity_sweep(f)
     if not nd.accepted:
         return nd
     p = m.p

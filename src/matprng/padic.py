@@ -260,10 +260,19 @@ def lift_roots(f: IntPolynomial, p: int, s: int) -> tuple[IntMatrix, ...]:
     when f is irreducible mod p, and sigma^k(C) = C^(p^k) (mod p).  Newton
     steps stay in Z/p^s[C] only from a start formed there: reduced mod p,
     C^(p^k) would converge to a root of f outside it."""
+    _require_irreducible(f, p)
+    return _lift_roots(f, p, s)
+
+
+def _require_irreducible(f: IntPolynomial, p: int) -> None:
     if squarefree_mod_p(f, p).outcome != "accepted":
         raise NonSquarefreeError("f has multiple roots mod p")
     if not irreducible_mod_p(f, p):
         raise NotIrreducibleError("f is reducible mod p; root lifting is restricted")
+
+
+def _lift_roots(f: IntPolynomial, p: int, s: int) -> tuple[IntMatrix, ...]:
+    """`lift_roots` on an f whose caller has checked it irreducible mod p."""
     m = PrimePowerModulus(p, s)
     c = companion_matrix(f).reduce(m.modulus)
     df = f.derivative()
@@ -297,15 +306,18 @@ def compute_w(
     cover every value.  gamma / sigma^k gamma = gamma^(1 - p^k) (mod p) has
     order tau_1 / gcd(tau_1, p^k - 1).  The precision starts at
     max(4, beta_* + 2) and doubles until every beta lies below it, up to
-    DEFAULT_PRECISION_CAP."""
+    DEFAULT_PRECISION_CAP; the roots are lifted afresh at each precision,
+    and f is checked squarefree and irreducible mod p once, before the
+    first (NonSquarefreeError, NotIrreducibleError)."""
     d = f.degree
     if profile is None:
         profile = period_profile(companion_matrix(f), p, s_max=3)
+    _require_irreducible(f, p)
     tau = profile.taus[0]
     s = max(4, profile.beta_star + 2)
     while True:
         m = PrimePowerModulus(p, s)
-        c, *conjugates = lift_roots(f, p, s)
+        c, *conjugates = _lift_roots(f, p, s)
         beta = _growth(c, tau, m)[1]
         for k, root in enumerate(conjugates[: d // 2], start=1):
             ratio = mat_mul_mod(c, _inverse(root, m), m)

@@ -1,3 +1,4 @@
+import cmath
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -6,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from matprng.arith import PrimePowerModulus, mat_vec_mod
+from matprng.arith import IntMatrix, PrimePowerModulus, mat_vec_mod
 from matprng.generator import GeneratorConfig
 from matprng.analysis.bounds import (
     discrepancy_envelope,
@@ -16,8 +17,9 @@ from matprng.analysis.bounds import (
     korobov_bound,
     theorem_envelope,
 )
-from matprng.analysis.sums import _angles, phase_sum
+from matprng.analysis.sums import _angles
 from matprng.analysis.vinogradov import vinogradov_count
+from matprng.stream import mat_stream
 
 
 class TestFordBound:
@@ -157,6 +159,14 @@ class TestEnvelopes:
             theorem_envelope(10, 3, 2, 1)
 
 
+# one generator matrix per dimension d
+MATRICES = {
+    1: IntMatrix.from_rows([[5]]),
+    2: IntMatrix.from_rows([[0, 1], [1, 1]]),
+    3: IntMatrix.from_rows([[0, 0, 1], [1, 0, 1], [0, 1, 1]]),
+}
+
+
 def reference_terms(cfg, n, v_range) -> list[float]:
     """|S(N; u, v)| / r(v) for one v of each pair v, -v with 0 < ||v|| <= V,
     from phases reduced on Python-int residues and added by fsum."""
@@ -201,15 +211,41 @@ class TestKoksmaSzusz:
                     exact = exact_discrepancy(fractional_points(cfg_t, n))
                     assert float(exact.value) <= float(ks.value)
 
-    @pytest.mark.parametrize("t, n", [(4, 50), (4, 5000), (20, 5000), (40, 50), (40, 5000)])
-    def test_matches_fsum_reference(self, fib, t, n):
-        # t = 4 runs the stream in int64, t = 20 narrows an exact-int stream
-        # to int64 for the phases, t = 40 stays on exact ints; n = 5000 is
-        # past the kernel's short rows
-        cfg = GeneratorConfig.create(fib, PrimePowerModulus(3, t), (1, 2), (1, 0))
-        terms = reference_terms(cfg, n, 3)
-        ks = koksma_szusz_bound(cfg, n, 3)
-        assert ks.n_vectors == 2 * len(terms) == 48
+    @pytest.mark.parametrize("d, p, t, v_range, n", [
+        # Fibonacci mod 3^t, V = 3: t = 4 runs the stream in int64, t = 20
+        # narrows an exact-int stream to int64 for the phases, t = 40 stays
+        # on exact ints; n = 5000 is past the kernel's short rows
+        pytest.param(2, 3, 4, 3, 50, id="4-50"),
+        pytest.param(2, 3, 4, 3, 5000, id="4-5000"),
+        pytest.param(2, 3, 20, 3, 5000, id="20-5000"),
+        pytest.param(2, 3, 40, 3, 50, id="40-50"),
+        pytest.param(2, 3, 40, 3, 5000, id="40-5000"),
+        # V >= p, so that p^nu divides v for nu up to 3, and nu = t
+        pytest.param(1, 2, 12, 8, 1, id="d1-2^12-V8-N1"),
+        pytest.param(1, 2, 12, 8, 5000, id="d1-2^12-V8-N5000"),
+        pytest.param(1, 317, 3, 634, 7, id="d1-317^3-V634-N7"),
+        pytest.param(2, 2, 2, 4, 5000, id="d2-2^2-V4-N5000"),
+        pytest.param(2, 3, 3, 9, 64, id="d2-3^3-V9-N64"),
+        pytest.param(3, 2, 20, 4, 64, id="d3-2^20-V4-N64"),
+        # p^t below and above 2^53, and d V p^t below and above the int64
+        # edge 2^63 (2 * 4 * 2^59 = 2^62, 2 * 4 * 2^60 = 2^63)
+        pytest.param(2, 2, 50, 4, 64, id="d2-2^50-V4-N64"),
+        pytest.param(2, 2, 54, 4, 7, id="d2-2^54-V4-N7"),
+        pytest.param(2, 2, 59, 4, 64, id="d2-2^59-V4-N64"),
+        pytest.param(2, 2, 60, 4, 64, id="d2-2^60-V4-N64"),
+        pytest.param(2, 3, 33, 9, 1, id="d2-3^33-V9-N1"),
+        pytest.param(3, 3, 34, 3, 64, id="d3-3^34-V3-N64"),
+        pytest.param(3, 3, 40, 3, 7, id="d3-3^40-V3-N7"),
+        # p = 317, and a prime above 2^63, whose residues are exact ints
+        pytest.param(2, 317, 2, 3, 5000, id="d2-317^2-V3-N5000"),
+        pytest.param(1, 2**64 - 59, 1, 5, 5000, id="d1-bigp-V5-N5000"),
+        pytest.param(2, 2**64 - 59, 2, 2, 64, id="d2-bigp^2-V2-N64"),
+    ])
+    def test_matches_fsum_reference(self, d, p, t, v_range, n):
+        cfg = GeneratorConfig(MATRICES[d], PrimePowerModulus(p, t), (1, 2, 3)[:d])
+        terms = reference_terms(cfg, n, v_range)
+        ks = koksma_szusz_bound(cfg, n, v_range)
+        assert ks.n_vectors == 2 * len(terms) == (2 * v_range + 1) ** d - 1
         assert ks.sum_term == 2.0 * math.fsum(terms)
 
     @pytest.mark.parametrize("t, dtype", [(61, np.int64), (62, object)])
@@ -220,11 +256,12 @@ class TestKoksmaSzusz:
 
         seen = []
 
-        def spy(x, mod, weights=None):
+        def spy(x, mod):
             seen.append(x.dtype)
-            return phase_sum(x, mod, weights)
+            return row_sums(x, mod)
 
-        monkeypatch.setattr(bounds, "phase_sum", spy)
+        row_sums = bounds._row_sums
+        monkeypatch.setattr(bounds, "_row_sums", spy)
         cfg = GeneratorConfig(fib, PrimePowerModulus(2, t), (2**t - 1, 2**t - 3))
         terms = reference_terms(cfg, 40, 1)
         ks = koksma_szusz_bound(cfg, 40, 1)
@@ -232,19 +269,18 @@ class TestKoksmaSzusz:
         assert ks.n_vectors == 2 * len(terms) == 8
         assert ks.sum_term == 2.0 * math.fsum(terms)
 
-    def test_gcd_reduction_matches_direct(self, cfg):
-        # v = (p, 0) with t >= 2 is the same sum at modulus p^{t-1}
-        from matprng.analysis.bounds import _frequency_abs_sum
-        from matprng.generator import vector_sequence
-        import numpy as np
-
-        pts = np.array(vector_sequence(cfg, 0, 100), dtype=np.int64)
-        direct = abs(
-            sum(
-                complex(math.cos(2 * math.pi * ((3 * u[0]) % 81) / 81),
-                        math.sin(2 * math.pi * ((3 * u[0]) % 81) / 81))
-                for u in pts
-            )
-        )
-        routed = _frequency_abs_sum(pts, (3, 0), 3, 4)
-        assert routed == pytest.approx(direct, abs=1e-9)
+    def test_gcd_reduction_matches_direct(self, fib):
+        # where p^nu divides v the sum is taken over p^(t - nu), and is N
+        # at nu = t; over p^t, unreduced, it is the same sum.  V = 9 at
+        # p = 3 reaches nu = 2, which is t at t = 2 and past it at t = 1
+        n = 100
+        for t in (1, 2, 4):
+            cfg = GeneratorConfig(fib, PrimePowerModulus(3, t), (1, 0))
+            points = [tuple(u) for u in mat_stream(cfg.a, cfg.u0, cfg.m, n).tolist()]
+            direct = 0.0
+            for v in product(range(-9, 10), repeat=2):
+                if next((x for x in v if x != 0), 0) > 0:
+                    phases = (sum(a * b for a, b in zip(v, u)) % 3**t / 3**t for u in points)
+                    s = sum(cmath.exp(2j * math.pi * x) for x in phases)
+                    direct += abs(s) / math.prod(max(abs(x), 1) for x in v)
+            assert koksma_szusz_bound(cfg, n, 9).sum_term == pytest.approx(2 * direct, rel=1e-12)

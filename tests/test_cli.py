@@ -90,6 +90,23 @@ class TestPeriod:
         cfg = write_config(tmp_path, dict(FIB_DOC, p="5"))
         assert main(["period", "--config", cfg]) == 2
 
+    def test_w_is_null_where_f_splits_mod_p(self, tmp_path):
+        # X^2 - X - 1 = (X - 4)(X - 8) mod 11: w has no root-based value
+        out = tmp_path / "period.csv"
+        assert main(["period", "--config", write_config(tmp_path, dict(FIB_DOC, p="11")), "--out", str(out)]) == 0
+        assert json.loads((tmp_path / "period.csv.json").read_text())["w"] is None
+
+    def test_each_question_about_f_is_asked_once(self, fib_config, tmp_path, monkeypatch):
+        from matprng import fieldalg, padic
+
+        calls = []
+        for module, name in [(fieldalg, "is_squarefree_over_q"), (fieldalg, "irreducible_mod_p"),
+                             (padic, "irreducible_mod_p")]:
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        assert main(["period", "--config", fib_config, "--out", str(tmp_path / "period.csv")]) == 0
+        assert sorted(calls) == ["irreducible_mod_p", "is_squarefree_over_q"]
+
 
 class TestGen:
     def test_vector_rows(self, fib_config, capsys):
@@ -604,15 +621,13 @@ def test_gen_record_dump_matches_golden_digest(case, tmp_path):
 INT64_EDGES = [0, 2**20, 2**30, 2**40]
 
 
-def assert_goldens(tmp_path: Path, commands: tuple[str, ...] | None = None, mask=None) -> None:
-    """Every GOLDEN_RUNS case (of `commands`, when given) matches its
-    golden (after `mask`, when given), and every DUMP_CASES record dump its
-    digest."""
+def assert_goldens(tmp_path: Path, mask=None) -> None:
+    """Every GOLDEN_RUNS case matches its golden (after `mask`, when given),
+    and every DUMP_CASES record dump its digest."""
     for case, doc, command, fmt in GOLDEN_RUNS:
-        if commands is None or command in commands:
-            out = tmp_path / f"{case}-{command}-{fmt}"
-            out.mkdir()
-            assert_matches_golden(cli_artifacts(out, doc, command, fmt), case, command, fmt, mask)
+        out = tmp_path / f"{case}-{command}-{fmt}"
+        out.mkdir()
+        assert_matches_golden(cli_artifacts(out, doc, command, fmt), case, command, fmt, mask)
     digests = json.loads(DUMP_DIGESTS.read_text())
     for case, doc in DUMP_CASES.items():
         out = tmp_path / f"dump-{case}"
@@ -632,7 +647,7 @@ def test_every_golden_on_every_integer_path(edge, tmp_path, monkeypatch):
 
 # A fast path's module constant, read at each call, sends the work it selects
 # down the reference path: exp_sum counts no histogram at _HISTOGRAM_LIMIT = 0,
-# phase_sum rounds no short row by fsum at _SHORT_ROW = 0, and every command
+# no row of phases is summed by fsum on lists at _SHORT_ROW = 0, and every command
 # streams in blocks of the given size.  Every golden matches under each.
 REFERENCE_PATHS = [
     ("analysis.sums", "_HISTOGRAM_LIMIT", 0),
@@ -659,18 +674,6 @@ def test_every_golden_on_every_reference_path(module, name, value, tmp_path, mon
 
 
 # --- block boundaries and memory ---------------------------------------------
-
-BLOCK_SIZES = [1, 7, 4096, None]
-
-
-@pytest.mark.parametrize("block", BLOCK_SIZES, ids=["1", "7", "4096", "default"])
-def test_gen_artifacts_do_not_depend_on_the_block_size(block, tmp_path, monkeypatch):
-    from matprng import stream
-
-    if block is not None:
-        monkeypatch.setattr(stream, "STREAM_BLOCK", block)
-    assert_goldens(tmp_path, ("gen",))
-
 
 def test_gen_memory_is_bounded_by_a_block(tmp_path):
     import tracemalloc

@@ -12,11 +12,32 @@ from matprng.arith import IntMatrix, PrimePowerModulus
 from matprng.errors import DimensionTooLargeError, TooManyPointsError
 from matprng.generator import GeneratorConfig, PointSet, fractional_points
 from matprng.analysis import discrepancy
-from matprng.analysis.discrepancy import (
-    box_counts,
-    exact_discrepancy,
-    extreme_discrepancy_bruteforce,
-)
+from matprng.analysis.discrepancy import box_counts, exact_discrepancy
+
+
+def extreme_discrepancy_bruteforce(points) -> Fraction:
+    """The extreme discrepancy by enumeration: every box whose faces lie on
+    the points' coordinates (or 0 and 1), each face open or closed.
+    Exponential in d and quadratic per axis; for small sets only."""
+    nums, den, d = discrepancy._normalize(points)
+    intervals_per_axis = []
+    for j in range(d):
+        vals = sorted({0, den, *(pt[j] for pt in nums)})
+        intervals_per_axis.append([
+            (lo, hi, open_lo, open_hi)
+            for i, lo in enumerate(vals) for hi in vals[i:]
+            for open_lo in (False, True) for open_hi in (False, True)
+        ])
+    best = Fraction(0)
+    for combo in product(*intervals_per_axis):
+        count = sum(
+            all((lo < x if open_lo else lo <= x) and (x < hi if open_hi else x <= hi)
+                for x, (lo, hi, open_lo, open_hi) in zip(pt, combo))
+            for pt in nums
+        )
+        vol = math.prod(Fraction(hi - lo, den) for lo, hi, _, _ in combo)
+        best = max(best, abs(Fraction(count, len(nums)) - vol))
+    return best
 
 
 def rational_points(rng, n, d, den):

@@ -1,10 +1,13 @@
 import itertools
 import math
+import os
 import random
+import subprocess
 import sys
 import time
 import tracemalloc
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -559,8 +562,8 @@ class TestBetaPair:
         # to 5^6, so beta(gamma_1, gamma_2) = 6 over beta_* = 1.  The valuation
         # reads as the cap at the starting precision 4 and resolves at 8.
         precisions = []
-        lift = padic.lift_roots
-        monkeypatch.setattr(padic, "lift_roots", lambda f, p, s: precisions.append(s) or lift(f, p, s))
+        lift = padic._lift_roots
+        monkeypatch.setattr(padic, "_lift_roots", lambda f, p, s: precisions.append(s) or lift(f, p, s))
         assert compute_w(IntPolynomial((16 + 5**6, 4 + 5**6, 1)), 5) == 3 * (6 - 1) + 1
         assert precisions == [4, 8]
 
@@ -610,6 +613,17 @@ class TestComputeW:
         # fib polynomial splits mod 11; w has no root-based value there
         with pytest.raises(NotIrreducibleError):
             compute_w(fib_poly, 11)
+
+    def test_outcomes_match_the_committed_file(self):
+        # the outcome script's 50 cases, printed once and kept as a golden:
+        # w or the exception's name at two caps, and the validator's verdicts
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, str(root / "scripts" / "compute_w_outcomes.py"), "--cases", "50"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out == (root / "tests" / "golden" / "compute_w_outcomes.txt").read_text()
 
     def test_root_of_unity_ratio_hits_the_cap(self):
         # X^2 + 4X + 16 has the roots 4 omega and 4 omega^2: their ratio is a
