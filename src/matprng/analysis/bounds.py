@@ -211,6 +211,8 @@ def koksma_szusz_bound(
     above."""
     if v_range < 1:
         raise ValueError("V must be >= 1")
+    if n_points < 1:
+        raise ValueError("N must be >= 1")
     cfg.m.check_float_range()
     d = cfg.a.d
     p, t = cfg.m.p, cfg.m.t
@@ -227,7 +229,7 @@ def koksma_szusz_bound(
             nu += divisible
             freq[divisible] //= p
     abs_sums = np.full(len(reps), float(n_points))  # |S(N; u, v)|, N where nu >= t
-    step = max(1, _EXACT_SUM_CHUNK // max(n_points, 1))
+    step = max(1, _EXACT_SUM_CHUNK // n_points)
     for k in np.unique(nu[nu < t]).tolist():
         mod = p ** (t - k)
         rows = np.flatnonzero(nu == k)

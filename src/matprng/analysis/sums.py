@@ -10,16 +10,13 @@ representation of u_{n + tau_s m} in m), and the sum over m is a complete
 geometric sum.
 
 Every sum of phases sum_n w_n e(x_n / m), w_n integer, goes through one
-kernel: the unit terms e(x_n / m) come from `_phase_terms` (angles from
-`_angles`), and the real and the imaginary part are each the float
-`math.fsum` returns over the unit terms, the n-th repeated w_n times.
-`phase_sum` sums a sequence it is given; `exp_sum` feeds the same exact
-summation its stream blocks, or its histogram windows weighted by the
-counts, so both paths return one value.  `_row_sums` sums each row of
-residues held in memory, by fsum over its unit terms: the rows of the
-reduction residual's inner sums, of the discrepancy bound's frequency
-sums, and an unweighted `phase_sum`.  Summation is deterministic, one
-thread.
+kernel, `_exact_sums`: the real and the imaginary part are each the float
+`math.fsum` returns over the unit terms e(x_n / m) of `_phase_terms`, the
+n-th repeated w_n times.  `_row_sums` sums R rows of residues together (the
+reduction residual's inner sums, the discrepancy bound's frequency sums),
+`phase_sum` one row, weighted or not, and `exp_sum` its stream blocks or
+its histogram windows weighted by the counts, so both paths return one
+value.  Summation is deterministic, one thread.
 """
 
 from __future__ import annotations
@@ -45,11 +42,7 @@ _SPLIT = 134217729.0
 _EXACT_SUM_MAX_ABS = 2.0**996
 # total weight of a sum; the stream budget (2^30 bytes, 8 a term) and sigma_n's grid guard keep it below
 _EXACT_SUM_MAX_TERMS = 1 << 27
-# frexp exponents of |x| < 2^996 run from -1073 (subnormals) to 996
-_EXPONENT_BINS = 1074 + 997
 _EXACT_SUM_CHUNK = 1 << 14
-# _row_sums fsums rows up to this long as lists, cheaper than a bincount pass
-_SHORT_ROW = 1024
 # products x*y formed per np.unique call in _product_multiplicities
 _PRODUCT_CHUNK = 1 << 20
 # largest tau_s whose terms full_period_exponent sums, and largest grid
@@ -103,15 +96,17 @@ def _exact_sums(chunks: Iterable[tuple[np.ndarray, np.ndarray | None]], width: i
     hi is a multiple of 2^(e-26) with |hi| <= 2^e, and lo a multiple of
     2^(e-53) (or of the subnormal spacing) with |lo| <= 2^(e-27).  Times an
     integer weight c <= 2^27, either half is exact and still a multiple of
-    its unit.  Added up per exponent of the unweighted term by np.bincount,
-    chunk by chunk, either half stays within 2^53 of its units, so exact.
-    fsum of these exact group sums is the exactly rounded sum of the
-    repeated series, which is what fsum returns for it."""
-    groups = np.zeros((width, 2, _EXPONENT_BINS))
-    total = 0
+    its unit.  For all series of a chunk at once, one np.bincount a half
+    adds them up per (series, exponent of the unweighted term) into the group
+    sums of the exponents seen so far: a group stays within 2^53 of its
+    units, so exact.  fsum of a series' group sums is the exactly rounded
+    sum of the repeated series, which is what fsum returns for it."""
+    groups, low, total = np.zeros((width, 2, 0)), 0, 0
     for part, weights in chunks:
         assert np.abs(part).max() < _EXACT_SUM_MAX_ABS
-        exponents = np.frexp(part)[1] + 1074
+        exponents = np.frexp(part)[1]
+        least = int(exponents.min())
+        span = int(exponents.max()) + 1 - least
         hi = part * _SPLIT
         hi -= hi - part
         part -= hi
@@ -122,60 +117,61 @@ def _exact_sums(chunks: Iterable[tuple[np.ndarray, np.ndarray | None]], width: i
             part *= weights
         total += part.shape[1] if weights is None else int(weights.sum())
         assert total <= _EXACT_SUM_MAX_TERMS
-        for group, h, lo, e in zip(groups, hi, part, exponents):
-            group[0] += np.bincount(e, weights=h, minlength=_EXPONENT_BINS)
-            group[1] += np.bincount(e, weights=lo, minlength=_EXPONENT_BINS)
-    return [math.fsum(group[group != 0].tolist()) for group in groups]
+        index = (np.arange(-least, width * span - least, span)[:, None] + exponents).ravel()
+        sums = np.stack([np.bincount(index, half.ravel(), width * span).reshape(width, span)
+                         for half in (hi, part)], 1)
+        # widen the group sums to this chunk's exponents, then add its sums
+        low = low if groups.shape[2] else least
+        below, above = max(low - least, 0), max(least + span - low - groups.shape[2], 0)
+        groups = np.concatenate((np.zeros((width, 2, below)), groups, np.zeros((width, 2, above))), 2)
+        low -= below
+        groups[:, :, least - low : least - low + span] += sums
+    # the nonzero group sums of every series in one list, series by series
+    ends = np.cumsum(np.count_nonzero(groups, axis=(1, 2))).tolist()
+    values = groups[groups != 0].tolist()
+    return [math.fsum(values[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def _phase_terms(x, mod: int) -> np.ndarray:
-    """The (2, n) real and imaginary parts of e(x_j / mod) for the n
-    residues x_j (an int64 array, or exact ints in a list or object array),
-    with angles from _angles."""
+    """The real and imaginary parts, stacked, of e(x_j / mod) for the residues
+    x_j (an int64 array, or exact ints in a list or object array)."""
     ang = _angles(x, mod)
     return np.array([np.cos(ang), np.sin(ang)])
 
 
-def _chunk_terms(x, mod: int, weights=None) -> Iterator[tuple[np.ndarray, object]]:
-    """(unit _phase_terms, weights or None) of x, _EXACT_SUM_CHUNK residues at a time."""
-    step = _EXACT_SUM_CHUNK
-    for lo in range(0, len(x), step):
-        yield _phase_terms(x[lo : lo + step], mod), None if weights is None else weights[lo : lo + step]
+def _chunk_terms(x: np.ndarray, mod: int, weights=None) -> Iterator[tuple[np.ndarray, object]]:
+    """The unit _phase_terms of the R rows of an (R, n) int64 or object array
+    of residues as (2R, m) chunks for `_exact_sums`, the R real parts over the
+    R imaginary parts, m <= max(1, _EXACT_SUM_CHUNK // R), with their weights."""
+    step = max(1, _EXACT_SUM_CHUNK // len(x))
+    for lo in range(0, x.shape[1], step):
+        yield (_phase_terms(x[:, lo : lo + step], mod).reshape(2 * len(x), -1),
+               None if weights is None else weights[lo : lo + step])
 
 
-def _row_sums(x, mod: int) -> list[complex]:
-    """sum_j e(x_ij / mod) for each row i of R >= 1 rows of n residues: an
-    (R, n) int64 or object array, or a list of rows, each held as
-    `_phase_terms` takes it.  Each part is the float math.fsum returns over
-    the row's unit `_phase_terms`.  Rows of up to _SHORT_ROW terms go to
-    fsum as lists, longer ones to `_exact_sums`, so the work memory stays
-    one chunk."""
-    if len(x[0]) > _SHORT_ROW:
-        return [complex(*_exact_sums(_chunk_terms(row, mod), 2)) for row in x]
-    return [complex(math.fsum(re), math.fsum(im)) for re, im in zip(*_phase_terms(x, mod).tolist())]
+def _row_sums(x: np.ndarray, mod: int) -> list[complex]:
+    """sum_j e(x_ij / mod) for each row i of an (R, n) int64 or object array
+    of residues, R >= 1, each part the float math.fsum returns over the row's
+    unit `_phase_terms`: all rows are one `_exact_sums` of `_chunk_terms`."""
+    sums = _exact_sums(_chunk_terms(x, mod), 2 * len(x))
+    return list(map(complex, sums[: len(x)], sums[len(x) :]))
 
 
 def phase_sum(x, mod: int, weights=None) -> complex:
-    """sum_n w_n e(x_n / mod) for residues x_n held in an int64 array, or as
-    exact ints in a list or object array, with integer multiplicities
-    w_n >= 0 (default 1) totalling at most 2^27: each part is the float
-    math.fsum returns over the unit `_phase_terms`, the n-th repeated w_n
-    times.  An unweighted sum is one row of `_row_sums`, a weighted one
-    goes to `_exact_sums`."""
-    if weights is None:
-        return _row_sums([x], mod)[0]
-    return complex(*_exact_sums(_chunk_terms(x, mod, weights), 2))
+    """sum_n w_n e(x_n / mod) for residues x_n in an int64 array, or exact ints
+    in a list or object array, with integer weights w_n >= 0 (default 1)
+    totalling at most 2^27, as one row of `_chunk_terms`: each part is the
+    float math.fsum returns over the unit terms, the n-th repeated w_n times."""
+    row = x[None] if isinstance(x, np.ndarray) else np.array([x], dtype=object)
+    return complex(*_exact_sums(_chunk_terms(row, mod, weights), 2))
 
 
 def _histogram_terms(counts: np.ndarray, mod: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The _phase_terms of the residues x mod `mod` that occur, with their
+    """The _chunk_terms of the residues x mod `mod` that occur, with their
     counts c_x as weights, over windows of _EXACT_SUM_CHUNK bins."""
-    step = _EXACT_SUM_CHUNK
-    for lo in range(0, len(counts), step):
-        window = counts[lo : lo + step]
-        bins = np.flatnonzero(window)
-        if bins.size:
-            yield _phase_terms(bins + lo, mod), window[bins]
+    for lo in range(0, len(counts), _EXACT_SUM_CHUNK):
+        bins = np.flatnonzero(counts[lo : lo + _EXACT_SUM_CHUNK]) + lo
+        yield from _chunk_terms(bins[None], mod, counts[bins])
 
 
 def exp_sum(cfg: GeneratorConfig, n_terms: int) -> SumReport:
@@ -218,7 +214,7 @@ def exp_sum(cfg: GeneratorConfig, n_terms: int) -> SumReport:
             top = max(top, int(block.max()) + 1)
         terms = _histogram_terms(counts[:top], mod)
     else:
-        terms = itertools.chain.from_iterable(_chunk_terms(block, mod) for block in blocks)
+        terms = itertools.chain.from_iterable(_chunk_terms(block[None], mod) for block in blocks)
     value = complex(*_exact_sums(terms, 2))
 
     # Per-term phase error < 3 ulp of pi-scale plus sin/cos rounding; the
@@ -350,11 +346,12 @@ def double_sum_sigma(
     single-to-double reduction applied to the stream."""
     from ..padic import H_coeffs, h_coeffs, order_mod, theta_matrix
 
+    if s < 1:
+        raise ValueError(f"s = {s} must be >= 1")
     if cfg.v is None:
         raise ValueError("double sums need v in the config")
     p, t = cfg.m.p, cfg.m.t
-    if r is None:
-        r = t // s
+    r = t // s if r is None else r
     grid = p**s
     if r > grid:
         raise PreconditionViolatedError(f"r = {r} exceeds p^s = {grid}")

@@ -195,6 +195,15 @@ class TestKoksmaSzusz:
     def cfg(self, fib):
         return GeneratorConfig.create(fib, PrimePowerModulus(3, 4), (1, 0), (1, 0), level="thm1")
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one(self, cfg, monkeypatch, n):
+        # refused before the points are streamed, not a NaN bound
+        from matprng.analysis import bounds
+
+        monkeypatch.setattr(bounds, "mat_stream", None)
+        with pytest.raises(ValueError, match="^N must be >= 1$"):
+            koksma_szusz_bound(cfg, n, 2)
+
     def test_vector_count_d2_v1(self, cfg):
         ks = koksma_szusz_bound(cfg, 72, 1)
         assert ks.n_vectors == 8  # (2*1+1)^2 - 1

@@ -647,11 +647,10 @@ def test_every_golden_on_every_integer_path(edge, tmp_path, monkeypatch):
 
 # A fast path's module constant, read at each call, sends the work it selects
 # down the reference path: exp_sum counts no histogram at _HISTOGRAM_LIMIT = 0,
-# no row of phases is summed by fsum on lists at _SHORT_ROW = 0, and every command
-# streams in blocks of the given size.  Every golden matches under each.
+# and every command streams in blocks of the given size.  Every golden matches
+# under each.
 REFERENCE_PATHS = [
     ("analysis.sums", "_HISTOGRAM_LIMIT", 0),
-    ("analysis.sums", "_SHORT_ROW", 0),
     ("stream", "STREAM_BLOCK", 1),
     ("stream", "STREAM_BLOCK", 7),
     ("stream", "STREAM_BLOCK", 4096),

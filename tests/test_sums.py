@@ -23,11 +23,11 @@ from matprng.generator import GeneratorConfig
 from matprng.analysis.sums import (
     _EXACT_SUM_CHUNK,
     _HISTOGRAM_LIMIT,
-    _SHORT_ROW,
     _angles,
     _exact_sums,
     _phase_terms,
     _product_multiplicities,
+    _row_sums,
     double_sum_sigma,
     exp_sum,
     full_period_exponent,
@@ -505,6 +505,14 @@ class TestDoubleSum:
         with pytest.raises(PreconditionViolatedError):
             double_sum_sigma(cfg, n=0, s=1, r=4)  # r = 4 > 3^1
 
+    @pytest.mark.parametrize("s", [0, -1])
+    def test_s_below_one(self, cfg, monkeypatch, s):
+        # refused by name before any order or grid is computed
+        monkeypatch.setattr(padic, "order_mod", None)
+        for r in (None, 0):
+            with pytest.raises(ValueError, match=f"^s = {s} must be >= 1$"):
+                double_sum_sigma(cfg, n=0, s=s, r=r)
+
     def test_grid_guard(self, fib, monkeypatch):
         monkeypatch.setattr(sums, "GRID_GUARD", 10**6)
         cfg = GeneratorConfig.create(fib, PrimePowerModulus(3, 20), (1, 0), (1, 0), level="thm1")
@@ -654,6 +662,18 @@ class TestExactSum:
             assert exact_sum(x, weights).hex() == math.fsum(np.repeat(x, weights)).hex()
         assert_fsum_bits(np.sin(ang))
 
+    def test_chunks_of_different_exponent_spans(self):
+        # each chunk's exponents lie below, above or within those seen before
+        # it, two series at once: the group sums widen either way, and the
+        # large terms cancel, so the sum is that of the small ones
+        rng = np.random.default_rng(12)
+        a, b, c, d = (rng.standard_normal((2, 700)) * 2.0 ** rng.uniform(lo, hi, (2, 700))
+                      for lo, hi in ((-5, 5), (-40, -20), (100, 200), (-1070, -1000)))
+        chunks = [a, b, c, d, -c, -a]
+        got = _exact_sums(((chunk.copy(), None) for chunk in chunks), 2)
+        want = [math.fsum(np.concatenate(series).tolist()) for series in zip(*chunks)]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
     def test_largest_magnitude_allowed(self):
         x = np.array([2.0**995, -(2.0**995) * 0.75, 3.0, -(2.0**995)])
         assert_fsum_bits(x)
@@ -679,28 +699,59 @@ def assert_same_complex(got: complex, want: complex) -> None:
     assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
+def assert_same_sums(got: list[complex], want: list[complex]) -> None:
+    assert [(z.real.hex(), z.imag.hex()) for z in got] == [(z.real.hex(), z.imag.hex()) for z in want]
+
+
 class TestPhaseSum:
     """phase_sum against fsum over the cos and sin of _angles, bit for bit."""
 
-    @pytest.mark.parametrize(
-        "n",
-        [1, 2, _SHORT_ROW - 1, _SHORT_ROW, _SHORT_ROW + 1, 4 * _SHORT_ROW - 1, 4 * _SHORT_ROW,
-         4 * _SHORT_ROW + 1, _EXACT_SUM_CHUNK - 1, _EXACT_SUM_CHUNK, _EXACT_SUM_CHUNK + 1],
-    )
+    # R = round(_EXACT_SUM_CHUNK / n) rows of n residues, summed together by
+    # _row_sums and, end to end, as one row by phase_sum: R n is just below, at
+    # or just above a chunk of _EXACT_SUM_CHUNK terms
+    @pytest.mark.parametrize("n", [1, 2] + [_EXACT_SUM_CHUNK // r + k for r in (16, 4, 1) for k in (-1, 0, 1)])
     def test_int64_residues_at_boundaries(self, n):
         mod = 3**13
-        x = np.random.default_rng(n).integers(0, mod, n)
-        assert_same_complex(phase_sum(x, mod), fsum_phase_sum(x, mod))
+        x = np.random.default_rng(n).integers(0, mod, (max(1, round(_EXACT_SUM_CHUNK / n)), n))
+        assert_same_sums(_row_sums(x, mod), [fsum_phase_sum(row, mod) for row in x])
+        assert_same_complex(phase_sum(x.ravel(), mod), fsum_phase_sum(x.ravel(), mod))
 
-    @pytest.mark.parametrize("n", [7, _SHORT_ROW + 1, 4 * _SHORT_ROW + 1, 3 * _EXACT_SUM_CHUNK // 2])
+    # as above, R n just above a chunk, and one row of 1.5 chunks
+    @pytest.mark.parametrize("n", [7, 1025, 4097, 3 * _EXACT_SUM_CHUNK // 2])
     @pytest.mark.parametrize("mod", [3**40, 2**1023], ids=["3^40", "2^1023"])
     def test_exact_ints_above_2_53(self, mod, n):
         # near 2^1023, 2 pi x would overflow; x / mod never does
         rng = random.Random(n)
-        x = [rng.randrange(mod) for _ in range(n)]
+        rows = max(1, round(_EXACT_SUM_CHUNK / n))
+        x = np.array([[rng.randrange(mod) for _ in range(n)] for _ in range(rows)], dtype=object)
+        assert_same_sums(_row_sums(x, mod), [fsum_phase_sum(row, mod) for row in x])
+        want = fsum_phase_sum(x[0], mod)
+        assert_same_complex(phase_sum(x[0].tolist(), mod), want)
+        assert_same_complex(phase_sum(x[0], mod), want)
+
+    @pytest.mark.parametrize("mod", [4 * 3**10, 4 * 3**40], ids=["4*3^10", "4*3^40"])
+    def test_row_split_into_chunks_of_different_exponent_spans(self, mod):
+        # residues at multiples of mod/4 have cosines or sines of about
+        # 6e-17, far below those of a chunk of ordinary residues: the group
+        # sums widen to them after that chunk, and before the next one
+        rng = random.Random(mod)
+        ordinary = [rng.randrange(mod) for _ in range(_EXACT_SUM_CHUNK)]
+        quarters = [k * mod // 4 for k in range(1, 4)] * 1000
+        x = ordinary + quarters + ordinary[:5000]
         want = fsum_phase_sum(x, mod)
-        assert_same_complex(phase_sum(x, mod), want)
-        assert_same_complex(phase_sum(np.array(x, dtype=object), mod), want)
+        assert_same_complex(phase_sum(np.array(x, dtype=stream.int_dtype(mod)), mod), want)
+        rows = np.array([x[:12000], x[-12000:]], dtype=stream.int_dtype(mod))
+        assert_same_sums(_row_sums(rows, mod), [fsum_phase_sum(row, mod) for row in rows])
+
+    # the shapes (R, n) of the rows the benchmark's commands sum: frequency
+    # sums, the reduction residual's inner sums, and one short row
+    @pytest.mark.parametrize("shape", [(132, 64), (128, 128), (64, 256), (56, 9), (50, 1), (1, 31)])
+    @pytest.mark.parametrize("mod", [3**13, 3**40], ids=["int64", "exact-int"])
+    def test_row_sums_over_the_benchmark_shapes(self, mod, shape):
+        rng = random.Random(repr((mod, shape)))
+        rows = [[rng.randrange(mod) for _ in range(shape[1])] for _ in range(shape[0])]
+        x = np.array(rows, dtype=stream.int_dtype(mod))
+        assert_same_sums(_row_sums(x, mod), [fsum_phase_sum(row, mod) for row in x])
 
     def test_angles_divide_before_scaling(self):
         # 2 pi (x / m): the ratio of two correctly rounded floats, then scaled
@@ -745,18 +796,20 @@ class TestPhaseSum:
 
     def test_exp_sum_is_one_kernel_call(self, fib, monkeypatch):
         # the direct path sums every residue, the histogram path the occupied
-        # bins weighted by their counts: both are phase_sum of the residues
+        # bins weighted by their counts: both are phase_sum of the residues,
+        # for N just below, at and just above a chunk
         cfg = GeneratorConfig.create(fib, PrimePowerModulus(3, 8), (1, 0), (1, 2), level="thm1")
-        n = 3 * _SHORT_ROW
-        residues = scalar_residues(cfg, n)
-        want = fsum_phase_sum(residues, 3**8)
-        assert_same_complex(phase_sum(residues, 3**8), want)
-        counts = np.bincount(residues)
-        bins = np.flatnonzero(counts)
-        assert_same_complex(phase_sum(bins, 3**8, counts[bins]), want)
-        hist = exp_sum(cfg, n)
-        monkeypatch.setattr(sums, "_HISTOGRAM_LIMIT", 0)
-        direct = exp_sum(cfg, n)
-        assert (hist.method, direct.method) == ("histogram", "direct")
-        assert_same_complex(hist.value, want)
-        assert_same_complex(direct.value, want)
+        for n in (_EXACT_SUM_CHUNK - 1, _EXACT_SUM_CHUNK, _EXACT_SUM_CHUNK + 1):
+            residues = scalar_residues(cfg, n)
+            want = fsum_phase_sum(residues, 3**8)
+            assert_same_complex(phase_sum(residues, 3**8), want)
+            counts = np.bincount(residues)
+            bins = np.flatnonzero(counts)
+            assert_same_complex(phase_sum(bins, 3**8, counts[bins]), want)
+            hist = exp_sum(cfg, n)
+            with monkeypatch.context() as patch:
+                patch.setattr(sums, "_HISTOGRAM_LIMIT", 0)
+                direct = exp_sum(cfg, n)
+            assert (hist.method, direct.method) == ("histogram", "direct")
+            assert_same_complex(hist.value, want)
+            assert_same_complex(direct.value, want)
