@@ -222,13 +222,14 @@ def koksma_szusz_bound(
     # the mirror place of -v, so the v after 0 are those whose first nonzero
     # entry is positive
     grid = np.indices((2 * v_range + 1,) * d).reshape(d, -1).T - v_range
-    reps = grid[len(grid) // 2 + 1 :]
-    freq, nu = reps.copy(), np.zeros(len(reps), dtype=np.int64)
-    if p <= v_range:  # else p divides no nonzero entry
+    freq = grid[len(grid) // 2 + 1 :]
+    r = np.maximum(np.abs(freq), 1).prod(axis=1)
+    nu = np.zeros(len(freq), dtype=np.int64)
+    if p <= v_range:  # else p divides no nonzero entry; v / p^nu in place
         while (divisible := (freq % p == 0).all(axis=1)).any():
             nu += divisible
             freq[divisible] //= p
-    abs_sums = np.full(len(reps), float(n_points))  # |S(N; u, v)|, N where nu >= t
+    abs_sums = np.full(len(freq), float(n_points))  # |S(N; u, v)|, N where nu >= t
     step = max(1, _EXACT_SUM_CHUNK // n_points)
     for k in np.unique(nu[nu < t]).tolist():
         mod = p ** (t - k)
@@ -237,12 +238,11 @@ def koksma_szusz_bound(
             chunk = rows[lo : lo + step]
             sums = _row_sums(freq[chunk].astype(dtype) @ points.T % mod, mod)
             abs_sums[chunk] = list(map(abs, sums))
-    r = np.maximum(np.abs(reps), 1).prod(axis=1)
     sum_term = 2.0 * math.fsum((abs_sums / r).tolist())  # each v pairs with -v (conjugate sum)
     constant = constant_base**d
     with localcontext(_CONTEXT):
         value = Decimal(constant) * (Decimal(2) / (v_range + 1) + Decimal(sum_term) / n_points)
     return KSBound(
         n=n_points, d=d, v_range=v_range, constant=constant,
-        sum_term=sum_term, value=value, n_vectors=2 * len(reps),
+        sum_term=sum_term, value=value, n_vectors=2 * len(freq),
     )

@@ -46,7 +46,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..errors import DimensionTooLargeError, TooManyPointsError
+from ..errors import ResourceGuardError
 from ..generator import PointSet
 from ..stream import int_dtype
 
@@ -258,7 +258,7 @@ def _star(nums: list[tuple[int, ...]], den: int, n: int, d: int) -> Fraction:
 
     With K_j distinct coordinates on axis j and axis 1 swept, the sweep
     touches K_1 (K_2 + 2) ... (K_d + 2) cells of the padded grid; above
-    STAR_WORK_CAP it raises TooManyPointsError before allocating the grid.
+    STAR_WORK_CAP it raises the guard `star_cells` before allocating the grid.
     Distinct coordinates are counted in one sorted list at a time."""
     edges = [[c for c, _ in groupby(sorted(pt[j] for pt in nums))] for j in range(d)]
     # sweep the axis with the most distinct values, so that the grid holds
@@ -267,10 +267,7 @@ def _star(nums: list[tuple[int, ...]], den: int, n: int, d: int) -> Fraction:
     edges = [edges[j] for j in order]
     work = len(edges[0]) * math.prod(len(e) + 2 for e in edges[1:])
     if work > STAR_WORK_CAP:
-        raise TooManyPointsError(
-            f"{' x '.join(str(len(e)) for e in edges)} distinct coordinates give "
-            f"{work} grid cells to sweep, over the cap of {STAR_WORK_CAP}"
-        )
+        raise ResourceGuardError("star_cells", work, STAR_WORK_CAP)
     nums = [tuple(pt[j] for j in order) for pt in nums]
     scale = den**d
     dtype = _scaled_dtype(n, den, d)
@@ -332,9 +329,9 @@ def exact_discrepancy(
     n = len(nums)
     if kind == "extreme":
         if d > 2:
-            raise DimensionTooLargeError("exact extreme discrepancy is limited to d <= 2")
+            raise ResourceGuardError("extreme_dimension", d, 2)
         if n > EXTREME_POINT_CAP:
-            raise TooManyPointsError(f"N = {n} exceeds cap {EXTREME_POINT_CAP}")
+            raise ResourceGuardError("extreme_points", n, EXTREME_POINT_CAP)
         if d == 1:
             value = _extreme_1d([pt[0] for pt in nums], den, n)
         else:
@@ -342,7 +339,7 @@ def exact_discrepancy(
         upper = None
     elif kind == "star":
         if d > 3:
-            raise DimensionTooLargeError("exact star discrepancy is limited to d <= 3")
+            raise ResourceGuardError("star_dimension", d, 3)
         value = _star(nums, den, n, d)
         upper = Fraction(2**d) * value
     else:

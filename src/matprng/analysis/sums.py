@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from ..arith import IntPolynomial, det_exact, vec_dot
-from ..errors import GridTooLargeError, PeriodTooLargeError, PreconditionViolatedError
+from ..errors import PreconditionViolatedError, ResourceGuardError
 from ..generator import GeneratorConfig
 from ..stream import int_dtype, mat_stream, stream_blocks
 
@@ -279,8 +279,8 @@ def full_period_exponent(
     rounded over the terms it adds.
 
     Every tau_t is drawn from one order sequence, only as deep as t, and a
-    tau_s over TAU_GUARD raises PeriodTooLargeError before that row streams
-    anything and before any deeper order is computed.  A matrix of finite
+    tau_s over TAU_GUARD raises the guard `full_period_terms` before that
+    row streams anything and before any deeper order is computed.  A matrix of finite
     order is rejected first, by period_profile at the least t; a t below 1
     is a ValueError that names t_range."""
     from ..padic import order_sequence, period_profile
@@ -301,9 +301,7 @@ def full_period_exponent(
         s = (t + 1) // 2
         tau, tau_s = taus[t - 1], taus[s - 1]
         if tau_s > TAU_GUARD:
-            raise PeriodTooLargeError(
-                f"tau_{s} = {tau_s}, the terms summed for t = {t}, exceeds guard {TAU_GUARD}"
-            )
+            raise ResourceGuardError("full_period_terms", tau_s, TAU_GUARD)
         abs_value = abs(_lifted_period_sum(cfg.at_exponent(t), s, tau_s, tau))
         if tau == 1:  # log|S| / log tau is 0 / 0
             theta = math.nan
@@ -356,7 +354,7 @@ def double_sum_sigma(
     if r > grid:
         raise PreconditionViolatedError(f"r = {r} exceeds p^s = {grid}")
     if grid * grid > GRID_GUARD:
-        raise GridTooLargeError(f"grid p^{2 * s} exceeds guard {GRID_GUARD}")
+        raise ResourceGuardError("sigma_grid", grid * grid, GRID_GUARD)
     tau_s = order_mod(cfg.a, cfg.m.at_exponent(s))
     b = theta_matrix(cfg.a, p, s, tau_s)
     h = h_coeffs(cfg.a, cfg.u0, cfg.v, b, n, r)

@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from ..arith import STREAM_MEMORY_BUDGET
-from ..errors import EnumerationTooLargeError
+from ..errors import ResourceGuardError
 from ..stream import int_dtype
 
 DEFAULT_ENUMERATION_GUARD = 10**8
@@ -100,16 +100,13 @@ def vinogradov_count(k: int, r: int, m: int) -> int:
     weights.  Keys, weights and group sums are below k M^k, in
     stream.int_dtype(k M^k); their squares are summed in exact ints.
 
-    Raises EnumerationTooLargeError, before anything is allocated, when the
+    Raises the guard `multiset_bytes`, before anything is allocated, when the
     estimated peak (_enumeration_bytes) is over arith.STREAM_MEMORY_BUDGET."""
     if k < 1 or r < 1 or m < 1:
         raise ValueError("need k, r, M >= 1")
     need = _enumeration_bytes(k, r, m)
     if need > STREAM_MEMORY_BUDGET:
-        raise EnumerationTooLargeError(
-            f"the multisets of size k = {k} from 1..M = {m} need about {need} bytes, "
-            f"over the budget of {STREAM_MEMORY_BUDGET}"
-        )
+        raise ResourceGuardError("multiset_bytes", need, STREAM_MEMORY_BUDGET)
     c = min(r, k)
     dtype, squares = int_dtype(k * m**k), int_dtype(m ** (2 * k))  # weights sum to M^k
     if c == k:
@@ -129,8 +126,8 @@ def vinogradov_count_naive(k: int, r: int, m: int) -> int:
     test the r equations directly.  O(M^{2k}), up to DEFAULT_ENUMERATION_GUARD; for cross-checks only."""
     if k < 1 or r < 1 or m < 1:
         raise ValueError("need k, r, M >= 1")
-    if m ** (2 * k) > (guard := DEFAULT_ENUMERATION_GUARD):
-        raise EnumerationTooLargeError(f"M^(2k) for M = {m}, k = {k} exceeds guard {guard}")
+    if (tuples := m ** (2 * k)) > DEFAULT_ENUMERATION_GUARD:
+        raise ResourceGuardError("naive_tuples", tuples, DEFAULT_ENUMERATION_GUARD)
     count = 0
     rng = range(1, m + 1)
     xs_list = [(xs, [sum(x**j for x in xs) for j in range(1, r + 1)]) for xs in product(rng, repeat=k)]

@@ -19,8 +19,8 @@ from typing import Sequence
 from .errors import (
     DimensionMismatchError,
     ExactDivisionError,
-    IterationCapExceededError,
     PreconditionViolatedError,
+    ResourceGuardError,
 )
 
 # A residue vector is a plain tuple of arbitrary-precision integers.
@@ -70,14 +70,14 @@ def prime_factors(n: int) -> list[int]:
     """The distinct prime factors of n >= 1, ascending, by trial division.
 
     A composite cofactor with no prime factor up to TRIAL_DIVISION_LIMIT raises
-    IterationCapExceededError instead of stalling the factorisation."""
+    the guard `trial_division` instead of stalling the factorisation."""
     out = []
     q = 2
     while n > 1 and not is_prime(n):
         while n % q:
             q += 1
             if q > TRIAL_DIVISION_LIMIT:
-                raise IterationCapExceededError(f"composite {n} has no prime factor up to {q - 1}")
+                raise ResourceGuardError("trial_division", n, TRIAL_DIVISION_LIMIT)
         out.append(q)
         while n % q == 0:
             n //= q
@@ -98,17 +98,18 @@ def valuation(x: int, p: int) -> int | float:
     return k
 
 
-def exceeds_str_digits(coeff: int, base: int, exponent: int) -> bool:
-    """Whether coeff * base^exponent (all >= 1) has more decimal digits than
-    the interpreter converts to a string: its int-to-str limit, or that
-    limit's default (4300) when it is 0 (none), so that no integer the
-    program prints is unbounded.  log10 decides unless it lies within 1 of
-    the limit; only then is the exact power formed."""
-    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+def str_digits(coeff: int, base: int, exponent: int) -> tuple[int, int]:
+    """(D, limit): the decimal digits D of coeff * base^exponent (all >= 1)
+    and the interpreter's int-to-str limit, or that limit's default (4300)
+    when it is 0 (none); callers refuse D > limit, so that no integer the
+    program prints is unbounded.  log10 gives D unless it lies within 1 of
+    the limit; only there is the exact power formed and compared with
+    10^limit, so that D > limit exactly when the number is at least that."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     log = math.log10(coeff) + exponent * math.log10(base)
-    if abs(log - digits) >= 1:
-        return log > digits
-    return coeff * base**exponent >= 10**digits
+    if abs(log - limit) >= 1:
+        return int(log) + 1, limit
+    return limit + (coeff * base**exponent >= 10**limit), limit
 
 
 class Frozen:

@@ -30,8 +30,8 @@ from typing import TYPE_CHECKING, BinaryIO, Iterator, NamedTuple, Sequence
 # is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .arith import IntMatrix, PrimePowerModulus, char_poly, exceeds_str_digits
-from .errors import DimensionMismatchError, EnumerationTooLargeError, MatprngError, ResourceGuardError
+from .arith import IntMatrix, PrimePowerModulus, char_poly, str_digits
+from .errors import DimensionMismatchError, MatprngError, ResourceGuardError
 from .errors import NonSquarefreeError, NotIrreducibleError
 
 # main checks a command's config against its row of _COMMANDS before the
@@ -95,18 +95,18 @@ def _as_matrix(value, name: str) -> IntMatrix:
         raise ConfigError(f"{name}: {exc}") from None
 
 
-def _as_schedule(value, name: str) -> list[int]:
-    schedule = list(_as_ints(value, name))
-    if not schedule:
-        raise ConfigError(f"{name} must not be empty")
-    return schedule
-
-
 def _as_positive(value, name: str) -> int:
     number = _as_int(value, name)
     if number < 1:
         raise ConfigError(f"{name} must be >= 1")
     return number
+
+
+def _as_schedule(value, name: str) -> list[int]:
+    schedule = [_as_positive(x, f"{name} entry") for x in _as_list(value, name)]
+    if not schedule:
+        raise ConfigError(f"{name} must not be empty")
+    return schedule
 
 
 def _as_t_range(value, name: str) -> range:
@@ -156,9 +156,9 @@ SCHEMA = {
     "u0": ("u0", _as_ints),
     "v": ("v", _as_ints),
     "level": ("level", _as_level),
-    "N": ("n_schedule", lambda value, name: [_as_int(value, name)]),
+    "N": ("n_schedule", lambda value, name: [_as_positive(value, name)]),
     "N_schedule": ("n_schedule", _as_schedule),
-    "V": ("v_range", _as_int),
+    "V": ("v_range", _as_positive),
     "s_max": ("s_max", _as_positive),
     "t_range": ("t_range", _as_t_range),
     "count": ("count", _as_int),
@@ -471,9 +471,9 @@ def cmd_vmvt(exp: Experiment, cfg: GeneratorConfig | None, args) -> Table:
     rows = []
     for k, r, m in exp.vmvt:
         # the count <= M^(2k) is written in decimal
-        if exceeds_str_digits(1, m, 2 * k):
-            raise EnumerationTooLargeError(f"the count for k = {k}, M = {m} may have more decimal digits "
-                                           "than the int-to-str conversion limit")
+        digits, limit = str_digits(1, m, 2 * k)
+        if digits > limit:
+            raise ResourceGuardError("count_digits", digits, limit)
         count = vinogradov_count(k, r, m)
         fb = ford_bound(r, d_for_bound, m, c0)
         rows.append(
@@ -573,11 +573,11 @@ _COMMANDS = {
     "validate": (cmd_validate, (), "validated", "verdict", False),
     "period": (cmd_period, (), "validated", None, False),
     "gen": (cmd_gen, (), "unvalidated", None, False),
-    "expsum": (cmd_expsum, ("n_schedule",), "validated", None, True),
+    "expsum": (cmd_expsum, ("n_schedule", "v"), "validated", None, True),
     "discrepancy": (cmd_discrepancy, ("n_schedule", "v_range"), "validated", None, True),
     "vmvt": (cmd_vmvt, ("vmvt",), None, None, False),
-    "bounds": (cmd_bounds, ("n_schedule",), "validated", None, True),
-    "report": (cmd_report, (), "validated", "report", True),
+    "bounds": (cmd_bounds, ("n_schedule", "v"), "validated", None, True),
+    "report": (cmd_report, ("v",), "validated", "report", True),
 }
 
 
@@ -630,7 +630,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except ResourceGuardError as exc:
-        sys.stderr.write(render_json({"error": type(exc).__name__, "message": str(exc)}))
+        sys.stderr.write(render_json(exc.payload()))
         return 3
     except (MatprngError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

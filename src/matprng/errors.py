@@ -34,41 +34,22 @@ class DegenerateMatrixError(MatprngError, ValueError):
 
 
 class ResourceGuardError(MatprngError, RuntimeError):
-    """Base for guards that abort a computation deemed too large for desk scale."""
+    """A computation refused as too large for desk scale: the check named
+    `guard` compared `value` with its `limit`."""
 
+    def __init__(self, guard: str, value: int, limit: int):
+        super().__init__(guard, value, limit)
+        self.guard, self.value, self.limit = guard, value, limit
 
-class IterationCapExceededError(ResourceGuardError):
-    """A multiple of an element order has a factor that trial division cannot split."""
+    def payload(self) -> dict:
+        """The report {guard, value, limit}; a value with more digits than the
+        interpreter converts to a string is given by its bit length."""
+        value = self.value
+        try:
+            str(value)
+        except ValueError:
+            value = f"an integer of {value.bit_length()} bits"
+        return {"guard": self.guard, "value": value, "limit": self.limit}
 
-
-class PrecisionCapExceededError(ResourceGuardError):
-    """p-adic valuation could not be resolved below the precision cap."""
-
-
-class GridTooLargeError(ResourceGuardError):
-    """Double-sum grid exceeds the enumeration guard."""
-
-
-class EnumerationTooLargeError(ResourceGuardError):
-    """Power-sum system enumeration exceeds the guard."""
-
-
-class PeriodTooLargeError(ResourceGuardError):
-    """Full period exceeds the enumerable guard."""
-
-
-class OrderTableTooDeepError(ResourceGuardError):
-    """The order table's orders may have more decimal digits than the
-    interpreter converts to a string."""
-
-
-class DimensionTooLargeError(ResourceGuardError):
-    """Exact discrepancy is not implemented for this dimension."""
-
-
-class StreamTooLargeError(ResourceGuardError):
-    """Stream output array would exceed the memory budget."""
-
-
-class TooManyPointsError(ResourceGuardError):
-    """Point set exceeds the exact-discrepancy size guard."""
+    def __str__(self) -> str:
+        return "{guard}: {value}, limit {limit}".format(**self.payload())

@@ -20,7 +20,6 @@ from .arith import (
     ResidueVector,
     companion_matrix,
     det_exact,
-    exceeds_str_digits,
     mat_add,
     mat_mul_mod,
     mat_poly,
@@ -28,6 +27,7 @@ from .arith import (
     mat_pow_mod,
     mat_vec,
     prime_factors,
+    str_digits,
     valuation,
     vec_dot,
 )
@@ -37,9 +37,8 @@ from .errors import (
     NonSquarefreeError,
     NotInvertibleError,
     NotIrreducibleError,
-    OrderTableTooDeepError,
-    PrecisionCapExceededError,
     PreconditionViolatedError,
+    ResourceGuardError,
 )
 from .fieldalg import irreducible_mod_p, squarefree_mod_p
 
@@ -206,16 +205,14 @@ def period_profile(a: IntMatrix, p: int, s_max: int) -> PeriodProfile:
 
     tau_{s_max} divides L * p^(s_max - 1), L = _unit_exponent(p, d).  When
     that bound has more decimal digits than the interpreter converts
-    (`exceeds_str_digits`), OrderTableTooDeepError is raised before any
-    order is drawn.
+    (`str_digits`), the guard `order_digits` is raised before any order is
+    drawn.
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
-    if exceeds_str_digits(_unit_exponent(p, a.d), p, s_max - 1):
-        raise OrderTableTooDeepError(
-            f"the orders of an order table to s_max = {s_max} mod powers of p = {p} may have "
-            "more decimal digits than the int-to-str conversion limit"
-        )
+    digits, limit = str_digits(_unit_exponent(p, a.d), p, s_max - 1)
+    if digits > limit:
+        raise ResourceGuardError("order_digits", digits, limit)
     taus = list(itertools.islice(order_sequence(a, p), s_max + _EXTENSION_CAP))
     if taus[-1] == taus[-2]:
         raise DegenerateMatrixError("order growth never starts; matrix looks degenerate (finite order)")
@@ -326,7 +323,7 @@ def compute_w(
             return d * (d + 1) // 2 * max(beta - profile.beta_star, 0) + 1
         cap = DEFAULT_PRECISION_CAP
         if s >= cap:
-            raise PrecisionCapExceededError(f"beta valuation still unresolved at precision cap {cap}")
+            raise ResourceGuardError("w_precision", s, cap)
         s = min(2 * s, cap)
 
 

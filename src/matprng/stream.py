@@ -24,7 +24,7 @@ from .arith import (
     mat_vec_mod,
     vec_reduce,
 )
-from .errors import DimensionMismatchError, StreamTooLargeError
+from .errors import DimensionMismatchError, ResourceGuardError
 
 # Entries per block of `stream_blocks`: a block holds at most STREAM_BLOCK // w
 # terms of w entries (w = d for vectors, 1 for scalars), or one giant step
@@ -138,10 +138,7 @@ def _check_stream(a: IntMatrix, u0, m: PrimePowerModulus, count: int, v) -> None
     entry_bytes = 8 if stream_dtype(m, d) is np.int64 else 8 + sys.getsizeof(mod - 1)
     out_bytes = count * (d if v is None else 1) * entry_bytes
     if out_bytes > STREAM_MEMORY_BUDGET:
-        raise StreamTooLargeError(
-            f"stream of {count} terms needs about {out_bytes} bytes, "
-            f"over the budget of {STREAM_MEMORY_BUDGET}"
-        )
+        raise ResourceGuardError("stream_bytes", out_bytes, STREAM_MEMORY_BUDGET)
 
 
 def stream_blocks(
@@ -169,7 +166,7 @@ def stream_blocks(
     fits, and there the object dtype appears only when a block of several
     limbs is put together for output, by one astype from uint64.
 
-    Raises StreamTooLargeError when it is called, before anything is
+    Raises the guard `stream_bytes` when it is called, before anything is
     allocated, when `mat_stream` would return more than
     STREAM_MEMORY_BUDGET bytes: 8 per entry, plus the size of one Python int
     below p^t per entry of an object array."""

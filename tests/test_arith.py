@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -27,11 +28,7 @@ from matprng.arith import (
     valuation,
     vec_dot,
 )
-from matprng.errors import (
-    DimensionMismatchError,
-    IterationCapExceededError,
-    StreamTooLargeError,
-)
+from matprng.errors import DimensionMismatchError, ResourceGuardError
 from matprng.fieldalg import recurrence_constant_term
 from matprng.stream import mat_stream, stream_blocks
 
@@ -81,8 +78,9 @@ class TestPrimeFactors:
 
     def test_two_primes_above_the_limit_raise(self):
         # both factors lie just above 2^20, so trial division cannot split them
-        with pytest.raises(IterationCapExceededError):
+        with pytest.raises(ResourceGuardError) as info:
             prime_factors(2 * 1048583 * 1048681)
+        assert (info.value.guard, info.value.value) == ("trial_division", 1048583 * 1048681)
 
 
 class TestMatMul:
@@ -174,7 +172,7 @@ class TestMatStream:
         tracemalloc.start()
         try:
             for v in (None, (1, 1)):
-                with pytest.raises(StreamTooLargeError):
+                with pytest.raises(ResourceGuardError, match="^stream_bytes: "):
                     mat_stream(a, (1, 0), m, 10**12, v=v)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -187,8 +185,9 @@ class TestMatStream:
         a = IntMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 1, 0]])
         m = PrimePowerModulus(3, 40)
         assert STREAM_MEMORY_BUDGET == 2**30
-        with pytest.raises(StreamTooLargeError):
+        with pytest.raises(ResourceGuardError, match="^stream_bytes: ") as info:
             mat_stream(a, (1, 0, 0), m, 14 * 10**6)
+        assert info.value.value == 14 * 10**6 * 3 * (8 + sys.getsizeof(3**40 - 1))
 
 
 def stepped_stream(a: IntMatrix, u0, m: PrimePowerModulus, count: int, n0: int, v=None) -> list:
@@ -277,7 +276,7 @@ class TestLimbKernel:
 
     def test_budget_raises_when_called(self):
         a = IntMatrix.from_rows([[0, 1], [1, 1]])
-        with pytest.raises(StreamTooLargeError):
+        with pytest.raises(ResourceGuardError, match="^stream_bytes: "):
             stream_blocks(a, (1, 0), PrimePowerModulus(3, 4), 10**12, v=(1, 1))
 
 

@@ -9,11 +9,18 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from matprng.analysis.discrepancy import exact_discrepancy
+from matprng.analysis.sums import double_sum_sigma
+from matprng.analysis.vinogradov import vinogradov_count_naive
+from matprng.arith import IntMatrix, PrimePowerModulus
 from matprng.cli import main
+from matprng.errors import ResourceGuardError
+from matprng.generator import GeneratorConfig
 
 
 FIB_DOC = {
@@ -267,8 +274,7 @@ class TestGuards:
         assert main(["period", "--config", cfg]) == 3
         assert time.perf_counter() - start < 2
         err = json.loads(capsys.readouterr().err)
-        assert set(err) == {"error", "message"}
-        assert err["error"] == "IterationCapExceededError"
+        assert err == {"guard": "trial_division", "value": err["value"], "limit": 2**20}
 
 
     @pytest.mark.parametrize("command", ["period", "bounds"])
@@ -280,7 +286,8 @@ class TestGuards:
         assert main([command, "--config", cfg]) == 3
         assert time.perf_counter() - start < 2
         err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "OrderTableTooDeepError", "message": err["message"]}
+        assert err == {"guard": "order_digits", "value": err["value"], "limit": 4300}
+        assert err["value"] > 4300
 
     def test_orders_past_the_int_to_str_limit_exit_3_fast(self, tmp_path, capsys):
         # tau_500 of [[7]] mod powers of 2^31 - 1 may have over 4300 digits
@@ -291,7 +298,8 @@ class TestGuards:
         assert time.perf_counter() - start < 2
         assert not out.exists()
         err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "OrderTableTooDeepError", "message": err["message"]}
+        assert err == {"guard": "order_digits", "value": err["value"], "limit": 4300}
+        assert err["value"] > 4300
 
     def test_deepest_admitted_order_table_prints(self, tmp_path):
         # 1717 is the deepest s_max at p = 317 that the default limit admits
@@ -312,7 +320,8 @@ class TestGuards:
         assert main([command, "--config", cfg]) == 3
         assert time.perf_counter() - start < 2
         err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "StreamTooLargeError", "message": err["message"]}
+        assert err == {"guard": "stream_bytes", "value": err["value"], "limit": 2**30}
+        assert err["value"] > 2**30
 
     def test_full_period_guard_bounds_the_terms_summed(self, tmp_path):
         # tau_20 = 8 * 3^19 is over the 10^7 guard, but t = 20 sums tau_10 terms
@@ -341,7 +350,8 @@ class TestGuards:
         assert main(["vmvt", "--config", cfg]) == 3
         assert time.perf_counter() - start < 2
         err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "EnumerationTooLargeError", "message": err["message"]}
+        assert err == {"guard": "multiset_bytes", "value": err["value"], "limit": 2**30}
+        assert err["value"] > 2**30
 
     def test_vmvt_count_past_the_int_to_str_limit_exits_3(self, tmp_path, capsys):
         # the bound 2^16000 on N_{8000,1}(2) has 4817 digits, over the 4300 default
@@ -352,7 +362,7 @@ class TestGuards:
         out, err = capsys.readouterr()
         assert out == ""
         payload = json.loads(err)
-        assert payload == {"error": "EnumerationTooLargeError", "message": payload["message"]}
+        assert payload == {"guard": "count_digits", "value": 4817, "limit": 4300}
 
     def test_vmvt_count_digits_are_bounded_without_a_limit(self, tmp_path, capsys):
         # a limit of 0 converts any int; the count is still held to 4300 digits
@@ -363,7 +373,7 @@ class TestGuards:
             assert main(["vmvt", "--config", cfg]) == 3
         finally:
             sys.set_int_max_str_digits(limit)
-        assert json.loads(capsys.readouterr().err)["error"] == "EnumerationTooLargeError"
+        assert json.loads(capsys.readouterr().err) == {"guard": "count_digits", "value": 4817, "limit": 4300}
 
     @pytest.mark.parametrize("k, code", [(1063, 0), (1064, 3)])
     def test_vmvt_digit_limit_edge(self, k, code, tmp_path, capsys):
@@ -391,7 +401,86 @@ class TestGuards:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         payload = json.loads(err)
-        assert payload == {"error": "TooManyPointsError", "message": payload["message"]}
+        assert payload == {"guard": "star_cells", "value": payload["value"], "limit": 2**27}
+        assert payload["value"] > 2**27
+
+    def test_unprintable_guard_value_is_named_by_its_bit_length(self, tmp_path, capsys):
+        # a count of 4300 digits parses, and its bytes have more digits than
+        # the interpreter converts to a string
+        count = int("9" * 4300)
+        cfg = write_config(tmp_path, dict(FIB_DOC, count=str(count)))
+        assert main(["gen", "--config", cfg]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        bits = (count * 2 * 8).bit_length()
+        assert json.loads(err) == {"guard": "stream_bytes", "value": f"an integer of {bits} bits", "limit": 2**30}
+
+
+def _cli_guard(command: str, doc: dict):
+    return command, {key: value for key, value in doc.items() if value is not None}
+
+
+# Every raise site of a resource guard: its name, its limit, and the command
+# that reaches it, or a library call where no command does.
+GUARDS = [
+    # p - 1 = 2 * 1048583 * 1048681 cannot be split by trial division to 2^20
+    ("trial_division", 2**20, _cli_guard("period", dict(FIB_DOC, p="2199258138047", t=2, s_max=2))),
+    ("stream_bytes", 2**30, _cli_guard("gen", dict(FIB_DOC, count=str(10**12)))),
+    ("order_digits", 4300, _cli_guard("period", dict(FIB_DOC, matrix=[[0, 1], [3, 1]], p=317, t=2, s_max=10**5))),
+    # X^2 + (4 + 5^70) X + 16 + 5^70: a root ratio within 5^70 of a cube
+    # root of unity, so beta is unresolved at the precision cap 64
+    ("w_precision", 64, _cli_guard("period", dict(
+        FIB_DOC, matrix=[[0, 1], [str(-16 - 5**70), str(-4 - 5**70)]], p=5, t=2, s_max=3))),
+    # t = 30 sums tau_15 = 8 * 3^14 terms
+    ("full_period_terms", 10**7, _cli_guard("bounds", dict(FIB_DOC, t_range=[30, 30]))),
+    ("sigma_grid", 10**8, lambda: double_sum_sigma(
+        GeneratorConfig.create(IntMatrix.from_rows([[0, 1], [1, 1]]), PrimePowerModulus(3, 20), (1, 0), (1, 0)),
+        n=0, s=10, r=1)),
+    ("extreme_dimension", 2, lambda: exact_discrepancy([(Fraction(0),) * 3], kind="extreme")),
+    ("extreme_points", 4096, _cli_guard("discrepancy", dict(FIB_DOC, N="5000", N_schedule=None))),
+    # X^4 + X + 2, irreducible mod 3: the star discrepancy in 4-D
+    ("star_dimension", 3, _cli_guard("discrepancy", dict(
+        FIB_DOC, p=3, t=3, matrix=[[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-2, -1, 0, 0]],
+        u0=[1, 0, 0, 0], v=[1, 0, 0, 0], N=8, N_schedule=None, V=1))),
+    # 568^3 grid cells: see test_star_sweep_guard_exits_3_fast
+    ("star_cells", 2**27, _cli_guard("discrepancy", {
+        "p": 3, "t": 8, "matrix": [[0, 1, 0], [0, 0, 1], [1, 1, 0]], "u0": [1, 2, 3],
+        "v": [1, 0, 0], "N": 600, "V": 2, "level": "thm1"})),
+    ("multiset_bytes", 2**30, _cli_guard("vmvt", dict(FIB_DOC, vmvt=[[2, 2, 11584]]))),
+    ("naive_tuples", 10**8, lambda: vinogradov_count_naive(15, 1, 10)),
+    ("count_digits", 4300, _cli_guard("vmvt", dict(FIB_DOC, vmvt=[[8000, 1, 2]]))),
+]
+
+
+@pytest.mark.parametrize("guard, limit, trigger", GUARDS, ids=[guard for guard, *_ in GUARDS])
+def test_every_guard_reports_its_name_value_and_limit(guard, limit, trigger, tmp_path, capsys):
+    if callable(trigger):
+        with pytest.raises(ResourceGuardError) as info:
+            trigger()
+        exc = info.value
+        payload = exc.payload()
+        assert exc.args == (exc.guard, exc.value, exc.limit) == tuple(payload.values())
+        assert str(exc) == f"{exc.guard}: {exc.value}, limit {exc.limit}"
+    else:
+        command, doc = trigger
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 3
+        assert time.perf_counter() - start < 2
+        assert not out.exists()
+        payload = json.loads(capsys.readouterr().err)
+    assert payload == {"guard": guard, "value": payload["value"], "limit": limit}
+    if guard == "w_precision":
+        assert payload["value"] == limit
+    else:
+        assert payload["value"] > limit
+
+
+def test_every_guard_site_has_its_own_name():
+    src = Path(__file__).resolve().parent.parent / "src"
+    names = [name for path in sorted(src.rglob("*.py"))
+             for name in re.findall(r'ResourceGuardError\("(\w+)"', path.read_text(encoding="utf-8"))]
+    assert sorted(names) == sorted(guard for guard, *_ in GUARDS)
 
 
 class TestRowContents:

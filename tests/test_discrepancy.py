@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from matprng.arith import IntMatrix, PrimePowerModulus
-from matprng.errors import DimensionTooLargeError, TooManyPointsError
+from matprng.errors import ResourceGuardError
 from matprng.generator import GeneratorConfig, PointSet, fractional_points
 from matprng.analysis import discrepancy
 from matprng.analysis.discrepancy import box_counts, exact_discrepancy
@@ -291,17 +291,17 @@ class TestIntegerPaths:
 class TestGuards:
     def test_extreme_d3_rejected(self):
         pts = [(Fraction(0), Fraction(0), Fraction(0))]
-        with pytest.raises(DimensionTooLargeError):
+        with pytest.raises(ResourceGuardError, match="^extreme_dimension: 3, limit 2$"):
             exact_discrepancy(pts, kind="extreme")
 
     def test_star_d4_rejected(self):
         pts = [tuple(Fraction(0) for _ in range(4))]
-        with pytest.raises(DimensionTooLargeError):
+        with pytest.raises(ResourceGuardError, match="^star_dimension: 4, limit 3$"):
             exact_discrepancy(pts, kind="star")
 
     def test_too_many_points(self):
         pts = [(Fraction(i, 8192),) for i in range(5000)]
-        with pytest.raises(TooManyPointsError):
+        with pytest.raises(ResourceGuardError, match="^extreme_points: 5000, limit 4096$"):
             exact_discrepancy(pts)
 
     def test_star_2d_beyond_extreme_cap(self, fib):
@@ -317,7 +317,7 @@ class TestGuards:
         pts = PointSet(tuple((i, (7 * i) % n) for i in range(n)), n, 2)
         tracemalloc.start()
         try:
-            with pytest.raises(TooManyPointsError):
+            with pytest.raises(ResourceGuardError, match="^star_cells: "):
                 exact_discrepancy(pts, kind="star")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -357,7 +357,7 @@ class TestGuards:
     def test_star_3d_cap(self):
         # 513 distinct coordinates on every axis: 513^3 > 2^27 cells
         pts = PointSet(tuple((i, 5 * i % 513, 7 * i % 513) for i in range(513)), 513, 3)
-        with pytest.raises(TooManyPointsError):
+        with pytest.raises(ResourceGuardError, match="^star_cells: "):
             exact_discrepancy(pts, kind="star")
 
     def test_star_guard_counts_padded_grid_cells(self):
@@ -369,7 +369,7 @@ class TestGuards:
         start = time.perf_counter()
         tracemalloc.start()
         try:
-            with pytest.raises(TooManyPointsError, match="363066000 grid cells"):
+            with pytest.raises(ResourceGuardError, match="^star_cells: 363066000, limit 134217728$"):
                 exact_discrepancy(pts, kind="star")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -381,7 +381,7 @@ class TestGuards:
     def test_star_cap_side_limits(self, d, side):
         # K (K + 2)^(d - 1) > 2^27 from K = 11 585 in 2-D and K = 511 in 3-D
         pts = PointSet(tuple((i, 3 * i % side, 11 * i % side)[:d] for i in range(side)), side, d)
-        with pytest.raises(TooManyPointsError):
+        with pytest.raises(ResourceGuardError, match="^star_cells: "):
             exact_discrepancy(pts, kind="star")
         assert (side - 1) * (side + 1) ** (d - 1) <= discrepancy.STAR_WORK_CAP
 

@@ -100,12 +100,17 @@ def test_integer_commands_load_no_numpy_mpmath_or_analysis(command, tmp_path):
 
 # The pre-flight table refuses a config before the command imports a layer.
 # Beyond the first cases: one field each command needs, left out (exit 1),
-# an improper pair (exit 2) for the other commands that validate, and a
-# modulus 3^700 > 2^1109 beyond float range (exit 1) for those that sum phases.
+# an improper pair (exit 2) for the other commands that validate, a modulus
+# 3^700 > 2^1109 beyond float range (exit 1) for those that sum phases, a
+# thm2 config for those that need v, and V or N below 1 (exit 1).
 NEEDED = {"validate": "matrix", "period": "p", "gen": "u0", "expsum": "N_schedule",
           "discrepancy": "V", "vmvt": "vmvt", "bounds": "N_schedule", "report": "t"}
 REJECTED = ["expsum", "discrepancy", "bounds", "report"]
 BEYOND_FLOAT = dict(FIB_DOC, t=700)
+# the commands that always sum scalar residues v . u_n, on a thm2 config,
+# which has no v
+NEED_V = ["expsum", "bounds", "report"]
+THM2_WITHOUT_V = dict(FIB_DOC, level="thm2", v=None)
 CONFIG_ERRORS = [
     ("period", dict(FIB_DOC, s_max=0), 1),  # a malformed value
     ("gen", dict(FIB_DOC, count=None, N_schedule=None), 1),  # a missing key
@@ -115,6 +120,9 @@ CONFIG_ERRORS = [
     *((command, dict(FIB_DOC, **{key: None}), 1) for command, key in NEEDED.items()),
     *((command, dict(FIB_DOC, v=["0", "0"]), 2) for command in REJECTED),
     *((command, BEYOND_FLOAT, 1) for command in REJECTED),
+    *((command, THM2_WITHOUT_V, 1) for command in NEED_V),
+    ("discrepancy", dict(FIB_DOC, V=0), 1),
+    ("expsum", dict(FIB_DOC, N=0, N_schedule=None), 1),
 ]
 
 
@@ -123,6 +131,8 @@ CONFIG_ERRORS = [
     *(f"{command}-without-{key}" for command, key in NEEDED.items()),
     *(f"{command}-rejected" for command in REJECTED),
     *(f"{command}-beyond-float-range" for command in REJECTED),
+    *(f"{command}-thm2-without-v" for command in NEED_V),
+    "discrepancy-V-0", "expsum-N-0",
 ])
 def test_config_errors_and_rejections_load_no_numpy(command, doc, exit_code, tmp_path):
     doc = {key: value for key, value in doc.items() if value is not None}
