@@ -4,9 +4,10 @@ line per case.
 Each line is the polynomial's coefficients, p, the outcome of `compute_w`
 with the precision cap at 64 and at 16, the coefficients of `char_poly` of
 its companion matrix C, the `nondegeneracy_check` verdict and witness, the
-`squarefree_mod_p` witness and `irreducible_mod_p`.  An outcome is a value
-or the name of the exception raised.  Running the script on two versions
-of the package and comparing the outputs checks that they agree:
+`squarefree_mod_p` witness and `irreducible_mod_p`.  An outcome is a value,
+the guard's name for a `ResourceGuardError`, or else the name of the
+exception raised.  Running the script on two versions of the package and
+comparing the outputs checks that they agree:
 
     PYTHONPATH=old/src python scripts/compute_w_outcomes.py --cases 1000 > old.txt
     PYTHONPATH=new/src python scripts/compute_w_outcomes.py --cases 1000 > new.txt
@@ -25,6 +26,7 @@ import random
 
 from matprng import padic
 from matprng.arith import IntPolynomial, char_poly, companion_matrix
+from matprng.errors import ResourceGuardError
 from matprng.fieldalg import irreducible_mod_p, nondegeneracy_check, squarefree_mod_p
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 101, 317, 65537, 2**31 - 1]
@@ -55,6 +57,8 @@ def random_case(rng: random.Random) -> tuple[IntPolynomial, int]:
 def outcome(call, *args) -> str:
     try:
         return str(call(*args))
+    except ResourceGuardError as exc:
+        return exc.guard
     except Exception as exc:  # every exception type is an outcome to compare
         return type(exc).__name__
 

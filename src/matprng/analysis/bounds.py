@@ -231,7 +231,7 @@ def koksma_szusz_bound(
             freq[divisible] //= p
     abs_sums = np.full(len(freq), float(n_points))  # |S(N; u, v)|, N where nu >= t
     step = max(1, _EXACT_SUM_CHUNK // n_points)
-    for k in np.unique(nu[nu < t]).tolist():
+    for k in sorted(set(nu[nu < t].tolist())):
         mod = p ** (t - k)
         rows = np.flatnonzero(nu == k)
         for lo in range(0, len(rows), step):

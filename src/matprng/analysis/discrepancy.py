@@ -14,11 +14,12 @@ P[i, k] (points with x-index < i and y-index < k).  A strip is an x-range
 of strips exactly over every y-interval, O(N) integer element operations a
 strip, in row chunks of at most _CHUNK_ELEMS elements.  In 1-D the kernel
 scores a single strip of width 1.  In 2-D the O(N^2) strips are pruned by
-branch and bound with exact integer bounds (see _box_scan): blocks of
-strips that cannot beat the best value found are dropped, and the rest are
-refined down to single strips.  The worst case scores about 5/3 as many
-strips as there are x-ranges; the stream point sets below score 1-11 % of
-them.
+branch and bound with exact integer bounds (see _box_scan): at each level
+the blocks' upper bounds are scored first, blocks of strips that cannot
+beat the best value found are dropped, only the survivors have their lower
+bound scored, and the rest are refined down to single strips.  The worst
+case scores about 5/3 as many strips as there are x-ranges; the stream
+point sets below score 0.5-8.4 % of them (N = 64 to 4096).
 
 The star value, in every d, comes from one sweep along one axis over a
 count grid on the other axes (see _star): O(K^d) integer element
@@ -29,10 +30,10 @@ host (numpy 2.4), the first N points of the Fibonacci stream mod 3^8 from
 u0 = (1, 0) took:
 
     N       extreme    star
-    256     0.02 s     < 0.01 s
-    1024    0.42 s     0.02 s
-    2048    1.7 s      0.04 s
-    4096    6.0 s      0.10 s
+    256     0.017 s    < 0.01 s
+    1024    0.26 s     0.02 s
+    2048    1.2 s      0.04 s
+    4096    4.0 s      0.10 s
 
 Exact discrepancy and the frequency-sum bound run in one thread.
 """
@@ -53,6 +54,7 @@ from ..stream import int_dtype
 EXTREME_POINT_CAP = 4096
 STAR_WORK_CAP = 2**27  # grid cells the star sweep touches (see _star)
 _CHUNK_ELEMS = 2**20  # elements per temporary in the 2-D box scans
+BOX_BLOCK_CAP = 2**12  # largest starting block side of _box_scan; 1 scans every strip
 
 
 class BoxCount(NamedTuple):
@@ -174,18 +176,22 @@ def _box_scan(
     [xs[a0], xs[b1]]) against the least width (closed), or the narrowest
     count (x-range (xs[a1], xs[b0])) against the greatest width (open): no
     pair of the block does better, since counts grow and volumes shrink in
-    the objective's favour.  Blocks whose upper bound is at most the best
-    value found are dropped, and the rest are split in four, down to single
-    pairs, where both bounds are the exact value.  The starting blocks are
-    the least power of two s with 8 s >= len(xs) on a side.  `dtype` holds
-    every scaled value (see _scaled_dtype)."""
+    the objective's favour.  At each level the upper bounds are scored
+    first, and the blocks whose bound is at most the best value found are
+    dropped; the lower bounds of the rest raise the best value, which prunes
+    them again, and the survivors are split in four, down to single pairs,
+    where both bounds are the exact value.  The starting blocks are the
+    least power of two s with 8 s >= len(xs) on a side, at most
+    BOX_BLOCK_CAP, read at each call (at 1 every strip is scored: the
+    exhaustive scan).  `dtype` holds every scaled value (see
+    _scaled_dtype)."""
     table = _prefix_counts(nums, xs, ys)
     xv = np.array(xs, dtype=dtype)
     yv = np.array(ys, dtype=dtype)
     k = len(xs)
     gap = 0 if closed else 1  # least b - a of a pair
     s = 1
-    while 8 * s < k:
+    while 8 * s < k and 2 * s <= BOX_BLOCK_CAP:
         s *= 2
     i, j = np.divmod(np.arange(((k - 1) // s + 1) ** 2), (k - 1) // s + 1)
     best = 0
@@ -200,13 +206,16 @@ def _box_scan(
             lower, upper = (a0, b1 + 1, a0, b1), (a0, b1 + 1, a1, np.maximum(a1, b0))
         else:
             lower, upper = (a0 + 1, b1, a0, b1), (a1 + 1, b0, a0, b1)
-        best = max(best, int(_strip_values(table, xv, yv, lower, den2, n, dtype, closed).max()))
-        if s == 1:
-            return best
-        keep = _strip_values(table, xv, yv, upper, den2, n, dtype, closed) > best
+        if s == 1:  # single pairs: the lower bound is the value
+            return max(best, int(_strip_values(table, xv, yv, lower, den2, n, dtype, closed).max()))
+        bound = _strip_values(table, xv, yv, upper, den2, n, dtype, closed)
+        live = np.flatnonzero(bound > best)
+        lower = tuple(v[live] for v in lower)
+        best = max(best, int(_strip_values(table, xv, yv, lower, den2, n, dtype, closed).max(initial=0)))
+        live = live[bound[live] > best]
         s //= 2
-        i = (2 * i[keep, None] + [0, 0, 1, 1]).ravel()
-        j = (2 * j[keep, None] + [0, 1, 0, 1]).ravel()
+        i = (2 * i[live, None] + [0, 0, 1, 1]).ravel()
+        j = (2 * j[live, None] + [0, 1, 0, 1]).ravel()
 
 
 def _scaled_dtype(n: int, den: int, d: int) -> type:

@@ -702,6 +702,39 @@ def test_gen_record_dump_matches_golden_digest(case, tmp_path):
     assert gen_dump_digest(tmp_path, DUMP_CASES[case]) == want
 
 
+# --- the process entry point ----------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("command", ["gen", "report"])
+def test_entry_point_artifacts_match_goldens(command, tmp_path):
+    # `python -m matprng.cli` runs entry(): main() with the cyclic GC off
+    cfg = write_config(tmp_path, FIB_DOC)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "matprng.cli", command, "--config", cfg, "--out", str(tmp_path / f"{command}.csv")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = {f.name: f.read_text() for f in sorted(tmp_path.glob(f"{command}.csv*"))}
+    assert_matches_golden(got, "fib", command, "csv")
+
+
+def test_main_leaves_the_gc_as_it_found_it(fib_config, tmp_path):
+    import gc
+
+    frozen = gc.get_freeze_count()
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["report", "--config", fib_config, "--out", str(tmp_path / "report.csv")]) == 0
+            assert gc.isenabled() == enabled
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.enable()
+
+
 # --- every integer path --------------------------------------------------------
 
 # stream.int_dtype reads INT64_EDGE at each call.  At 0 every computation runs
@@ -743,6 +776,7 @@ REFERENCE_PATHS = [
     ("stream", "STREAM_BLOCK", 1),
     ("stream", "STREAM_BLOCK", 7),
     ("stream", "STREAM_BLOCK", 4096),
+    ("analysis.discrepancy", "BOX_BLOCK_CAP", 1),  # the exhaustive box scan
 ]
 # The `method` cell of `expsum` names the path exp_sum took, so without the
 # histogram it reads "direct" where the goldens read "histogram": that one

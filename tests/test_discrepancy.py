@@ -232,6 +232,39 @@ class TestPrunedScan:
         for pruned, oracle in scan_pairs(sets[name], den):
             assert pruned == oracle
 
+    @staticmethod
+    def strips_scored(monkeypatch, nums, den) -> int:
+        """Strips _strip_values scores in both scans of one 2-D set, each
+        scan checked against the oracle."""
+        scored = []
+        strip_values = discrepancy._strip_values
+
+        def spy(table, xv, yv, strips, *args):
+            scored.append(len(strips[0]))
+            return strip_values(table, xv, yv, strips, *args)
+
+        monkeypatch.setattr(discrepancy, "_strip_values", spy)
+        for pruned, oracle in scan_pairs(nums, den):
+            assert pruned == oracle
+        return sum(scored)
+
+    def test_fib_256_strips_scored(self, fib, monkeypatch):
+        # the upper bounds are scored first and only the blocks they leave
+        # have their lower bound scored: 2862 strips here (scoring both
+        # bounds of every block of a level scores 4344)
+        pts = fractional_points(GeneratorConfig.create(fib, PrimePowerModulus(3, 8), (1, 0)), 256)
+        assert self.strips_scored(monkeypatch, list(pts.nums), pts.den) <= 2862
+
+    def test_block_cap_one_scores_every_pair(self, monkeypatch):
+        # the reference switch: blocks of one pair from the start, the
+        # exhaustive scan, scoring each closed pair a <= b and open pair a < b once
+        sets, den = structured_sets(64)
+        nums = sets["grid"]
+        monkeypatch.setattr(discrepancy, "BOX_BLOCK_CAP", 1)
+        xs, _, ex, _ = discrepancy._axes(nums, den)
+        pairs = len(xs) * (len(xs) + 1) // 2 + len(ex) * (len(ex) - 1) // 2
+        assert self.strips_scored(monkeypatch, nums, den) == pairs
+
     def test_extreme_fib_1024_under_two_seconds(self, fib):
         # the exhaustive scan takes 5-10 s here; the pruned one about 0.4 s
         cfg = GeneratorConfig.create(fib, PrimePowerModulus(3, 8), (1, 0))

@@ -14,9 +14,8 @@ from pathlib import Path
 import pytest
 
 import test_cli
-from test_cli import FIB_DOC, GOLDEN_CASES, write_config
+from test_cli import FIB_DOC, GOLDEN_CASES, SRC, write_config
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 SPANS = SRC.parent / "perfbench" / "spans.py"
 ANALYSIS = "matprng.analysis"
 # what the exact-integer side (config loading, validate, period and the
@@ -30,9 +29,10 @@ DATACLASSES = ("dataclasses",)
 INSPECT = ("dataclasses", "inspect")
 
 
-def fresh_modules(code: str, *args: str, environ: dict | None = None) -> list[str]:
-    """sys.modules after running `code` in a new interpreter, with `environ`
-    laid over this process's environment (a None value unsets the name)."""
+def fresh_output(code: str, *args: str, environ: dict | None = None) -> str:
+    """The standard output of `code` run in a new interpreter, with
+    `environ` laid over this process's environment (a None value unsets the
+    name)."""
     env = dict(os.environ)
     for name, value in (environ or {}).items():
         if value is None:
@@ -40,12 +40,17 @@ def fresh_modules(code: str, *args: str, environ: dict | None = None) -> list[st
         else:
             env[name] = value
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     proc = subprocess.run(
-        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return proc.stdout
+
+
+def fresh_modules(code: str, *args: str, environ: dict | None = None) -> list[str]:
+    """sys.modules after running `code` in a new interpreter (see fresh_output)."""
+    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    return json.loads(fresh_output(script, *args, environ=environ).splitlines()[-1])
 
 
 def command_modules(
@@ -82,6 +87,37 @@ def test_config_loading_imports_no_numpy():
 def test_no_command_loads_mpmath(command, tmp_path):
     # 30-digit rendering and the bound formulas run on the standard library
     assert heavy(command_modules(tmp_path, command), ("mpmath",)) == []
+
+
+@pytest.mark.parametrize("command", test_cli.TestDeterminism.COMMANDS)
+def test_no_command_loads_numpy_ma(command, tmp_path):
+    # numpy.ma costs 10-14 ms to import and more at exit; np.unique without
+    # return_counts imports it (numpy 2.4), and no artifact needs it
+    assert heavy(command_modules(tmp_path, command), ("numpy.ma",)) == []
+
+
+def test_commands_leave_few_cyclic_objects(tmp_path):
+    # entry() runs main() with the cyclic GC off, for good: each command
+    # must leave a small number of cyclic objects, and one that does not
+    # grow with the size of its run.  The first `gen` and `report` also
+    # count what their imports leave.
+    code = (
+        "import gc, json, sys\nfrom matprng.cli import main\n"
+        "gc.collect()\ngc.disable()\nfound = []\n"
+        "for cfg, command in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+        "    assert main([command, '--config', cfg, '--out', cfg + '.out']) == 0\n"
+        "    found.append(gc.collect())\n"
+        "print(json.dumps(found))\n"
+    )
+    runs = [(FIB_DOC, "gen"), (dict(FIB_DOC, count=10**3), "gen"), (dict(FIB_DOC, count=10**4), "gen"),
+            (FIB_DOC, "report")]
+    args = [
+        arg for i, (doc, command) in enumerate(runs)
+        for arg in (write_config(tmp_path, doc, f"cfg{i}.json"), command)
+    ]
+    found = json.loads(fresh_output(code, *args))
+    assert max(found) < 1000, found
+    assert found[1] == found[2], found
 
 
 def test_bounds_module_loads_no_mpmath():
