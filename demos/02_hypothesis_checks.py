@@ -5,11 +5,10 @@ irreducibility mod p, and proper / p-primitive start vectors.
 """
 
 from matprng import IntMatrix, PrimePowerModulus, char_poly, validate_theorem_hypotheses
-from matprng.arith import IntPolynomial
+from matprng.arith import IntPolynomial, det_exact
 from matprng.fieldalg import (
     irreducible_mod_p,
     is_proper_pair,
-    minimal_recurrence_length,
     nondegeneracy_check,
     scalar_terms_mod_p,
     squarefree_mod_p,
@@ -35,13 +34,12 @@ for p in (3, 5, 11):
         f"  irreducible: {irreducible_mod_p(f, p)}"
     )
 
-print("\nminimal recurrence length of v A^n u mod 3 (proper pairs need d = 2):")
-for u, v in [((1, 0), (1, 0)), ((1, 0), (0, 0)), ((3, 6), (1, 0))]:
-    terms = scalar_terms_mod_p(fib, u, v, 3, 8)
-    print(
-        f"  u={u} v={v}: terms {terms} -> length {minimal_recurrence_length(terms, 3)}"
-        f"  proper: {is_proper_pair(fib, u, v, 3)}"
-    )
+print("\nleading Hankel minors det[s_(i+j)]_(i,j<k) mod p, k = 1, 2, of s_n = v A^n u")
+print("(proper iff the k = 2 minor is nonzero; (1, 8) is an eigenvector mod 11):")
+for u, v, p in [((1, 0), (1, 0), 3), ((1, 0), (0, 0), 3), ((3, 6), (1, 0), 3), ((1, 8), (1, 0), 11)]:
+    terms = scalar_terms_mod_p(fib, u, v, p, 3)
+    minors = [det_exact([terms[i : i + k] for i in range(k)]) % p for k in (1, 2)]
+    print(f"  p={p:2d} u={u} v={v}: terms {terms} -> minors {minors}  proper: {is_proper_pair(fib, u, v, p)}")
 
 print("\nfull validation verdicts:")
 for p, level in [(3, "thm1"), (5, "thm1"), (3, "thm2"), (11, "thm2")]:

@@ -59,7 +59,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "irreducible_mod_p",
         "is_p_primitive",
         "is_proper_pair",
-        "minimal_recurrence_length",
         "nondegeneracy_check",
         "squarefree_mod_p",
         "validate_theorem_hypotheses",

@@ -162,7 +162,8 @@ def _strip_values(
 
 
 def _box_scan(
-    nums: list[tuple[int, int]], xs: list[int], ys: list[int], den2: int, n: int, dtype: type, closed: bool
+    nums: list[tuple[int, int]], xs: list[int], ys: list[int], den2: int, n: int, dtype: type, closed: bool,
+    best: int = 0,
 ) -> int:
     """Largest scaled excess (closed=True: closed boxes [xs[a], xs[b]] x
     [ys[j], ys[k]], a <= b) or deficit (closed=False: open boxes
@@ -184,7 +185,9 @@ def _box_scan(
     least power of two s with 8 s >= len(xs) on a side, at most
     BOX_BLOCK_CAP, read at each call (at 1 every strip is scored: the
     exhaustive scan).  `dtype` holds every scaled value (see
-    _scaled_dtype)."""
+    _scaled_dtype).  The scan returns max(best, its own value): a `best`
+    known beforehand, such as the other side's value, prunes from the first
+    level on."""
     table = _prefix_counts(nums, xs, ys)
     xv = np.array(xs, dtype=dtype)
     yv = np.array(ys, dtype=dtype)
@@ -194,7 +197,6 @@ def _box_scan(
     while 8 * s < k and 2 * s <= BOX_BLOCK_CAP:
         s *= 2
     i, j = np.divmod(np.arange(((k - 1) // s + 1) ** 2), (k - 1) // s + 1)
-    best = 0
     while True:
         a0, b0 = i * s, j * s
         a1, b1 = np.minimum(a0 + s, k) - 1, np.minimum(b0 + s, k) - 1
@@ -243,11 +245,8 @@ def _extreme_2d(nums: list[tuple[int, int]], den: int, n: int) -> Fraction:
     den2 = den * den
     dtype = _scaled_dtype(n, den, 2)
     xs, ys, ex, ey = _axes(nums, den)
-    best = max(
-        _box_scan(nums, xs, ys, den2, n, dtype, closed=True),
-        _box_scan(nums, ex, ey, den2, n, dtype, closed=False),
-    )
-    return Fraction(best, n * den2)
+    excess = _box_scan(nums, xs, ys, den2, n, dtype, closed=True)
+    return Fraction(_box_scan(nums, ex, ey, den2, n, dtype, closed=False, best=excess), n * den2)
 
 
 def _star(nums: list[tuple[int, ...]], den: int, n: int, d: int) -> Fraction:
@@ -305,17 +304,25 @@ def _star(nums: list[tuple[int, ...]], den: int, n: int, d: int) -> Fraction:
 
 def box_counts(points, boxes: Sequence[Sequence[Sequence]]) -> tuple[BoxCount, ...]:
     """Exact closed-box counts A(N, B) for diagnostic boxes given as
-    [[lo_1, hi_1], ..., [lo_d, hi_d]] with rational bounds."""
+    [[lo_1, hi_1], ..., [lo_d, hi_d]] with rational bounds.  A point x/den
+    lies in [lo, hi] iff lo.numerator den <= x lo.denominator and
+    x hi.denominator <= hi.numerator den: one integer array test a box, in
+    the dtype that holds every such product."""
     nums, den, d = _normalize(points)
+    all_bounds = [tuple((Fraction(lo), Fraction(hi)) for lo, hi in box) for box in boxes]
+    if any(len(bounds) != d for bounds in all_bounds):
+        raise ValueError("box dimension mismatch")
+    edges = [b for bounds in all_bounds for pair in bounds for b in pair]
+    dtype = int_dtype(den * max((abs(b.numerator) + b.denominator for b in edges), default=1))
+    x = np.array(nums, dtype=dtype).reshape(len(nums), d)
     out = []
-    for box in boxes:
-        bounds = tuple((Fraction(lo), Fraction(hi)) for lo, hi in box)
-        if len(bounds) != d:
-            raise ValueError("box dimension mismatch")
-        count = 0
-        for pt in nums:
-            if all(lo <= Fraction(x, den) <= hi for x, (lo, hi) in zip(pt, bounds)):
-                count += 1
+    for bounds in all_bounds:
+        # (numerators, denominators) of the lower and of the upper bounds
+        low, high = (
+            np.array([(b.numerator, b.denominator) for b in side], dtype=dtype).T for side in zip(*bounds)
+        )
+        inside = (low[0] * den <= x * low[1]) & (x * high[1] <= high[0] * den)
+        count = int(np.count_nonzero(inside.all(axis=1)))
         volume = math.prod((hi - lo for lo, hi in bounds), start=Fraction(1))
         out.append(BoxCount(bounds, count, volume))
     return tuple(out)

@@ -4,8 +4,10 @@ proper pairs, and p-primitive vectors.
 
 Each question about f = det(XI - A) is asked of its companion matrix C,
 the ring Z[X]/(f) as integer matrices: a resultant Res(f, g) is det g(C),
-and the Frobenius test reads powers of C mod p.  Only the squarefree
-witness, a gcd, is found by Euclid's algorithm on coefficients mod p.
+and the Frobenius test reads powers of C mod p.  A pair (u, v) is proper
+when the Hankel determinant of the terms v A^n u is a unit mod p.  Only the
+squarefree witness, a gcd, is found by Euclid's algorithm on coefficients
+mod p.
 """
 
 from __future__ import annotations
@@ -176,42 +178,9 @@ def _root_of_unity_sweep(f: IntPolynomial) -> Verdict:
     return Verdict.ok()
 
 
-def minimal_recurrence_length(seq: Sequence[int], p: int) -> int:
-    """Length of the shortest linear recurrence over F_p generating the given
-    terms (Berlekamp-Massey); all-zero input gives 0."""
-    s = [x % p for x in seq]
-    c = [1]  # connection polynomial, ascending
-    b = [1]
-    length = 0
-    m = 1
-    last_disc = 1
-    for n in range(len(s)):
-        disc = s[n]
-        for i in range(1, length + 1):
-            disc = (disc + c[i] * s[n - i]) % p
-        if disc == 0:
-            m += 1
-            continue
-        coef = disc * pow(last_disc, -1, p) % p
-        shifted = [0] * m + b
-        new_c = c + [0] * (len(shifted) - len(c)) if len(shifted) > len(c) else c[:]
-        for i, bv in enumerate(shifted):
-            if bv:
-                new_c[i] = (new_c[i] - coef * bv) % p
-        if 2 * length <= n:
-            b = c
-            last_disc = disc
-            length = n + 1 - length
-            m = 1
-        else:
-            m += 1
-        c = new_c
-    return length
-
-
 def scalar_terms_mod_p(a: IntMatrix, u: ResidueVector, v: ResidueVector, p: int, count: int) -> list[int]:
     """First `count` terms of v A^n u reduced mod p, by one matrix-vector
-    product mod p per term on Python ints (the validator needs 4d terms)."""
+    product mod p per term on Python ints (the validator needs 2d - 1)."""
     for vec in (u, v):
         if len(vec) != a.d:
             raise DimensionMismatchError(f"matrix dim {a.d} vs vector length {len(vec)}")
@@ -224,11 +193,24 @@ def scalar_terms_mod_p(a: IntMatrix, u: ResidueVector, v: ResidueVector, p: int,
     return terms
 
 
+def _hankel_length(s: Sequence[int], d: int, p: int) -> int:
+    """The largest k <= d whose leading Hankel minor det[s_(i+j)]_(i,j<k) is
+    nonzero mod p, or 0 if there is none, from the terms s_0 .. s_(2d-2).
+
+    For s_n = v A^n u the d x d Hankel matrix is V U, with rows v A^i in V
+    and columns A^j u in U, so its determinant is a unit iff both Krylov
+    matrices are invertible, iff s has linear complexity d (Kronecker).
+    When A is invertible mod p, s is purely periodic with linear complexity
+    L: its first L shifted windows are independent and every later one is a
+    combination of them, so the value is L.  An accepted pair costs one
+    d x d determinant."""
+    return next((k for k in range(d, 0, -1) if det_exact([s[i : i + k] for i in range(k)]) % p), 0)
+
+
 def is_proper_pair(a: IntMatrix, u: ResidueVector, v: ResidueVector, p: int) -> bool:
-    """True iff the scalar sequence v A^n u mod p needs a recurrence of length
+    """True iff the scalar sequence v A^n u mod p has linear complexity
     exactly d = dim A (it can never need more, by Cayley-Hamilton)."""
-    terms = scalar_terms_mod_p(a, u, v, p, 4 * a.d)
-    return minimal_recurrence_length(terms, p) == a.d
+    return _hankel_length(scalar_terms_mod_p(a, u, v, p, 2 * a.d - 1), a.d, p) == a.d
 
 
 def is_p_primitive(u: ResidueVector, p: int) -> bool:
@@ -270,7 +252,7 @@ def validate_theorem_hypotheses(
             return Verdict.fail("constant-term-divisible-by-p", {"a0": a0})
         if v is None:
             raise ValueError("thm1 validation needs the second vector v")
-        length = minimal_recurrence_length(scalar_terms_mod_p(a, u, v, p, 4 * a.d), p)
+        length = _hankel_length(scalar_terms_mod_p(a, u, v, p, 2 * a.d - 1), a.d, p)
         if length != a.d:
             return Verdict.fail("improper-pair", {"minimal_length": length, "d": a.d})
         return Verdict.ok()

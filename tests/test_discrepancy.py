@@ -255,6 +255,36 @@ class TestPrunedScan:
         pts = fractional_points(GeneratorConfig.create(fib, PrimePowerModulus(3, 8), (1, 0)), 256)
         assert self.strips_scored(monkeypatch, list(pts.nums), pts.den) <= 2862
 
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_deficit_scan_starts_from_the_excess(self, fib, monkeypatch, n):
+        # _extreme_2d seeds the deficit scan's best value with the excess
+        # value: the result is still the larger of the two, the exhaustive
+        # scan's value, and the seeded scan scores no more strips
+        pts = fractional_points(GeneratorConfig.create(fib, PrimePowerModulus(3, 8), (1, 0)), n)
+        nums, den = list(pts.nums), pts.den
+        den2, dtype = den * den, np.int64
+        xs, ys, ex, ey = discrepancy._axes(nums, den)
+        excess = discrepancy._box_scan(nums, xs, ys, den2, n, dtype, True)
+        scored = []
+        strip_values = discrepancy._strip_values
+
+        def spy(table, xv, yv, strips, *args):
+            scored[-1] += len(strips[0])
+            return strip_values(table, xv, yv, strips, *args)
+
+        monkeypatch.setattr(discrepancy, "_strip_values", spy)
+        values = []
+        for best in (0, excess):
+            scored.append(0)
+            values.append(discrepancy._box_scan(nums, ex, ey, den2, n, dtype, False, best))
+        unseeded, seeded = scored
+        assert seeded <= unseeded
+        assert values[1] == max(excess, values[0])
+        value = exact_discrepancy(pts).value
+        assert value == Fraction(values[1], n * den2)
+        monkeypatch.setattr(discrepancy, "BOX_BLOCK_CAP", 1)
+        assert exact_discrepancy(pts).value == value
+
     def test_block_cap_one_scores_every_pair(self, monkeypatch):
         # the reference switch: blocks of one pair from the start, the
         # exhaustive scan, scoring each closed pair a <= b and open pair a < b once
@@ -310,9 +340,9 @@ class TestIntegerPaths:
         seen = []
         box_scan = discrepancy._box_scan
 
-        def spy(nums, xs, ys, den2, n, dtype, closed):
+        def spy(nums, xs, ys, den2, n, dtype, closed, best=0):
             seen.append(np.dtype(dtype))
-            return box_scan(nums, xs, ys, den2, n, dtype, closed)
+            return box_scan(nums, xs, ys, den2, n, dtype, closed, best)
 
         monkeypatch.setattr(discrepancy, "_box_scan", spy)
         points = PointSet(((1, den - 1), (den - 2, 3)), den, 2)
@@ -433,6 +463,35 @@ class TestBoxCounts:
         manual = sum(1 for x, y in pts.nums if 2 * x <= pts.den and 2 * y <= pts.den)
         assert bc.count == manual
         assert bc.volume == Fraction(1, 4)
+
+    @pytest.mark.parametrize("d, den", [(1, 7), (2, 81), (3, 16), (2, 3**40)])
+    def test_matches_the_fraction_loop(self, d, den):
+        # bounds on the points' own coordinates (closed faces), between them,
+        # outside [0, 1] and with lo > hi; den = 3^40 takes the object path
+        rng = random.Random(700 + d)
+        nums = [tuple(rng.randrange(den) for _ in range(d)) for _ in range(60)]
+        pts = PointSet(tuple(nums), den, d)
+
+        def edge():
+            kind = rng.randrange(4)
+            if kind == 0:
+                return Fraction(rng.choice(nums)[rng.randrange(d)], den)
+            if kind == 1:
+                return Fraction(rng.randrange(-2, 3 * den), 2 * den + rng.randrange(3))
+            return Fraction(rng.randrange(-3, 9), rng.randrange(1, 7))
+
+        boxes = [[[edge(), edge()] for _ in range(d)] for _ in range(300)]
+        for bc, box in zip(box_counts(pts, boxes), boxes):
+            assert bc.bounds == tuple((lo, hi) for lo, hi in box)
+            assert bc.count == sum(
+                all(lo <= Fraction(x, den) <= hi for x, (lo, hi) in zip(pt, box)) for pt in nums
+            )
+            assert bc.volume == math.prod((hi - lo for lo, hi in box), start=Fraction(1))
+        assert len({bc.count for bc in box_counts(pts, boxes)}) > 5
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="box dimension mismatch"):
+            box_counts([(Fraction(0), Fraction(0))], [[[0, 1]]])
 
     def test_report_carries_diagnostics(self):
         pts = [(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1, 2))]

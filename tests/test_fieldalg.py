@@ -1,18 +1,21 @@
+import json
 import math
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matprng.arith import IntMatrix, IntPolynomial, PrimePowerModulus, is_squarefree_over_q
+from matprng.arith import IntMatrix, IntPolynomial, PrimePowerModulus, det_exact, is_squarefree_over_q
+from matprng.cli import main
 from matprng.errors import DimensionMismatchError
 from matprng.fieldalg import (
     Verdict,
+    _hankel_length,
     euler_phi,
     irreducible_mod_p,
     is_p_primitive,
     is_proper_pair,
-    minimal_recurrence_length,
     nondegeneracy_check,
     scalar_terms_mod_p,
     squarefree_mod_p,
@@ -153,32 +156,55 @@ class TestCyclotomic:
             assert 99 ** euler_phi(n) <= _cyclotomic_value(n, 100) <= 101 ** euler_phi(n)
 
 
-class TestBerlekampMassey:
+def _least_recurrence(s: list[int], p: int) -> int:
+    """The least L for which some c in F_p^L gives s_(n+L) = sum c_i s_(n+i)
+    on every window of s, by trying every c: the brute force the Hankel
+    minors are checked against."""
+    for length in range(len(s) // 2 + 1):
+        for c in product(range(p), repeat=length):
+            if all((s[n + length] - sum(ci * s[n + i] for i, ci in enumerate(c))) % p == 0
+                   for n in range(len(s) - length)):
+                return length
+    raise AssertionError("no recurrence fits half the terms")
+
+
+@st.composite
+def scalar_sequences(draw):
+    """(A, u, v, p) with d <= 3 and p <= 7, entries in [-2p, 2p) with zeros
+    mixed in, so that A is often singular and u, v often improper mod p."""
+    d, p = draw(st.integers(1, 3)), draw(st.sampled_from([2, 3, 5, 7]))
+    entry = st.one_of(st.just(0), st.integers(-2 * p, 2 * p - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
+    u, v = (tuple(draw(st.lists(entry, min_size=d, max_size=d))) for _ in range(2))
+    return IntMatrix.from_rows(rows), u, v, p
+
+
+class TestHankelLength:
+    @given(scalar_sequences())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_least_recurrence(self, case):
+        # on 4d terms, the least recurrence is the linear complexity L <= d;
+        # L = d iff the d x d minor is a unit, and for invertible A the
+        # largest unit leading minor has order L
+        a, u, v, p = case
+        d = a.d
+        length = _least_recurrence(scalar_terms_mod_p(a, u, v, p, 4 * d), p)
+        k = _hankel_length(scalar_terms_mod_p(a, u, v, p, 2 * d - 1), d, p)
+        assert (k == d) == (length == d) == is_proper_pair(a, u, v, p)
+        if det_exact(a) % p:
+            assert k == length
+
     def test_fibonacci_mod_3(self):
-        assert minimal_recurrence_length([0, 1, 1, 2, 0, 2, 2, 1], 3) == 2
+        assert _hankel_length([0, 1, 1], 2, 3) == 2
 
     def test_constant(self):
-        assert minimal_recurrence_length([4, 4, 4, 4], 7) == 1
+        assert _hankel_length([4, 4, 4], 2, 7) == 1
 
     def test_all_zero(self):
-        assert minimal_recurrence_length([0, 0, 0, 0], 5) == 0
+        assert _hankel_length([0, 0, 0, 0, 0], 3, 5) == 0
 
     def test_geometric(self):
-        seq = [pow(2, n, 7) for n in range(10)]
-        assert minimal_recurrence_length(seq, 7) == 1
-
-    @given(st.integers(2, 4))
-    @settings(max_examples=20, deadline=None)
-    def test_never_exceeds_d(self, d):
-        import random
-
-        rng = random.Random(d)
-        p = 5
-        a = IntMatrix.from_rows([[rng.randrange(p) for _ in range(d)] for _ in range(d)])
-        u = tuple(rng.randrange(p) for _ in range(d))
-        v = tuple(rng.randrange(p) for _ in range(d))
-        terms = scalar_terms_mod_p(a, u, v, p, 4 * d)
-        assert minimal_recurrence_length(terms, p) <= d
+        assert _hankel_length([pow(2, n, 7) for n in range(5)], 3, 7) == 1
 
 
 # (rows, p, kernel dtype mod p): the fixtures, X^2 - X - 3 at p = 3001, and
@@ -273,6 +299,35 @@ class TestValidate:
     def test_improper_pair(self, fib):
         v = validate_theorem_hypotheses(fib, (1, 0), (0, 0), PrimePowerModulus(3, 4), "thm1")
         assert v.reason == "improper-pair"
+
+    # improper-pair witnesses, the linear complexity of v A^n u mod p:
+    # u = 0 mod 3, an eigenvector (1, r) of Fibonacci mod 11 (r = 8), and
+    # u = (C - 2) e_1 in the plane where X^3 - X - 1 = (X - 2) g mod 5 has g(C) u = 0
+    IMPROPER = [
+        ([[0, 1], [1, 1]], (3, 6), (1, 0), 3, 0),
+        ([[0, 1], [1, 1]], (1, 8), (1, 0), 11, 1),
+        ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], (3, 0, 1), (1, 0, 0), 5, 2),
+    ]
+
+    @pytest.mark.parametrize("rows, u, v, p, length", IMPROPER)
+    def test_improper_pair_witness(self, rows, u, v, p, length):
+        a = IntMatrix.from_rows(rows)
+        verdict = validate_theorem_hypotheses(a, u, v, PrimePowerModulus(p, 4), "thm1")
+        assert verdict.to_dict() == {
+            "outcome": "rejected", "reason": "improper-pair", "witness": {"minimal_length": length, "d": a.d},
+        }
+
+    @pytest.mark.parametrize("rows, u, v, p, length", IMPROPER[:2])
+    def test_improper_pair_cli_bytes(self, rows, u, v, p, length, tmp_path, capsys):
+        doc = {"p": str(p), "t": 4, "matrix": [[str(x) for x in row] for row in rows],
+               "u0": [str(x) for x in u], "v": [str(x) for x in v], "level": "thm1"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert capsys.readouterr().out == (
+            '{\n  "level": "thm1",\n  "outcome": "rejected",\n  "reason": "improper-pair",\n'
+            '  "witness": {\n    "d": 2,\n    "minimal_length": %d\n  }\n}\n' % length
+        )
 
     def test_singular(self):
         a = IntMatrix.from_rows([[1, 1], [1, 1]])
