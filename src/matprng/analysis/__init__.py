@@ -31,6 +31,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "SumReport",
         "double_sum_sigma",
         "exp_sum",
+        "exp_sums",
         "full_period_exponent",
         "korobov_reduction_check",
         "korobov_reduction_residual",

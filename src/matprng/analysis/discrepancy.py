@@ -30,10 +30,10 @@ host (numpy 2.4), the first N points of the Fibonacci stream mod 3^8 from
 u0 = (1, 0) took:
 
     N       extreme    star
-    256     0.017 s    < 0.01 s
-    1024    0.26 s     0.02 s
-    2048    1.2 s      0.04 s
-    4096    4.0 s      0.10 s
+    256     0.009 s    0.003 s
+    1024    0.10 s     0.016 s
+    2048    0.46 s     0.036 s
+    4096    1.7 s      0.089 s
 
 Exact discrepancy and the frequency-sum bound run in one thread.
 """
@@ -53,7 +53,9 @@ from ..stream import int_dtype
 
 EXTREME_POINT_CAP = 4096
 STAR_WORK_CAP = 2**27  # grid cells the star sweep touches (see _star)
-_CHUNK_ELEMS = 2**20  # elements per temporary in the 2-D box scans
+# elements per temporary in the 2-D box scans: of 2^10 .. 2^20, 2^14 (128 KB
+# of int64) timed fastest on the N = 1024 and 2048 point sets of the table above
+_CHUNK_ELEMS = 2**14
 BOX_BLOCK_CAP = 2**12  # largest starting block side of _box_scan; 1 scans every strip
 
 

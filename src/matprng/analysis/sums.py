@@ -10,13 +10,17 @@ representation of u_{n + tau_s m} in m), and the sum over m is a complete
 geometric sum.
 
 Every sum of phases sum_n w_n e(x_n / m), w_n integer, goes through one
-kernel, `_exact_sums`: the real and the imaginary part are each the float
-`math.fsum` returns over the unit terms e(x_n / m) of `_phase_terms`, the
-n-th repeated w_n times.  `_row_sums` sums R rows of residues together (the
-reduction residual's inner sums, the discrepancy bound's frequency sums),
-`phase_sum` one row, weighted or not, and `exp_sum` its stream blocks or
-its histogram windows weighted by the counts, so both paths return one
-value.  Summation is deterministic, one thread.
+kernel, `_exact_parts`: each chunk of unit terms e(x_n / m) of
+`_phase_terms` is cut into 26-bit integer digits, whose weighted sums are
+exact, and `math.fsum` of a sum's digit sums (`_rounded`) gives the real
+and the imaginary part each as the float fsum returns over the unit
+terms, the n-th repeated w_n times.  `_row_sums` sums R rows of residues
+together (the reduction residual's inner sums, the discrepancy bound's
+frequency sums), `phase_sum` one row, weighted or not, and `exp_sums` a
+whole N schedule from one stream: its blocks, rounded where each N ends,
+or its histogram windows weighted by every N's counts, so both paths and
+any schedule return one value an N.  Summation is deterministic, one
+thread.
 """
 
 from __future__ import annotations
@@ -37,12 +41,13 @@ from ..stream import int_dtype, mat_stream, stream_blocks
 # so that exp_sum (the expsum command) does not load it
 
 _HISTOGRAM_LIMIT = 1 << 24
-# Veltkamp's splitting constant 2^27 + 1: x * _SPLIT must not overflow
-_SPLIT = 134217729.0
+# the top digit's extraction constant, 2^27 times a term's binade, stays a float
 _EXACT_SUM_MAX_ABS = 2.0**996
 # total weight of a sum; the stream budget (2^30 bytes, 8 a term) and sigma_n's grid guard keep it below
 _EXACT_SUM_MAX_TERMS = 1 << 27
-_EXACT_SUM_CHUNK = 1 << 14
+# terms a chunk: a chunk's temporaries, 2 x 2^12 float64 = 64 KB, stay below
+# glibc's 128 KB mmap threshold, so that a fresh process reuses their pages
+_EXACT_SUM_CHUNK = 1 << 12
 # products x*y formed per np.unique call in _product_multiplicities
 _PRODUCT_CHUNK = 1 << 20
 # largest tau_s whose terms full_period_exponent sums, and largest grid
@@ -81,7 +86,62 @@ def _angles(x, mod: int) -> np.ndarray:
     # float(x) / float(mod) is a correctly rounded ratio of correctly rounded
     # operands, also for exact integers above 2^53; it is below 1, so the
     # angle is finite for every mod that converts to float
-    return np.asarray(x, dtype=np.float64) / float(mod) * (2 * math.pi)
+    ang = np.array(x, dtype=np.float64)
+    ang /= float(mod)
+    ang *= 2 * math.pi
+    return ang
+
+
+def _exact_parts(part: np.ndarray, weights=None) -> np.ndarray:
+    """Exact partial sums of sum_j w_j x_ij for each row i of a (width, m)
+    float64 array `part` of finite terms with |x| < 2^996, which is
+    overwritten: an array (K, width) for weights None (1 each) or an (m,)
+    vector of nonnegative integers, (K, width, C) for an (m, C) matrix of
+    them, one weighting a column.  The K parts of a sum add up to it
+    exactly, and every weighting must total at most 2^27.
+
+    Every term is a multiple of the least unit 2^e of the smallest nonzero
+    term, and below 2^E.  Cut top-down into K = ceil((E - e) / 26) digits of
+    units u_k = 2^(E - 26 (K - k)), each x is q_(K-1) + ... + q_0, q_k a
+    multiple of u_k (of 2^e for k = 0) with |q_k| <= 2^26 u_k.  The cut is
+    the power-of-two extraction of Rump, Ogita and Oishi ("Accurate
+    floating-point summation, Part I", SIAM J. Sci. Comput. 31(1), 2008):
+    q = fl(fl(sigma + x) - sigma) with sigma = 2^53 u_k <= 2^1023 rounds the
+    remainder x to a multiple of u_k, and x - q is exact.  A weighted digit
+    sum is then a multiple of its unit, below 2^53 of them: every partial
+    sum is exact, in any order, so one product with the weights (or one
+    sum) a digit gives each digit's sum exactly."""
+    q = np.abs(part)
+    top = float(q.max(initial=0.0))
+    assert top < _EXACT_SUM_MAX_ABS
+    if weights is not None:
+        weights = np.asarray(weights)
+        assert weights.dtype.kind in "iu" and weights.min(initial=0) >= 0
+        weights = weights.astype(np.float64)
+    if not top:
+        return np.zeros((0, len(part)) + np.shape(weights)[1:])
+    low = float(q.min()) or float(q.min(where=q > 0, initial=top))
+    big = math.frexp(top)[1]
+    levels = max(1, -(-(big - max(math.frexp(low)[1] - 53, -1074)) // 26))
+    sums = []
+    for k in range(levels - 1, -1, -1):
+        if k:
+            sigma = math.ldexp(1.0, big + 27 - 26 * (levels - 1 - k))
+            np.add(part, sigma, out=q)
+            q -= sigma
+            part -= q
+        digit = q if k else part
+        sums.append(digit.sum(1) if weights is None else digit @ weights)
+    return np.array(sums)
+
+
+def _rounded(parts: list[np.ndarray], shape: tuple[int, ...]) -> list[float]:
+    """math.fsum over the exact parts of each sum: the (K_i,) + shape arrays
+    of `_exact_parts` for the chunks of one run of sums, in C order of
+    `shape`."""
+    if not parts:
+        return [0.0] * math.prod(shape)
+    return list(map(math.fsum, np.concatenate(parts).reshape(-1, math.prod(shape)).T.tolist()))
 
 
 def _exact_sums(chunks: Iterable[tuple[np.ndarray, np.ndarray | None]], width: int) -> list[float]:
@@ -91,57 +151,30 @@ def _exact_sums(chunks: Iterable[tuple[np.ndarray, np.ndarray | None]], width: i
     overwritten, and their m nonnegative integer weights, or None for 1.
     The terms must be finite with |x| < 2^996; the weights total <= 2^27.
 
-    Dekker's split (Veltkamp's constant 2^27 + 1) writes each term x with
-    frexp exponent e as hi + lo, two halves of at most 26 significant bits:
-    hi is a multiple of 2^(e-26) with |hi| <= 2^e, and lo a multiple of
-    2^(e-53) (or of the subnormal spacing) with |lo| <= 2^(e-27).  Times an
-    integer weight c <= 2^27, either half is exact and still a multiple of
-    its unit.  For all series of a chunk at once, one np.bincount a half
-    adds them up per (series, exponent of the unweighted term) into the group
-    sums of the exponents seen so far: a group stays within 2^53 of its
-    units, so exact.  fsum of a series' group sums is the exactly rounded
-    sum of the repeated series, which is what fsum returns for it."""
-    groups, low, total = np.zeros((width, 2, 0)), 0, 0
+    Each chunk becomes its exact digit sums (`_exact_parts`), and fsum of a
+    series' digit sums is the exactly rounded sum of the repeated series,
+    which is what fsum returns for it."""
+    parts, total = [], 0
     for part, weights in chunks:
-        assert np.abs(part).max() < _EXACT_SUM_MAX_ABS
-        exponents = np.frexp(part)[1]
-        least = int(exponents.min())
-        span = int(exponents.max()) + 1 - least
-        hi = part * _SPLIT
-        hi -= hi - part
-        part -= hi
-        if weights is not None:
-            weights = np.asarray(weights)
-            assert weights.dtype.kind in "iu" and weights.min() >= 0
-            hi *= weights
-            part *= weights
-        total += part.shape[1] if weights is None else int(weights.sum())
+        total += part.shape[1] if weights is None else int(np.sum(weights))
         assert total <= _EXACT_SUM_MAX_TERMS
-        index = (np.arange(-least, width * span - least, span)[:, None] + exponents).ravel()
-        sums = np.stack([np.bincount(index, half.ravel(), width * span).reshape(width, span)
-                         for half in (hi, part)], 1)
-        # widen the group sums to this chunk's exponents, then add its sums
-        low = low if groups.shape[2] else least
-        below, above = max(low - least, 0), max(least + span - low - groups.shape[2], 0)
-        groups = np.concatenate((np.zeros((width, 2, below)), groups, np.zeros((width, 2, above))), 2)
-        low -= below
-        groups[:, :, least - low : least - low + span] += sums
-    # the nonzero group sums of every series in one list, series by series
-    ends = np.cumsum(np.count_nonzero(groups, axis=(1, 2))).tolist()
-    values = groups[groups != 0].tolist()
-    return [math.fsum(values[a:b]) for a, b in zip([0] + ends, ends)]
+        parts.append(_exact_parts(part, weights))
+    return _rounded(parts, (width,))
 
 
 def _phase_terms(x, mod: int) -> np.ndarray:
     """The real and imaginary parts, stacked, of e(x_j / mod) for the residues
-    x_j (an int64 array, or exact ints in a list or object array)."""
+    x_j (an int64 or uint64 array, or exact ints in a list or object array)."""
     ang = _angles(x, mod)
-    return np.array([np.cos(ang), np.sin(ang)])
+    terms = np.empty((2,) + ang.shape)
+    np.cos(ang, out=terms[0])
+    np.sin(ang, out=terms[1])
+    return terms
 
 
 def _chunk_terms(x: np.ndarray, mod: int, weights=None) -> Iterator[tuple[np.ndarray, object]]:
-    """The unit _phase_terms of the R rows of an (R, n) int64 or object array
-    of residues as (2R, m) chunks for `_exact_sums`, the R real parts over the
+    """The unit _phase_terms of the R rows of an (R, n) int64, uint64 or object
+    array of residues as (2R, m) chunks for `_exact_sums`, the R real parts over the
     R imaginary parts, m <= max(1, _EXACT_SUM_CHUNK // R), with their weights."""
     step = max(1, _EXACT_SUM_CHUNK // len(x))
     for lo in range(0, x.shape[1], step):
@@ -167,28 +200,87 @@ def phase_sum(x, mod: int, weights=None) -> complex:
 
 
 def _histogram_terms(counts: np.ndarray, mod: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The _chunk_terms of the residues x mod `mod` that occur, with their
-    counts c_x as weights, over windows of _EXACT_SUM_CHUNK bins."""
+    """The residues x mod `mod` that occur in `counts` (nonzero bins), in
+    windows of _EXACT_SUM_CHUNK bins, with their _phase_terms."""
     for lo in range(0, len(counts), _EXACT_SUM_CHUNK):
-        bins = np.flatnonzero(counts[lo : lo + _EXACT_SUM_CHUNK]) + lo
-        yield from _chunk_terms(bins[None], mod, counts[bins])
+        bins = np.flatnonzero(counts[lo : lo + _EXACT_SUM_CHUNK])
+        bins += lo
+        yield bins, _phase_terms(bins, mod)
 
 
-def exp_sum(cfg: GeneratorConfig, n_terms: int) -> SumReport:
-    """S = sum_{n=0}^{N-1} e(v A^n u / p^t), with each phase an exact integer
-    over p^t.
+def _cut(blocks: Iterator[np.ndarray], ns: list[int]) -> Iterator[tuple[np.ndarray, bool]]:
+    """The stream blocks, cut after the first n terms for each n of the
+    ascending list `ns`: (piece, whether a prefix ends with it)."""
+    pos, cuts = 0, iter(ns)
+    cut = next(cuts)
+    for block in blocks:
+        lo = 0
+        while cut is not None and cut <= pos + len(block):
+            yield block[lo : cut - pos], True
+            lo, cut = cut - pos, next(cuts, None)
+        if lo < len(block):
+            yield block[lo:], False
+        pos += len(block)
 
-    The N residues are never held at once: the sum folds the blocks of
-    `stream.stream_blocks`, one at a time.  For p^t <= _HISTOGRAM_LIMIT
-    (2^24, read at each call) the "histogram" path counts each block's
-    residues in one array of p^t bins (np.add.at), then sums the residues
-    x that occur, up to the largest, weighted by their counts c_x, 2^14
+
+def _histogram_sums(pieces: Iterator[tuple[np.ndarray, bool]], mod: int, last: int) -> list[complex]:
+    """The sums at each prefix of `_cut`, from counts of the residues in p^t
+    bins: each prefix but the last keeps a copy of the counts up to its
+    largest residue, in the narrowest dtype that holds them, and at the end
+    one table of phase terms over the bins that occur is weighted by every
+    prefix's counts, one product a window."""
+    # np.zeros maps its pages lazily, so bins above the largest residue
+    # cost neither memory nor, in the scan below, time
+    counts = np.zeros(mod, dtype=np.min_scalar_type(last))
+    one = counts.dtype.type(1)
+    pos, top, snapshots = 0, 0, []
+    for piece, ends in pieces:
+        if len(piece):
+            # residues below p^t <= 2^24 are int64 whatever dtype the stream holds
+            np.add.at(counts, piece.astype(np.int64, copy=False), one)
+            pos, top = pos + len(piece), max(top, int(piece.max()) + 1)
+        if ends and pos < last:
+            seen = counts[:top]
+            snapshots.append(seen.astype(np.min_scalar_type(seen.max())))
+    snapshots.append(counts[:top])
+    parts = []
+    for bins, terms in _histogram_terms(counts[:top], mod):
+        weights = np.zeros((len(bins), len(snapshots)), dtype=counts.dtype)
+        for col, snapshot in enumerate(snapshots):
+            inside = np.searchsorted(bins, len(snapshot))
+            weights[:inside, col] = snapshot[bins[:inside]]
+        parts.append(_exact_parts(terms, weights))
+    sums = _rounded(parts, (2, len(snapshots)))
+    return list(map(complex, sums[: len(snapshots)], sums[len(snapshots) :]))
+
+
+def _direct_sums(pieces: Iterator[tuple[np.ndarray, bool]], mod: int) -> list[complex]:
+    """The sums at each prefix of `_cut`, from the terms themselves: the
+    exact parts of every chunk so far, rounded where a prefix ends."""
+    parts, sums = [], []
+    for piece, ends in pieces:
+        parts.extend(_exact_parts(terms) for terms, _ in _chunk_terms(piece[None], mod))
+        if ends:
+            sums.append(complex(*_rounded(parts, (2,))))
+    return sums
+
+
+def exp_sums(cfg: GeneratorConfig, schedule: Sequence[int]) -> list[SumReport]:
+    """S(N) = sum_{n=0}^{N-1} e(v A^n u / p^t) for each N of `schedule`, in
+    its order, with each phase an exact integer over p^t.
+
+    One stream of max(N) terms serves every N: the sums fold the blocks of
+    `stream.stream_blocks`, one at a time, and never hold the residues at
+    once.  For p^t <= _HISTOGRAM_LIMIT (2^24, read at each call) the
+    "histogram" path counts the residues in one array of p^t bins
+    (np.add.at), keeps the counts at each smaller N, and sums the residues x
+    that occur, up to the largest, weighted by every N's counts c_x, 2^12
     bins at a time; above it the "direct" path sums the terms of each
-    block, 2^14 at a time.  Either way each part is the exactly rounded sum
-    of the N unit terms (`_exact_sums`), so both paths return the same
-    float, bit for bit, whatever the blocks.  SumReport.method names it.
-    """
-    if n_terms < 1:
+    block, 2^12 at a time, and rounds at each N.  Either way each part is
+    the exactly rounded sum of the N unit terms (`_exact_parts`), so both
+    paths, and any schedule, return the same float, bit for bit, whatever
+    the blocks.  SumReport.method names the path."""
+    if not schedule or min(schedule) < 1:
         raise ValueError("N must be >= 1")
     if cfg.validated is None or not cfg.validated.accepted:
         warnings.warn(
@@ -201,22 +293,23 @@ def exp_sum(cfg: GeneratorConfig, n_terms: int) -> SumReport:
     mod = cfg.m.modulus
     if cfg.v is None:
         raise ValueError("scalar residues need v in the config")
-    blocks = stream_blocks(cfg.a, cfg.u0, cfg.m, n_terms, 0, cfg.v)
+    ns = sorted(set(schedule))
+    pieces = _cut(stream_blocks(cfg.a, cfg.u0, cfg.m, ns[-1], 0, cfg.v), ns)
     method = "histogram" if mod <= _HISTOGRAM_LIMIT else "direct"
     if method == "histogram":
-        # np.zeros maps its pages lazily, so bins above the largest residue
-        # cost neither memory nor, in the scan below, time
-        counts = np.zeros(mod, dtype=np.int64)
-        top = 0
-        for block in blocks:
-            # residues below p^t <= 2^24 are int64 whatever dtype the stream holds
-            np.add.at(counts, block.astype(np.int64, copy=False), 1)
-            top = max(top, int(block.max()) + 1)
-        terms = _histogram_terms(counts[:top], mod)
+        values = _histogram_sums(pieces, mod, ns[-1])
     else:
-        terms = itertools.chain.from_iterable(_chunk_terms(block[None], mod) for block in blocks)
-    value = complex(*_exact_sums(terms, 2))
+        values = _direct_sums(pieces, mod)
+    reports = {n: _report(cfg, n, value, method) for n, value in zip(ns, values)}
+    return [reports[n] for n in schedule]
 
+
+def exp_sum(cfg: GeneratorConfig, n_terms: int) -> SumReport:
+    """S(N) for one N: `exp_sums` of a schedule of one."""
+    return exp_sums(cfg, [n_terms])[0]
+
+
+def _report(cfg: GeneratorConfig, n_terms: int, value: complex, method: str) -> SumReport:
     # Per-term phase error < 3 ulp of pi-scale plus sin/cos rounding; the
     # exactly rounded sum adds one rounding over all N terms.
     error_bound = 4.0e-15 * n_terms + 1.0e-12

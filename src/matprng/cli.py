@@ -23,11 +23,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Iterator, NamedTuple, Sequence
 
-# No command calls BLAS (every matrix product is on int64 or object arrays),
-# and OpenBLAS starts a worker pool when numpy is imported, which costs
-# start-up time.  The CLI imports numpy only in the commands that stream, but
-# the variable is set here, before any of them can run.  A value the user set
-# is kept.
+# OpenBLAS starts a worker pool when numpy is imported, which costs start-up
+# time, and the one float matrix product, the phase-sum kernel's digits times
+# their weights, is too small to gain from one (and exact in any order).
+# The CLI imports numpy only in the commands that stream, but the variable is
+# set here, before any of them can run.  A value the user set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .arith import IntMatrix, PrimePowerModulus, char_poly, str_digits
@@ -407,25 +407,24 @@ def cmd_gen(exp: Experiment, cfg: GeneratorConfig, args) -> Table:
 
 
 def _numbered(blocks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-    """Each block of stream terms as rows (n, terms...), n counting from 0."""
+    """Each block of stream terms as rows (n, terms...), n counting from 0,
+    in the block's dtype (numpy would widen uint64 and int64 to float64)."""
     import numpy as np
 
     n = 0
     for block in blocks:
-        yield np.column_stack((np.arange(n, n + len(block)), block))
+        yield np.column_stack((np.arange(n, n + len(block)).astype(block.dtype, copy=False), block))
         n += len(block)
 
 
 def cmd_expsum(exp: Experiment, cfg: GeneratorConfig, args) -> Table:
-    from .analysis.sums import exp_sum
+    from .analysis.sums import exp_sums
 
-    rows = []
-    for n in exp.n_schedule:
-        rep = exp_sum(cfg, n)
-        rows.append(
-            (n, rep.rho, rep.abs_value, rep.normalized, rep.value.real,
-             rep.value.imag, rep.method, rep.error_bound)
-        )
+    rows = [
+        (rep.n, rep.rho, rep.abs_value, rep.normalized, rep.value.real,
+         rep.value.imag, rep.method, rep.error_bound)
+        for rep in exp_sums(cfg, exp.n_schedule)
+    ]
     header = ("N", "rho", "abs_S", "S_over_N", "re_S", "im_S", "method", "error_bound")
     return Table(header, rows)
 
@@ -487,13 +486,13 @@ def cmd_vmvt(exp: Experiment, cfg: GeneratorConfig | None, args) -> Table:
 
 def _bounds_table(exp: Experiment, cfg: GeneratorConfig) -> Table:
     from .analysis.bounds import discrepancy_envelope, theorem_envelope
-    from .analysis.sums import exp_sum
+    from .analysis.sums import exp_sums
 
     d = cfg.a.d
     k = exp.constants
     rows = []
-    for n in exp.n_schedule:
-        rep = exp_sum(cfg, n)
+    for rep in exp_sums(cfg, exp.n_schedule):
+        n = rep.n
         env = theorem_envelope(n, exp.p, exp.t, d, k["eta"], k["c"], k["d_power"])
         denv = discrepancy_envelope(n, exp.p, exp.t, d, k["eta0"], k["c0_envelope"], k["d_power"])
         rows.append((n, rep.rho, rep.abs_value, rep.normalized, env, denv))

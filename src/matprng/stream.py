@@ -89,28 +89,30 @@ def _mul(x: np.ndarray, y: np.ndarray, lm: _Limbs) -> np.ndarray:
 
     Limb j of the product mod b^L = p^(kL) is the sum over i + l = j of
     x_i @ y_l plus the carry from limb j - 1; the top limb is reduced mod
-    p^(t - (L-1)k), which is exact because p^t divides p^(kL)."""
+    p^(t - (L-1)k), which is exact because p^t divides p^(kL).  Each limb
+    is formed in place in the output."""
     out = np.empty((lm.count, x.shape[1], y.shape[2]), dtype=lm.dtype)
-    carry = None
-    for j in range(lm.count):
-        acc = x[0] @ y[j]
+    carry = np.empty_like(out[0]) if lm.count > 1 else None
+    for j, acc in enumerate(out):
+        np.matmul(x[0], y[j], out=acc)
         for i in range(1, j + 1):
             acc += x[i] @ y[j - i]
-        if carry is not None:
+        if j:
             acc += carry
         if j < lm.count - 1:
-            carry, out[j] = np.divmod(acc, lm.base)
+            np.divmod(acc, lm.base, out=(carry, acc))
         else:
-            out[j] = acc % lm.top
+            np.remainder(acc, lm.top, out=acc)
     return out
 
 
 def _compose(z: np.ndarray, lm: _Limbs) -> np.ndarray:
     """The residues of limb array z: the limb itself for one limb, else
-    sum z_j b^j in uint64, exact below p^t < 2^64."""
+    sum z_j b^j in uint64, exact below p^t < 2^64, formed in place in the
+    top limb."""
     if lm.count == 1:
         return z[0]
-    acc = z[-1].astype(np.uint64)
+    acc = z[-1].view(np.uint64)
     for limb in z[-2::-1]:
         acc *= np.uint64(lm.base)
         acc += limb.view(np.uint64)
@@ -151,7 +153,9 @@ def stream_blocks(
 ) -> Iterator[np.ndarray]:
     """The stream of `mat_stream` as consecutive blocks of K whole giant
     steps of B terms each: (n, d) arrays of vectors (w = d), or, given v,
-    (n,) arrays of scalars (w = 1), of dtype `stream_dtype(m, d)`.  A block
+    (n,) arrays of scalars (w = 1).  Their dtype is `stream_dtype(m, d)`,
+    except that exact ints below p^t < 2^64 stay the uint64 that the
+    kernel's limbs compose to (see `_limbs`).  A block
     holds at most max(STREAM_BLOCK // w, B) terms, the last one fewer.
     Where blocks end depends on count, w and STREAM_BLOCK only, not on the
     matrix, the vectors or the modulus.
@@ -163,8 +167,7 @@ def stream_blocks(
     come from one product of the carried head with [I, G, ..., G^(K-1)],
     G = A^B, and the head then moves on by G^K.  Every product is taken in
     the limbs of `_limbs`: int64 for every p^t < 2^64 with a base that
-    fits, and there the object dtype appears only when a block of several
-    limbs is put together for output, by one astype from uint64.
+    fits, so that the object dtype appears only above 2^64.
 
     Raises the guard `stream_bytes` when it is called, before anything is
     allocated, when `mat_stream` would return more than
@@ -176,10 +179,7 @@ def stream_blocks(
     if n0:
         u = mat_vec_mod(mat_pow_mod(a, n0, m), u, m)
     size = max(1, STREAM_BLOCK // (d if v is None else 1))
-    blocks = _giant_steps(a, u, m, count, v, size)
-    if stream_dtype(m, d) is np.int64:
-        return blocks
-    return (block.astype(object, copy=False) for block in blocks)
+    return _giant_steps(a, u, m, count, v, size)
 
 
 def _giant_steps(a, u, m, count, v, size) -> Iterator[np.ndarray]:
@@ -225,8 +225,8 @@ def mat_stream(
 ) -> np.ndarray:
     """The stream u_n = A^n u0 mod p^t for n = n0 .. n0 + count - 1 as a
     (count, d) array, or, given v, the scalars v . u_n mod p^t as a (count,)
-    array: the blocks of `stream_blocks` put together, in its dtype and
-    under its memory budget."""
+    array: the blocks of `stream_blocks` put together under its memory
+    budget, in the dtype `stream_dtype(m, d)`."""
     blocks = stream_blocks(a, u0, m, count, n0, v)
     out = np.empty((count, a.d) if v is None else count, dtype=stream_dtype(m, a.d))
     pos = 0

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from matprng.analysis.discrepancy import exact_discrepancy
@@ -769,14 +770,15 @@ def test_every_golden_on_every_integer_path(edge, tmp_path, monkeypatch):
 
 # A fast path's module constant, read at each call, sends the work it selects
 # down the reference path: exp_sum counts no histogram at _HISTOGRAM_LIMIT = 0,
-# and every command streams in blocks of the given size.  Every golden matches
-# under each.
+# every command streams in blocks of the given size, and the 2-D box scan
+# scores one strip a chunk.  Every golden matches under each.
 REFERENCE_PATHS = [
     ("analysis.sums", "_HISTOGRAM_LIMIT", 0),
     ("stream", "STREAM_BLOCK", 1),
     ("stream", "STREAM_BLOCK", 7),
     ("stream", "STREAM_BLOCK", 4096),
     ("analysis.discrepancy", "BOX_BLOCK_CAP", 1),  # the exhaustive box scan
+    ("analysis.discrepancy", "_CHUNK_ELEMS", 1),
 ]
 # The `method` cell of `expsum` names the path exp_sum took, so without the
 # histogram it reads "direct" where the goldens read "histogram": that one
@@ -814,6 +816,87 @@ def test_gen_memory_is_bounded_by_a_block(tmp_path):
         tracemalloc.stop()
     assert peak < 10 * 2**20
     assert (tmp_path / "gen.csv").read_text().count("\n") == 100001
+
+
+# --- one stream per schedule -----------------------------------------------------
+
+@pytest.mark.parametrize("command", ["expsum", "bounds", "report"])
+def test_schedule_sums_stream_once(command, tmp_path, monkeypatch):
+    # the sums of the whole N_schedule come from one stream of max(N) terms
+    # at the config's modulus; the full-period rows (t_range) stream at
+    # p^t and p^(t-s) for t < 4 and are not counted
+    from matprng.analysis import sums
+
+    calls = []
+    blocks = sums.stream_blocks
+    monkeypatch.setattr(sums, "stream_blocks", lambda a, u0, m, *rest: calls.append((m.modulus, *rest)) or blocks(a, u0, m, *rest))
+    doc = dict(FIB_DOC, N_schedule=[216, 24, 100, 24], t_range=[2, 3])
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out.csv")]) == 0
+    assert [call for call in calls if call[0] == 81] == [(81, 216, 0, (1, 0))]
+    assert len(calls) == (5 if command == "bounds" else 1)
+
+
+@pytest.mark.parametrize("case, doc", [("fib", FIB_DOC), ("fib_2_30", FIB_2_30_DOC), ("cubic_3_40", CUBIC_3_40_DOC)])
+@pytest.mark.parametrize("command", ["expsum", "bounds"])
+def test_schedule_rows_as_if_each_n_were_alone(case, doc, command, tmp_path):
+    # out of order and repeated: the rows, in the config's order, are the
+    # bytes of the same command run on each N alone
+    def rows(schedule, name):
+        cfg = write_config(tmp_path, dict(doc, N_schedule=schedule), name + ".json")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / f"{name}.csv")]) == 0
+        return (tmp_path / f"{name}.csv").read_text().splitlines()
+
+    got = rows([4096, 64, 64], "schedule")
+    want = [rows([n], f"n{n}") for n in (4096, 64)]
+    assert got == want[0] + want[1][1:] + want[1][1:]
+
+
+# --- exact ints below 2^64 stay uint64 ---------------------------------------------
+
+# 3^40 and 83^10 < 2^64 <= 2^64, 3^41: the stream holds residues below 2^64 in
+# uint64, those above in exact ints; both must write the bytes that exact ints
+# write, in every format, in the record dump and in expsum's sums
+UINT64_MODULI = [(3, 40), (83, 10), (2, 64), (3, 41)]
+
+
+@pytest.mark.parametrize("p, t", UINT64_MODULI, ids=[f"{p}^{t}" for p, t in UINT64_MODULI])
+@pytest.mark.parametrize("scalar", [False, True], ids=["vectors", "scalars"])
+def test_uint64_streams_write_the_bytes_of_exact_ints(p, t, scalar, tmp_path, monkeypatch):
+    from matprng import stream
+
+    doc = dict(FIB_2_30_DOC, p=p, t=t, u0=[p**t - 1, 2**63 + 12345], v=[1, 2**62 + 7], count=2000,
+               N_schedule=[2000, 500], scalar=scalar)
+
+    def artifacts(tag):
+        out = {}
+        for command, fmt in (("gen", "csv"), ("gen", "json"), ("expsum", "csv")):
+            out_dir = tmp_path / f"{tag}-{command}-{fmt}"
+            out_dir.mkdir()
+            cfg = write_config(out_dir, dict(doc, binary_out=str(out_dir / "dump.bin")))
+            assert main([command, "--config", cfg, "--out", str(out_dir / f"out.{fmt}"), "--format", fmt]) == 0
+            out.update({f"{command}.{fmt}/{f.name}": f.read_bytes() for f in out_dir.glob("*") if f.name != "cfg.json"})
+        return out
+
+    got = artifacts("uint64")
+    assert len(got) == 5 and b"." not in got["gen.csv/out.csv"]  # gen's table holds no float
+    dtypes = set()
+    giant_steps = stream._giant_steps
+    monkeypatch.setattr(stream, "_giant_steps", lambda *args: (dtypes.add(b.dtype) or b for b in giant_steps(*args)))
+    assert artifacts("check") == got
+    assert dtypes == ({np.dtype(np.uint64)} if p**t < 2**64 else {np.dtype(object)})
+    # the reference: every residue an exact int
+    monkeypatch.setattr(stream, "_limbs", lambda m, d: stream._Limbs(m.modulus, 1, m.modulus, object))
+    assert artifacts("exact-int") == got
+
+
+def test_numbered_rows_keep_the_block_dtype():
+    from matprng.cli import _numbered
+
+    for block in (np.array([[2**64 - 1, 2**53 + 1]], dtype=np.uint64), np.array([7, 8], dtype=np.int64),
+                  np.array([2**64, 1], dtype=object)):
+        rows = list(_numbered(iter([block, block])))
+        assert [r.dtype for r in rows] == [block.dtype] * 2
+        assert rows[1].tolist() == [[len(block) + i, *np.atleast_1d(x).tolist()] for i, x in enumerate(block)]
 
 
 if __name__ == "__main__":

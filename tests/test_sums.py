@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 import tracemalloc
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import matprng.analysis.sums as sums
 from matprng import padic, stream
@@ -23,12 +24,15 @@ from matprng.analysis.sums import (
     _EXACT_SUM_CHUNK,
     _HISTOGRAM_LIMIT,
     _angles,
+    _exact_parts,
     _exact_sums,
     _phase_terms,
     _product_multiplicities,
+    _rounded,
     _row_sums,
     double_sum_sigma,
     exp_sum,
+    exp_sums,
     full_period_exponent,
     korobov_reduction_check,
     korobov_reduction_residual,
@@ -174,6 +178,42 @@ class TestBlockedExpSum:
         assert 1 <= scanned[0] <= 1000
         monkeypatch.setattr(sums, "_HISTOGRAM_LIMIT", 0)
         assert_same_complex(got.value, exp_sum(cfg, 10).value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestSchedule:
+    """exp_sums streams max(N) once for a whole schedule, and each of its
+    reports is the one exp_sum gives for that N alone, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(TestBlockedExpSum.CONFIGS))
+    @pytest.mark.parametrize("limit", [_HISTOGRAM_LIMIT, 0], ids=["histogram", "direct"])
+    @pytest.mark.parametrize("block", [7, 4096, stream.STREAM_BLOCK])
+    def test_each_n_as_if_summed_alone(self, name, limit, block, monkeypatch):
+        cfg, n = TestBlockedExpSum.config(name)
+        monkeypatch.setattr(sums, "_HISTOGRAM_LIMIT", limit)
+        monkeypatch.setattr(stream, "STREAM_BLOCK", block)
+        # out of order, repeated, at and next to block and chunk ends
+        schedule = [n, 64, 64, 1, _EXACT_SUM_CHUNK + 1, 4096, 4095, n - 1]
+        got = exp_sums(cfg, schedule)
+        assert [rep.n for rep in got] == schedule
+        assert [rep.method for rep in got] == [exp_sum(cfg, 1).method] * len(schedule)
+        for rep in got:
+            alone = exp_sum(cfg, rep.n)
+            assert rep._replace(value=None) == alone._replace(value=None)
+            assert_same_complex(rep.value, alone.value)
+
+    def test_one_stream_of_the_largest_n(self, monkeypatch):
+        cfg, _ = TestBlockedExpSum.config("fib_3_13")
+        calls = []
+        blocks = sums.stream_blocks
+        monkeypatch.setattr(sums, "stream_blocks", lambda *args: calls.append(args[3:5]) or blocks(*args))
+        exp_sums(cfg, [300, 5000, 20])
+        assert calls == [(5000, 0)]
+
+    @pytest.mark.parametrize("schedule", [[], [5, 0]])
+    def test_every_n_must_be_positive(self, cfg, schedule):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            exp_sums(cfg, schedule)
 
 
 MATRICES = ([[0, 1], [1, 1]], [[1, 2], [1, 1]], [[0, 1, 0], [0, 0, 1], [1, 1, 0]])
@@ -685,6 +725,73 @@ class TestExactSum:
         assert exact_sum(x).hex() == math.fsum(x).hex()  # fsum iterates, no list
 
 
+# unit terms at the digit kernel's extremes: exact and signed zeros,
+# cos(fl(pi/2)) ~ 6.1e-17, sin(2 pi / m) for m near 2^1000 (~2^-997), the
+# largest term below 1 (its top digit is the largest a digit can be), and 1
+EDGE_TERMS = [0.0, -0.0, math.cos(math.pi / 2), -math.cos(math.pi / 2), 1.0 - 2.0**-53, 1.0, -1.0] + [
+    float(np.sin(_angles([1], m))[0]) for m in (2**1000 - 1, 2**1000 + 1, 3 * 2**998)
+]
+
+
+@st.composite
+def digit_cases(draw):
+    """(rows, weights, chunk): a (width, m) table of unit terms, each the cos
+    or sin of a phase or an edge term, some rows all zeros; weights None or
+    an (m, C) table of counts; and the chunk length the kernel reads."""
+    width, m = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+    phase = st.builds(lambda x, mod, part: float(_phase_terms([x], mod)[part, 0]),
+                      st.integers(0, 10**6), st.sampled_from([7, 3**13, 3**40, 2**1000 + 1]), st.integers(0, 1))
+    term = st.one_of(phase, st.sampled_from(EDGE_TERMS))
+    zero = st.sampled_from([0.0, -0.0])
+    rows = [draw(st.lists(zero if draw(st.booleans()) and i else term, min_size=m, max_size=m))
+            for i in range(width)]
+    columns = draw(st.integers(1, 3))
+    weights = draw(st.none() | st.lists(st.lists(st.integers(0, 60), min_size=columns, max_size=columns),
+                                        min_size=m, max_size=m))
+    return rows, weights, draw(st.integers(1, m))
+
+
+def fsum_repeated(row, weights=None) -> float:
+    """math.fsum over the row's terms, the j-th repeated weights[j] times."""
+    return math.fsum(row if weights is None else itertools.chain.from_iterable(map(itertools.repeat, row, weights)))
+
+
+class TestDigitKernel:
+    """_exact_parts against math.fsum over the explicitly repeated terms, bit
+    for bit, under every weighting and chunking."""
+
+    @given(digit_cases())
+    @settings(max_examples=150, deadline=None)
+    # every weight at once: 2^27 repeats of the largest term below 1, whose
+    # top digit is 2^26 of its unit, and of two more terms
+    @example(([[1.0 - 2.0**-53, math.cos(math.pi / 2), -1 / 3]], [[2**26], [2**25], [2**25]], 2))
+    # single-term rows, one of them all zeros, and a zero weight
+    @example(([[-0.0], [6.0e-17], [1.0]], [[0, 3]], 1))
+    def test_against_fsum_over_repeated_terms(self, case):
+        rows, weights, chunk = case
+        x = np.array(rows)
+        w = None if weights is None else np.array(weights, dtype=np.int64)
+        steps = range(0, x.shape[1], chunk)
+        parts = [_exact_parts(x[:, lo : lo + chunk].copy(), None if w is None else w[lo : lo + chunk]) for lo in steps]
+        columns = [None] if w is None else w.T.tolist()
+        got = _rounded(parts, (len(rows), len(columns)) if w is not None else (len(rows),))
+        want = [fsum_repeated(row, col) for row in rows for col in columns]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        if w is not None:  # one weighting a call, through _exact_sums
+            got = _exact_sums(((x[:, lo : lo + chunk].copy(), w[lo : lo + chunk, 0]) for lo in steps), len(rows))
+            assert [v.hex() for v in got] == [v.hex() for v in want[:: len(columns)]]
+
+    def test_all_zero_rows_have_no_parts(self):
+        assert _exact_parts(np.array([[0.0, -0.0], [-0.0, -0.0]])).shape == (0, 2)
+        assert _exact_parts(np.zeros((2, 3)), np.ones((3, 4), dtype=np.int64)).shape == (0, 2, 4)
+        assert _rounded([], (2, 3)) == [0.0] * 6
+
+    def test_terms_over_the_limit_are_refused(self):
+        for bad in (2.0**996, math.inf, math.nan):
+            with pytest.raises(AssertionError):
+                _exact_parts(np.array([[1.0, bad]]))
+
+
 def fsum_phase_sum(x, mod: int, weights=None) -> complex:
     """The kernel's contract: math.fsum over the cos and sin terms of
     _angles, each term repeated as often as its weight says."""
@@ -707,16 +814,17 @@ class TestPhaseSum:
 
     # R = round(_EXACT_SUM_CHUNK / n) rows of n residues, summed together by
     # _row_sums and, end to end, as one row by phase_sum: R n is just below, at
-    # or just above a chunk of _EXACT_SUM_CHUNK terms
-    @pytest.mark.parametrize("n", [1, 2] + [_EXACT_SUM_CHUNK // r + k for r in (16, 4, 1) for k in (-1, 0, 1)])
+    # or just above a chunk of _EXACT_SUM_CHUNK terms, or one row of n just
+    # below, at or just above four chunks
+    @pytest.mark.parametrize("n", [1, 2] + [4 * _EXACT_SUM_CHUNK // r + k for r in (64, 16, 4, 1) for k in (-1, 0, 1)])
     def test_int64_residues_at_boundaries(self, n):
         mod = 3**13
         x = np.random.default_rng(n).integers(0, mod, (max(1, round(_EXACT_SUM_CHUNK / n)), n))
         assert_same_sums(_row_sums(x, mod), [fsum_phase_sum(row, mod) for row in x])
         assert_same_complex(phase_sum(x.ravel(), mod), fsum_phase_sum(x.ravel(), mod))
 
-    # as above, R n just above a chunk, and one row of 1.5 chunks
-    @pytest.mark.parametrize("n", [7, 1025, 4097, 3 * _EXACT_SUM_CHUNK // 2])
+    # as above, R n just above a chunk, and one row of 1.5 and of 6 chunks
+    @pytest.mark.parametrize("n", [7, 1025, 4097, 3 * _EXACT_SUM_CHUNK // 2, 6 * _EXACT_SUM_CHUNK])
     @pytest.mark.parametrize("mod", [3**40, 2**1023], ids=["3^40", "2^1023"])
     def test_exact_ints_above_2_53(self, mod, n):
         # near 2^1023, 2 pi x would overflow; x / mod never does
@@ -759,7 +867,17 @@ class TestPhaseSum:
             want = [(float(x) / float(mod) * (2 * math.pi)).hex() for x in xs]
             assert [a.hex() for a in _angles(xs, mod).tolist()] == want
 
-    @pytest.mark.parametrize("n", [5, 4097, _EXACT_SUM_CHUNK + 1])
+    def test_uint64_angles_are_those_of_exact_ints(self):
+        # residues below 2^64 reach the kernel as uint64; converted to float
+        # they round as float(int) does, also at the ties 2^53 + 1 and
+        # 2^64 - 1 and with the top bit set
+        xs = [2**53 + 1, 2**53 + 3, 2**63 + 1025, 2**63 + 3072, 2**64 - 1025, 2**64 - 1]
+        for mod in (2**64, 83**10, 3**40):
+            got = _angles(np.array(xs, dtype=np.uint64), mod)
+            assert [a.hex() for a in got.tolist()] == [a.hex() for a in _angles(xs, mod).tolist()]
+        assert np.array(xs, dtype=np.uint64).astype(np.float64).tolist() == [float(x) for x in xs]
+
+    @pytest.mark.parametrize("n", [5, _EXACT_SUM_CHUNK + 1, 4 * _EXACT_SUM_CHUNK + 1])
     def test_weighted_bins(self, n):
         # each bin counts as c_x unit terms, whatever the number of bins
         mod = 3**13
